@@ -71,7 +71,7 @@ def _snapshot_lines(snap, cfg):
                 )
             )
         return lines
-    xc, yc = g.cell_centers()
+    xc, yc = g.cell_centers_x(), g.cell_centers_y()
     lines = ["X,Y,U,v,gamma,S,Z"]
     for j in range(g.ny):
         for i in range(g.nx):
@@ -149,6 +149,8 @@ def cmd_run(args) -> int:
         "delta1": None,
         "delta2": None,
         "fit_r2": None,
+        "steps": len(result.reports) - 1,
+        "t_final": result.state.time,
     }
     try:
         wm = analysis.wave_metrics(result, cfg, level=args.level)

@@ -80,6 +80,30 @@ class AdmissibilityViolation(RuntimeViolation):
         )
 
 
+class NonFiniteState(RuntimeViolation):
+    """A damage solve met a non-finite (or singular) operator or right-hand
+    side. The step's state is attached as .state when the solver raises it."""
+
+    def __init__(self, what: str):
+        self.what = what
+        self.state = None
+        super().__init__(f"non-finite value in the {what}")
+
+
+class PicardNotConverged(RuntimeViolation):
+    """The source iteration used all numerics.source_max_iter iterations
+    without meeting numerics.source_tol. The step's state rides as .state."""
+
+    def __init__(self, time: float, iterations: int, residual: float, limit: float):
+        self.time, self.iterations = time, iterations
+        self.residual, self.limit = residual, limit
+        self.state = None
+        super().__init__(
+            f"source iteration did not converge at t={time:.6g}: last change "
+            f"{residual:.6g} > {limit:.6g} after {iterations} iterations"
+        )
+
+
 class NonpositiveSpeed(FailwaveError):
     def __init__(self, v_f: float):
         self.v_f = v_f

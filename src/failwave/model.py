@@ -361,9 +361,14 @@ def _norm_ic_entry(raw: Optional[Mapping], path: str, grid: Grid) -> dict:
         out["at"] = _as_float(_need(raw, "at", path), f"{path}.at")
     elif kind == "tabulated":
         values = _need(raw, "values", path)
-        arr = np.asarray(values, dtype=float)
+        try:
+            arr = np.asarray(values, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidValue(f"{path}.values", "expected an array of numbers")
         if arr.shape != grid.shape:
             raise ShapeMismatch(path, grid.shape, arr.shape)
+        if not np.isfinite(arr).all():
+            raise InvalidValue(f"{path}.values", "must be finite")
         out["values"] = arr.tolist()
     return out
 
@@ -494,6 +499,8 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
     }
     if numerics["tol_admissibility"] < 0:
         raise InvalidValue("numerics.tol_admissibility", "must be >= 0")
+    if numerics["source_max_iter"] < 1:
+        raise InvalidValue("numerics.source_max_iter", "must be >= 1")
 
     return ScenarioConfig(
         name=str(raw.get("name", "scenario")),

@@ -16,8 +16,12 @@ All functions are pure: arrays in, arrays out.
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
+
+from .errors import NonFiniteState
 
 # -- boundary-condition protocol helpers ------------------------------------
 
@@ -295,34 +299,88 @@ def face_weights_gamma_1d(bc: dict, nx: int, dx: float) -> np.ndarray:
 # -- banded parabolic solves --------------------------------------------------
 
 
-def solve_tridiag(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray):
-    """Solve a tridiagonal system; sub[0] and sup[-1] are ignored."""
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
-    return solve_banded((1, 1), ab, rhs)
+class LineFactor(NamedTuple):
+    lu: tuple  # dgttrf output for all lines joined into one system
+    ghost: Optional[tuple]  # dirichlet constants of the (first, last) cells
+    sm: Optional[tuple]  # periodic Sherman-Morrison terms (w, v_coef, denom)
 
 
-def solve_cyclic_tridiag(sub, diag, sup, corner_ul, corner_lr, rhs):
-    """Cyclic tridiagonal solve via the Sherman-Morrison rank-1 update.
+def factor_lines(K, react, a: float, s: float, dh: float, bc_g: dict) -> LineFactor:
+    """Factor (a + react/2 - s*L) for each row of react at once.
 
-    corner_ul = A[0, n-1], corner_lr = A[n-1, 0].
+    K holds face conductivities, shape (m, n+1); react the cell reaction,
+    shape (m, n). The rows become one tridiagonal system with zero coupling
+    between them, so a single LAPACK dgttrf call factors every line and
+    solve_lines reuses the factor for any number of right-hand sides.
+    Dirichlet values enter through the ghost 2g - x_adj; periodic lines wrap
+    via a Sherman-Morrison rank-1 update, whose matrix-only solve is done
+    here once. Raises NonFiniteState on a non-finite or singular operator.
     """
-    n = diag.shape[0]
-    gamma = -diag[0]
-    d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= corner_ul * corner_lr / gamma
-    x1 = solve_tridiag(sub, d, sup, rhs)
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = corner_lr
-    x2 = solve_tridiag(sub, d, sup, u)
-    v_dot_x1 = x1[0] + (corner_ul / gamma) * x1[-1]
-    v_dot_x2 = x2[0] + (corner_ul / gamma) * x2[-1]
-    return x1 - x2 * (v_dot_x1 / (1.0 + v_dot_x2))
+    kind = bc_g["type"]
+    cl = K[:, :-1] / dh**2  # left face of each cell
+    cr = K[:, 1:] / dh**2  # right face
+    if kind == "zero_flux":
+        cl[:, 0] = 0.0  # no flux through the walls
+        cr[:, -1] = 0.0
+    diag = a + 0.5 * react + s * (cl + cr)
+    sub = -s * cl
+    sup = -s * cr
+    ghost = sm = None
+    if kind == "dirichlet":
+        # the ghost doubles the wall coupling and adds a constant
+        g = bc_g.get("value", 0.0)
+        diag[:, 0] += s * cl[:, 0]
+        diag[:, -1] += s * cr[:, -1]
+        ghost = (2.0 * s * cl[:, 0] * g, 2.0 * s * cr[:, -1] * g)
+    elif kind == "periodic":
+        corner = -s * K[:, 0] / dh**2  # A[0, n-1] = A[n-1, 0]
+        gam = -diag[:, 0]
+        diag[:, 0] -= gam
+        diag[:, -1] -= corner * corner / gam
+    if not np.isfinite(diag).all():  # every coupling also enters diag
+        raise NonFiniteState("damage operator")
+    sub[:, 0] = 0.0  # lines do not couple
+    sup[:, -1] = 0.0
+    *lu, info = dgttrf(sub.ravel()[1:], diag.ravel(), sup.ravel()[:-1])
+    if info > 0:
+        raise NonFiniteState(f"damage operator (singular at row {info - 1})")
+    if kind == "periodic":
+        u = np.zeros_like(diag)
+        u[:, 0] = gam
+        u[:, -1] = corner
+        w = dgttrs(*lu, u.ravel())[0].reshape(diag.shape)
+        v_coef = corner / gam
+        sm = (w, v_coef, 1.0 + (w[:, 0] + v_coef * w[:, -1]))
+    return LineFactor(tuple(lu), ghost, sm)
+
+
+def solve_lines(fac: LineFactor, rhs: np.ndarray) -> np.ndarray:
+    """Solve the factored line systems for an (m, n) right-hand side."""
+    if not np.isfinite(rhs).all():
+        raise NonFiniteState("damage right-hand side")
+    if fac.ghost is not None:
+        rhs = rhs.copy()
+        rhs[:, 0] += fac.ghost[0]
+        rhs[:, -1] += fac.ghost[1]
+    x = dgttrs(*fac.lu, rhs.ravel())[0].reshape(rhs.shape)
+    if fac.sm is not None:
+        w, v_coef, denom = fac.sm
+        x = x - w * ((x[:, 0] + v_coef * x[:, -1]) / denom)[:, None]
+    return x
+
+
+def factor_damage(K, react, lam: float, dt: float, grid, bc_g: dict):
+    """Factors for one damage step, reusable across Picard iterations: the
+    1D Crank-Nicolson matrix, or the (x, y) pair of ADI half-sweep matrices
+    (the y sweep works on transposes)."""
+    if grid.ndim == 1:
+        return factor_lines(K[None], react[None], lam / dt, 0.5, grid.dx, bc_g)
+    Kx, Ky = K
+    a = 2.0 * lam / dt  # lam / (dt/2)
+    return (
+        factor_lines(Kx, react, a, 1.0, grid.dx, bc_g),
+        factor_lines(Ky.T, react.T, a, 1.0, grid.dy, bc_g),
+    )
 
 
 def cn_damage_step_1d(
@@ -334,74 +392,20 @@ def cn_damage_step_1d(
     dt: float,
     dx: float,
     bc_g: dict,
+    fac: LineFactor,
 ) -> np.ndarray:
     """One Crank-Nicolson step of lam*dΓ/dt = d/dx(K dΓ/dx) - react*Γ + source.
 
     react and source must already be zero on inactive cells and K_faces zero
-    on their faces, so frozen cells reduce to the identity row. Dirichlet
-    values enter through the K-weighted ghost; periodic wraps via a cyclic
-    solve. Unconditionally stable; source is held fixed over the step (the
-    caller iterates for nonlinear sources).
+    on their faces, so frozen cells reduce to the identity row. fac is
+    factor_damage's result for the step. Unconditionally stable; source is
+    held fixed over the step (the caller iterates for nonlinear sources).
     """
-    nx = gamma.shape[0]
     a = lam / dt
-    kind = bc_g["type"]
-    # interior coupling coefficients K_f/dx^2
-    cl = K_faces[:-1] / dx**2  # left face of each cell
-    cr = K_faces[1:] / dx**2  # right face
-    if kind == "zero_flux":
-        cl[0] = 0.0  # no flux through the walls
-        cr[-1] = 0.0
-    diag = a + 0.5 * react + 0.5 * (cl + cr)
-    sub = np.zeros(nx)
-    sup = np.zeros(nx)
-    sub[1:] = -0.5 * cl[1:]
-    sup[:-1] = -0.5 * cr[:-1]
     rhs = (a - 0.5 * react) * gamma + source
     # explicit half of the diffusion operator
     rhs += 0.5 * damage_flux_div_1d(gamma, K_faces, dx, bc_g)
-    if kind == "dirichlet":
-        g = bc_g.get("value", 0.0)
-        # ghost 2g - Γ_adj doubles the wall coupling and adds a constant
-        diag[0] += 0.5 * cl[0]  # total 2*K/dx^2 on the wall side
-        diag[-1] += 0.5 * cr[-1]
-        rhs[0] += cl[0] * g
-        rhs[-1] += cr[-1] * g
-        return solve_tridiag(sub, diag, sup, rhs)
-    if kind == "periodic":
-        corner = -0.5 * K_faces[0] / dx**2
-        return solve_cyclic_tridiag(sub, diag, sup, corner, corner, rhs)
-    # zero_flux: boundary faces carry no flux; nothing to add
-    return solve_tridiag(sub, diag, sup, rhs)
-
-
-def _adi_line_solve(gamma_line, K_line, react_line, rhs, a, dh, bc_kind, g_val):
-    """Implicit half of one ADI sweep: solve (a + react/2 - L) x = rhs along
-    one grid line, with L the full flux-divergence operator in that direction.
-    """
-    n = gamma_line.shape[0]
-    cl = K_line[:-1] / dh**2
-    cr = K_line[1:] / dh**2
-    if bc_kind == "zero_flux":
-        cl[0] = 0.0
-        cr[-1] = 0.0
-    diag = a + 0.5 * react_line + cl + cr
-    sub = np.zeros(n)
-    sup = np.zeros(n)
-    sub[1:] = -cl[1:]
-    sup[:-1] = -cr[:-1]
-    if bc_kind == "dirichlet":
-        # ghost 2*g_val - gamma_adj folds into the diagonal and the rhs
-        diag[0] += cl[0]
-        diag[-1] += cr[-1]
-        rhs = rhs.copy()
-        rhs[0] += 2.0 * cl[0] * g_val
-        rhs[-1] += 2.0 * cr[-1] * g_val
-        return solve_tridiag(sub, diag, sup, rhs)
-    if bc_kind == "periodic":
-        corner = -K_line[0] / dh**2
-        return solve_cyclic_tridiag(sub, diag, sup, corner, corner, rhs)
-    return solve_tridiag(sub, diag, sup, rhs)
+    return solve_lines(fac, rhs[None])[0]
 
 
 def adi_damage_step_2d(
@@ -415,38 +419,29 @@ def adi_damage_step_2d(
     dx: float,
     dy: float,
     bc_g: dict,
+    fac: tuple,
 ) -> np.ndarray:
     """Peaceman-Rachford ADI step of the 2D damage equation.
 
     Two half steps of length dt/2: the first implicit in x and explicit in y,
     the second the reverse. The linear reaction is split evenly across both
     sides of each half step and the source enters each half step in full.
+    fac is factor_damage's (x, y) pair for the step.
     """
-    ny, nx = gamma.shape
     a = 2.0 * lam / dt  # lam / (dt/2)
-    kind = bc_g["type"]
-    g_val = bc_g.get("value", 0.0)
-
-    def div_x(g):
-        Fx = Kx * gamma_grad_xfaces_2d(g, dx, bc_g)
-        return (Fx[:, 1:] - Fx[:, :-1]) / dx
-
-    def div_y(g):
-        Fy = Ky * gamma_grad_yfaces_2d(g, dy, bc_g)
-        return (Fy[1:, :] - Fy[:-1, :]) / dy
-
+    fx, fy = fac
     # sweep 1: (a + react/2 - Lx) star = (a - react/2) gamma + Ly gamma + source
-    rhs = (a - 0.5 * react) * gamma + div_y(gamma) + source
-    star = np.empty_like(gamma)
-    for j in range(ny):
-        star[j, :] = _adi_line_solve(
-            gamma[j, :], Kx[j, :], react[j, :], rhs[j, :], a, dx, kind, g_val
-        )
+    Fy = Ky * gamma_grad_yfaces_2d(gamma, dy, bc_g)
+    rhs = (a - 0.5 * react) * gamma + (Fy[1:, :] - Fy[:-1, :]) / dy + source
+    star = solve_lines(fx, rhs)
     # sweep 2: (a + react/2 - Ly) out = (a - react/2) star + Lx star + source
-    rhs = (a - 0.5 * react) * star + div_x(star) + source
-    out = np.empty_like(gamma)
-    for i in range(nx):
-        out[:, i] = _adi_line_solve(
-            star[:, i], Ky[:, i], react[:, i], rhs[:, i], a, dy, kind, g_val
-        )
-    return out
+    Fx = Kx * gamma_grad_xfaces_2d(star, dx, bc_g)
+    rhs = (a - 0.5 * react) * star + (Fx[:, 1:] - Fx[:, :-1]) / dx + source
+    return np.ascontiguousarray(solve_lines(fy, rhs.T).T)
+
+
+def damage_step(gamma, K, react, source, lam: float, dt: float, grid, bc_g: dict, fac):
+    """One implicit damage step with the step's factor_damage result."""
+    if grid.ndim == 1:
+        return cn_damage_step_1d(gamma, K, react, source, lam, dt, grid.dx, bc_g, fac)
+    return adi_damage_step_2d(gamma, *K, react, source, lam, dt, grid.dx, grid.dy, bc_g, fac)

@@ -26,6 +26,8 @@ from .errors import (
     CflViolation,
     ConfigConflict,
     DiffusionStabilityViolation,
+    NonFiniteState,
+    PicardNotConverged,
     SingularLambda,
 )
 from .model import FieldState, ScenarioConfig, initialize_state
@@ -197,7 +199,10 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None):
     Crank-Nicolson (default) folds linear sources into the solve; the
     logistic source is iterated to the implicit midpoint (Picard, tolerance
     numerics.source_tol), so the discrete admissibility product stays
-    nonnegative up to roundoff. Explicit Euler available for cross-checks,
+    nonnegative up to roundoff; PicardNotConverged is raised when
+    numerics.source_max_iter iterations fall short. NonFiniteState is raised
+    on a non-finite operator or right-hand side. Both carry a copy of the
+    state as .state. Explicit Euler available for cross-checks,
     guarded by the max(d1/dx^2, d2/dy^2)*dt <= 1/2 limit.
 
     Returns (gamma_new, DamageStepInfo).
@@ -230,34 +235,31 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None):
         gamma_new = gamma + dt / p.lam * np.where(active, rhs, 0.0)
         z_probe = gamma  # admissibility sampled at the old state
     else:
+        # K and react0 hold for the whole step: factor once, and each Picard
+        # iteration costs one right-hand side and one banded solve
         react0, source = _source_and_react(gamma, uX, active, p)
-        if p.model == "feng" and p.source_law == "logistic":
-            gamma_new = gamma.copy()
-            tol = cfg.numerics["source_tol"]
-            for _ in range(cfg.numerics["source_max_iter"]):
-                mid = 0.5 * (gamma + gamma_new)
-                _, source = _source_and_react(mid, uX, active, p)
-                if grid.ndim == 1:
-                    nxt = ops.cn_damage_step_1d(
-                        gamma, K, react0, source, p.lam, dt, grid.dx, bc_g
-                    )
+        try:
+            fac = ops.factor_damage(K, react0, p.lam, dt, grid, bc_g)
+            if p.model == "feng" and p.source_law == "logistic":
+                gamma_new = gamma.copy()
+                tol = cfg.numerics["source_tol"]
+                max_iter = cfg.numerics["source_max_iter"]
+                for _ in range(max_iter):
+                    mid = 0.5 * (gamma + gamma_new)
+                    _, source = _source_and_react(mid, uX, active, p)
+                    nxt = ops.damage_step(gamma, K, react0, source, p.lam, dt, grid, bc_g, fac)
+                    delta = float(np.max(np.abs(nxt - gamma_new)))
+                    gamma_new = nxt
+                    limit = tol * max(1.0, float(np.max(np.abs(gamma_new))))
+                    if delta <= limit:
+                        break
                 else:
-                    nxt = ops.adi_damage_step_2d(
-                        gamma, K[0], K[1], react0, source, p.lam, dt, grid.dx, grid.dy, bc_g
-                    )
-                delta = float(np.max(np.abs(nxt - gamma_new)))
-                gamma_new = nxt
-                if delta <= tol * max(1.0, float(np.max(np.abs(gamma_new)))):
-                    break
-        else:
-            if grid.ndim == 1:
-                gamma_new = ops.cn_damage_step_1d(
-                    gamma, K, react0, source, p.lam, dt, grid.dx, bc_g
-                )
+                    raise PicardNotConverged(state.time, max_iter, delta, limit)
             else:
-                gamma_new = ops.adi_damage_step_2d(
-                    gamma, K[0], K[1], react0, source, p.lam, dt, grid.dx, grid.dy, bc_g
-                )
+                gamma_new = ops.damage_step(gamma, K, react0, source, p.lam, dt, grid, bc_g, fac)
+        except (NonFiniteState, PicardNotConverged) as err:
+            err.state = state.copy()  # dumped for post-mortem inspection
+            raise
         z_probe = None  # midpoint, assigned after the clamp below
 
     if p.source_law == "logistic":

@@ -201,3 +201,77 @@ def test_clifton_study_command(tmp_path, capsys):
     # dissipation scales linearly with lam: ratio of the two rows is 10x
     d = [float(r.split(",")[1]) for r in rows]
     assert d[0] / d[1] == pytest.approx(10.0, rel=1e-6)
+
+
+SHEET_2D = """\
+name: sheet_2d
+grid: {nx: 6, ny: 5, dx: 0.5, dy: 0.5}
+material:
+  rho0: 1.0
+  c1: 1.0
+  lambda: 1.0
+  d1: 0.2
+  d2: 0.4
+  source: {law: logistic, rate: 1.0, gamma_max: 1.0}
+time: {dt: 0.05, t_end: 0.2}
+ic:
+  gamma: {type: gaussian, amplitude: 0.5, center: [1.5, 1.25], width: 0.5}
+bc:
+  u_left: {type: fixed}
+  u_right: {type: fixed}
+  gamma: {type: zero_flux}
+gauges: [[2.0, 1.0]]
+numerics: {tol_admissibility: 1.0e-4}
+output: {snapshots: 3}
+"""
+
+
+def test_2d_run_writes_snapshots(tmp_path):
+    path = write_yaml(tmp_path, "sheet.yaml", SHEET_2D)
+    out = str(tmp_path / "out")
+    assert cli.main(["run", path, "--out", out, "--quiet"]) == 0
+    snaps = sorted(n for n in os.listdir(out) if n.startswith("snap_"))
+    assert len(snaps) == 3
+    with open(os.path.join(out, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    assert set(snaps) <= set(manifest["files"])
+    with open(os.path.join(out, snaps[-1])) as fh:
+        header = fh.readline().strip()
+        rows = [line.split(",") for line in fh.read().strip().splitlines()]
+    assert header == "X,Y,U,v,gamma,S,Z"
+    assert len(rows) == 6 * 5
+    # rows run x-fastest: cell (j, i) = (1, 2) is row 8, centered at (1.25, 0.75)
+    assert float(rows[8][0]) == 1.25 and float(rows[8][1]) == 0.75
+
+
+def test_manifest_reports_actual_final_time(tmp_path):
+    # t_end is not a multiple of dt: the run stops at the nearest whole step
+    with open(HEAT) as fh:
+        doc = fw.scenario_to_dict(fw.build_scenario(fh.read()))
+    dt = doc["time"]["dt"]
+    doc["time"]["t_end"] = 10.4 * dt
+    path = write_yaml(tmp_path, "heat.yaml", json.dumps(doc))
+    out = str(tmp_path / "out")
+    assert cli.main(["run", path, "--out", out, "--quiet"]) == 0
+    with open(os.path.join(out, "manifest.json")) as fh:
+        summary = json.load(fh)["summary"]
+    assert summary["steps"] == 10
+    assert summary["t_final"] == 10 * dt
+    assert summary["t_final"] < doc["time"]["t_end"]
+
+
+def test_non_finite_tabulated_ic_exits_one(tmp_path, capsys):
+    doc = """\
+name: tab_nan
+grid: {nx: 4, dx: 0.25}
+material: {rho0: 1.0, c1: 1.0, lambda: 1.0, d1: 0.1}
+time: {dt: 0.01, t_end: 0.05}
+ic:
+  gamma: {type: tabulated, values: [0.0, .nan, 0.2, 0.0]}
+output: {snapshots: 2}
+"""
+    path = write_yaml(tmp_path, "tab_nan.yaml", doc)
+    rc = cli.main(["run", path, "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ic.gamma.values" in err and "finite" in err

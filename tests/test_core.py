@@ -155,6 +155,23 @@ def test_tabulated_ic_shape_mismatch():
         fw.build_scenario(doc)
 
 
+def test_tabulated_ic_must_be_finite():
+    values = [0.0] * 16
+    values[5] = float("nan")
+    doc = minimal_doc(ic={"gamma": {"type": "tabulated", "values": values}})
+    with pytest.raises(InvalidValue) as exc:
+        fw.build_scenario(doc)
+    assert exc.value.name == "ic.gamma.values"
+    doc["ic"]["gamma"]["values"] = ["a"] * 16  # not numbers at all
+    with pytest.raises(InvalidValue):
+        fw.build_scenario(doc)
+
+
+def test_source_iteration_count_must_be_positive():
+    with pytest.raises(InvalidValue):
+        fw.build_scenario(minimal_doc(numerics={"source_max_iter": 0}))
+
+
 # -- canonical form ------------------------------------------------------------
 
 

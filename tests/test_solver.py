@@ -129,6 +129,32 @@ def test_coupled_run_with_zero_lambda_raises():
         fw.run(fw.build_scenario(doc))
 
 
+def test_unconverged_picard_loop_raises_typed_error():
+    # rate 200 at dt 0.05 needs far more than 2 source iterations per step;
+    # the loop used to carry on silently and trip the admissibility audit
+    doc = fw.scenario_to_dict(load_scenario("kpp_front.yaml"))
+    doc["material"]["source"]["rate"] = 200.0
+    doc["time"]["dt"] = 0.05
+    doc["numerics"] = {"source_max_iter": 2}
+    with pytest.raises(fw.PicardNotConverged) as exc:
+        fw.run(fw.build_scenario(doc))
+    err = exc.value
+    assert err.iterations == 2
+    assert err.time == pytest.approx(0.05)
+    assert err.residual > err.limit
+    assert err.state is not None and err.state.gamma.shape == (1200,)
+
+
+def test_non_finite_damage_state_raises_typed_error():
+    cfg = fw.build_scenario(diffusion_doc())
+    state = fw.initialize_state(cfg)
+    state.gamma[10] = np.nan
+    with pytest.raises(fw.NonFiniteState) as exc:
+        fw.step_damage(state, cfg)
+    assert np.isnan(exc.value.state.gamma[10])
+    assert exc.value.state.gamma is not state.gamma
+
+
 def test_explicit_matches_cn_on_smooth_profile():
     cn = fw.run(fw.build_scenario(diffusion_doc()))
     ex = fw.run(fw.build_scenario(diffusion_doc(numerics={"scheme": "explicit"})))
