@@ -27,9 +27,10 @@ def main() -> None:
     with open(os.path.join(HERE, "..", "scenarios", "clifton_pulse.yaml")) as fh:
         cfg = fw.build_scenario(fh.read())
 
+    frozen = lambdas.count(0.0)
     print(f"base scenario {cfg.name}: nx={cfg.grid.nx}, CFL="
           f"{fw.elastic_wave_speed(0.0, cfg.material) * cfg.dt / cfg.grid.dx:.2f}, "
-          f"{len(lambdas)} coupled runs + 1 frozen run")
+          f"{len(lambdas) - frozen} coupled and {frozen} frozen runs")
     study = fw.clifton_limit_study(cfg, lambdas)
 
     print()

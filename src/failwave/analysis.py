@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidValue, NoFrontDetected, NonpositiveSpeed, NoPlateau
 from .model import MaterialParams, ScenarioConfig, build_scenario
-from .solver import GaugeTrace, RunResult, run, run_clifton
+from .solver import GaugeTrace, RunResult, run
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,8 @@ def budget_imbalance(reports) -> float:
 
 def clifton_limit_study(base_cfg: ScenarioConfig, lambdas: Sequence[float]) -> LimitStudyResult:
     """Re-run one scenario across dissipation coefficients, holding d1 fixed
-    (so conductivity lam*d1 vanishes with lam). lam = 0 entries dispatch to
-    the conservative staggered integrator. Cumulative dissipation scales
+    (so conductivity lam*d1 vanishes with lam). lam = 0 entries run as
+    kind: clifton, the conservative staggered integrator. Cumulative dissipation scales
     linearly in lam because the damage trajectory itself is lam-independent
     over this family (pure diffusion with diffusivity d1).
     """
@@ -217,8 +217,7 @@ def clifton_limit_study(base_cfg: ScenarioConfig, lambdas: Sequence[float]) -> L
     for lam in lambdas:
         mat = replace(base_cfg.material, lam=float(lam))
         kind = "clifton" if lam == 0.0 else "coupled"
-        cfg = replace(base_cfg, material=mat, kind=kind)
-        result = run_clifton(cfg) if lam == 0.0 else run(cfg)
+        result = run(replace(base_cfg, material=mat, kind=kind))
         reports = result.reports
         gamma = result.state.gamma
         sharp = float(np.max(np.abs(np.diff(gamma)))) / base_cfg.grid.dx if gamma.size > 1 else 0.0

@@ -50,6 +50,22 @@ def _write(path: str, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_CSV_BLOCK = 1024  # rows per formatting call; bounds the transient strings
+
+
+def _write_csv(path: str, header: str, table: np.ndarray) -> None:
+    """Write a (rows, cols) array under a header line, every value as %.17g.
+
+    Each block of rows is formatted by one % over a repeated row template,
+    which gives the same bytes as formatting value by value."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(table), _CSV_BLOCK):
+            block = table[lo:lo + _CSV_BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg)
@@ -58,33 +74,14 @@ def _say(args, msg: str) -> None:
 # -- run -----------------------------------------------------------------------
 
 
-def _snapshot_lines(snap, cfg):
+def _snapshot_table(snap, cfg):
     g = cfg.grid
     if g.ndim == 1:
-        x = g.cell_centers()
-        lines = ["X,U,v,gamma,S,Z"]
-        for i in range(g.nx):
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (x[i], snap.U[i], snap.v[i], snap.gamma[i], snap.S[i], snap.Z[i])
-                )
-            )
-        return lines
-    xc, yc = g.cell_centers_x(), g.cell_centers_y()
-    lines = ["X,Y,U,v,gamma,S,Z"]
-    for j in range(g.ny):
-        for i in range(g.nx):
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        xc[i], yc[j], snap.U[j, i], snap.v[j, i],
-                        snap.gamma[j, i], snap.S[j, i], snap.Z[j, i],
-                    )
-                )
-            )
-    return lines
+        header, coords = "X,U,v,gamma,S,Z", [g.cell_centers()]
+    else:
+        header, coords = "X,Y,U,v,gamma,S,Z", np.meshgrid(g.cell_centers_x(), g.cell_centers_y())
+    fields = (*coords, snap.U, snap.v, snap.gamma, snap.S, snap.Z)
+    return header, np.column_stack([np.ravel(f) for f in fields])
 
 
 def _finite_or_none(x):
@@ -109,36 +106,25 @@ def cmd_run(args) -> int:
     files = []
     for snap in result.snapshots:
         name = f"snap_{snap.step:06d}.csv"
-        _write(os.path.join(out, name), _snapshot_lines(snap, cfg))
+        _write_csv(os.path.join(out, name), *_snapshot_table(snap, cfg))
         files.append(name)
     for idx, trace in enumerate(result.gauges):
         name = f"gauge_{idx:02d}.csv"
-        lines = ["t,S,gamma,sigma_lateral_proxy"]
-        for k in range(trace.t.size):
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (trace.t[k], trace.S[k], trace.gamma[k], trace.sigma_lateral_proxy[k])
-                )
-            )
-        _write(os.path.join(out, name), lines)
+        table = np.column_stack((trace.t, trace.S, trace.gamma, trace.sigma_lateral_proxy))
+        _write_csv(os.path.join(out, name), "t,S,gamma,sigma_lateral_proxy", table)
         files.append(name)
-    lines = [
+    table = np.array([
+        (r.time, r.dt_used, r.max_cfl, r.max_diff, r.min_Z_gammadot, r.energy.kinetic,
+         r.energy.free, r.energy.dissipated, r.energy.boundary_work, r.energy.released,
+         r.energy.total)
+        for r in result.reports
+    ])
+    _write_csv(
+        os.path.join(out, "reports.csv"),
         "time,dt,max_cfl,max_diff,min_Z_gammadot,"
-        "kinetic,free_energy,dissipated,boundary_work,released,total"
-    ]
-    for r in result.reports:
-        e = r.energy
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.time, r.dt_used, r.max_cfl, r.max_diff, r.min_Z_gammadot,
-                    e.kinetic, e.free, e.dissipated, e.boundary_work, e.released, e.total,
-                )
-            )
-        )
-    _write(os.path.join(out, "reports.csv"), lines)
+        "kinetic,free_energy,dissipated,boundary_work,released,total",
+        table,
+    )
     files.append("reports.csv")
 
     summary = {

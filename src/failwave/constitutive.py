@@ -178,17 +178,14 @@ def internal_forces(
     if active is None:
         active = np.ones(grid.shape, dtype=bool)
     A = damage_force(gamma, p, model=model, uX=uX)
-    if grid.ndim == 1:
-        K = ops.face_conductivity_1d(active, p.k1, bc_g)
-        B = -K * ops.gamma_grad_faces_1d(gamma, grid.dx, bc_g)
-        Z = A - ops.div_faces_1d(B, grid.dx)
-        return A, B, Z
-    Kx, Ky = ops.face_conductivity_2d(active, p.k1, p.k2, bc_g)
-    Bx = -Kx * ops.gamma_grad_xfaces_2d(gamma, grid.dx, bc_g)
-    By = -Ky * ops.gamma_grad_yfaces_2d(gamma, grid.dy, bc_g)
-    divB = (Bx[:, 1:] - Bx[:, :-1]) / grid.dx + (By[1:, :] - By[:-1, :]) / grid.dy
-    Z = A - divB
-    return A, (Bx, By), Z
+    B, divB = [], []
+    for ax, k in zip(grid.axes, (p.k1, p.k2)):
+        K = ops.face_conductivity(ax.view(active), k, bc_g)
+        Ba = -K * ops.gamma_grad_faces(ax.view(gamma), ax.h, bc_g)
+        B.append(ax.view(Ba))
+        divB.append(ax.view(ops.div_faces(Ba, ax.h)))
+    Z = A - sum(divB[1:], divB[0])
+    return A, (B[0] if len(B) == 1 else tuple(B)), Z
 
 
 def boundary_energy_release(gamma_dot, B, grid, bc_gamma: dict | None = None) -> float:
@@ -234,45 +231,22 @@ def total_free_energy(
     bc_g = bc["gamma"]
     if active is None:
         active = np.ones(grid.shape, dtype=bool)
-    if grid.ndim == 1:
-        eps_f = ops.strain_faces_1d(U, grid.dx, bc, t)
-        w_u = ops.face_weights_u_1d(bc, grid.nx, grid.dx)
-        e_el = float(np.sum(elastic_energy_density(eps_f, p, model) * w_u))
-        K = ops.face_conductivity_1d(active, p.k1, bc_g)
-        grad = ops.gamma_grad_faces_1d(gamma, grid.dx, bc_g)
-        w_g = ops.face_weights_gamma_1d(bc, grid.nx, grid.dx)
-        e_grad = float(np.sum(0.5 * K * grad**2 * w_g))
-        e_cell = float(np.sum(damage_potential(gamma, p) * grid.dx))
-        if model == "linear" and p.b != 0.0:
-            uXc = ops.strain_cells(U, grid, bc, t)
-            e_cell += float(np.sum(p.b * uXc * gamma * grid.dx))
-        return e_el + e_grad + e_cell
-    # 2D: x-face strain energy per row, gradient energy on both face sets
-    eps_f = ops.strain_faces_2d(U, grid.dx, bc, t)
+    axes = grid.axes
+    eps_f = ops.strain_faces(U, grid, bc, t)
     w_u = ops.face_weights_u_1d(bc, grid.nx, grid.dx)
-    e_el = float(np.sum(elastic_energy_density(eps_f, p, model) * w_u[None, :]) * grid.dy)
-    Kx, Ky = ops.face_conductivity_2d(active, p.k1, p.k2, bc_g)
-    gx = ops.gamma_grad_xfaces_2d(gamma, grid.dx, bc_g)
-    gy = ops.gamma_grad_yfaces_2d(gamma, grid.dy, bc_g)
-    wx = _face_weights_gamma_axis(bc_g, grid.nx, grid.dx)
-    wy = _face_weights_gamma_axis(bc_g, grid.ny, grid.dy)
-    e_grad = float(np.sum(0.5 * Kx * gx**2 * wx[None, :]) * grid.dy)
-    e_grad += float(np.sum(0.5 * Ky * gy**2 * wy[:, None]) * grid.dx)
-    e_cell = float(np.sum(damage_potential(gamma, p)) * grid.cell_volume)
+    e_el = float(np.sum(elastic_energy_density(eps_f, p, model) * w_u) * axes[0].across)
+    e_grad = 0.0
+    for ax, k in zip(axes, (p.k1, p.k2)):
+        g = ax.view(gamma)
+        K = ops.face_conductivity(ax.view(active), k, bc_g)
+        grad = ops.gamma_grad_faces(g, ax.h, bc_g)
+        w = ops.face_weights_gamma(bc_g, g.shape[-1], ax.h)
+        e_grad += float(np.sum(0.5 * K * grad**2 * w) * ax.across)
+    e_cell = float(np.sum(damage_potential(gamma, p) * grid.cell_volume))
     if model == "linear" and p.b != 0.0:
         uXc = ops.strain_cells(U, grid, bc, t)
-        e_cell += float(np.sum(p.b * uXc * gamma) * grid.cell_volume)
+        e_cell += float(np.sum(p.b * uXc * gamma * grid.cell_volume))
     return e_el + e_grad + e_cell
-
-
-def _face_weights_gamma_axis(bc_g: dict, n: int, dh: float) -> np.ndarray:
-    w = np.full(n + 1, dh)
-    if bc_g["type"] == "periodic":
-        w[-1] = 0.0
-    else:
-        w[0] = 0.5 * dh
-        w[-1] = 0.5 * dh
-    return w
 
 
 @dataclass
@@ -315,14 +289,11 @@ def evaluate(
             gamma_dot = np.where(state.active, Z / p.lam, 0.0)
         else:
             gamma_dot = np.zeros_like(state.gamma)
-    if grid.ndim == 1:
-        gradf = ops.gamma_grad_faces_1d(state.gamma, grid.dx, bc["gamma"])
-        grad_arg = 0.5 * (gradf[:-1] + gradf[1:])
-    else:
-        gx = ops.gamma_grad_xfaces_2d(state.gamma, grid.dx, bc["gamma"])
-        gy = ops.gamma_grad_yfaces_2d(state.gamma, grid.dy, bc["gamma"])
-        grad_arg = (0.5 * (gx[:, :-1] + gx[:, 1:]), 0.5 * (gy[:-1, :] + gy[1:, :]))
-    psi = free_energy(uXc, state.gamma, grad_arg, p, model)
+    grad = [
+        ax.view(ops.face_mean(ops.gamma_grad_faces(ax.view(state.gamma), ax.h, bc["gamma"])))
+        for ax in grid.axes
+    ]
+    psi = free_energy(uXc, state.gamma, grad[0] if len(grad) == 1 else tuple(grad), p, model)
     if model == "feng" and p.source_law == "logistic":
         # swap the quadratic well for the potential actually driving the run
         psi = psi - 0.5 * p.c2 * state.gamma**2 + damage_potential(state.gamma, p)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Union
+from functools import cached_property
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 import yaml
@@ -25,6 +26,20 @@ SOURCE_LAWS = ("linear_decay", "logistic")
 MODELS = ("feng", "linear")
 KINDS = ("coupled", "clifton")
 SCHEMES = ("cn", "explicit")
+
+
+class Axis(NamedTuple):
+    """One grid axis. The face operators in ops work along the last array
+    axis; view moves this axis there and back (x is last already, y is
+    reached by a transpose), so one helper serves every axis."""
+
+    h: float  # cell width along the axis
+    across: float  # cell measure across it: 1 in 1D, the other width in 2D
+    view: Callable
+
+
+def _unchanged(a):
+    return a
 
 
 @dataclass(frozen=True)
@@ -54,6 +69,10 @@ class Grid1D:
     def cell_volume(self) -> float:
         # per unit cross-section area (m)
         return self.dx
+
+    @cached_property
+    def axes(self) -> tuple:
+        return (Axis(self.dx, 1.0, _unchanged),)
 
     def cell_centers(self) -> np.ndarray:
         return self.origin + (np.arange(self.nx) + 0.5) * self.dx
@@ -97,6 +116,10 @@ class Grid2D:
     def cell_volume(self) -> float:
         # per unit depth (m^2)
         return self.dx * self.dy
+
+    @cached_property
+    def axes(self) -> tuple:
+        return (Axis(self.dx, self.dy, _unchanged), Axis(self.dy, self.dx, np.transpose))
 
     def cell_centers_x(self) -> np.ndarray:
         return self.origin_x + (np.arange(self.nx) + 0.5) * self.dx

@@ -45,11 +45,25 @@ def wall_displacement(spec: dict, t: float) -> float:
     return spec["value"]
 
 
-# -- 1D strain at faces ------------------------------------------------------
+# -- faces and cells along the last axis -------------------------------------
 
 
-def strain_faces_1d(U: np.ndarray, dx: float, bc: dict, t: float) -> np.ndarray:
-    """Face strains (U_{i+1} - U_i)/dx, shape (nx+1,).
+def face_mean(F: np.ndarray) -> np.ndarray:
+    """Cell values as the mean of the two adjacent faces (last axis)."""
+    return 0.5 * (F[..., :-1] + F[..., 1:])
+
+
+def div_faces(F: np.ndarray, dh: float) -> np.ndarray:
+    """Cell divergence of face values along the last axis."""
+    return (F[..., 1:] - F[..., :-1]) / dh
+
+
+# -- strain at faces -----------------------------------------------------------
+
+
+def strain_faces(U: np.ndarray, grid, bc: dict, t: float) -> np.ndarray:
+    """Face strains (U_{i+1} - U_i)/dx along x, the last axis: shape (nx+1,),
+    or (ny, nx+1) row by row in 2D.
 
     fixed/velocity walls use the mirror ghost 2g - U_adj, so the boundary
     face strain is 2(U_adj - g)/dx (toward the wall at the right end).
@@ -57,70 +71,36 @@ def strain_faces_1d(U: np.ndarray, dx: float, bc: dict, t: float) -> np.ndarray:
     face (a placeholder: their stress is prescribed, not computed, and
     they are excluded from the energy quadrature).
     """
+    dx = grid.dx
     nx = U.shape[-1]
-    eps = np.empty(nx + 1)
-    eps[1:nx] = (U[1:] - U[:-1]) / dx
+    eps = np.empty(U.shape[:-1] + (nx + 1,))
+    eps[..., 1:nx] = (U[..., 1:] - U[..., :-1]) / dx
+    u, e = U.T, eps.T  # x first: u[0] is the left cell of every row
     lt, rt = bc["u_left"]["type"], bc["u_right"]["type"]
     if lt == "periodic":
-        eps[0] = (U[0] - U[-1]) / dx
-        eps[nx] = eps[0]
+        e[0] = (u[0] - u[-1]) / dx
+        e[nx] = e[0]
         return eps
     if lt in ("fixed", "velocity"):
         g = wall_displacement(bc["u_left"], t)
-        eps[0] = 2.0 * (U[0] - g) / dx
+        e[0] = 2.0 * (u[0] - g) / dx
     elif lt == "free":
-        eps[0] = 0.0
+        e[0] = 0.0
     else:  # traction
-        eps[0] = eps[1]
+        e[0] = e[1]
     if rt in ("fixed", "velocity"):
         g = wall_displacement(bc["u_right"], t)
-        eps[nx] = 2.0 * (g - U[-1]) / dx
+        e[nx] = 2.0 * (g - u[-1]) / dx
     elif rt == "free":
-        eps[nx] = 0.0
+        e[nx] = 0.0
     else:
-        eps[nx] = eps[nx - 1]
+        e[nx] = e[nx - 1]
     return eps
-
-
-def strain_faces_2d(U: np.ndarray, dx: float, bc: dict, t: float) -> np.ndarray:
-    """x-direction face strains row by row, shape (ny, nx+1)."""
-    ny, nx = U.shape
-    eps = np.empty((ny, nx + 1))
-    eps[:, 1:nx] = (U[:, 1:] - U[:, :-1]) / dx
-    lt, rt = bc["u_left"]["type"], bc["u_right"]["type"]
-    if lt == "periodic":
-        eps[:, 0] = (U[:, 0] - U[:, -1]) / dx
-        eps[:, nx] = eps[:, 0]
-        return eps
-    if lt in ("fixed", "velocity"):
-        g = wall_displacement(bc["u_left"], t)
-        eps[:, 0] = 2.0 * (U[:, 0] - g) / dx
-    elif lt == "free":
-        eps[:, 0] = 0.0
-    else:
-        eps[:, 0] = eps[:, 1]
-    if rt in ("fixed", "velocity"):
-        g = wall_displacement(bc["u_right"], t)
-        eps[:, nx] = 2.0 * (g - U[:, -1]) / dx
-    elif rt == "free":
-        eps[:, nx] = 0.0
-    else:
-        eps[:, nx] = eps[:, nx - 1]
-    return eps
-
-
-def strain_faces(U: np.ndarray, grid, bc: dict, t: float) -> np.ndarray:
-    if grid.ndim == 1:
-        return strain_faces_1d(U, grid.dx, bc, t)
-    return strain_faces_2d(U, grid.dx, bc, t)
 
 
 def strain_cells(U: np.ndarray, grid, bc: dict, t: float) -> np.ndarray:
     """Cell-centered strain: mean of the two adjacent face strains."""
-    eps = strain_faces(U, grid, bc, t)
-    if grid.ndim == 1:
-        return 0.5 * (eps[:-1] + eps[1:])
-    return 0.5 * (eps[:, :-1] + eps[:, 1:])
+    return face_mean(strain_faces(U, grid, bc, t))
 
 
 def override_stress_faces(S_faces: np.ndarray, bc: dict, t: float) -> np.ndarray:
@@ -135,33 +115,34 @@ def override_stress_faces(S_faces: np.ndarray, bc: dict, t: float) -> np.ndarray
     return S_faces
 
 
-def div_faces_1d(F: np.ndarray, dx: float) -> np.ndarray:
-    return (F[1:] - F[:-1]) / dx
-
-
 # -- damage field: face values, gradients, conductivity ----------------------
+# Along the last axis: cells (..., n), faces (..., n+1). The helpers index
+# the transpose, whose first axis is that last axis, so x.T[0] is the first
+# cell of every line: a scalar in 1D, a column in 2D.
 
 
-def _gamma_ghosts_1d(gamma: np.ndarray, bc_g: dict):
+def _gamma_ghosts(gamma: np.ndarray, bc_g: dict):
     """Ghost cell values implied by the damage boundary condition."""
     kind = bc_g["type"]
+    g = gamma.T
     if kind == "periodic":
-        return gamma[..., -1], gamma[..., 0]
+        return g[-1], g[0]
     if kind == "dirichlet":
-        g = bc_g.get("value", 0.0)
-        return 2.0 * g - gamma[..., 0], 2.0 * g - gamma[..., -1]
+        value = bc_g.get("value", 0.0)
+        return 2.0 * value - g[0], 2.0 * value - g[-1]
     # zero_flux: even reflection
-    return gamma[..., 0], gamma[..., -1]
+    return g[0], g[-1]
 
 
-def gamma_grad_faces_1d(gamma: np.ndarray, dx: float, bc_g: dict) -> np.ndarray:
-    """Face gradients (Γ_{i+1} - Γ_i)/dx with BC ghosts, shape (nx+1,)."""
-    nx = gamma.shape[0]
-    grad = np.empty(nx + 1)
-    grad[1:nx] = (gamma[1:] - gamma[:-1]) / dx
-    gl, gr = _gamma_ghosts_1d(gamma, bc_g)
-    grad[0] = (gamma[0] - gl) / dx
-    grad[nx] = (gr - gamma[-1]) / dx
+def gamma_grad_faces(gamma: np.ndarray, dh: float, bc_g: dict) -> np.ndarray:
+    """Face gradients (Γ_{i+1} - Γ_i)/dh with BC ghosts."""
+    n = gamma.shape[-1]
+    grad = np.empty(gamma.shape[:-1] + (n + 1,))
+    grad[..., 1:n] = (gamma[..., 1:] - gamma[..., :-1]) / dh
+    g, out = gamma.T, grad.T
+    gl, gr = _gamma_ghosts(gamma, bc_g)
+    out[0] = (g[0] - gl) / dh
+    out[n] = (gr - g[-1]) / dh
     return grad
 
 
@@ -171,96 +152,42 @@ def gamma_face_values_1d(gamma: np.ndarray, bc_g: dict) -> np.ndarray:
     nx = gamma.shape[0]
     out = np.empty(nx + 1)
     out[1:nx] = 0.5 * (gamma[1:] + gamma[:-1])
-    gl, gr = _gamma_ghosts_1d(gamma, bc_g)
+    gl, gr = _gamma_ghosts(gamma, bc_g)
     out[0] = 0.5 * (gamma[0] + gl)
     out[nx] = 0.5 * (gamma[-1] + gr)
     return out
 
 
-def face_conductivity_1d(active: np.ndarray, k: float, bc_g: dict) -> np.ndarray:
+def face_conductivity(active: np.ndarray, k: float, bc_g: dict) -> np.ndarray:
     """Face conductivity, zero unless both adjacent cells are active.
 
     Boundary faces follow the single adjacent cell (periodic wraps)."""
-    nx = active.shape[0]
-    K = np.zeros(nx + 1)
-    both = active[1:] & active[:-1]
-    K[1:nx] = np.where(both, k, 0.0)
-    if bc_g["type"] == "periodic":
-        wrap = k if (active[0] and active[-1]) else 0.0
-        K[0] = wrap
-        K[nx] = wrap
-    else:
-        K[0] = k if active[0] else 0.0
-        K[nx] = k if active[-1] else 0.0
-    return K
+    a = active.T
+    lo, hi = (a[-1:], a[:1]) if bc_g["type"] == "periodic" else (a[:1], a[-1:])
+    a = np.concatenate((lo, a, hi))  # ghost cells: the wall cell, or its periodic image
+    return np.where(a[1:] & a[:-1], k, 0.0).T
 
 
-def damage_flux_div_1d(
-    gamma: np.ndarray, K_faces: np.ndarray, dx: float, bc_g: dict
-) -> np.ndarray:
+def damage_flux_div(gamma: np.ndarray, K: np.ndarray, dh: float, bc_g: dict) -> np.ndarray:
     """Div(K grad Γ) at cells; equals -Div(B) with B = -K grad Γ."""
-    F = K_faces * gamma_grad_faces_1d(gamma, dx, bc_g)
-    return div_faces_1d(F, dx)
+    return div_faces(K * gamma_grad_faces(gamma, dh, bc_g), dh)
 
 
-# 2D variants: x index last, arrays (ny, nx); x-faces (ny, nx+1), y-faces (ny+1, nx).
+def grid_conductivity(active: np.ndarray, ks, grid, bc_g: dict) -> tuple:
+    """Face conductivities of every grid axis, ks = (k1, k2) per axis."""
+    return tuple(
+        ax.view(face_conductivity(ax.view(active), k, bc_g))
+        for ax, k in zip(grid.axes, ks)
+    )
 
 
-def gamma_grad_xfaces_2d(gamma: np.ndarray, dx: float, bc_g: dict) -> np.ndarray:
-    ny, nx = gamma.shape
-    grad = np.empty((ny, nx + 1))
-    grad[:, 1:nx] = (gamma[:, 1:] - gamma[:, :-1]) / dx
-    kind = bc_g["type"]
-    if kind == "periodic":
-        grad[:, 0] = (gamma[:, 0] - gamma[:, -1]) / dx
-        grad[:, nx] = grad[:, 0]
-    elif kind == "dirichlet":
-        g = bc_g.get("value", 0.0)
-        grad[:, 0] = 2.0 * (gamma[:, 0] - g) / dx
-        grad[:, nx] = 2.0 * (g - gamma[:, -1]) / dx
-    else:
-        grad[:, 0] = 0.0
-        grad[:, nx] = 0.0
-    return grad
-
-
-def gamma_grad_yfaces_2d(gamma: np.ndarray, dy: float, bc_g: dict) -> np.ndarray:
-    return gamma_grad_xfaces_2d(gamma.T, dy, bc_g).T
-
-
-def face_conductivity_2d(active: np.ndarray, k1: float, k2: float, bc_g: dict):
-    """(Kx on x-faces, Ky on y-faces); zero where either neighbor is inactive."""
-    ny, nx = active.shape
-    Kx = np.zeros((ny, nx + 1))
-    Kx[:, 1:nx] = np.where(active[:, 1:] & active[:, :-1], k1, 0.0)
-    Ky = np.zeros((ny + 1, nx))
-    Ky[1:ny, :] = np.where(active[1:, :] & active[:-1, :], k2, 0.0)
-    if bc_g["type"] == "periodic":
-        wx = np.where(active[:, 0] & active[:, -1], k1, 0.0)
-        Kx[:, 0] = wx
-        Kx[:, nx] = wx
-        wy = np.where(active[0, :] & active[-1, :], k2, 0.0)
-        Ky[0, :] = wy
-        Ky[ny, :] = wy
-    else:
-        Kx[:, 0] = np.where(active[:, 0], k1, 0.0)
-        Kx[:, nx] = np.where(active[:, -1], k1, 0.0)
-        Ky[0, :] = np.where(active[0, :], k2, 0.0)
-        Ky[ny, :] = np.where(active[-1, :], k2, 0.0)
-    return Kx, Ky
-
-
-def damage_flux_div_2d(gamma, Kx, Ky, dx: float, dy: float, bc_g: dict) -> np.ndarray:
-    Fx = Kx * gamma_grad_xfaces_2d(gamma, dx, bc_g)
-    Fy = Ky * gamma_grad_yfaces_2d(gamma, dy, bc_g)
-    return (Fx[:, 1:] - Fx[:, :-1]) / dx + (Fy[1:, :] - Fy[:-1, :]) / dy
-
-
-def damage_flux_div(gamma, K, grid, bc_g: dict) -> np.ndarray:
-    if grid.ndim == 1:
-        return damage_flux_div_1d(gamma, K, grid.dx, bc_g)
-    Kx, Ky = K
-    return damage_flux_div_2d(gamma, Kx, Ky, grid.dx, grid.dy, bc_g)
+def grid_flux_div(gamma: np.ndarray, K: tuple, grid, bc_g: dict) -> np.ndarray:
+    """Div(K grad Γ) at cells, summed over the grid axes."""
+    parts = [
+        ax.view(damage_flux_div(ax.view(gamma), ax.view(Ka), ax.h, bc_g))
+        for ax, Ka in zip(grid.axes, K)
+    ]
+    return sum(parts[1:], parts[0])
 
 
 # -- energy quadrature weights ----------------------------------------------
@@ -284,15 +211,16 @@ def face_weights_u_1d(bc: dict, nx: int, dx: float) -> np.ndarray:
     return w
 
 
-def face_weights_gamma_1d(bc: dict, nx: int, dx: float) -> np.ndarray:
-    """Same rule for the damage-gradient energy: dirichlet walls dx/2,
-    zero-flux walls dx/2 (their gradient is zero anyway), periodic wraps."""
-    w = np.full(nx + 1, dx)
-    if bc["gamma"]["type"] == "periodic":
+def face_weights_gamma(bc_g: dict, n: int, dh: float) -> np.ndarray:
+    """Same rule for the damage-gradient energy along one axis of n cells:
+    dirichlet walls dh/2, zero-flux walls dh/2 (their gradient is zero
+    anyway), periodic wraps."""
+    w = np.full(n + 1, dh)
+    if bc_g["type"] == "periodic":
         w[-1] = 0.0
     else:
-        w[0] = 0.5 * dx
-        w[-1] = 0.5 * dx
+        w[0] = 0.5 * dh
+        w[-1] = 0.5 * dh
     return w
 
 
@@ -372,9 +300,9 @@ def solve_lines(fac: LineFactor, rhs: np.ndarray) -> np.ndarray:
 def factor_damage(K, react, lam: float, dt: float, grid, bc_g: dict):
     """Factors for one damage step, reusable across Picard iterations: the
     1D Crank-Nicolson matrix, or the (x, y) pair of ADI half-sweep matrices
-    (the y sweep works on transposes)."""
+    (the y sweep works on transposes). K holds one face array per axis."""
     if grid.ndim == 1:
-        return factor_lines(K[None], react[None], lam / dt, 0.5, grid.dx, bc_g)
+        return factor_lines(K[0][None], react[None], lam / dt, 0.5, grid.dx, bc_g)
     Kx, Ky = K
     a = 2.0 * lam / dt  # lam / (dt/2)
     return (
@@ -404,7 +332,7 @@ def cn_damage_step_1d(
     a = lam / dt
     rhs = (a - 0.5 * react) * gamma + source
     # explicit half of the diffusion operator
-    rhs += 0.5 * damage_flux_div_1d(gamma, K_faces, dx, bc_g)
+    rhs += 0.5 * damage_flux_div(gamma, K_faces, dx, bc_g)
     return solve_lines(fac, rhs[None])[0]
 
 
@@ -431,17 +359,15 @@ def adi_damage_step_2d(
     a = 2.0 * lam / dt  # lam / (dt/2)
     fx, fy = fac
     # sweep 1: (a + react/2 - Lx) star = (a - react/2) gamma + Ly gamma + source
-    Fy = Ky * gamma_grad_yfaces_2d(gamma, dy, bc_g)
-    rhs = (a - 0.5 * react) * gamma + (Fy[1:, :] - Fy[:-1, :]) / dy + source
+    rhs = (a - 0.5 * react) * gamma + damage_flux_div(gamma.T, Ky.T, dy, bc_g).T + source
     star = solve_lines(fx, rhs)
     # sweep 2: (a + react/2 - Ly) out = (a - react/2) star + Lx star + source
-    Fx = Kx * gamma_grad_xfaces_2d(star, dx, bc_g)
-    rhs = (a - 0.5 * react) * star + (Fx[:, 1:] - Fx[:, :-1]) / dx + source
+    rhs = (a - 0.5 * react) * star + damage_flux_div(star, Kx, dx, bc_g) + source
     return np.ascontiguousarray(solve_lines(fy, rhs.T).T)
 
 
 def damage_step(gamma, K, react, source, lam: float, dt: float, grid, bc_g: dict, fac):
     """One implicit damage step with the step's factor_damage result."""
     if grid.ndim == 1:
-        return cn_damage_step_1d(gamma, K, react, source, lam, dt, grid.dx, bc_g, fac)
+        return cn_damage_step_1d(gamma, K[0], react, source, lam, dt, grid.dx, bc_g, fac)
     return adi_damage_step_2d(gamma, *K, react, source, lam, dt, grid.dx, grid.dy, bc_g, fac)

@@ -5,6 +5,8 @@ algebraically identical to the centered three-level scheme), then activation
 of cells whose stress magnitude reached the threshold, then one damage step
 (Crank-Nicolson by default, explicit Euler for cross-checks). Coupling is
 one-way in the feng model: the elastic substep never reads the damage field.
+The conservative lam = 0 limit (kind: clifton) swaps that step for a
+staggered leapfrog; run drives either step sequence with the same output.
 
 Every step is audited: hyperbolic Courant number, parabolic stability
 number, the pointwise admissibility product Z*dGamma/dt, and a running
@@ -134,26 +136,31 @@ def _stress_faces(U, gamma, t, cfg: ScenarioConfig, eps=None) -> np.ndarray:
 def _accel(U, gamma, t, cfg: ScenarioConfig, eps=None):
     p = cfg.material
     S = _stress_faces(U, gamma, t, cfg, eps=eps)
-    if cfg.grid.ndim == 1:
-        divS = ops.div_faces_1d(S, cfg.grid.dx)
-    else:
-        divS = (S[:, 1:] - S[:, :-1]) / cfg.grid.dx
-    return divS / p.rho0 + cfg.body_force, S
+    return ops.div_faces(S, cfg.grid.dx) / p.rho0 + cfg.body_force, S
+
+
+def _check_courant(c_max: float, dt: float, dx: float, state: FieldState) -> float:
+    """Courant number c_max*dt/dx. Raises CflViolation when it exceeds 1
+    and NonFiniteState (state attached) when it is NaN."""
+    cfl = c_max * dt / dx
+    if not cfl <= 1.0 + 1e-12:
+        if np.isnan(cfl):
+            err = NonFiniteState("Courant number")
+            err.state = state.copy()  # dumped for post-mortem inspection
+            raise err
+        raise CflViolation(dt, dx, c_max)
+    return cfl
 
 
 def step_elastic(state: FieldState, cfg: ScenarioConfig):
     """One velocity-Verlet step of rho0*U_tt = dS/dX + rho0*r.
 
     Returns (U_new, v_new, max_cfl). Raises CflViolation before touching the
-    state when c_max*dt/dx exceeds 1.
+    state when c_max*dt/dx exceeds 1, and NonFiniteState when it is NaN.
     """
-    p = cfg.material
-    dt, dx = cfg.dt, cfg.grid.dx
+    dt = cfg.dt
     eps = ops.strain_faces(state.U, cfg.grid, cfg.bc, state.time)
-    c_max = cst.elastic_wave_speed(eps, p)
-    cfl = c_max * dt / dx
-    if cfl > 1.0 + 1e-12:
-        raise CflViolation(dt, dx, c_max)
+    cfl = _check_courant(cst.elastic_wave_speed(eps, cfg.material), dt, cfg.grid.dx, state)
     a0, _ = _accel(state.U, state.gamma, state.time, cfg, eps=eps)
     v_half = state.v + 0.5 * dt * a0
     U_new = state.U + dt * v_half
@@ -201,9 +208,10 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None):
     numerics.source_tol), so the discrete admissibility product stays
     nonnegative up to roundoff; PicardNotConverged is raised when
     numerics.source_max_iter iterations fall short. NonFiniteState is raised
-    on a non-finite operator or right-hand side. Both carry a copy of the
-    state as .state. Explicit Euler available for cross-checks,
-    guarded by the max(d1/dx^2, d2/dy^2)*dt <= 1/2 limit.
+    on a non-finite operator or right-hand side, or a non-finite explicit
+    update. Both carry a copy of the state as .state. Explicit Euler
+    available for cross-checks, guarded by the max(d1/dx^2, d2/dy^2)*dt <= 1/2
+    limit.
 
     Returns (gamma_new, DamageStepInfo).
     """
@@ -212,7 +220,7 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None):
     dt = cfg.dt
     if p.lam == 0.0:
         raise SingularLambda(
-            "damage step needs lam > 0; the lam = 0 limit is run_clifton's job"
+            "damage step needs lam > 0; the lam = 0 limit is run with kind: clifton"
         )
     if uX is None:
         uX = ops.strain_cells(state.U, grid, cfg.bc, state.time)
@@ -220,25 +228,23 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None):
     active = state.active
     gamma = state.gamma
     scheme = cfg.numerics["scheme"]
-    if grid.ndim == 1:
-        diff_number = p.d1 / grid.dx**2 * dt
-        K = ops.face_conductivity_1d(active, p.k1, bc_g)
-    else:
-        diff_number = max(p.d1 / grid.dx**2, p.d2 / grid.dy**2) * dt
-        K = ops.face_conductivity_2d(active, p.k1, p.k2, bc_g)
+    diff_number = max(d / ax.h**2 for ax, d in zip(grid.axes, (p.d1, p.d2))) * dt
+    K = ops.grid_conductivity(active, (p.k1, p.k2), grid, bc_g)
 
-    if scheme == "explicit":
-        if diff_number > 0.5 + 1e-12:
-            raise DiffusionStabilityViolation(diff_number)
-        A = cst.damage_force(gamma, p, model=p.model, uX=uX)
-        rhs = ops.damage_flux_div(gamma, K, grid, bc_g) + np.where(active, A, 0.0)
-        gamma_new = gamma + dt / p.lam * np.where(active, rhs, 0.0)
-        z_probe = gamma  # admissibility sampled at the old state
-    else:
-        # K and react0 hold for the whole step: factor once, and each Picard
-        # iteration costs one right-hand side and one banded solve
-        react0, source = _source_and_react(gamma, uX, active, p)
-        try:
+    try:
+        if scheme == "explicit":
+            if diff_number > 0.5 + 1e-12:
+                raise DiffusionStabilityViolation(diff_number)
+            A = cst.damage_force(gamma, p, model=p.model, uX=uX)
+            rhs = ops.grid_flux_div(gamma, K, grid, bc_g) + np.where(active, A, 0.0)
+            gamma_new = gamma + dt / p.lam * np.where(active, rhs, 0.0)
+            if not np.isfinite(gamma_new).all():
+                raise NonFiniteState("explicit damage update")
+            z_probe = gamma  # admissibility sampled at the old state
+        else:
+            # K and react0 hold for the whole step: factor once, and each
+            # Picard iteration costs one right-hand side and one banded solve
+            react0, source = _source_and_react(gamma, uX, active, p)
             fac = ops.factor_damage(K, react0, p.lam, dt, grid, bc_g)
             if p.model == "feng" and p.source_law == "logistic":
                 gamma_new = gamma.copy()
@@ -257,10 +263,10 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None):
                     raise PicardNotConverged(state.time, max_iter, delta, limit)
             else:
                 gamma_new = ops.damage_step(gamma, K, react0, source, p.lam, dt, grid, bc_g, fac)
-        except (NonFiniteState, PicardNotConverged) as err:
-            err.state = state.copy()  # dumped for post-mortem inspection
-            raise
-        z_probe = None  # midpoint, assigned after the clamp below
+            z_probe = None  # midpoint, assigned after the clamp below
+    except (NonFiniteState, PicardNotConverged) as err:
+        err.state = state.copy()  # dumped for post-mortem inspection
+        raise
 
     if p.source_law == "logistic":
         gamma_new = np.maximum(gamma_new, 0.0)
@@ -355,40 +361,39 @@ def _gauge_cells(cfg: ScenarioConfig):
     return out
 
 
+def _step_count(cfg: ScenarioConfig) -> int:
+    return max(1, int(round(cfg.t_end / cfg.dt)))
+
+
 def run(cfg: ScenarioConfig) -> RunResult:
     """Integrate a scenario to t_end.
 
-    Per step: elastic substep, threshold activation (|S| >= sigma0; cells
-    never deactivate), damage substep, gauge sampling, energy bookkeeping,
-    admissibility audit. Raises AdmissibilityViolation (with the offending
-    state attached) if min Z*dGamma/dt drops below -tol * peak magnitude.
+    kind: coupled advances the full system (_coupled_steps), kind: clifton
+    its conservative lam = 0 limit (_leapfrog_steps). Either way the state
+    is sampled at every level into the reports and gauge traces, and at the
+    output.snapshots cadence into full-field snapshots. The steps' typed
+    errors (CflViolation, AdmissibilityViolation, ...) propagate as raised.
     """
-    if cfg.kind == "clifton":
-        return run_clifton(cfg)
     p = cfg.material
-    grid = cfg.grid
-    dt = cfg.dt
-    nsteps = max(1, int(round(cfg.t_end / dt)))
+    nsteps = _step_count(cfg)
     state = initialize_state(cfg)
-
+    steps = _leapfrog_steps if cfg.kind == "clifton" else _coupled_steps
     snap_steps = set(np.linspace(0, nsteps, cfg.output["snapshots"]).astype(int).tolist())
-    snapshots = [_snapshot(0, state, cfg)]
-
-    gauge_cells = _gauge_cells(cfg)
-    ntimes = nsteps + 1
     traces = [
         GaugeTrace(
             position=pos,
             cell=cell,
-            t=np.empty(ntimes),
-            S=np.empty(ntimes),
-            gamma=np.empty(ntimes),
-            sigma_lateral_proxy=np.empty(ntimes),
+            t=np.empty(nsteps + 1),
+            S=np.empty(nsteps + 1),
+            gamma=np.empty(nsteps + 1),
+            sigma_lateral_proxy=np.empty(nsteps + 1),
         )
-        for pos, cell in gauge_cells
+        for pos, cell in _gauge_cells(cfg)
     ]
-
-    def sample_gauges(k, S_cells):
+    reports: List[StepReport] = []
+    snapshots: List[Snapshot] = []
+    for k, (report, S_cells) in enumerate(steps(state, cfg)):
+        reports.append(report)
         proxy = lateral_stress_proxy(state.gamma, p)
         for trace in traces:
             c = trace.cell
@@ -396,41 +401,55 @@ def run(cfg: ScenarioConfig) -> RunResult:
             trace.S[k] = S_cells[c]
             trace.gamma[k] = state.gamma[c]
             trace.sigma_lateral_proxy[k] = proxy[c]
+        if k in snap_steps:
+            snapshots.append(_snapshot(k, state, cfg))
+    return RunResult(state, reports, traces, snapshots)
+
+
+def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
+    """Advance state in place through the coupled system, yielding (report,
+    cell stress) at t = 0 and after each step.
+
+    Per step: elastic substep, threshold activation (|S| >= sigma0; cells
+    never deactivate), damage substep, energy bookkeeping, admissibility
+    audit. Raises AdmissibilityViolation (with the offending state attached)
+    if min Z*dGamma/dt drops below -tol * peak magnitude.
+    """
+    p = cfg.material
+    grid = cfg.grid
+    dt = cfg.dt
 
     def cell_stress():
         uXc = ops.strain_cells(state.U, grid, cfg.bc, state.time)
         return np.asarray(cst.stress(uXc, state.gamma, p, p.model)), uXc
 
+    def budget(dissipated, work, released):
+        free = cst.total_free_energy(
+            state.U, state.gamma, p, grid, cfg.bc, state.time, p.model, state.active
+        )
+        return EnergyBudget(
+            kinetic=_kinetic(state.v, p, grid),
+            free=free,
+            dissipated=dissipated,
+            boundary_work=work,
+            released=released,
+        )
+
     S_cells, _ = cell_stress()
-    sample_gauges(0, S_cells)
+    report = StepReport(
+        time=0.0, dt_used=dt, max_cfl=0.0, max_diff=0.0,
+        min_Z_gammadot=0.0, energy=budget(0.0, 0.0, 0.0),
+    )
+    yield report, S_cells
 
     dissipated = 0.0
     released = 0.0
     work = 0.0
-    budget0 = EnergyBudget(
-        kinetic=_kinetic(state.v, p, grid),
-        free=cst.total_free_energy(
-            state.U, state.gamma, p, grid, cfg.bc, 0.0, p.model, state.active
-        ),
-        dissipated=0.0,
-        boundary_work=0.0,
-        released=0.0,
-    )
-    reports: List[StepReport] = [
-        StepReport(
-            time=0.0, dt_used=dt, max_cfl=0.0, max_diff=0.0,
-            min_Z_gammadot=0.0, energy=budget0,
-        )
-    ]
     tol_adm = cfg.numerics["tol_admissibility"]
     zg_peak = 0.0
-    S_faces_prev = _stress_faces(state.U, state.gamma, 0.0, cfg)
-    power_prev = _wall_power(S_faces_prev, state.v, 0.0, cfg)
-
-    for k in range(1, nsteps + 1):
-        U_new, v_new, cfl = step_elastic(state, cfg)
-        state.U = U_new
-        state.v = v_new
+    power_prev = _wall_power(_stress_faces(state.U, state.gamma, 0.0, cfg), state.v, 0.0, cfg)
+    for k in range(1, _step_count(cfg) + 1):
+        state.U, state.v, cfl = step_elastic(state, cfg)
         state.time = k * dt
         # threshold activation from the fresh stress field
         S_cells, uXc = cell_stress()
@@ -438,8 +457,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
             state.active = state.active | (np.abs(S_cells) >= p.sigma0)
         else:
             state.active = np.ones(grid.shape, dtype=bool)
-        gamma_new, dinfo = step_damage(state, cfg, uX=uXc)
-        state.gamma = gamma_new
+        state.gamma, dinfo = step_damage(state, cfg, uX=uXc)
 
         dissipated += dinfo.dissipated_inc
         released += dinfo.released_inc
@@ -454,43 +472,27 @@ def run(cfg: ScenarioConfig) -> RunResult:
             err.state = state.copy()  # dumped for post-mortem inspection
             raise err
 
-        budget = EnergyBudget(
-            kinetic=_kinetic(state.v, p, grid),
-            free=cst.total_free_energy(
-                state.U, state.gamma, p, grid, cfg.bc, state.time, p.model, state.active
-            ),
-            dissipated=dissipated,
-            boundary_work=work,
-            released=released,
-        )
-        reports.append(
-            StepReport(
-                time=state.time,
-                dt_used=dt,
-                max_cfl=cfl,
-                max_diff=dinfo.max_diff,
-                min_Z_gammadot=dinfo.min_Z_gammadot,
-                energy=budget,
-            )
+        report = StepReport(
+            time=state.time,
+            dt_used=dt,
+            max_cfl=cfl,
+            max_diff=dinfo.max_diff,
+            min_Z_gammadot=dinfo.min_Z_gammadot,
+            energy=budget(dissipated, work, released),
         )
         if p.model == "linear":
             S_cells, _ = cell_stress()  # damage moved, so stress moved
-        sample_gauges(k, S_cells)
-        if k in snap_steps and k > 0:
-            snapshots.append(_snapshot(k, state, cfg))
-
-    return RunResult(state, reports, traces, snapshots)
+        yield report, S_cells
 
 
-# -- the conservative (lam = 0) limit -----------------------------------------
+def _leapfrog_steps(state: FieldState, cfg: ScenarioConfig):
+    """The conservative (lam = 0) limit: advance state in place in (strain,
+    velocity) form with a staggered leapfrog, yielding (report, cell stress)
+    at t = 0 and after each step.
 
-
-def run_clifton(cfg: ScenarioConfig) -> RunResult:
-    """Integrate the conservative first-order system in (strain, velocity)
-    form with a staggered leapfrog: strain on faces at half steps, velocity
-    on cells at whole steps. The damage field is frozen, dissipation and
-    entropy production are identically zero, and total energy is conserved
-    to discretization error.
+    Strain lives on faces at half steps, velocity on cells at whole steps.
+    The damage field is frozen, dissipation and entropy production are
+    identically zero, and total energy is conserved to discretization error.
     """
     p = cfg.material
     grid = cfg.grid
@@ -504,8 +506,6 @@ def run_clifton(cfg: ScenarioConfig) -> RunResult:
             f"lam={p.lam}, c2={p.c2}, b={p.b}"
         )
     dt, dx, nx = cfg.dt, grid.dx, grid.nx
-    nsteps = max(1, int(round(cfg.t_end / dt)))
-    state = initialize_state(cfg)
     state.active = np.zeros(grid.shape, dtype=bool)
     bc_kind = cfg.bc["u_left"]["type"]
     periodic = bc_kind == "periodic"
@@ -523,70 +523,36 @@ def run_clifton(cfg: ScenarioConfig) -> RunResult:
             gv[nx] = -2.0 * v[-1] / dx if rkind == "fixed" else 0.0
         return gv
 
-    eps_prev = ops.strain_faces_1d(state.U, dx, cfg.bc, 0.0)  # integer time 0
     w_u = ops.face_weights_u_1d(cfg.bc, nx, dx)
 
-    def internal_energy(eps_sync):
-        return float(np.sum(cst.elastic_energy_density(eps_sync, p, "feng") * w_u))
-
-    def make_report(t, cfl, eps_sync, v):
+    def report(cfl, eps_sync):
         budget = EnergyBudget(
-            kinetic=_kinetic(v, p, grid),
-            free=internal_energy(eps_sync),
+            kinetic=_kinetic(state.v, p, grid),
+            free=float(np.sum(cst.elastic_energy_density(eps_sync, p, "feng") * w_u)),
             dissipated=0.0,
             boundary_work=0.0,
             released=0.0,
         )
+        S_cells = np.asarray(cst.stress(ops.face_mean(eps_sync), state.gamma, p, "feng"))
         return StepReport(
-            time=t, dt_used=dt, max_cfl=cfl, max_diff=0.0,
+            time=state.time, dt_used=dt, max_cfl=cfl, max_diff=0.0,
             min_Z_gammadot=0.0, energy=budget,
-        )
+        ), S_cells
 
-    snap_steps = set(np.linspace(0, nsteps, cfg.output["snapshots"]).astype(int).tolist())
-    snapshots = [_snapshot(0, state, cfg)]
-    gauge_cells = _gauge_cells(cfg)
-    ntimes = nsteps + 1
-    traces = [
-        GaugeTrace(
-            position=pos, cell=cell,
-            t=np.empty(ntimes), S=np.empty(ntimes),
-            gamma=np.empty(ntimes), sigma_lateral_proxy=np.empty(ntimes),
-        )
-        for pos, cell in gauge_cells
-    ]
-
-    def sample_gauges(k, eps_sync):
-        uXc = 0.5 * (eps_sync[:-1] + eps_sync[1:])
-        S_cells = np.asarray(cst.stress(uXc, state.gamma, p, "feng"))
-        proxy = lateral_stress_proxy(state.gamma, p)
-        for trace in traces:
-            c = trace.cell
-            trace.t[k] = state.time
-            trace.S[k] = S_cells[c]
-            trace.gamma[k] = state.gamma[c]
-            trace.sigma_lateral_proxy[k] = proxy[c]
-
-    reports = [make_report(0.0, 0.0, eps_prev, state.v)]
-    sample_gauges(0, eps_prev)
+    eps = ops.strain_faces(state.U, grid, cfg.bc, 0.0)  # integer time 0
+    yield report(0.0, eps)
 
     # half-step kick for the strain
-    eps = eps_prev + 0.5 * dt * v_grad_faces(state.v)
-    for k in range(1, nsteps + 1):
-        c_max = cst.elastic_wave_speed(eps, p)
-        cfl = c_max * dt / dx
-        if cfl > 1.0 + 1e-12:
-            raise CflViolation(dt, dx, c_max)
+    eps = eps + 0.5 * dt * v_grad_faces(state.v)
+    for k in range(1, _step_count(cfg) + 1):
+        cfl = _check_courant(cst.elastic_wave_speed(eps, p), dt, dx, state)
         S = np.asarray(cst.stress(eps, None, p, "feng"))
         ops.override_stress_faces(S, cfg.bc, state.time + 0.5 * dt)
         v_old = state.v
-        state.v = state.v + dt * (ops.div_faces_1d(S, dx) / p.rho0 + cfg.body_force)
+        state.v = state.v + dt * (ops.div_faces(S, dx) / p.rho0 + cfg.body_force)
         state.U = state.U + dt * 0.5 * (v_old + state.v)  # diagnostic reconstruction
         eps_next = eps + dt * v_grad_faces(state.v)
         state.time = k * dt
         eps_sync = 0.5 * (eps + eps_next)
         eps = eps_next
-        reports.append(make_report(state.time, cfl, eps_sync, state.v))
-        sample_gauges(k, eps_sync)
-        if k in snap_steps and k > 0:
-            snapshots.append(_snapshot(k, state, cfg))
-    return RunResult(state, reports, traces, snapshots)
+        yield report(cfl, eps_sync)

@@ -17,7 +17,7 @@ shrinks it by 4x. That contrast is the verifier's calibration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     TooFewLevels,
 )
 from .model import ScenarioConfig, initialize_state
-from .solver import _stress_faces, step_damage, step_elastic
+from .solver import _coupled_steps, _step_count, _stress_faces
 
 
 @dataclass
@@ -58,52 +58,27 @@ class DiscreteTrajectory:
 def record_trajectory(cfg: ScenarioConfig, stride: int = 1) -> DiscreteTrajectory:
     """Integrate a coupled scenario and keep every stride-th time level.
 
-    Uses the production substeps (elastic, threshold activation, damage)
-    directly, so the recorded states are bit-identical to a solver run.
+    Drives the solver's own coupled step sequence, so the recorded states
+    are those of a solver run by construction, and the run is audited the
+    same way (an AdmissibilityViolation is raised where run raises it).
     """
     if cfg.kind != "coupled":
         raise ConfigConflict("variational recording needs the coupled integrator")
     if stride < 1:
         raise InvalidValue("stride", "must be >= 1")
-    p = cfg.material
-    grid = cfg.grid
-    dt = cfg.dt
-    nsteps = max(1, int(round(cfg.t_end / dt)))
+    nsteps = _step_count(cfg)
     if nsteps // stride + 1 < 3:
         raise TooFewLevels(nsteps // stride + 1)
     state = initialize_state(cfg)
-
-    times: List[float] = [0.0]
-    U_hist = [state.U.copy()]
-    v_hist = [state.v.copy()]
-    g_hist = [state.gamma.copy()]
-    a_hist = [state.active.copy()]
-    for k in range(1, nsteps + 1):
-        U_new, v_new, _ = step_elastic(state, cfg)
-        state.U = U_new
-        state.v = v_new
-        state.time = k * dt
-        uXc = ops.strain_cells(state.U, grid, cfg.bc, state.time)
-        S_cells = np.asarray(cst.stress(uXc, state.gamma, p, p.model))
-        if p.sigma0 > 0.0:
-            state.active = state.active | (np.abs(S_cells) >= p.sigma0)
-        else:
-            state.active = np.ones(grid.shape, dtype=bool)
-        state.gamma, _ = step_damage(state, cfg, uX=uXc)
+    levels = []
+    for k, _ in enumerate(_coupled_steps(state, cfg)):
         if k % stride == 0:
-            times.append(state.time)
-            U_hist.append(state.U.copy())
-            v_hist.append(state.v.copy())
-            g_hist.append(state.gamma.copy())
-            a_hist.append(state.active.copy())
+            levels.append(
+                (state.time, state.U.copy(), state.v.copy(), state.gamma.copy(), state.active.copy())
+            )
+    times, U, v, gamma, active = (np.asarray(field) for field in zip(*levels))
     return DiscreteTrajectory(
-        cfg=cfg,
-        times=np.asarray(times),
-        U=np.asarray(U_hist),
-        v=np.asarray(v_hist),
-        gamma=np.asarray(g_hist),
-        active=np.asarray(a_hist),
-        dt_level=stride * dt,
+        cfg=cfg, times=times, U=U, v=v, gamma=gamma, active=active, dt_level=stride * cfg.dt
     )
 
 
@@ -144,7 +119,7 @@ def _require_levels(traj: DiscreteTrajectory, n: int = 3) -> None:
 def _scheme_div_stress(traj: DiscreteTrajectory, k: int) -> np.ndarray:
     cfg = traj.cfg
     S = _stress_faces(traj.U[k], traj.gamma[k], traj.times[k], cfg)
-    return ops.div_faces_1d(S, cfg.grid.dx)
+    return ops.div_faces(S, cfg.grid.dx)
 
 
 @dataclass
@@ -329,7 +304,7 @@ def reduce_to_generalized(traj: DiscreteTrajectory, basis: Basis) -> Generalized
         S_int = S.copy()
         S_int[0] = 0.0
         S_int[-1] = 0.0
-        div_int_S = ops.div_faces_1d(S_int, dx)
+        div_int_S = ops.div_faces(S_int, dx)
 
         uXc = ops.strain_cells(U, grid, cfg.bc, t)
         A, B, _ = cst.internal_forces(
@@ -338,7 +313,7 @@ def reduce_to_generalized(traj: DiscreteTrajectory, basis: Basis) -> Generalized
         B_int = np.asarray(B).copy()
         B_int[0] = 0.0
         B_int[-1] = 0.0
-        Z_int = np.where(traj.active[k], A, 0.0) - ops.div_faces_1d(B_int, dx)
+        Z_int = np.where(traj.active[k], A, 0.0) - ops.div_faces(B_int, dx)
 
         grad_psi[k] = -dx * (phi_U @ div_int_S + phi_G @ Z_int)
         Q[k] = (
@@ -445,8 +420,8 @@ def action_first_variation(
         raise ShapeMismatch("delta_gamma", traj.gamma.shape, delta_gamma.shape)
 
     w_u = ops.face_weights_u_1d(cfg.bc, grid.nx, dx)
-    w_g = ops.face_weights_gamma_1d(cfg.bc, grid.nx, dx)
     bc_g = cfg.bc["gamma"]
+    w_g = ops.face_weights_gamma(bc_g, grid.nx, dx)
 
     delta_I = 0.0
     for k in range(1, n - 1):
@@ -457,8 +432,8 @@ def action_first_variation(
         duX = np.zeros(grid.nx + 1)
         duX[1:-1] = np.diff(dU) / dx
         dpsi = float(np.sum(w_u * S * duX))
-        K = ops.face_conductivity_1d(traj.active[k], p.k1, bc_g)
-        gradf = ops.gamma_grad_faces_1d(gamma, dx, bc_g)
+        K = ops.face_conductivity(traj.active[k], p.k1, bc_g)
+        gradf = ops.gamma_grad_faces(gamma, dx, bc_g)
         dgrad = np.zeros(grid.nx + 1)
         dgrad[1:-1] = np.diff(dG) / dx
         dpsi += float(np.sum(w_g * K * gradf * dgrad))

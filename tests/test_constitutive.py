@@ -6,6 +6,8 @@ copied from solver output.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import failwave as fw
 from failwave import ops
@@ -190,24 +192,38 @@ def test_phenomenological_rate_masks_and_guards():
 # -- discrete operator structure ---------------------------------------------------
 
 
-def test_flux_divergence_adjoint_to_gradient():
-    # sum phi div(K grad G) dx = -sum_faces K (grad G)(grad phi) w for zero-flux walls
-    rng = np.random.default_rng(3)
-    grid = fw.Grid1D(nx=40, dx=0.025)
-    p = mat(lam=1.3, d1=0.6)
-    bc_g = {"type": "zero_flux"}
-    gamma = rng.standard_normal(40)
-    phi = rng.standard_normal(40)
-    K = ops.face_conductivity_1d(np.ones(40, dtype=bool), p.k1, bc_g)
-    div = ops.damage_flux_div(gamma, K, grid, bc_g)
-    lhs = float(np.sum(phi * div) * grid.dx)
-    gradG = ops.gamma_grad_faces_1d(gamma, grid.dx, bc_g)
-    gradP = ops.gamma_grad_faces_1d(phi, grid.dx, bc_g)
-    w = ops.face_weights_gamma_1d({"u_left": {"type": "fixed"},
-                                   "u_right": {"type": "fixed"},
-                                   "gamma": bc_g}, grid.nx, grid.dx)
-    rhs = -float(np.sum(K * gradG * gradP * w))
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["zero_flux", "dirichlet", "periodic"]),
+    two_d=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flux_divergence_adjoint_to_gradient(kind, two_d, seed):
+    # summation by parts along every grid axis, for each damage BC (dirichlet
+    # at value 0), with K = 0 on the faces of inactive cells:
+    #   sum phi div(K grad G) dV = -sum_faces K (grad G)(grad phi) w dA
+    rng = np.random.default_rng(seed)
+    if two_d:
+        grid = fw.Grid2D(nx=9, ny=12, dx=0.03, dy=0.02)
+    else:
+        grid = fw.Grid1D(nx=40, dx=0.025)
+    k = mat(lam=1.3, d1=0.6).k1
+    bc_g = {"type": kind, "value": 0.0} if kind == "dirichlet" else {"type": kind}
+    gamma = rng.standard_normal(grid.shape)
+    phi = rng.standard_normal(grid.shape)
+    active = rng.random(grid.shape) < 0.7
+    active.flat[0] = False
+    for ax in grid.axes:
+        G, P = ax.view(gamma), ax.view(phi)
+        K = ops.face_conductivity(ax.view(active), k, bc_g)
+        assert np.any(K == 0.0) and np.any(K == k)
+        div = ops.damage_flux_div(G, K, ax.h, bc_g)
+        lhs = float(np.sum(P * div) * ax.h * ax.across)
+        gradG = ops.gamma_grad_faces(G, ax.h, bc_g)
+        gradP = ops.gamma_grad_faces(P, ax.h, bc_g)
+        w = ops.face_weights_gamma(bc_g, G.shape[-1], ax.h)
+        rhs = -float(np.sum(K * gradG * gradP * w) * ax.across)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 
 def test_evaluate_bundle_identities():

@@ -46,9 +46,9 @@ def _dense_solve(K_line, react_line, a, s, dh, bc_g, rhs_line):
     from the explicit flux divergence; its affine part (the dirichlet ghost)
     moves to the right-hand side."""
     n = react_line.size
-    c = ops.damage_flux_div_1d(np.zeros(n), K_line, dh, bc_g)
+    c = ops.damage_flux_div(np.zeros(n), K_line, dh, bc_g)
     L = np.column_stack(
-        [ops.damage_flux_div_1d(e, K_line, dh, bc_g) - c for e in np.eye(n)]
+        [ops.damage_flux_div(e, K_line, dh, bc_g) - c for e in np.eye(n)]
     )
     A = np.diag(a + 0.5 * react_line) - s * L
     return np.linalg.solve(A, rhs_line + s * c)

@@ -155,6 +155,28 @@ def test_non_finite_damage_state_raises_typed_error():
     assert exc.value.state.gamma is not state.gamma
 
 
+def test_explicit_non_finite_update_raises_typed_error():
+    # the explicit update used to hand back NaN cells and min Z*dGamma/dt = nan,
+    # which the admissibility comparison lets through
+    cfg = fw.build_scenario(diffusion_doc(numerics={"scheme": "explicit"}))
+    state = fw.initialize_state(cfg)
+    state.gamma[10] = np.nan
+    with pytest.raises(fw.NonFiniteState, match="explicit damage update") as exc:
+        fw.step_damage(state, cfg)
+    assert np.isnan(exc.value.state.gamma[10])
+    assert exc.value.state.gamma is not state.gamma
+
+
+def test_nan_displacement_raises_typed_error():
+    # a NaN strain makes the Courant number NaN, which a `>` test passes
+    cfg = fw.build_scenario(standing_doc(32))
+    state = fw.initialize_state(cfg)
+    state.U[5] = np.nan
+    with pytest.raises(fw.NonFiniteState, match="Courant number") as exc:
+        fw.step_elastic(state, cfg)
+    assert np.isnan(exc.value.state.U[5])
+
+
 def test_explicit_matches_cn_on_smooth_profile():
     cn = fw.run(fw.build_scenario(diffusion_doc()))
     ex = fw.run(fw.build_scenario(diffusion_doc(numerics={"scheme": "explicit"})))

@@ -118,12 +118,45 @@ def test_record_trajectory_rejects_clifton():
         fw.record_trajectory(fw.build_scenario(doc))
 
 
-def test_trajectory_matches_solver_run(traj):
-    # record_trajectory replays the production stepper exactly
-    cfg = fw.build_scenario(verify_doc())
-    res = fw.run(cfg)
-    assert np.array_equal(traj.U[-1], res.state.U)
-    assert np.array_equal(traj.gamma[-1], res.state.gamma)
+def test_trajectory_matches_solver_run():
+    # record_trajectory drives the solver's own step sequence: every level it
+    # keeps is the run's state at that step, at stride 1 and at stride 3
+    doc = verify_doc()
+    nsteps = round(doc["time"]["t_end"] / doc["time"]["dt"])
+    doc["output"] = {"snapshots": nsteps + 1}  # one snapshot per step
+    cfg = fw.build_scenario(doc)
+    snaps = fw.run(cfg).snapshots
+    assert [s.step for s in snaps] == list(range(nsteps + 1))
+    for stride in (1, 3):
+        traj = fw.record_trajectory(cfg, stride=stride)
+        assert traj.nlev == nsteps // stride + 1
+        for i in range(traj.nlev):
+            snap = snaps[i * stride]
+            assert traj.times[i] == snap.time
+            assert np.array_equal(traj.U[i], snap.U)
+            assert np.array_equal(traj.v[i], snap.v)
+            assert np.array_equal(traj.gamma[i], snap.gamma)
+
+
+def test_trajectory_is_audited_like_run():
+    # a run that breaks strict admissibility stops the recording at the
+    # same step (anisotropic 2D seed; see test_solver's ADI test)
+    doc = {
+        "grid": {"nx": 64, "ny": 64, "dx": 0.25, "dy": 0.25},
+        "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1.0, "d1": 0.2, "d2": 2.0},
+        "time": {"dt": 0.05, "t_end": 1.0},
+        "ic": {"gamma": {"type": "gaussian", "amplitude": 1.0,
+                         "center": [8.0, 8.0], "width": 0.4}},
+        "bc": {"u_left": {"type": "fixed"}, "u_right": {"type": "fixed"},
+               "gamma": {"type": "zero_flux"}},
+    }
+    cfg = fw.build_scenario(doc)
+    with pytest.raises(fw.AdmissibilityViolation) as ran:
+        fw.run(cfg)
+    with pytest.raises(fw.AdmissibilityViolation) as recorded:
+        fw.record_trajectory(cfg)
+    assert recorded.value.time == ran.value.time
+    assert recorded.value.value == ran.value.value
 
 
 # -- generalized reduction -----------------------------------------------------------
