@@ -167,25 +167,33 @@ def internal_forces(
     uX=None,
     bc_gamma: dict | None = None,
     active: np.ndarray | None = None,
+    K: tuple | None = None,
 ):
     """Damage force fields (A, B, Z): A pointwise, B = -K grad(gamma) on
     faces, Z = A - div(B) with the divergence adjoint to the face gradient.
 
-    Conductivity is masked to zero on faces with an inactive neighbor.
+    Conductivity is masked to zero on faces with an inactive neighbor; K,
+    the face conductivity of each grid axis (ops.grid_conductivity of
+    active), is computed here when not given.
     1D returns B as an (nx+1,) array; 2D as an (x-faces, y-faces) pair.
     """
     bc_g = bc_gamma if bc_gamma is not None else _ZERO_FLUX
-    if active is None:
-        active = np.ones(grid.shape, dtype=bool)
+    if K is None:
+        K = _conductivity(active, p, grid, bc_g)
     A = damage_force(gamma, p, model=model, uX=uX)
     B, divB = [], []
-    for ax, k in zip(grid.axes, (p.k1, p.k2)):
-        K = ops.face_conductivity(ax.view(active), k, bc_g)
-        Ba = -K * ops.gamma_grad_faces(ax.view(gamma), ax.h, bc_g)
+    for ax, Ka in zip(grid.axes, K):
+        Ba = -ax.view(Ka) * ops.gamma_grad_faces(ax.view(gamma), ax.h, bc_g)
         B.append(ax.view(Ba))
         divB.append(ax.view(ops.div_faces(Ba, ax.h)))
     Z = A - sum(divB[1:], divB[0])
     return A, (B[0] if len(B) == 1 else tuple(B)), Z
+
+
+def _conductivity(active, p: MaterialParams, grid, bc_g: dict) -> tuple:
+    if active is None:
+        active = np.ones(grid.shape, dtype=bool)
+    return ops.grid_conductivity(active, (p.k1, p.k2), grid, bc_g)
 
 
 def boundary_energy_release(gamma_dot, B, grid, bc_gamma: dict | None = None) -> float:
@@ -219,6 +227,9 @@ def total_free_energy(
     t: float,
     model: str = "feng",
     active: np.ndarray | None = None,
+    K: tuple | None = None,
+    eps: np.ndarray | None = None,
+    weights: tuple | None = None,
 ) -> float:
     """Discrete free energy (J per unit cross-section) with the quadrature
     the solver's budget uses: strain and gradient terms on faces (interior
@@ -227,24 +238,24 @@ def total_free_energy(
 
     The half-weight wall rule makes d(psi)/d(field) reproduce the scheme's
     force exactly, so the budget closes to time-discretization error.
+    K (face conductivity of each grid axis), eps (face strain at t) and
+    weights (ops.energy_weights) are computed here when not given.
     """
     bc_g = bc["gamma"]
-    if active is None:
-        active = np.ones(grid.shape, dtype=bool)
+    if K is None:
+        K = _conductivity(active, p, grid, bc_g)
+    if eps is None:
+        eps = ops.strain_faces(U, grid, bc, t)
+    w_u, w_gamma = weights if weights is not None else ops.energy_weights(bc, grid)
     axes = grid.axes
-    eps_f = ops.strain_faces(U, grid, bc, t)
-    w_u = ops.face_weights_u_1d(bc, grid.nx, grid.dx)
-    e_el = float(np.sum(elastic_energy_density(eps_f, p, model) * w_u) * axes[0].across)
+    e_el = float(np.sum(elastic_energy_density(eps, p, model) * w_u) * axes[0].across)
     e_grad = 0.0
-    for ax, k in zip(axes, (p.k1, p.k2)):
-        g = ax.view(gamma)
-        K = ops.face_conductivity(ax.view(active), k, bc_g)
-        grad = ops.gamma_grad_faces(g, ax.h, bc_g)
-        w = ops.face_weights_gamma(bc_g, g.shape[-1], ax.h)
-        e_grad += float(np.sum(0.5 * K * grad**2 * w) * ax.across)
+    for ax, Ka, w in zip(axes, K, w_gamma):
+        grad = ops.gamma_grad_faces(ax.view(gamma), ax.h, bc_g)
+        e_grad += float(np.sum(0.5 * ax.view(Ka) * grad**2 * w) * ax.across)
     e_cell = float(np.sum(damage_potential(gamma, p) * grid.cell_volume))
     if model == "linear" and p.b != 0.0:
-        uXc = ops.strain_cells(U, grid, bc, t)
+        uXc = ops.face_mean(eps)
         e_cell += float(np.sum(p.b * uXc * gamma * grid.cell_volume))
     return e_el + e_grad + e_cell
 

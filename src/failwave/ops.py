@@ -146,15 +146,16 @@ def gamma_grad_faces(gamma: np.ndarray, dh: float, bc_g: dict) -> np.ndarray:
     return grad
 
 
-def gamma_face_values_1d(gamma: np.ndarray, bc_g: dict) -> np.ndarray:
+def gamma_face_values(gamma: np.ndarray, bc_g: dict) -> np.ndarray:
     """Face-centered Γ: mean of adjacent cells (ghosts at the boundary, so a
     dirichlet face carries exactly its prescribed value)."""
-    nx = gamma.shape[0]
-    out = np.empty(nx + 1)
-    out[1:nx] = 0.5 * (gamma[1:] + gamma[:-1])
+    n = gamma.shape[-1]
+    out = np.empty(gamma.shape[:-1] + (n + 1,))
+    out[..., 1:n] = 0.5 * (gamma[..., 1:] + gamma[..., :-1])
+    g, o = gamma.T, out.T
     gl, gr = _gamma_ghosts(gamma, bc_g)
-    out[0] = 0.5 * (gamma[0] + gl)
-    out[nx] = 0.5 * (gamma[-1] + gr)
+    o[0] = 0.5 * (g[0] + gl)
+    o[n] = 0.5 * (g[-1] + gr)
     return out
 
 
@@ -222,6 +223,15 @@ def face_weights_gamma(bc_g: dict, n: int, dh: float) -> np.ndarray:
         w[0] = 0.5 * dh
         w[-1] = 0.5 * dh
     return w
+
+
+def energy_weights(bc: dict, grid) -> tuple:
+    """The free energy's face quadrature weights: (strain weights along x,
+    damage-gradient weights of each grid axis)."""
+    w_gamma = tuple(
+        face_weights_gamma(bc["gamma"], n, ax.h) for ax, n in zip(grid.axes, reversed(grid.shape))
+    )
+    return face_weights_u_1d(bc, grid.nx, grid.dx), w_gamma
 
 
 # -- banded parabolic solves --------------------------------------------------
@@ -297,77 +307,127 @@ def solve_lines(fac: LineFactor, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def factor_damage(K, react, lam: float, dt: float, grid, bc_g: dict):
-    """Factors for one damage step, reusable across Picard iterations: the
-    1D Crank-Nicolson matrix, or the (x, y) pair of ADI half-sweep matrices
-    (the y sweep works on transposes). K holds one face array per axis."""
+_ZERO_FLUX = {"type": "zero_flux"}
+
+
+def active_box(active: np.ndarray):
+    """Bounding box of the active cells, one slice per array axis; None when
+    no cell is active."""
+    if not active.any():
+        return None
+    box = []
+    for dim in range(active.ndim):
+        other = tuple(d for d in range(active.ndim) if d != dim)
+        hit = np.flatnonzero(active.any(axis=other))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
+
+
+def _three_cells(s: slice, n: int) -> slice:
+    """s, or a slice of 3 cells inside [0, n) that covers it (n >= 3)."""
+    if s.stop - s.start >= 3:
+        return s
+    start = min(s.start, n - 3)
+    return slice(start, start + 3)
+
+
+class DamageOperator(NamedTuple):
+    """The implicit damage operator of one active set, restricted to the
+    bounding box of its active cells. K (one face array per grid axis),
+    coef and fac cover the box only; bc is the damage BC of each grid axis
+    at the box edges."""
+
+    box: tuple  # one slice per array axis
+    K: tuple
+    coef: np.ndarray  # a - react/2, the explicit diagonal
+    bc: tuple
+    fac: object  # factor_damage result
+
+
+def damage_operator(active, K, react, lam: float, dt: float, grid, bc_g: dict):
+    """Restrict the damage operator (face conductivity K per grid axis, cell
+    reaction react) to the box of the active cells and factor it there;
+    None when no cell is active.
+
+    Cells outside the box are inactive, so they keep their Γ. Every face on
+    a box edge that is not a wall has such a cell on its far side, hence
+    K = 0 and the zero-flux closure there is exact; a periodic axis keeps
+    its wrap only when the box spans it.
+    """
+    box = active_box(active)
+    if box is None:
+        return None
+    # scipy's dgttrf/dgttrs want 3 unknowns or more: pad with inactive cells
+    box = tuple(_three_cells(s, n) for s, n in zip(box, active.shape))
+    Kb, bcs = [], []
+    for i, Ka in enumerate(K):
+        dim = active.ndim - 1 - i  # x is the last array axis, y the first
+        s = box[dim]
+        Kb.append(Ka[box[:dim] + (slice(s.start, s.stop + 1),) + box[dim + 1:]])
+        spans = s.stop - s.start == active.shape[dim]
+        bcs.append(bc_g if spans or bc_g["type"] != "periodic" else _ZERO_FLUX)
+    react = react[box]
+    a = lam / dt if grid.ndim == 1 else 2.0 * lam / dt  # 2D: lam / (dt/2)
+    fac = factor_damage(Kb, react, lam, dt, grid, bcs)
+    return DamageOperator(box, tuple(Kb), a - 0.5 * react, tuple(bcs), fac)
+
+
+def factor_damage(K, react, lam: float, dt: float, grid, bcs):
+    """Factors for one damage operator, reusable across steps and Picard
+    iterations: the 1D Crank-Nicolson matrix, or the (x, y) pair of ADI
+    half-sweep matrices (the y sweep works on transposes). K holds one face
+    array per axis and bcs one damage BC per axis."""
     if grid.ndim == 1:
-        return factor_lines(K[0][None], react[None], lam / dt, 0.5, grid.dx, bc_g)
+        return factor_lines(K[0][None], react[None], lam / dt, 0.5, grid.dx, bcs[0])
     Kx, Ky = K
     a = 2.0 * lam / dt  # lam / (dt/2)
     return (
-        factor_lines(Kx, react, a, 1.0, grid.dx, bc_g),
-        factor_lines(Ky.T, react.T, a, 1.0, grid.dy, bc_g),
+        factor_lines(Kx, react, a, 1.0, grid.dx, bcs[0]),
+        factor_lines(Ky.T, react.T, a, 1.0, grid.dy, bcs[1]),
     )
 
 
-def cn_damage_step_1d(
-    gamma: np.ndarray,
-    K_faces: np.ndarray,
-    react: np.ndarray,
-    source: np.ndarray,
-    lam: float,
-    dt: float,
-    dx: float,
-    bc_g: dict,
-    fac: LineFactor,
-) -> np.ndarray:
+def damage_rhs(gamma: np.ndarray, op: DamageOperator, grid):
+    """The source-free part of a damage step's right-hand side on op's box
+    (gamma is the box's cells): in 1D the pair ((a - react/2) Γ, L Γ / 2),
+    in 2D the first ADI sweep's (a - react/2) Γ + Ly Γ. It holds for every
+    Picard iteration of the step."""
+    explicit = op.coef * gamma
+    if grid.ndim == 1:
+        return explicit, 0.5 * damage_flux_div(gamma, op.K[0], grid.dx, op.bc[0])
+    return explicit + damage_flux_div(gamma.T, op.K[1].T, grid.dy, op.bc[1]).T
+
+
+def cn_damage_step_1d(rhs0: tuple, source: np.ndarray, fac: LineFactor) -> np.ndarray:
     """One Crank-Nicolson step of lam*dΓ/dt = d/dx(K dΓ/dx) - react*Γ + source.
 
-    react and source must already be zero on inactive cells and K_faces zero
-    on their faces, so frozen cells reduce to the identity row. fac is
-    factor_damage's result for the step. Unconditionally stable; source is
-    held fixed over the step (the caller iterates for nonlinear sources).
+    rhs0 is damage_rhs's pair and fac the operator's factor. source must
+    already be zero on inactive cells (K and react are zero there too), so
+    frozen cells reduce to the identity row. Unconditionally stable; source
+    is held fixed over the step (the caller iterates for nonlinear sources).
     """
-    a = lam / dt
-    rhs = (a - 0.5 * react) * gamma + source
-    # explicit half of the diffusion operator
-    rhs += 0.5 * damage_flux_div(gamma, K_faces, dx, bc_g)
-    return solve_lines(fac, rhs[None])[0]
+    explicit, half_div = rhs0
+    return solve_lines(fac, ((explicit + source) + half_div)[None])[0]
 
 
-def adi_damage_step_2d(
-    gamma: np.ndarray,
-    Kx: np.ndarray,
-    Ky: np.ndarray,
-    react: np.ndarray,
-    source: np.ndarray,
-    lam: float,
-    dt: float,
-    dx: float,
-    dy: float,
-    bc_g: dict,
-    fac: tuple,
-) -> np.ndarray:
+def adi_damage_step_2d(rhs0: np.ndarray, source: np.ndarray, op: DamageOperator, dx: float) -> np.ndarray:
     """Peaceman-Rachford ADI step of the 2D damage equation.
 
     Two half steps of length dt/2: the first implicit in x and explicit in y,
     the second the reverse. The linear reaction is split evenly across both
     sides of each half step and the source enters each half step in full.
-    fac is factor_damage's (x, y) pair for the step.
+    rhs0 is damage_rhs's first-sweep part.
     """
-    a = 2.0 * lam / dt  # lam / (dt/2)
-    fx, fy = fac
+    fx, fy = op.fac
     # sweep 1: (a + react/2 - Lx) star = (a - react/2) gamma + Ly gamma + source
-    rhs = (a - 0.5 * react) * gamma + damage_flux_div(gamma.T, Ky.T, dy, bc_g).T + source
-    star = solve_lines(fx, rhs)
+    star = solve_lines(fx, rhs0 + source)
     # sweep 2: (a + react/2 - Ly) out = (a - react/2) star + Lx star + source
-    rhs = (a - 0.5 * react) * star + damage_flux_div(star, Kx, dx, bc_g) + source
+    rhs = op.coef * star + damage_flux_div(star, op.K[0], dx, op.bc[0]) + source
     return np.ascontiguousarray(solve_lines(fy, rhs.T).T)
 
 
-def damage_step(gamma, K, react, source, lam: float, dt: float, grid, bc_g: dict, fac):
-    """One implicit damage step with the step's factor_damage result."""
+def damage_step(rhs0, source: np.ndarray, op: DamageOperator, grid) -> np.ndarray:
+    """One implicit damage step on op's box, with damage_rhs's rhs0."""
     if grid.ndim == 1:
-        return cn_damage_step_1d(gamma, K[0], react, source, lam, dt, grid.dx, bc_g, fac)
-    return adi_damage_step_2d(gamma, *K, react, source, lam, dt, grid.dx, grid.dy, bc_g, fac)
+        return cn_damage_step_1d(rhs0, source, op.fac)
+    return adi_damage_step_2d(rhs0, source, op, grid.dx)

@@ -17,7 +17,7 @@ work + boundary damage release).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -110,33 +110,33 @@ def lateral_stress_proxy(gamma, p) -> np.ndarray:
 # -- elastic substep ----------------------------------------------------------
 
 
-def _gamma_on_xfaces(gamma: np.ndarray, grid, bc_g: dict) -> np.ndarray:
-    if grid.ndim == 1:
-        return ops.gamma_face_values_1d(gamma, bc_g)
-    ny, nx = gamma.shape
-    out = np.empty((ny, nx + 1))
-    out[:, 1:nx] = 0.5 * (gamma[:, 1:] + gamma[:, :-1])
-    out[:, 0] = gamma[:, 0]
-    out[:, nx] = gamma[:, -1]
-    return out
-
-
 def _stress_faces(U, gamma, t, cfg: ScenarioConfig, eps=None) -> np.ndarray:
     p = cfg.material
     if eps is None:
         eps = ops.strain_faces(U, cfg.grid, cfg.bc, t)
     if p.model == "linear":
-        gface = _gamma_on_xfaces(gamma, cfg.grid, cfg.bc["gamma"])
-        S = cst.stress(eps, gface, p, "linear")
+        S = cst.stress(eps, ops.gamma_face_values(gamma, cfg.bc["gamma"]), p, "linear")
     else:
         S = cst.stress(eps, None, p, "feng")
     return ops.override_stress_faces(S, cfg.bc, t)
 
 
-def _accel(U, gamma, t, cfg: ScenarioConfig, eps=None):
-    p = cfg.material
-    S = _stress_faces(U, gamma, t, cfg, eps=eps)
-    return ops.div_faces(S, cfg.grid.dx) / p.rho0 + cfg.body_force, S
+class Faces(NamedTuple):
+    """Face strain and face stress of one time level, evaluated once and read
+    by every part of a step that needs them."""
+
+    time: float
+    eps: np.ndarray
+    S: np.ndarray
+
+
+def level_faces(U, gamma, t: float, cfg: ScenarioConfig) -> Faces:
+    eps = ops.strain_faces(U, cfg.grid, cfg.bc, t)
+    return Faces(t, eps, _stress_faces(U, gamma, t, cfg, eps=eps))
+
+
+def _accel(S_faces, cfg: ScenarioConfig):
+    return ops.div_faces(S_faces, cfg.grid.dx) / cfg.material.rho0 + cfg.body_force
 
 
 def _check_courant(c_max: float, dt: float, dx: float, state: FieldState) -> float:
@@ -152,24 +152,50 @@ def _check_courant(c_max: float, dt: float, dx: float, state: FieldState) -> flo
     return cfl
 
 
-def step_elastic(state: FieldState, cfg: ScenarioConfig):
+def step_elastic(state: FieldState, cfg: ScenarioConfig, faces: Optional[Faces] = None):
     """One velocity-Verlet step of rho0*U_tt = dS/dX + rho0*r.
 
-    Returns (U_new, v_new, max_cfl). Raises CflViolation before touching the
-    state when c_max*dt/dx exceeds 1, and NonFiniteState when it is NaN.
+    faces are the state's own (level_faces of its U, gamma and time), computed
+    here when not given. Returns (U_new, v_new, max_cfl, faces_new), where
+    faces_new are those of U_new at state.time + dt with the unchanged gamma,
+    as the final half kick used them. Raises CflViolation before touching
+    the state when c_max*dt/dx exceeds 1, and NonFiniteState when it is NaN.
     """
     dt = cfg.dt
-    eps = ops.strain_faces(state.U, cfg.grid, cfg.bc, state.time)
-    cfl = _check_courant(cst.elastic_wave_speed(eps, cfg.material), dt, cfg.grid.dx, state)
-    a0, _ = _accel(state.U, state.gamma, state.time, cfg, eps=eps)
-    v_half = state.v + 0.5 * dt * a0
+    if faces is None:
+        faces = level_faces(state.U, state.gamma, state.time, cfg)
+    cfl = _check_courant(cst.elastic_wave_speed(faces.eps, cfg.material), dt, cfg.grid.dx, state)
+    v_half = state.v + 0.5 * dt * _accel(faces.S, cfg)
     U_new = state.U + dt * v_half
-    a1, _ = _accel(U_new, state.gamma, state.time + dt, cfg)
-    v_new = v_half + 0.5 * dt * a1
-    return U_new, v_new, cfl
+    new = level_faces(U_new, state.gamma, state.time + dt, cfg)
+    v_new = v_half + 0.5 * dt * _accel(new.S, cfg)
+    return U_new, v_new, cfl, new
 
 
 # -- damage substep -----------------------------------------------------------
+
+
+class DamageOperators(NamedTuple):
+    """What a damage step needs that depends only on the active set: the face
+    conductivity of each grid axis and the implicit operator on the active
+    box with its factor (None when no cell is active, and for the explicit
+    scheme). A run rebuilds them only on a step that activates a cell."""
+
+    K: tuple
+    implicit: Optional[ops.DamageOperator]
+
+
+def damage_operators(active: np.ndarray, cfg: ScenarioConfig) -> DamageOperators:
+    p = cfg.material
+    bc_g = cfg.bc["gamma"]
+    K = ops.grid_conductivity(active, (p.k1, p.k2), cfg.grid, bc_g)
+    if cfg.numerics["scheme"] == "explicit":
+        return DamageOperators(K, None)
+    if p.model != "linear" and p.source_law == "logistic":
+        react = np.zeros(active.shape)
+    else:
+        react = np.where(active, p.c2, 0.0)
+    return DamageOperators(K, ops.damage_operator(active, K, react, p.lam, cfg.dt, cfg.grid, bc_g))
 
 
 @dataclass
@@ -179,41 +205,25 @@ class DamageStepInfo:
     peak_Z_gammadot: float
     dissipated_inc: float
     released_inc: float
+    operators: DamageOperators  # reusable while the active set stays
 
 
-def _source_and_react(gamma_mid, uX, active, p):
-    """Reaction coefficient (folded into the matrix) and explicit source for
-    the current damage model, already masked to active cells."""
-    if p.model == "linear":
-        react = np.where(active, p.c2, 0.0)
-        source = np.where(active, -p.b * uX, 0.0)
-        return react, source
-    if p.source_law == "logistic":
-        react = np.zeros_like(gamma_mid)
-        source = np.where(
-            active,
-            p.source_rate * p.lam * gamma_mid * (1.0 - gamma_mid / p.gamma_max),
-            0.0,
-        )
-        return react, source
-    react = np.where(active, p.c2, 0.0)
-    return react, np.zeros_like(gamma_mid)
-
-
-def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None):
+def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None, operators=None):
     """One step of lam*dGamma/dt = div(K grad Gamma) + source on active cells.
 
     Crank-Nicolson (default) folds linear sources into the solve; the
     logistic source is iterated to the implicit midpoint (Picard, tolerance
     numerics.source_tol), so the discrete admissibility product stays
     nonnegative up to roundoff; PicardNotConverged is raised when
-    numerics.source_max_iter iterations fall short. NonFiniteState is raised
-    on a non-finite operator or right-hand side, or a non-finite explicit
-    update. Both carry a copy of the state as .state. Explicit Euler
-    available for cross-checks, guarded by the max(d1/dx^2, d2/dy^2)*dt <= 1/2
-    limit.
+    numerics.source_max_iter iterations fall short. The solve covers the
+    bounding box of the active cells; every other cell keeps its value.
+    NonFiniteState is raised on a non-finite operator or right-hand side,
+    or a non-finite explicit update. Both carry a copy of the state as
+    .state. Explicit Euler available for cross-checks, guarded by the
+    max(d1/dx^2, d2/dy^2)*dt <= 1/2 limit.
 
-    Returns (gamma_new, DamageStepInfo).
+    uX (cell strain) and operators (damage_operators of state.active) are
+    computed here when not given. Returns (gamma_new, DamageStepInfo).
     """
     p = cfg.material
     grid = cfg.grid
@@ -229,9 +239,11 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None):
     gamma = state.gamma
     scheme = cfg.numerics["scheme"]
     diff_number = max(d / ax.h**2 for ax, d in zip(grid.axes, (p.d1, p.d2))) * dt
-    K = ops.grid_conductivity(active, (p.k1, p.k2), grid, bc_g)
 
     try:
+        if operators is None:
+            operators = damage_operators(active, cfg)
+        K = operators.K
         if scheme == "explicit":
             if diff_number > 0.5 + 1e-12:
                 raise DiffusionStabilityViolation(diff_number)
@@ -242,27 +254,38 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None):
                 raise NonFiniteState("explicit damage update")
             z_probe = gamma  # admissibility sampled at the old state
         else:
-            # K and react0 hold for the whole step: factor once, and each
-            # Picard iteration costs one right-hand side and one banded solve
-            react0, source = _source_and_react(gamma, uX, active, p)
-            fac = ops.factor_damage(K, react0, p.lam, dt, grid, bc_g)
-            if p.model == "feng" and p.source_law == "logistic":
-                gamma_new = gamma.copy()
-                tol = cfg.numerics["source_tol"]
-                max_iter = cfg.numerics["source_max_iter"]
-                for _ in range(max_iter):
-                    mid = 0.5 * (gamma + gamma_new)
-                    _, source = _source_and_react(mid, uX, active, p)
-                    nxt = ops.damage_step(gamma, K, react0, source, p.lam, dt, grid, bc_g, fac)
-                    delta = float(np.max(np.abs(nxt - gamma_new)))
-                    gamma_new = nxt
-                    limit = tol * max(1.0, float(np.max(np.abs(gamma_new))))
-                    if delta <= limit:
-                        break
+            gamma_new = gamma.copy()
+            op = operators.implicit
+            if op is not None:
+                box = op.box
+                g = gamma[box]
+                on = active[box]
+                # the operator and the source-free right-hand side hold for
+                # the whole step: each Picard iteration adds the source and
+                # costs one banded solve
+                rhs0 = ops.damage_rhs(g, op, grid)
+                if p.model == "feng" and p.source_law == "logistic":
+                    tol = cfg.numerics["source_tol"]
+                    max_iter = cfg.numerics["source_max_iter"]
+                    rest = np.abs(gamma)
+                    rest[box] = 0.0
+                    rest_max = float(rest.max())  # |Γ| outside the box, fixed this step
+                    g_new = g
+                    for _ in range(max_iter):
+                        source = np.where(on, cst.damage_force(0.5 * (g + g_new), p), 0.0)
+                        nxt = ops.damage_step(rhs0, source, op, grid)
+                        delta = float(np.abs(nxt - g_new).max())
+                        g_new = nxt
+                        limit = tol * max(1.0, float(np.abs(g_new).max()), rest_max)
+                        if delta <= limit:
+                            break
+                    else:
+                        raise PicardNotConverged(state.time, max_iter, delta, limit)
+                elif p.model == "linear":
+                    g_new = ops.damage_step(rhs0, np.where(on, -p.b * uX[box], 0.0), op, grid)
                 else:
-                    raise PicardNotConverged(state.time, max_iter, delta, limit)
-            else:
-                gamma_new = ops.damage_step(gamma, K, react0, source, p.lam, dt, grid, bc_g, fac)
+                    g_new = ops.damage_step(rhs0, np.zeros(g.shape), op, grid)
+                gamma_new[box] = g_new
             z_probe = None  # midpoint, assigned after the clamp below
     except (NonFiniteState, PicardNotConverged) as err:
         err.state = state.copy()  # dumped for post-mortem inspection
@@ -275,7 +298,7 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None):
 
     gamma_dot = (gamma_new - gamma) / dt
     _, B_mid, Z_mid = cst.internal_forces(
-        z_probe, p, grid, model=p.model, uX=uX, bc_gamma=bc_g, active=active
+        z_probe, p, grid, model=p.model, uX=uX, bc_gamma=bc_g, active=active, K=K
     )
     zg = np.where(active, Z_mid * gamma_dot, 0.0)
     released = cst.boundary_energy_release(gamma_dot, B_mid, grid, bc_g)
@@ -286,6 +309,7 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None):
         peak_Z_gammadot=float(np.max(np.abs(zg))) if zg.size else 0.0,
         dissipated_inc=dissipated * dt,
         released_inc=released * dt,
+        operators=operators,
     )
     return gamma_new, info
 
@@ -406,26 +430,44 @@ def run(cfg: ScenarioConfig) -> RunResult:
     return RunResult(state, reports, traces, snapshots)
 
 
+def _activate(state: FieldState, S_cells, sigma0: float) -> bool:
+    """Switch on the cells whose stress magnitude reached sigma0 (every cell
+    when sigma0 = 0); cells never switch off. state.active is replaced by a
+    new mask only when a cell switched on, which is what this returns."""
+    if sigma0 > 0.0:
+        hit = np.abs(S_cells) >= sigma0
+        if not (hit > state.active).any():
+            return False
+        state.active = state.active | hit
+        return True
+    if state.active.all():
+        return False
+    state.active = np.ones(state.active.shape, dtype=bool)
+    return True
+
+
 def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
     """Advance state in place through the coupled system, yielding (report,
     cell stress) at t = 0 and after each step.
 
     Per step: elastic substep, threshold activation (|S| >= sigma0; cells
     never deactivate), damage substep, energy bookkeeping, admissibility
-    audit. Raises AdmissibilityViolation (with the offending state attached)
-    if min Z*dGamma/dt drops below -tol * peak magnitude.
+    audit. Each level's face strain is evaluated once and shared by all of
+    them, and the damage operators are rebuilt only on a step that
+    activates a cell. Raises AdmissibilityViolation (with the offending
+    state attached) if min Z*dGamma/dt drops below -tol * peak magnitude.
     """
     p = cfg.material
     grid = cfg.grid
     dt = cfg.dt
-
-    def cell_stress():
-        uXc = ops.strain_cells(state.U, grid, cfg.bc, state.time)
-        return np.asarray(cst.stress(uXc, state.gamma, p, p.model)), uXc
+    weights = ops.energy_weights(cfg.bc, grid)
+    faces = level_faces(state.U, state.gamma, state.time, cfg)
+    damage_ops = None
 
     def budget(dissipated, work, released):
         free = cst.total_free_energy(
-            state.U, state.gamma, p, grid, cfg.bc, state.time, p.model, state.active
+            state.U, state.gamma, p, grid, cfg.bc, state.time, p.model, state.active,
+            K=None if damage_ops is None else damage_ops.K, eps=faces.eps, weights=weights,
         )
         return EnergyBudget(
             kinetic=_kinetic(state.v, p, grid),
@@ -435,7 +477,8 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
             released=released,
         )
 
-    S_cells, _ = cell_stress()
+    uXc = ops.face_mean(faces.eps)
+    S_cells = np.asarray(cst.stress(uXc, state.gamma, p, p.model))
     report = StepReport(
         time=0.0, dt_used=dt, max_cfl=0.0, max_diff=0.0,
         min_Z_gammadot=0.0, energy=budget(0.0, 0.0, 0.0),
@@ -447,22 +490,27 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
     work = 0.0
     tol_adm = cfg.numerics["tol_admissibility"]
     zg_peak = 0.0
-    power_prev = _wall_power(_stress_faces(state.U, state.gamma, 0.0, cfg), state.v, 0.0, cfg)
+    power_prev = _wall_power(faces.S, state.v, state.time, cfg)
     for k in range(1, _step_count(cfg) + 1):
-        state.U, state.v, cfl = step_elastic(state, cfg)
+        state.U, state.v, cfl, faces = step_elastic(state, cfg, faces)
         state.time = k * dt
+        if faces.time != state.time:  # (k-1)*dt + dt may round off k*dt
+            faces = level_faces(state.U, state.gamma, state.time, cfg)
+        uXc = ops.face_mean(faces.eps)
         # threshold activation from the fresh stress field
-        S_cells, uXc = cell_stress()
-        if p.sigma0 > 0.0:
-            state.active = state.active | (np.abs(S_cells) >= p.sigma0)
-        else:
-            state.active = np.ones(grid.shape, dtype=bool)
-        state.gamma, dinfo = step_damage(state, cfg, uX=uXc)
+        S_cells = np.asarray(cst.stress(uXc, state.gamma, p, p.model))
+        if _activate(state, S_cells, p.sigma0):
+            damage_ops = None
+        state.gamma, dinfo = step_damage(state, cfg, uX=uXc, operators=damage_ops)
+        damage_ops = dinfo.operators
 
         dissipated += dinfo.dissipated_inc
         released += dinfo.released_inc
-        S_faces = _stress_faces(state.U, state.gamma, state.time, cfg)
-        power = _wall_power(S_faces, state.v, state.time, cfg)
+        if p.model == "linear":  # damage moved, so stress moved
+            S = _stress_faces(state.U, state.gamma, state.time, cfg, eps=faces.eps)
+            faces = faces._replace(S=S)
+            S_cells = np.asarray(cst.stress(uXc, state.gamma, p, p.model))
+        power = _wall_power(faces.S, state.v, state.time, cfg)
         work += 0.5 * (power_prev + power) * dt
         power_prev = power
 
@@ -480,8 +528,6 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
             min_Z_gammadot=dinfo.min_Z_gammadot,
             energy=budget(dissipated, work, released),
         )
-        if p.model == "linear":
-            S_cells, _ = cell_stress()  # damage moved, so stress moved
         yield report, S_cells
 
 

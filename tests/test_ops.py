@@ -95,3 +95,94 @@ def test_non_finite_operator_or_rhs_is_typed():
     K[0, 3] = np.inf
     with pytest.raises(fw.NonFiniteState, match="operator"):
         ops.factor_lines(K, react, 1.0, 0.5, 0.1, bc_g)
+
+
+# -- the damage step on the active box ---------------------------------------------
+
+
+@st.composite
+def box_steps(draw):
+    """A damage step on a random 1D or 2D grid: an active mask that is empty,
+    full, scattered or a block (touching a wall when its bounds are 0 or
+    n), conductivities masked by it, a reaction and a source on active
+    cells, and Γ everywhere."""
+    if draw(st.booleans()):
+        grid = fw.Grid2D(draw(st.integers(3, 6)), draw(st.integers(3, 6)),
+                         draw(st.floats(0.2, 1.0)), draw(st.floats(0.2, 1.0)))
+    else:
+        grid = fw.Grid1D(draw(st.integers(3, 9)), draw(st.floats(0.2, 1.0)))
+    shape = grid.shape
+    mode = draw(st.sampled_from(("empty", "full", "scattered", "block")))
+    if mode == "scattered":
+        active = draw(hnp.arrays(bool, shape))
+    else:
+        active = np.full(shape, mode == "full")
+    if mode == "block":
+        lo = [draw(st.integers(0, n - 1)) for n in shape]
+        hi = [draw(st.integers(l + 1, n)) for l, n in zip(lo, shape)]
+        active[tuple(slice(l, h) for l, h in zip(lo, hi))] = True
+    bc_g = _bc(draw(st.sampled_from(BC_KINDS)), draw(st.floats(-1.0, 1.0)))
+    ks = (draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 5.0)))
+    unit = st.floats(-1.0, 1.0)
+    return {
+        "grid": grid,
+        "active": active,
+        "bc_g": bc_g,
+        "K": ops.grid_conductivity(active, ks, grid, bc_g),
+        "react": np.where(active, draw(st.floats(0.0, 5.0)), 0.0),
+        "source": np.where(active, draw(hnp.arrays(float, shape, elements=unit)), 0.0),
+        "gamma": draw(hnp.arrays(float, shape, elements=unit)),
+        "lam": draw(st.floats(0.5, 50.0)),
+    }
+
+
+def _affine(apply, shape):
+    """(M, c) with apply(x) = M x.ravel() + c for every x of the given shape."""
+    c = apply(np.zeros(shape)).ravel()
+    cols = [apply(e.reshape(shape)).ravel() - c for e in np.eye(int(np.prod(shape)))]
+    return np.column_stack(cols), c
+
+
+def _dense_step(sys_):
+    """The full-grid step with each implicit operator assembled densely from
+    the explicit flux divergence: Crank-Nicolson in 1D, the two ADI half
+    sweeps in 2D (x implicit, then y)."""
+    grid, bc_g, K = sys_["grid"], sys_["bc_g"], sys_["K"]
+    g, r, src, lam = sys_["gamma"], sys_["react"], sys_["source"], sys_["lam"]
+    L = [
+        (lambda x, ax=ax, Ka=Ka: ax.view(ops.damage_flux_div(ax.view(x), ax.view(Ka), ax.h, bc_g)))
+        for ax, Ka in zip(grid.axes, K)
+    ]
+    if grid.ndim == 1:
+        M, c = _affine(L[0], g.shape)
+        a = lam  # dt = 1
+        A = np.diag(a + 0.5 * r) - 0.5 * M
+        return np.linalg.solve(A, (a - 0.5 * r) * g + src + 0.5 * L[0](g) + 0.5 * c)
+    a = 2.0 * lam
+    out = g
+    for implicit, explicit in ((L[0], L[1]), (L[1], L[0])):
+        M, c = _affine(implicit, g.shape)
+        rhs = ((a - 0.5 * r) * out + explicit(out) + src).ravel() + c
+        out = np.linalg.solve(np.diag(a + 0.5 * r.ravel()) - M, rhs).reshape(g.shape)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_steps())
+def test_active_box_step_matches_dense_full_grid_step(sys_):
+    grid, gamma = sys_["grid"], sys_["gamma"]
+    op = ops.damage_operator(sys_["active"], sys_["K"], sys_["react"], sys_["lam"], 1.0, grid,
+                             sys_["bc_g"])
+    out = gamma.copy()
+    inside = np.zeros(gamma.shape, dtype=bool)
+    if op is not None:
+        rhs0 = ops.damage_rhs(gamma[op.box], op, grid)
+        out[op.box] = ops.damage_step(rhs0, sys_["source"][op.box], op, grid)
+        inside[op.box] = True
+        assert sys_["active"][~inside].sum() == 0  # the box holds every active cell
+    else:
+        assert not sys_["active"].any()
+    assert np.array_equal(out[~inside], gamma[~inside])  # frozen cells, bit for bit
+    dense = _dense_step(sys_)
+    scale = float(np.max(np.abs(dense)))
+    assert float(np.max(np.abs(out - dense))) <= 1e-12 * scale

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import failwave as fw
+from failwave import ops, solver
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -233,6 +234,73 @@ def test_strong_pulse_spreads_activation():
     assert not res.state.active[-10:].any()
 
 
+def _activation_bar(load=None, **material):
+    """A 120-cell glass bar: a wave from the loaded end switches cells on
+    behind a damaged skin there, every other step or so."""
+    mat = {"rho0": 2500.0, "c1": 7.0e10, "lambda": 1.0, "d1": 6.6, "sigma0": 2.0e9,
+           "source": {"law": "logistic", "rate": 4.0e5, "gamma_max": 1.0}}
+    mat.update(material)
+    return {
+        "grid": {"nx": 120, "dx": 5.0e-5},
+        "material": mat,
+        "time": {"dt": 4.7246e-9, "t_end": 4.7246e-9 * 160},
+        "ic": {"gamma": {"type": "step", "left": 0.3, "right": 0.0, "at": 5.0e-4}},
+        "bc": {"u_left": load or {"type": "traction", "value": -4.0e9},
+               "u_right": {"type": "free"}, "gamma": {"type": "dirichlet", "value": 0.3}},
+    }
+
+
+# a velocity wall's strain reads the clock, whose (k-1)*dt + dt can differ from k*dt
+@pytest.mark.parametrize("load", [{"type": "traction", "value": -4.0e9},
+                                  {"type": "velocity", "value": -200.0}],
+                         ids=["traction", "velocity"])
+def test_run_equals_a_loop_of_standalone_steps(load):
+    # the run shares each level's face strain and keeps the damage operators
+    # while no cell switches on; the public steps compute everything afresh
+    cfg = fw.build_scenario(_activation_bar(load))
+    p = cfg.material
+    res = fw.run(cfg)
+    state = fw.initialize_state(cfg)
+    switched = 0
+    for k in range(1, len(res.reports)):
+        state.U, state.v, _, _ = fw.step_elastic(state, cfg)
+        state.time = k * cfg.dt
+        uX = ops.strain_cells(state.U, cfg.grid, cfg.bc, state.time)
+        active = state.active | (np.abs(fw.stress(uX, state.gamma, p)) >= p.sigma0)
+        switched += int(active.sum() > state.active.sum())
+        state.active = active
+        state.gamma, _ = fw.step_damage(state, cfg, uX=uX)
+    assert switched > 40
+    for field in ("U", "v", "gamma", "active"):
+        assert np.array_equal(getattr(state, field), getattr(res.state, field)), field
+
+
+def test_damage_operator_is_factored_once_per_active_set(monkeypatch):
+    calls = []
+    factor = ops.factor_damage
+    monkeypatch.setattr(ops, "factor_damage", lambda *args: calls.append(1) or factor(*args))
+
+    # every cell active from the start: one factor for the whole run
+    kpp = load_scenario("kpp_front.yaml")
+    short = fw.scenario_to_dict(kpp)
+    short["time"]["t_end"] = 50 * kpp.dt
+    fw.run(fw.build_scenario(short))
+    assert len(calls) == 1
+
+    # a growing active set: one factor at the first step, then one for each
+    # later step that switches a cell on
+    calls.clear()
+    traj = fw.record_trajectory(fw.build_scenario(_activation_bar()))
+    grew = [k for k in range(2, len(traj.times)) if (traj.active[k] != traj.active[k - 1]).any()]
+    assert len(grew) > 40
+    assert len(calls) == 1 + len(grew)
+
+    # no active cell: nothing to factor
+    calls.clear()
+    fw.run(fw.build_scenario(_activation_bar(sigma0=1.0e10) | {"ic": {}}))
+    assert calls == []
+
+
 # -- coupling structure (bitwise) -------------------------------------------------
 
 
@@ -281,6 +349,26 @@ def test_linear_model_two_way_coupling_is_live():
     res_a = fw.run(fw.build_scenario(base))
     res_b = fw.run(fw.build_scenario(pushed))
     assert not np.array_equal(res_a.state.gamma, res_b.state.gamma)
+
+
+def test_2d_linear_wall_stress_matches_1d_row_by_row():
+    # a y-uniform 2D state is the 1D state on every row, dirichlet damage wall
+    # included: its face carries the prescribed value, not the wall cell's
+    mat = {"rho0": 1.0, "c1": 1.0, "c2": 1.0, "b": 0.5, "lambda": 1.0, "d1": 0.1,
+           "model": "linear"}
+    bc = {"u_left": {"type": "fixed"}, "u_right": {"type": "fixed"},
+          "gamma": {"type": "dirichlet", "value": 0.25}}
+    doc = {"grid": {"nx": 8, "dx": 0.125}, "material": mat, "time": {"dt": 0.01, "t_end": 0.1},
+           "bc": bc}
+    cfg1 = fw.build_scenario(doc)
+    cfg2 = fw.build_scenario(dict(doc, grid={"nx": 8, "ny": 3, "dx": 0.125, "dy": 0.2},
+                                  material=dict(mat, d2=0.1)))
+    x = cfg1.grid.cell_centers()
+    U, gamma = 0.01 * np.sin(3.0 * x), 0.5 + 0.3 * np.cos(5.0 * x)
+    S1 = solver._stress_faces(U, gamma, 0.0, cfg1)
+    S2 = solver._stress_faces(np.tile(U, (3, 1)), np.tile(gamma, (3, 1)), 0.0, cfg2)
+    for row in S2:
+        assert np.array_equal(row, S1)
 
 
 # -- output contracts --------------------------------------------------------------
