@@ -5,11 +5,6 @@ Seeds a damage spot at the center of a square sheet with d2 = 4 d1 and a
 logistic source, places one gauge at equal distance along each axis, and
 reports the two arrival times. The lateral gauge must fire first.
 
-The 2D damage step is alternating-direction implicit (two half sweeps).
-Unlike the 1D Crank-Nicolson step it satisfies the midpoint dissipation
-identity only up to the O(dt^2) splitting cross-term, so the run loosens
-the admissibility tolerance to that scale instead of the 1e-12 default.
-
 Usage: python demos/lateral_spread_2d.py
 """
 
@@ -34,7 +29,6 @@ SCENARIO = {
     "bc": {"u_left": {"type": "fixed"}, "u_right": {"type": "fixed"},
            "gamma": {"type": "zero_flux"}},
     "gauges": [[16.5, 12.0], [12.0, 16.5]],  # equal 4.5 m offsets on each axis
-    "numerics": {"tol_admissibility": 1.0e-4},  # ADI splitting-error scale
     "output": {"snapshots": 8},
 }
 

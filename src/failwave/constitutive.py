@@ -206,16 +206,12 @@ def boundary_energy_release(gamma_dot, B, grid, bc_gamma: dict | None = None) ->
     bc_g = bc_gamma if bc_gamma is not None else _ZERO_FLUX
     if bc_g["type"] == "periodic":
         return 0.0
-    if grid.ndim == 1:
-        gd = np.asarray(gamma_dot, dtype=float)
-        return float(B[-1] * gd[-1] - B[0] * gd[0])
-    Bx, By = B
     gd = np.asarray(gamma_dot, dtype=float)
-    right = np.sum(Bx[:, -1] * gd[:, -1]) * grid.dy
-    left = -np.sum(Bx[:, 0] * gd[:, 0]) * grid.dy
-    top = np.sum(By[-1, :] * gd[-1, :]) * grid.dx
-    bottom = -np.sum(By[0, :] * gd[0, :]) * grid.dx
-    return float(right + left + top + bottom)
+    H = 0.0
+    for ax, Ba in zip(grid.axes, B if isinstance(B, tuple) else (B,)):
+        b, g = ax.view(Ba), ax.view(gd)
+        H += (b[..., -1] * g[..., -1] - b[..., 0] * g[..., 0]).sum() * ax.across
+    return float(H)
 
 
 def total_free_energy(

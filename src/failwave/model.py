@@ -518,7 +518,7 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
             num_raw.get("tol_admissibility", 1e-12), "numerics.tol_admissibility"
         ),
         "source_tol": _as_float(num_raw.get("source_tol", 1e-14), "numerics.source_tol"),
-        "source_max_iter": _as_int(num_raw.get("source_max_iter", 12), "numerics.source_max_iter"),
+        "source_max_iter": _as_int(num_raw.get("source_max_iter", 30), "numerics.source_max_iter"),
     }
     if numerics["tol_admissibility"] < 0:
         raise InvalidValue("numerics.tol_admissibility", "must be >= 0")

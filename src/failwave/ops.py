@@ -182,11 +182,12 @@ def grid_conductivity(active: np.ndarray, ks, grid, bc_g: dict) -> tuple:
     )
 
 
-def grid_flux_div(gamma: np.ndarray, K: tuple, grid, bc_g: dict) -> np.ndarray:
-    """Div(K grad Γ) at cells, summed over the grid axes."""
+def grid_flux_div(gamma: np.ndarray, K: tuple, grid, bcs) -> np.ndarray:
+    """Div(K grad Γ) at cells, summed over the grid axes (one face array and
+    one damage BC per axis)."""
     parts = [
-        ax.view(damage_flux_div(ax.view(gamma), ax.view(Ka), ax.h, bc_g))
-        for ax, Ka in zip(grid.axes, K)
+        ax.view(damage_flux_div(ax.view(gamma), ax.view(Ka), ax.h, bc))
+        for ax, Ka, bc in zip(grid.axes, K, bcs)
     ]
     return sum(parts[1:], parts[0])
 
@@ -244,10 +245,11 @@ class LineFactor(NamedTuple):
 
 
 def factor_lines(K, react, a: float, s: float, dh: float, bc_g: dict) -> LineFactor:
-    """Factor (a + react/2 - s*L) for each row of react at once.
+    """Factor (a + react/2 - s*L) for each line of react at once.
 
-    K holds face conductivities, shape (m, n+1); react the cell reaction,
-    shape (m, n). The rows become one tridiagonal system with zero coupling
+    K holds face conductivities, shape (..., n+1); react the cell reaction,
+    shape (..., n), one line of n cells along the last axis per leading
+    index. The lines become one tridiagonal system with zero coupling
     between them, so a single LAPACK dgttrf call factors every line and
     solve_lines reuses the factor for any number of right-hand sides.
     Dirichlet values enter through the ghost 2g - x_adj; periodic lines wrap
@@ -255,11 +257,11 @@ def factor_lines(K, react, a: float, s: float, dh: float, bc_g: dict) -> LineFac
     here once. Raises NonFiniteState on a non-finite or singular operator.
     """
     kind = bc_g["type"]
-    cl = K[:, :-1] / dh**2  # left face of each cell
-    cr = K[:, 1:] / dh**2  # right face
+    cl = K[..., :-1] / dh**2  # left face of each cell
+    cr = K[..., 1:] / dh**2  # right face
     if kind == "zero_flux":
-        cl[:, 0] = 0.0  # no flux through the walls
-        cr[:, -1] = 0.0
+        cl[..., 0] = 0.0  # no flux through the walls
+        cr[..., -1] = 0.0
     diag = a + 0.5 * react + s * (cl + cr)
     sub = -s * cl
     sup = -s * cr
@@ -267,47 +269,48 @@ def factor_lines(K, react, a: float, s: float, dh: float, bc_g: dict) -> LineFac
     if kind == "dirichlet":
         # the ghost doubles the wall coupling and adds a constant
         g = bc_g.get("value", 0.0)
-        diag[:, 0] += s * cl[:, 0]
-        diag[:, -1] += s * cr[:, -1]
-        ghost = (2.0 * s * cl[:, 0] * g, 2.0 * s * cr[:, -1] * g)
+        diag[..., 0] += s * cl[..., 0]
+        diag[..., -1] += s * cr[..., -1]
+        ghost = (2.0 * s * cl[..., 0] * g, 2.0 * s * cr[..., -1] * g)
     elif kind == "periodic":
-        corner = -s * K[:, 0] / dh**2  # A[0, n-1] = A[n-1, 0]
-        gam = -diag[:, 0]
-        diag[:, 0] -= gam
-        diag[:, -1] -= corner * corner / gam
+        corner = -s * K[..., 0] / dh**2  # A[0, n-1] = A[n-1, 0]
+        gam = -diag[..., 0]
+        diag[..., 0] -= gam
+        diag[..., -1] -= corner * corner / gam
     if not np.isfinite(diag).all():  # every coupling also enters diag
         raise NonFiniteState("damage operator")
-    sub[:, 0] = 0.0  # lines do not couple
-    sup[:, -1] = 0.0
+    sub[..., 0] = 0.0  # lines do not couple
+    sup[..., -1] = 0.0
     *lu, info = dgttrf(sub.ravel()[1:], diag.ravel(), sup.ravel()[:-1])
     if info > 0:
         raise NonFiniteState(f"damage operator (singular at row {info - 1})")
     if kind == "periodic":
         u = np.zeros_like(diag)
-        u[:, 0] = gam
-        u[:, -1] = corner
+        u[..., 0] = gam
+        u[..., -1] = corner
         w = dgttrs(*lu, u.ravel())[0].reshape(diag.shape)
         v_coef = corner / gam
-        sm = (w, v_coef, 1.0 + (w[:, 0] + v_coef * w[:, -1]))
+        sm = (w, v_coef, 1.0 + (w[..., 0] + v_coef * w[..., -1]))
     return LineFactor(tuple(lu), ghost, sm)
 
 
 def solve_lines(fac: LineFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve the factored line systems for an (m, n) right-hand side."""
+    """Solve the factored line systems for a (..., n) right-hand side."""
     if not np.isfinite(rhs).all():
         raise NonFiniteState("damage right-hand side")
     if fac.ghost is not None:
         rhs = rhs.copy()
-        rhs[:, 0] += fac.ghost[0]
-        rhs[:, -1] += fac.ghost[1]
+        rhs[..., 0] += fac.ghost[0]
+        rhs[..., -1] += fac.ghost[1]
     x = dgttrs(*fac.lu, rhs.ravel())[0].reshape(rhs.shape)
     if fac.sm is not None:
         w, v_coef, denom = fac.sm
-        x = x - w * ((x[:, 0] + v_coef * x[:, -1]) / denom)[:, None]
+        x = x - w * ((x[..., 0] + v_coef * x[..., -1]) / denom)[..., None]
     return x
 
 
 _ZERO_FLUX = {"type": "zero_flux"}
+_HOMOGENEOUS_DIRICHLET = {"type": "dirichlet", "value": 0.0}
 
 
 def active_box(active: np.ndarray):
@@ -332,22 +335,25 @@ def _three_cells(s: slice, n: int) -> slice:
 
 
 class DamageOperator(NamedTuple):
-    """The implicit damage operator of one active set, restricted to the
-    bounding box of its active cells. K (one face array per grid axis),
-    coef and fac cover the box only; bc is the damage BC of each grid axis
-    at the box edges."""
+    """The Crank-Nicolson damage operator of one active set, restricted to
+    the bounding box of its active cells: A = D - L/2, with D = lam/dt +
+    react/2 and L the sum of every grid axis's flux divergence. K (one face
+    array per grid axis), coef, diag and fac cover the box only; bc is the
+    damage BC of each grid axis at the box edges."""
 
     box: tuple  # one slice per array axis
     K: tuple
-    coef: np.ndarray  # a - react/2, the explicit diagonal
     bc: tuple
-    fac: object  # factor_damage result
+    coef: np.ndarray  # C = lam/dt - react/2, the explicit diagonal
+    diag: np.ndarray  # D = lam/dt + react/2
+    fac: tuple  # factor_lines of D - L_a/2 per axis, homogeneous (no dirichlet constant)
+    ghost: tuple  # each axis's dirichlet constants at its (first, last) cells, or None
 
 
 def damage_operator(active, K, react, lam: float, dt: float, grid, bc_g: dict):
     """Restrict the damage operator (face conductivity K per grid axis, cell
-    reaction react) to the box of the active cells and factor it there;
-    None when no cell is active.
+    reaction react) to the box of the active cells and factor each axis's
+    D - L_a/2 there; None when no cell is active.
 
     Cells outside the box are inactive, so they keep their Γ. Every face on
     a box edge that is not a wall has such a cell on its far side, hence
@@ -359,75 +365,60 @@ def damage_operator(active, K, react, lam: float, dt: float, grid, bc_g: dict):
         return None
     # scipy's dgttrf/dgttrs want 3 unknowns or more: pad with inactive cells
     box = tuple(_three_cells(s, n) for s, n in zip(box, active.shape))
-    Kb, bcs = [], []
-    for i, Ka in enumerate(K):
+    react = react[box]
+    a = lam / dt
+    Kb, bcs, facs, ghosts = [], [], [], []
+    for i, (ax, Ka) in enumerate(zip(grid.axes, K)):
         dim = active.ndim - 1 - i  # x is the last array axis, y the first
         s = box[dim]
-        Kb.append(Ka[box[:dim] + (slice(s.start, s.stop + 1),) + box[dim + 1:]])
+        Ka = Ka[box[:dim] + (slice(s.start, s.stop + 1),) + box[dim + 1:]]
         spans = s.stop - s.start == active.shape[dim]
-        bcs.append(bc_g if spans or bc_g["type"] != "periodic" else _ZERO_FLUX)
-    react = react[box]
-    a = lam / dt if grid.ndim == 1 else 2.0 * lam / dt  # 2D: lam / (dt/2)
-    fac = factor_damage(Kb, react, lam, dt, grid, bcs)
-    return DamageOperator(box, tuple(Kb), a - 0.5 * react, tuple(bcs), fac)
-
-
-def factor_damage(K, react, lam: float, dt: float, grid, bcs):
-    """Factors for one damage operator, reusable across steps and Picard
-    iterations: the 1D Crank-Nicolson matrix, or the (x, y) pair of ADI
-    half-sweep matrices (the y sweep works on transposes). K holds one face
-    array per axis and bcs one damage BC per axis."""
-    if grid.ndim == 1:
-        return factor_lines(K[0][None], react[None], lam / dt, 0.5, grid.dx, bcs[0])
-    Kx, Ky = K
-    a = 2.0 * lam / dt  # lam / (dt/2)
-    return (
-        factor_lines(Kx, react, a, 1.0, grid.dx, bcs[0]),
-        factor_lines(Ky.T, react.T, a, 1.0, grid.dy, bcs[1]),
+        bc = bc_g if spans or bc_g["type"] != "periodic" else _ZERO_FLUX
+        fac = factor_lines(ax.view(Ka), ax.view(react), a, 0.5, ax.h, bc)
+        Kb.append(Ka)
+        bcs.append(bc)
+        facs.append(fac._replace(ghost=None))
+        ghosts.append(fac.ghost)
+    return DamageOperator(
+        box, tuple(Kb), tuple(bcs), a - 0.5 * react, a + 0.5 * react, tuple(facs), tuple(ghosts)
     )
 
 
 def damage_rhs(gamma: np.ndarray, op: DamageOperator, grid):
     """The source-free part of a damage step's right-hand side on op's box
-    (gamma is the box's cells): in 1D the pair ((a - react/2) Γ, L Γ / 2),
-    in 2D the first ADI sweep's (a - react/2) Γ + Ly Γ. It holds for every
-    Picard iteration of the step."""
-    explicit = op.coef * gamma
-    if grid.ndim == 1:
-        return explicit, 0.5 * damage_flux_div(gamma, op.K[0], grid.dx, op.bc[0])
-    return explicit + damage_flux_div(gamma.T, op.K[1].T, grid.dy, op.bc[1]).T
+    (gamma is the box's cells): the pair (C Γ, L Γ / 2), with the dirichlet
+    ghosts inside L. It holds for every iteration of the step."""
+    return op.coef * gamma, 0.5 * grid_flux_div(gamma, op.K, grid, op.bc)
 
 
-def cn_damage_step_1d(rhs0: tuple, source: np.ndarray, fac: LineFactor) -> np.ndarray:
-    """One Crank-Nicolson step of lam*dΓ/dt = d/dx(K dΓ/dx) - react*Γ + source.
+def damage_step(rhs0: tuple, source: np.ndarray, op: DamageOperator, grid, prev=None):
+    """One correction towards the Crank-Nicolson damage step on op's box,
+    (D - L/2) Γ = b with b = C Γ0 + L Γ0 / 2 + g + source: rhs0 is
+    damage_rhs's pair, g the dirichlet constants (added here once, so every
+    line solve is homogeneous), and source is zero on inactive cells (K and
+    react are zero there too, so frozen cells reduce to identity rows).
 
-    rhs0 is damage_rhs's pair and fac the operator's factor. source must
-    already be zero on inactive cells (K and react are zero there too), so
-    frozen cells reduce to the identity row. Unconditionally stable; source
-    is held fixed over the step (the caller iterates for nonlinear sources).
+    Solves M Γ = b + (M - A) Γk with M = (D - Lx/2) D^-1 (D - Ly/2), the
+    approximate factorisation of A = D - L/2: an x solve, a multiply by D,
+    a y solve. In 1D M = A and one correction is the exact step. In 2D the
+    cross term M - A = Lx D^-1 Ly / 4 costs one flux divergence, since the
+    previous y solve gives Ly Γk = 2 D (Γk - xk), xk its x-sweep result;
+    the corrections contract each mode by mu_x mu_y / ((1+mu_x)(1+mu_y)).
+    prev is the previous return value (Γk, xk), None for the first one.
+    Returns (Γ, x), x None in 1D.
     """
     explicit, half_div = rhs0
-    return solve_lines(fac, ((explicit + source) + half_div)[None])[0]
-
-
-def adi_damage_step_2d(rhs0: np.ndarray, source: np.ndarray, op: DamageOperator, dx: float) -> np.ndarray:
-    """Peaceman-Rachford ADI step of the 2D damage equation.
-
-    Two half steps of length dt/2: the first implicit in x and explicit in y,
-    the second the reverse. The linear reaction is split evenly across both
-    sides of each half step and the source enters each half step in full.
-    rhs0 is damage_rhs's first-sweep part.
-    """
-    fx, fy = op.fac
-    # sweep 1: (a + react/2 - Lx) star = (a - react/2) gamma + Ly gamma + source
-    star = solve_lines(fx, rhs0 + source)
-    # sweep 2: (a + react/2 - Ly) out = (a - react/2) star + Lx star + source
-    rhs = op.coef * star + damage_flux_div(star, op.K[0], dx, op.bc[0]) + source
-    return np.ascontiguousarray(solve_lines(fy, rhs.T).T)
-
-
-def damage_step(rhs0, source: np.ndarray, op: DamageOperator, grid) -> np.ndarray:
-    """One implicit damage step on op's box, with damage_rhs's rhs0."""
-    if grid.ndim == 1:
-        return cn_damage_step_1d(rhs0, source, op.fac)
-    return adi_damage_step_2d(rhs0, source, op, grid.dx)
+    b = (explicit + source) + half_div
+    for ax, ghost in zip(grid.axes, op.ghost):
+        if ghost is not None:
+            view = ax.view(b)
+            view[..., 0] += ghost[0]
+            view[..., -1] += ghost[1]
+    if prev is not None and prev[1] is not None:  # Lx D^-1 Ly Γk / 4, homogeneous
+        bc = _HOMOGENEOUS_DIRICHLET if op.bc[0]["type"] == "dirichlet" else op.bc[0]
+        b += 0.5 * damage_flux_div(prev[0] - prev[1], op.K[0], grid.axes[0].h, bc)
+    x = solve_lines(op.fac[0], b)  # x lines run along the last array axis
+    if len(op.fac) == 1:
+        return x, None
+    y = grid.axes[1]
+    return y.view(solve_lines(op.fac[1], y.view(op.diag * x))), x

@@ -213,9 +213,10 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None, operators=None)
 
     Crank-Nicolson (default) folds linear sources into the solve; the
     logistic source is iterated to the implicit midpoint (Picard, tolerance
-    numerics.source_tol), so the discrete admissibility product stays
-    nonnegative up to roundoff; PicardNotConverged is raised when
-    numerics.source_max_iter iterations fall short. The solve covers the
+    numerics.source_tol), together with the 2D defect correction
+    (ops.damage_step), so the discrete admissibility product stays
+    nonnegative up to roundoff in 1D and 2D; PicardNotConverged is raised
+    when numerics.source_max_iter iterations fall short. The solve covers the
     bounding box of the active cells; every other cell keeps its value.
     NonFiniteState is raised on a non-finite operator or right-hand side,
     or a non-finite explicit update. Both carry a copy of the state as
@@ -248,7 +249,7 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None, operators=None)
             if diff_number > 0.5 + 1e-12:
                 raise DiffusionStabilityViolation(diff_number)
             A = cst.damage_force(gamma, p, model=p.model, uX=uX)
-            rhs = ops.grid_flux_div(gamma, K, grid, bc_g) + np.where(active, A, 0.0)
+            rhs = ops.grid_flux_div(gamma, K, grid, [bc_g] * len(K)) + np.where(active, A, 0.0)
             gamma_new = gamma + dt / p.lam * np.where(active, rhs, 0.0)
             if not np.isfinite(gamma_new).all():
                 raise NonFiniteState("explicit damage update")
@@ -261,30 +262,32 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None, operators=None)
                 g = gamma[box]
                 on = active[box]
                 # the operator and the source-free right-hand side hold for
-                # the whole step: each Picard iteration adds the source and
-                # costs one banded solve
+                # the whole step; each iteration updates the logistic source
+                # (Picard to the midpoint) and, in 2D, the defect correction
                 rhs0 = ops.damage_rhs(g, op, grid)
-                if p.model == "feng" and p.source_law == "logistic":
-                    tol = cfg.numerics["source_tol"]
-                    max_iter = cfg.numerics["source_max_iter"]
-                    rest = np.abs(gamma)
-                    rest[box] = 0.0
-                    rest_max = float(rest.max())  # |Γ| outside the box, fixed this step
-                    g_new = g
-                    for _ in range(max_iter):
+                picard = p.model == "feng" and p.source_law == "logistic"
+                if p.model == "linear":
+                    source = np.where(on, -p.b * uX[box], 0.0)
+                elif not picard:
+                    source = np.zeros(g.shape)
+                tol, max_iter = cfg.numerics["source_tol"], cfg.numerics["source_max_iter"]
+                rest = np.abs(gamma)
+                rest[box] = 0.0
+                rest_max = float(rest.max())  # |Γ| outside the box, fixed this step
+                g_new, prev = g, None
+                for _ in range(max_iter):
+                    if picard:
                         source = np.where(on, cst.damage_force(0.5 * (g + g_new), p), 0.0)
-                        nxt = ops.damage_step(rhs0, source, op, grid)
-                        delta = float(np.abs(nxt - g_new).max())
-                        g_new = nxt
-                        limit = tol * max(1.0, float(np.abs(g_new).max()), rest_max)
-                        if delta <= limit:
-                            break
-                    else:
-                        raise PicardNotConverged(state.time, max_iter, delta, limit)
-                elif p.model == "linear":
-                    g_new = ops.damage_step(rhs0, np.where(on, -p.b * uX[box], 0.0), op, grid)
+                    nxt, x = ops.damage_step(rhs0, source, op, grid, prev)
+                    delta = float(np.abs(nxt - g_new).max())
+                    g_new, prev = nxt, (nxt, x)
+                    if not picard and x is None:
+                        break  # 1D linear or source-free: the one solve is exact
+                    limit = tol * max(1.0, float(np.abs(g_new).max()), rest_max)
+                    if delta <= limit:
+                        break
                 else:
-                    g_new = ops.damage_step(rhs0, np.zeros(g.shape), op, grid)
+                    raise PicardNotConverged(state.time, max_iter, delta, limit)
                 gamma_new[box] = g_new
             z_probe = None  # midpoint, assigned after the clamp below
     except (NonFiniteState, PicardNotConverged) as err:

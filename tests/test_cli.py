@@ -221,7 +221,6 @@ bc:
   u_right: {type: fixed}
   gamma: {type: zero_flux}
 gauges: [[2.0, 1.0]]
-numerics: {tol_admissibility: 1.0e-4}
 output: {snapshots: 3}
 """
 

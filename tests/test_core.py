@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import failwave as fw
 from failwave.errors import (
@@ -175,22 +178,104 @@ def test_source_iteration_count_must_be_positive():
 # -- canonical form ------------------------------------------------------------
 
 
-def test_yaml_round_trip_identity():
-    doc = minimal_doc(
-        name="round_trip",
-        material={"rho0": 2.0, "c1": 3.0, "c3": 0.5, "lambda": 0.7, "d1": 0.2,
-                  "sigma0": 0.1,
-                  "source": {"law": "logistic", "rate": 2.0, "gamma_max": 0.9}},
-        ic={"U": {"type": "sine", "amplitude": 0.01, "mode": 2},
-            "gamma": {"type": "gaussian", "amplitude": 0.5, "center": 0.5, "width": 0.1}},
-        bc={"u_left": {"type": "traction", "value": -2.0},
-            "u_right": {"type": "free"},
-            "gamma": {"type": "dirichlet", "value": 0.0}},
-        gauges=[0.25, 0.75],
+finite = st.floats(-1e100, 1e100)
+positive = st.floats(0.0, 1e100, exclude_min=True)
+nonnegative = st.floats(0.0, 1e100)
+
+
+def _ic_entries(shape):
+    two_d = len(shape) == 2
+    point = st.lists(finite, min_size=2, max_size=2) if two_d else finite
+    width = st.lists(positive, min_size=2, max_size=2) if two_d else positive
+    return st.one_of(
+        st.just({"type": "zeros"}),
+        st.builds(lambda v: {"type": "constant", "value": v}, finite),
+        st.builds(lambda a, c, w: {"type": "gaussian", "amplitude": a, "center": c, "width": w},
+                  finite, point, width),
+        st.builds(lambda a, m: {"type": "sine", "amplitude": a, "mode": m},
+                  finite, st.integers(1, 8)),
+        st.builds(lambda l, r, at: {"type": "step", "left": l, "right": r, "at": at},
+                  finite, finite, finite),
+        st.builds(lambda v: {"type": "tabulated", "values": v.tolist()},
+                  hnp.arrays(float, shape, elements=finite)),
     )
+
+
+_u_bcs = st.one_of(
+    st.builds(lambda k, v: {"type": k, "value": v}, st.sampled_from(("fixed", "velocity")), finite),
+    st.just({"type": "free"}),
+    st.builds(
+        lambda v, until, ramp: {"type": "traction", "value": v, "ramp": ramp}
+        | ({} if until is None else {"until": until}),
+        finite, st.none() | positive, nonnegative,
+    ),
+)
+_gamma_bcs = st.one_of(
+    st.just({"type": "zero_flux"}),
+    st.builds(lambda v: {"type": "dirichlet", "value": v}, finite),
+)
+
+
+@st.composite
+def scenario_docs(draw):
+    """Valid scenario documents over 1D and 2D grids, every u and gamma
+    boundary condition, both source laws and every numerics key."""
+    nx = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        ny = draw(st.integers(3, 6))
+        grid = {"nx": nx, "ny": ny, "dx": draw(positive), "dy": draw(positive),
+                "origin_x": draw(finite), "origin_y": draw(finite)}
+        shape = (ny, nx)
+        lengths = (grid["origin_x"], nx * grid["dx"]), (grid["origin_y"], ny * grid["dy"])
+        gauge = st.tuples(*(st.floats(0.0, 1.0).map(lambda f, o=o, n=n: o + f * n)
+                            for o, n in lengths)).map(list)
+        kind = "coupled"
+    else:
+        grid = {"nx": nx, "dx": draw(positive), "origin": draw(finite)}
+        shape = (nx,)
+        gauge = st.floats(0.0, 1.0).map(lambda f: grid["origin"] + f * (nx * grid["dx"]))
+        kind = draw(st.sampled_from(("coupled", "clifton")))
+    model = draw(st.sampled_from(("feng", "linear")))
+    law = draw(st.sampled_from(("linear_decay", "logistic"))) if model == "feng" else "linear_decay"
+    material = {
+        "rho0": draw(positive), "c1": draw(positive), "c2": draw(nonnegative), "c3": draw(finite),
+        "theta0": draw(positive), "lambda": draw(nonnegative), "d1": draw(nonnegative),
+        "d2": draw(nonnegative), "b": draw(finite), "sigma0": draw(nonnegative), "model": model,
+        "source": {"law": law, "rate": draw(positive), "gamma_max": draw(positive)},
+    }
+    if draw(st.booleans()):
+        bc = {side: {"type": "periodic"} for side in ("u_left", "u_right", "gamma")}
+    else:
+        bc = {"u_left": draw(_u_bcs), "u_right": draw(_u_bcs), "gamma": draw(_gamma_bcs)}
+    dt = draw(positive)
+    ics = _ic_entries(shape)
+    return {
+        "name": draw(st.text("abcxyz019_- ", min_size=1, max_size=8)),
+        "kind": kind,
+        "grid": grid,
+        "material": material,
+        "time": {"dt": dt, "t_end": draw(st.floats(dt, 2e100))},
+        "ic": {"U": draw(ics), "v": draw(ics), "gamma": draw(ics)},
+        "bc": bc,
+        "body_force": draw(finite),
+        "gauges": draw(st.lists(gauge, max_size=3)),
+        "output": {"snapshots": draw(st.integers(2, 50))},
+        "numerics": {
+            "scheme": draw(st.sampled_from(("cn", "explicit"))),
+            "tol_admissibility": draw(nonnegative),
+            "source_tol": draw(positive),
+            "source_max_iter": draw(st.integers(1, 1000)),
+        },
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_docs())
+def test_yaml_round_trip_identity(doc):
     cfg = fw.build_scenario(doc)
     again = fw.build_scenario(fw.scenario_to_yaml(cfg))
     assert again == cfg
+    assert fw.config_hash(again) == fw.config_hash(cfg)
 
 
 def test_config_hash_stable_and_sensitive():

@@ -140,13 +140,14 @@ def test_trajectory_matches_solver_run():
 
 def test_trajectory_is_audited_like_run():
     # a run that breaks strict admissibility stops the recording at the
-    # same step (anisotropic 2D seed; see test_solver's ADI test)
+    # same step: a logistic bar seeded with negative damage, which the
+    # clamp at zero lifts against its (negative) driving force
     doc = {
-        "grid": {"nx": 64, "ny": 64, "dx": 0.25, "dy": 0.25},
-        "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1.0, "d1": 0.2, "d2": 2.0},
-        "time": {"dt": 0.05, "t_end": 1.0},
-        "ic": {"gamma": {"type": "gaussian", "amplitude": 1.0,
-                         "center": [8.0, 8.0], "width": 0.4}},
+        "grid": {"nx": 32, "dx": 1.0 / 32},
+        "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1.0, "d1": 0.1,
+                     "source": {"law": "logistic", "rate": 1.0, "gamma_max": 1.0}},
+        "time": {"dt": 0.01, "t_end": 0.1},
+        "ic": {"gamma": {"type": "step", "left": -0.2, "right": 0.0, "at": 0.5}},
         "bc": {"u_left": {"type": "fixed"}, "u_right": {"type": "fixed"},
                "gamma": {"type": "zero_flux"}},
     }
