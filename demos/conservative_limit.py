@@ -3,8 +3,9 @@ vanish linearly while the frozen-damage limit conserves energy.
 
 For c2 = 0 and no source the damage rate is d1 * Laplacian(gamma),
 independent of lambda, so the dissipated power integral scales exactly
-linearly in lambda. At lambda = 0 the damage field is frozen and the
-leapfrog elastic step conserves total energy to its O(dt^2) wobble.
+linearly in lambda. At lambda = 0 (kind: clifton) the same velocity-Verlet
+loop runs with the damage substep skipped: the damage field is frozen and
+the elastic step conserves total energy to its O(dt^2) wobble.
 
 Usage: python demos/conservative_limit.py [--lambdas 1e-2,1e-3,1e-4]
 """

@@ -209,7 +209,8 @@ def budget_imbalance(reports) -> float:
 def clifton_limit_study(base_cfg: ScenarioConfig, lambdas: Sequence[float]) -> LimitStudyResult:
     """Re-run one scenario across dissipation coefficients, holding d1 fixed
     (so conductivity lam*d1 vanishes with lam). lam = 0 entries run as
-    kind: clifton, the conservative staggered integrator. Cumulative dissipation scales
+    kind: clifton, the same integrator with the damage field frozen, so the
+    rows are one discretisation's limit. Cumulative dissipation scales
     linearly in lam because the damage trajectory itself is lam-independent
     over this family (pure diffusion with diffusivity d1).
     """

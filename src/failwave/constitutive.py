@@ -21,13 +21,10 @@ production in W/(m^3 K).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import ops
-from .errors import SingularLambda
-from .model import FieldState, MaterialParams
+from .model import MaterialParams
 
 
 def _grad_parts(grad_gamma):
@@ -135,21 +132,6 @@ def entropy_production(gamma_dot, p: MaterialParams):
     return p.lam * gd**2 / p.theta0
 
 
-def entropy_flux(gamma_dot, B, p: MaterialParams):
-    """Entropy flux -B*gamma_dot/theta0; pass colocated arrays."""
-    return -np.asarray(B, dtype=float) * np.asarray(gamma_dot, dtype=float) / p.theta0
-
-
-def phenomenological_rate(Z, p: MaterialParams, active=None):
-    """Evolution law gamma_dot = Z/lam (1/s) on active cells, 0 elsewhere."""
-    if p.lam == 0.0:
-        raise SingularLambda("lam = 0 has no rate form; use clifton mode")
-    rate = np.asarray(Z, dtype=float) / p.lam
-    if active is not None:
-        rate = np.where(active, rate, 0.0)
-    return rate
-
-
 def elastic_wave_speed(uX, p: MaterialParams) -> float:
     """Max characteristic speed sqrt((c1 + 3 c3 uX^2)/rho0) over the field (m/s)."""
     u2 = float(np.max(np.asarray(uX) ** 2)) if np.size(uX) else 0.0
@@ -214,6 +196,29 @@ def boundary_energy_release(gamma_dot, B, grid, bc_gamma: dict | None = None) ->
     return float(H)
 
 
+def damage_free_energy(
+    gamma: np.ndarray,
+    p: MaterialParams,
+    grid,
+    bc_g: dict,
+    weights: tuple,
+    active: np.ndarray | None = None,
+    K: tuple | None = None,
+) -> tuple:
+    """The damage part of the discrete free energy (J per unit
+    cross-section), as the pair (gradient term on faces, potential term on
+    cells). weights are the damage-gradient weights of ops.energy_weights;
+    K (face conductivity of each grid axis, from active) is computed here
+    when not given."""
+    if K is None:
+        K = _conductivity(active, p, grid, bc_g)
+    e_grad = 0.0
+    for ax, Ka, w in zip(grid.axes, K, weights):
+        grad = ops.gamma_grad_faces(ax.view(gamma), ax.h, bc_g)
+        e_grad += float(np.sum(0.5 * ax.view(Ka) * grad**2 * w) * ax.across)
+    return e_grad, float(np.sum(damage_potential(gamma, p) * grid.cell_volume))
+
+
 def total_free_energy(
     U: np.ndarray,
     gamma: np.ndarray,
@@ -226,6 +231,7 @@ def total_free_energy(
     K: tuple | None = None,
     eps: np.ndarray | None = None,
     weights: tuple | None = None,
+    damage: tuple | None = None,
 ) -> float:
     """Discrete free energy (J per unit cross-section) with the quadrature
     the solver's budget uses: strain and gradient terms on faces (interior
@@ -234,84 +240,18 @@ def total_free_energy(
 
     The half-weight wall rule makes d(psi)/d(field) reproduce the scheme's
     force exactly, so the budget closes to time-discretization error.
-    K (face conductivity of each grid axis), eps (face strain at t) and
-    weights (ops.energy_weights) are computed here when not given.
+    K (face conductivity of each grid axis), eps (face strain at t),
+    weights (ops.energy_weights) and damage (damage_free_energy of gamma)
+    are computed here when not given.
     """
-    bc_g = bc["gamma"]
-    if K is None:
-        K = _conductivity(active, p, grid, bc_g)
     if eps is None:
         eps = ops.strain_faces(U, grid, bc, t)
     w_u, w_gamma = weights if weights is not None else ops.energy_weights(bc, grid)
-    axes = grid.axes
-    e_el = float(np.sum(elastic_energy_density(eps, p, model) * w_u) * axes[0].across)
-    e_grad = 0.0
-    for ax, Ka, w in zip(axes, K, w_gamma):
-        grad = ops.gamma_grad_faces(ax.view(gamma), ax.h, bc_g)
-        e_grad += float(np.sum(0.5 * ax.view(Ka) * grad**2 * w) * ax.across)
-    e_cell = float(np.sum(damage_potential(gamma, p) * grid.cell_volume))
+    e_el = float(np.sum(elastic_energy_density(eps, p, model) * w_u) * grid.axes[0].across)
+    if damage is None:
+        damage = damage_free_energy(gamma, p, grid, bc["gamma"], w_gamma, active, K)
+    e_grad, e_cell = damage
     if model == "linear" and p.b != 0.0:
         uXc = ops.face_mean(eps)
         e_cell += float(np.sum(p.b * uXc * gamma * grid.cell_volume))
     return e_el + e_grad + e_cell
-
-
-@dataclass
-class ConstitutiveEval:
-    """Cell-diagnostic bundle of every derived constitutive quantity.
-
-    psi (J/m^3), S (Pa), A (Pa), Z (Pa) are cell fields; B (Pa*m) is
-    face-centered ((nx+1,) or an (x, y) pair). D_val (W/m^3) and sdot_i
-    (W/(m^3 K)) satisfy sdot_i = 2*D_val/theta0 identically.
-    """
-
-    psi: np.ndarray
-    S: np.ndarray
-    A: np.ndarray
-    B: object
-    Z: np.ndarray
-    D_val: np.ndarray
-    sdot_i: np.ndarray
-
-
-def evaluate(
-    state: FieldState,
-    p: MaterialParams,
-    grid,
-    bc: dict,
-    model: str = "feng",
-    gamma_dot=None,
-) -> ConstitutiveEval:
-    """Evaluate all derived fields for one state.
-
-    gamma_dot defaults to the evolution law Z/lam on active cells (zero when
-    lam = 0, the conservative limit).
-    """
-    uXc = ops.strain_cells(state.U, grid, bc, state.time)
-    A, B, Z = internal_forces(
-        state.gamma, p, grid, model=model, uX=uXc, bc_gamma=bc["gamma"], active=state.active
-    )
-    if gamma_dot is None:
-        if p.lam > 0.0:
-            gamma_dot = np.where(state.active, Z / p.lam, 0.0)
-        else:
-            gamma_dot = np.zeros_like(state.gamma)
-    grad = [
-        ax.view(ops.face_mean(ops.gamma_grad_faces(ax.view(state.gamma), ax.h, bc["gamma"])))
-        for ax in grid.axes
-    ]
-    psi = free_energy(uXc, state.gamma, grad[0] if len(grad) == 1 else tuple(grad), p, model)
-    if model == "feng" and p.source_law == "logistic":
-        # swap the quadratic well for the potential actually driving the run
-        psi = psi - 0.5 * p.c2 * state.gamma**2 + damage_potential(state.gamma, p)
-    S = stress(uXc, state.gamma, p, model)
-    D_val = dissipation(gamma_dot, p)
-    return ConstitutiveEval(
-        psi=psi,
-        S=S,
-        A=A,
-        B=B,
-        Z=Z,
-        D_val=D_val,
-        sdot_i=2.0 * D_val / p.theta0,
-    )

@@ -460,8 +460,6 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
         raise InvalidValue("time.t_end", "must be >= dt")
 
     kind = _check_enum(str(raw.get("kind", "coupled")), KINDS, "kind")
-    if kind == "clifton" and grid.ndim != 1:
-        raise InvalidValue("kind", "clifton mode is 1D only")
 
     ic_raw = raw.get("ic", {}) or {}
     ic = {

@@ -5,8 +5,8 @@ algebraically identical to the centered three-level scheme), then activation
 of cells whose stress magnitude reached the threshold, then one damage step
 (Crank-Nicolson by default, explicit Euler for cross-checks). Coupling is
 one-way in the feng model: the elastic substep never reads the damage field.
-The conservative lam = 0 limit (kind: clifton) swaps that step for a
-staggered leapfrog; run drives either step sequence with the same output.
+The conservative lam = 0 limit (kind: clifton) is the same loop with the
+damage substep skipped: the damage field stays frozen and nothing dissipates.
 
 Every step is audited: hyperbolic Courant number, parabolic stability
 number, the pointwise admissibility product Z*dGamma/dt, and a running
@@ -121,22 +121,24 @@ def _stress_faces(U, gamma, t, cfg: ScenarioConfig, eps=None) -> np.ndarray:
     return ops.override_stress_faces(S, cfg.bc, t)
 
 
-class Faces(NamedTuple):
-    """Face strain and face stress of one time level, evaluated once and read
-    by every part of a step that needs them."""
+def _accel(S_faces, cfg: ScenarioConfig):
+    return ops.div_faces(S_faces, cfg.grid.dx) / cfg.material.rho0 + cfg.body_force
 
-    time: float
+
+class Faces(NamedTuple):
+    """Face strain and face stress of one time level, and the acceleration
+    div(S)/rho0 + r they give, evaluated once and read by every part of a
+    step that needs them."""
+
     eps: np.ndarray
     S: np.ndarray
+    accel: np.ndarray
 
 
 def level_faces(U, gamma, t: float, cfg: ScenarioConfig) -> Faces:
     eps = ops.strain_faces(U, cfg.grid, cfg.bc, t)
-    return Faces(t, eps, _stress_faces(U, gamma, t, cfg, eps=eps))
-
-
-def _accel(S_faces, cfg: ScenarioConfig):
-    return ops.div_faces(S_faces, cfg.grid.dx) / cfg.material.rho0 + cfg.body_force
+    S = _stress_faces(U, gamma, t, cfg, eps=eps)
+    return Faces(eps, S, _accel(S, cfg))
 
 
 def _check_courant(c_max: float, dt: float, dx: float, state: FieldState) -> float:
@@ -152,23 +154,32 @@ def _check_courant(c_max: float, dt: float, dx: float, state: FieldState) -> flo
     return cfl
 
 
-def step_elastic(state: FieldState, cfg: ScenarioConfig, faces: Optional[Faces] = None):
+def step_elastic(
+    state: FieldState,
+    cfg: ScenarioConfig,
+    faces: Optional[Faces] = None,
+    t_new: Optional[float] = None,
+):
     """One velocity-Verlet step of rho0*U_tt = dS/dX + rho0*r.
 
     faces are the state's own (level_faces of its U, gamma and time), computed
-    here when not given. Returns (U_new, v_new, max_cfl, faces_new), where
-    faces_new are those of U_new at state.time + dt with the unchanged gamma,
-    as the final half kick used them. Raises CflViolation before touching
-    the state when c_max*dt/dx exceeds 1, and NonFiniteState when it is NaN.
+    here when not given. t_new is the new level's time, state.time + dt when
+    not given; a run passes k*dt, which (k-1)*dt + dt may round off. Returns
+    (U_new, v_new, max_cfl, faces_new), where faces_new are those of U_new at
+    t_new with the unchanged gamma, as the final half kick used them. Raises
+    CflViolation before touching the state when c_max*dt/dx exceeds 1, and
+    NonFiniteState when it is NaN.
     """
     dt = cfg.dt
     if faces is None:
         faces = level_faces(state.U, state.gamma, state.time, cfg)
+    if t_new is None:
+        t_new = state.time + dt
     cfl = _check_courant(cst.elastic_wave_speed(faces.eps, cfg.material), dt, cfg.grid.dx, state)
-    v_half = state.v + 0.5 * dt * _accel(faces.S, cfg)
+    v_half = state.v + 0.5 * dt * faces.accel
     U_new = state.U + dt * v_half
-    new = level_faces(U_new, state.gamma, state.time + dt, cfg)
-    v_new = v_half + 0.5 * dt * _accel(new.S, cfg)
+    new = level_faces(U_new, state.gamma, t_new, cfg)
+    v_new = v_half + 0.5 * dt * new.accel
     return U_new, v_new, cfl, new
 
 
@@ -395,16 +406,15 @@ def _step_count(cfg: ScenarioConfig) -> int:
 def run(cfg: ScenarioConfig) -> RunResult:
     """Integrate a scenario to t_end.
 
-    kind: coupled advances the full system (_coupled_steps), kind: clifton
-    its conservative lam = 0 limit (_leapfrog_steps). Either way the state
-    is sampled at every level into the reports and gauge traces, and at the
+    kind: coupled advances the full system, kind: clifton its conservative
+    lam = 0 limit; both go through _coupled_steps. The state is sampled at
+    every level into the reports and gauge traces, and at the
     output.snapshots cadence into full-field snapshots. The steps' typed
     errors (CflViolation, AdmissibilityViolation, ...) propagate as raised.
     """
     p = cfg.material
     nsteps = _step_count(cfg)
     state = initialize_state(cfg)
-    steps = _leapfrog_steps if cfg.kind == "clifton" else _coupled_steps
     snap_steps = set(np.linspace(0, nsteps, cfg.output["snapshots"]).astype(int).tolist())
     traces = [
         GaugeTrace(
@@ -419,7 +429,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
     ]
     reports: List[StepReport] = []
     snapshots: List[Snapshot] = []
-    for k, (report, S_cells) in enumerate(steps(state, cfg)):
+    for k, (report, S_cells) in enumerate(_coupled_steps(state, cfg)):
         reports.append(report)
         proxy = lateral_stress_proxy(state.gamma, p)
         for trace in traces:
@@ -459,18 +469,41 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
     them, and the damage operators are rebuilt only on a step that
     activates a cell. Raises AdmissibilityViolation (with the offending
     state attached) if min Z*dGamma/dt drops below -tol * peak magnitude.
+
+    kind: clifton is the conservative limit (lam = 0, c2 = 0, b = 0, no
+    source; ConfigConflict otherwise): every step skips activation, the
+    damage substep and the audit, so no cell is active, the damage field is
+    frozen, dissipation and release stay zero, and total energy is conserved
+    to discretization error.
     """
     p = cfg.material
     grid = cfg.grid
     dt = cfg.dt
+    frozen = cfg.kind == "clifton"
+    if frozen:
+        if p.lam != 0.0 or p.c2 != 0.0 or p.b != 0.0 or (
+            p.source_law == "logistic" and p.source_rate != 0.0
+        ):
+            raise ConfigConflict(
+                "conservative limit needs lam = 0, c2 = 0, b = 0, and no source; got "
+                f"lam={p.lam}, c2={p.c2}, b={p.b}"
+            )
+        state.active = np.zeros(grid.shape, dtype=bool)
     weights = ops.energy_weights(cfg.bc, grid)
     faces = level_faces(state.U, state.gamma, state.time, cfg)
     damage_ops = None
+    e_damage = None  # damage part of the free energy, evaluated when gamma moved
 
     def budget(dissipated, work, released):
+        nonlocal e_damage
+        if e_damage is None:
+            e_damage = cst.damage_free_energy(
+                state.gamma, p, grid, cfg.bc["gamma"], weights[1], state.active,
+                K=None if damage_ops is None else damage_ops.K,
+            )
         free = cst.total_free_energy(
-            state.U, state.gamma, p, grid, cfg.bc, state.time, p.model, state.active,
-            K=None if damage_ops is None else damage_ops.K, eps=faces.eps, weights=weights,
+            state.U, state.gamma, p, grid, cfg.bc, state.time, p.model,
+            eps=faces.eps, weights=weights, damage=e_damage,
         )
         return EnergyBudget(
             kinetic=_kinetic(state.v, p, grid),
@@ -491,117 +524,48 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
     dissipated = 0.0
     released = 0.0
     work = 0.0
+    max_diff = 0.0
+    min_zg = 0.0
     tol_adm = cfg.numerics["tol_admissibility"]
     zg_peak = 0.0
     power_prev = _wall_power(faces.S, state.v, state.time, cfg)
     for k in range(1, _step_count(cfg) + 1):
-        state.U, state.v, cfl, faces = step_elastic(state, cfg, faces)
-        state.time = k * dt
-        if faces.time != state.time:  # (k-1)*dt + dt may round off k*dt
-            faces = level_faces(state.U, state.gamma, state.time, cfg)
+        t = k * dt
+        state.U, state.v, cfl, faces = step_elastic(state, cfg, faces, t)
+        state.time = t
         uXc = ops.face_mean(faces.eps)
         # threshold activation from the fresh stress field
         S_cells = np.asarray(cst.stress(uXc, state.gamma, p, p.model))
-        if _activate(state, S_cells, p.sigma0):
-            damage_ops = None
-        state.gamma, dinfo = step_damage(state, cfg, uX=uXc, operators=damage_ops)
-        damage_ops = dinfo.operators
+        if not frozen:
+            if _activate(state, S_cells, p.sigma0):
+                damage_ops = None
+            state.gamma, dinfo = step_damage(state, cfg, uX=uXc, operators=damage_ops)
+            damage_ops = dinfo.operators
+            e_damage = None
+            max_diff, min_zg = dinfo.max_diff, dinfo.min_Z_gammadot
 
-        dissipated += dinfo.dissipated_inc
-        released += dinfo.released_inc
-        if p.model == "linear":  # damage moved, so stress moved
-            S = _stress_faces(state.U, state.gamma, state.time, cfg, eps=faces.eps)
-            faces = faces._replace(S=S)
-            S_cells = np.asarray(cst.stress(uXc, state.gamma, p, p.model))
+            dissipated += dinfo.dissipated_inc
+            released += dinfo.released_inc
+            if p.model == "linear":  # damage moved, so stress moved
+                S = _stress_faces(state.U, state.gamma, state.time, cfg, eps=faces.eps)
+                faces = Faces(faces.eps, S, _accel(S, cfg))
+                S_cells = np.asarray(cst.stress(uXc, state.gamma, p, p.model))
+
+            zg_peak = max(zg_peak, dinfo.peak_Z_gammadot)
+            if min_zg < -tol_adm * max(zg_peak, 1e-30):
+                err = AdmissibilityViolation(state.time, min_zg, tol_adm * zg_peak)
+                err.state = state.copy()  # dumped for post-mortem inspection
+                raise err
         power = _wall_power(faces.S, state.v, state.time, cfg)
         work += 0.5 * (power_prev + power) * dt
         power_prev = power
-
-        zg_peak = max(zg_peak, dinfo.peak_Z_gammadot)
-        if dinfo.min_Z_gammadot < -tol_adm * max(zg_peak, 1e-30):
-            err = AdmissibilityViolation(state.time, dinfo.min_Z_gammadot, tol_adm * zg_peak)
-            err.state = state.copy()  # dumped for post-mortem inspection
-            raise err
 
         report = StepReport(
             time=state.time,
             dt_used=dt,
             max_cfl=cfl,
-            max_diff=dinfo.max_diff,
-            min_Z_gammadot=dinfo.min_Z_gammadot,
+            max_diff=max_diff,
+            min_Z_gammadot=min_zg,
             energy=budget(dissipated, work, released),
         )
         yield report, S_cells
-
-
-def _leapfrog_steps(state: FieldState, cfg: ScenarioConfig):
-    """The conservative (lam = 0) limit: advance state in place in (strain,
-    velocity) form with a staggered leapfrog, yielding (report, cell stress)
-    at t = 0 and after each step.
-
-    Strain lives on faces at half steps, velocity on cells at whole steps.
-    The damage field is frozen, dissipation and entropy production are
-    identically zero, and total energy is conserved to discretization error.
-    """
-    p = cfg.material
-    grid = cfg.grid
-    if grid.ndim != 1:
-        raise ConfigConflict("the conservative limit is implemented in 1D only")
-    if p.lam != 0.0 or p.c2 != 0.0 or p.b != 0.0 or (
-        p.source_law == "logistic" and p.source_rate != 0.0
-    ):
-        raise ConfigConflict(
-            "conservative limit needs lam = 0, c2 = 0, b = 0, and no source; got "
-            f"lam={p.lam}, c2={p.c2}, b={p.b}"
-        )
-    dt, dx, nx = cfg.dt, grid.dx, grid.nx
-    state.active = np.zeros(grid.shape, dtype=bool)
-    bc_kind = cfg.bc["u_left"]["type"]
-    periodic = bc_kind == "periodic"
-
-    def v_grad_faces(v):
-        gv = np.empty(nx + 1)
-        gv[1:nx] = (v[1:] - v[:-1]) / dx
-        if periodic:
-            gv[0] = (v[0] - v[-1]) / dx
-            gv[nx] = gv[0]
-        else:
-            # fixed walls: mirror ghost velocity -v_adj; free walls hold S = 0
-            gv[0] = 2.0 * v[0] / dx if bc_kind == "fixed" else 0.0
-            rkind = cfg.bc["u_right"]["type"]
-            gv[nx] = -2.0 * v[-1] / dx if rkind == "fixed" else 0.0
-        return gv
-
-    w_u = ops.face_weights_u_1d(cfg.bc, nx, dx)
-
-    def report(cfl, eps_sync):
-        budget = EnergyBudget(
-            kinetic=_kinetic(state.v, p, grid),
-            free=float(np.sum(cst.elastic_energy_density(eps_sync, p, "feng") * w_u)),
-            dissipated=0.0,
-            boundary_work=0.0,
-            released=0.0,
-        )
-        S_cells = np.asarray(cst.stress(ops.face_mean(eps_sync), state.gamma, p, "feng"))
-        return StepReport(
-            time=state.time, dt_used=dt, max_cfl=cfl, max_diff=0.0,
-            min_Z_gammadot=0.0, energy=budget,
-        ), S_cells
-
-    eps = ops.strain_faces(state.U, grid, cfg.bc, 0.0)  # integer time 0
-    yield report(0.0, eps)
-
-    # half-step kick for the strain
-    eps = eps + 0.5 * dt * v_grad_faces(state.v)
-    for k in range(1, _step_count(cfg) + 1):
-        cfl = _check_courant(cst.elastic_wave_speed(eps, p), dt, dx, state)
-        S = np.asarray(cst.stress(eps, None, p, "feng"))
-        ops.override_stress_faces(S, cfg.bc, state.time + 0.5 * dt)
-        v_old = state.v
-        state.v = state.v + dt * (ops.div_faces(S, dx) / p.rho0 + cfg.body_force)
-        state.U = state.U + dt * 0.5 * (v_old + state.v)  # diagnostic reconstruction
-        eps_next = eps + dt * v_grad_faces(state.v)
-        state.time = k * dt
-        eps_sync = 0.5 * (eps + eps_next)
-        eps = eps_next
-        yield report(cfl, eps_sync)

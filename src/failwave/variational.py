@@ -56,14 +56,12 @@ class DiscreteTrajectory:
 
 
 def record_trajectory(cfg: ScenarioConfig, stride: int = 1) -> DiscreteTrajectory:
-    """Integrate a coupled scenario and keep every stride-th time level.
+    """Integrate a scenario and keep every stride-th time level.
 
-    Drives the solver's own coupled step sequence, so the recorded states
-    are those of a solver run by construction, and the run is audited the
-    same way (an AdmissibilityViolation is raised where run raises it).
+    Drives the solver's own step sequence, so the recorded states are those
+    of a solver run by construction, and the run is audited the same way (an
+    AdmissibilityViolation is raised where run raises it).
     """
-    if cfg.kind != "coupled":
-        raise ConfigConflict("variational recording needs the coupled integrator")
     if stride < 1:
         raise InvalidValue("stride", "must be >= 1")
     nsteps = _step_count(cfg)
@@ -80,32 +78,6 @@ def record_trajectory(cfg: ScenarioConfig, stride: int = 1) -> DiscreteTrajector
     return DiscreteTrajectory(
         cfg=cfg, times=times, U=U, v=v, gamma=gamma, active=active, dt_level=stride * cfg.dt
     )
-
-
-@dataclass(frozen=True)
-class Functionals:
-    """Global kinetic energy, free energy, and dissipation rate (per unit
-    cross-section)."""
-
-    kinetic: float
-    free_energy: float
-    dissipation: float
-
-
-def total_functionals(state, cfg: ScenarioConfig, gamma_dot=None) -> Functionals:
-    """K = (rho0/2) integral v^2, psi with the budget quadrature, and D =
-    (lam/2) integral gamma_dot^2 (zero when no rate is supplied)."""
-    p = cfg.material
-    grid = cfg.grid
-    kin = float(0.5 * p.rho0 * np.sum(state.v**2) * grid.cell_volume)
-    free = cst.total_free_energy(
-        state.U, state.gamma, p, grid, cfg.bc, state.time, p.model, state.active
-    )
-    if gamma_dot is None:
-        dis = 0.0
-    else:
-        dis = float(np.sum(cst.dissipation(gamma_dot, p)) * grid.cell_volume)
-    return Functionals(kinetic=kin, free_energy=free, dissipation=dis)
 
 
 # -- field-form residuals ------------------------------------------------------

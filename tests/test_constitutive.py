@@ -70,12 +70,6 @@ def test_dissipation_and_entropy_production():
                        2.0 * fw.dissipation(gd, p) / p.theta0, rtol=1e-15)
 
 
-def test_entropy_flux_sign():
-    # flux = -B*gd/theta0 = -(1*2)/300
-    p = mat(theta0=300.0)
-    assert fw.entropy_flux(2.0, 1.0, p) == pytest.approx(-2.0 / 300.0, rel=1e-14)
-
-
 def test_logistic_damage_force_point():
     # A = r lam G (1 - G/Gmax) = 2*1.5*0.5*0.75 = 1.125
     p = mat(lam=1.5, source_law="logistic", source_rate=2.0, gamma_max=2.0)
@@ -179,16 +173,6 @@ def test_elastic_energy_convex():
     assert np.all(second >= -1e-15)
 
 
-def test_phenomenological_rate_masks_and_guards():
-    p = mat(lam=2.0)
-    Z = np.array([4.0, -6.0, 2.0])
-    active = np.array([True, False, True])
-    rate = fw.phenomenological_rate(Z, p, active)
-    assert np.allclose(rate, [2.0, 0.0, 1.0], rtol=1e-15)
-    with pytest.raises(fw.SingularLambda):
-        fw.phenomenological_rate(Z, mat(lam=0.0))
-
-
 # -- discrete operator structure ---------------------------------------------------
 
 
@@ -224,25 +208,3 @@ def test_flux_divergence_adjoint_to_gradient(kind, two_d, seed):
         w = ops.face_weights_gamma(bc_g, G.shape[-1], ax.h)
         rhs = -float(np.sum(K * gradG * gradP * w) * ax.across)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
-
-
-def test_evaluate_bundle_identities():
-    p = mat(c1=2.0, c2=0.5, lam=1.2, d1=0.3, theta0=250.0)
-    grid = fw.Grid1D(nx=24, dx=1.0 / 24)
-    x = grid.cell_centers()
-    state = fw.FieldState(
-        time=0.0,
-        U=0.01 * np.sin(np.pi * x),
-        v=np.zeros(24),
-        gamma=0.4 * np.exp(-((x - 0.5) ** 2) / 0.05),
-        active=np.ones(24, dtype=bool),
-    )
-    bc = {"u_left": {"type": "fixed", "value": 0.0},
-          "u_right": {"type": "fixed", "value": 0.0},
-          "gamma": {"type": "zero_flux"}}
-    ev = fw.evaluate(state, p, grid, bc)
-    assert np.allclose(ev.sdot_i, 2.0 * ev.D_val / p.theta0, rtol=1e-15)
-    # Z = A - div B by construction; rate = Z/lam on active cells
-    div_B = (ev.B[1:] - ev.B[:-1]) / grid.dx
-    assert np.allclose(ev.Z, ev.A - div_B, rtol=1e-12, atol=1e-14)
-    assert np.all(ev.D_val >= 0.0)
