@@ -195,13 +195,10 @@ class LimitStudyResult:
 
 
 def budget_imbalance(reports) -> float:
-    """Max relative energy-budget residual over a run:
+    """Max relative energy-budget residual over a run's reports:
     |(K+psi)(t) - (K+psi)(0) + dissipated + released - work| / peak(K+psi)."""
-    tot = np.array([r.energy.total for r in reports])
-    dis = np.array([r.energy.dissipated for r in reports])
-    rel = np.array([r.energy.released for r in reports])
-    wrk = np.array([r.energy.boundary_work for r in reports])
-    resid = np.abs(tot - tot[0] + dis + rel - wrk)
+    tot = reports["kinetic"] + reports["free_energy"]
+    resid = np.abs(tot - tot[0] + reports["dissipated"] + reports["released"] - reports["boundary_work"])
     scale = float(np.max(tot))
     return float(np.max(resid)) / scale if scale > 0 else float(np.max(resid))
 
@@ -225,7 +222,7 @@ def clifton_limit_study(base_cfg: ScenarioConfig, lambdas: Sequence[float]) -> L
         rows.append(
             LimitRow(
                 lam=float(lam),
-                dissipated=reports[-1].energy.dissipated,
+                dissipated=float(reports["dissipated"][-1]),
                 energy_drift=budget_imbalance(reports),
                 front_sharpness=sharp,
             )

@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis
 from .errors import ConfigError, FailwaveError, RuntimeViolation
 from .model import build_scenario, config_hash, scenario_to_dict
-from .solver import run
+from .solver import REPORT_FIELDS, run
 from .variational import lagrange_residual, record_trajectory
 
 
@@ -113,23 +113,15 @@ def cmd_run(args) -> int:
         table = np.column_stack((trace.t, trace.S, trace.gamma, trace.sigma_lateral_proxy))
         _write_csv(os.path.join(out, name), "t,S,gamma,sigma_lateral_proxy", table)
         files.append(name)
-    table = np.array([
-        (r.time, r.dt_used, r.max_cfl, r.max_diff, r.min_Z_gammadot, r.energy.kinetic,
-         r.energy.free, r.energy.dissipated, r.energy.boundary_work, r.energy.released,
-         r.energy.total)
-        for r in result.reports
-    ])
-    _write_csv(
-        os.path.join(out, "reports.csv"),
-        "time,dt,max_cfl,max_diff,min_Z_gammadot,"
-        "kinetic,free_energy,dissipated,boundary_work,released,total",
-        table,
-    )
+    rec = result.reports
+    table = np.column_stack([rec[name] for name in REPORT_FIELDS] + [rec["kinetic"] + rec["free_energy"]])
+    _write_csv(os.path.join(out, "reports.csv"), ",".join(REPORT_FIELDS) + ",total", table)
     files.append("reports.csv")
 
     summary = {
-        "energy_closure": _finite_or_none(analysis.budget_imbalance(result.reports)),
-        "min_Z_gammadot": _finite_or_none(min(r.min_Z_gammadot for r in result.reports)),
+        "energy_closure": _finite_or_none(analysis.budget_imbalance(rec)),
+        # + 0.0 reports a zero minimum as 0.0, never -0.0
+        "min_Z_gammadot": _finite_or_none(rec["min_Z_gammadot"].min() + 0.0),
         "v_f": None,
         "tau": None,
         "delta1": None,

@@ -80,7 +80,8 @@ def damage_potential(gamma, p: MaterialParams):
     gamma = np.asarray(gamma, dtype=float)
     if p.source_law == "logistic":
         r = p.source_rate * p.lam
-        return -r * (0.5 * gamma**2 - gamma**3 / (3.0 * p.gamma_max))
+        cube = gamma * gamma * gamma  # spelled out: ** dispatches to pow
+        return -r * (0.5 * gamma**2 - cube / (3.0 * p.gamma_max))
     return 0.5 * p.c2 * gamma**2
 
 

@@ -36,6 +36,11 @@ class Axis(NamedTuple):
     h: float  # cell width along the axis
     across: float  # cell measure across it: 1 in 1D, the other width in 2D
     view: Callable
+    n: int  # cells along the axis
+    origin: float  # coordinate of its first face
+
+    def centers(self) -> np.ndarray:
+        return self.origin + (np.arange(self.n) + 0.5) * self.h
 
 
 def _unchanged(a):
@@ -72,10 +77,10 @@ class Grid1D:
 
     @cached_property
     def axes(self) -> tuple:
-        return (Axis(self.dx, 1.0, _unchanged),)
+        return (Axis(self.dx, 1.0, _unchanged, self.nx, self.origin),)
 
     def cell_centers(self) -> np.ndarray:
-        return self.origin + (np.arange(self.nx) + 0.5) * self.dx
+        return self.axes[0].centers()
 
     def faces(self) -> np.ndarray:
         return self.origin + np.arange(self.nx + 1) * self.dx
@@ -119,13 +124,16 @@ class Grid2D:
 
     @cached_property
     def axes(self) -> tuple:
-        return (Axis(self.dx, self.dy, _unchanged), Axis(self.dy, self.dx, np.transpose))
+        return (
+            Axis(self.dx, self.dy, _unchanged, self.nx, self.origin_x),
+            Axis(self.dy, self.dx, np.transpose, self.ny, self.origin_y),
+        )
 
     def cell_centers_x(self) -> np.ndarray:
-        return self.origin_x + (np.arange(self.nx) + 0.5) * self.dx
+        return self.axes[0].centers()
 
     def cell_centers_y(self) -> np.ndarray:
-        return self.origin_y + (np.arange(self.ny) + 0.5) * self.dy
+        return self.axes[1].centers()
 
 
 Grid = Union[Grid1D, Grid2D]
@@ -598,50 +606,29 @@ def config_hash(cfg: ScenarioConfig) -> str:
 
 
 def _sample(entry: dict, grid: Grid) -> np.ndarray:
+    """Initial data at the cell centers. A gaussian's center and width hold
+    one value per grid axis; sine and step profiles vary along x."""
     kind = entry["type"]
-    if grid.ndim == 1:
-        x = grid.cell_centers()
-        if kind == "zeros":
-            return np.zeros(grid.nx)
-        if kind == "constant":
-            return np.full(grid.nx, entry["value"], dtype=float)
-        if kind == "gaussian":
-            z = (x - entry["center"]) / entry["width"]
-            return entry["amplitude"] * np.exp(-0.5 * z * z)
-        if kind == "sine":
-            return entry["amplitude"] * np.sin(
-                entry["mode"] * np.pi * (x - grid.origin) / grid.length
-            )
-        if kind == "step":
-            return np.where(x < entry["at"], entry["left"], entry["right"]).astype(float)
-        if kind == "tabulated":
-            arr = np.asarray(entry["values"], dtype=float)
-            if arr.shape != grid.shape:
-                raise ShapeMismatch("tabulated ic", grid.shape, arr.shape)
-            return arr.copy()
-    else:
-        X, Y = np.meshgrid(grid.cell_centers_x(), grid.cell_centers_y())
-        if kind == "zeros":
-            return np.zeros(grid.shape)
-        if kind == "constant":
-            return np.full(grid.shape, entry["value"], dtype=float)
-        if kind == "gaussian":
-            cx, cy = entry["center"]
-            wx, wy = entry["width"]
-            return entry["amplitude"] * np.exp(
-                -0.5 * (((X - cx) / wx) ** 2 + ((Y - cy) / wy) ** 2)
-            )
-        if kind == "sine":
-            return entry["amplitude"] * np.sin(
-                entry["mode"] * np.pi * (X - grid.origin_x) / grid.length
-            )
-        if kind == "step":
-            return np.where(X < entry["at"], entry["left"], entry["right"]).astype(float)
-        if kind == "tabulated":
-            arr = np.asarray(entry["values"], dtype=float)
-            if arr.shape != grid.shape:
-                raise ShapeMismatch("tabulated ic", grid.shape, arr.shape)
-            return arr.copy()
+    axes = grid.axes
+    coords = np.meshgrid(*(ax.centers() for ax in axes))  # x first, each shaped like a field
+    if kind == "zeros":
+        return np.zeros(grid.shape)
+    if kind == "constant":
+        return np.full(grid.shape, entry["value"], dtype=float)
+    if kind == "gaussian":
+        spread = zip(coords, np.atleast_1d(entry["center"]), np.atleast_1d(entry["width"]))
+        return entry["amplitude"] * np.exp(-0.5 * sum(((c - m) / w) ** 2 for c, m, w in spread))
+    if kind == "sine":
+        return entry["amplitude"] * np.sin(
+            entry["mode"] * np.pi * (coords[0] - axes[0].origin) / grid.length
+        )
+    if kind == "step":
+        return np.where(coords[0] < entry["at"], entry["left"], entry["right"]).astype(float)
+    if kind == "tabulated":
+        arr = np.asarray(entry["values"], dtype=float)
+        if arr.shape != grid.shape:
+            raise ShapeMismatch("tabulated ic", grid.shape, arr.shape)
+        return arr.copy()
     raise InvalidValue("ic.type", f"unhandled initial-condition type {kind!r}")
 
 

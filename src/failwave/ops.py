@@ -229,9 +229,7 @@ def face_weights_gamma(bc_g: dict, n: int, dh: float) -> np.ndarray:
 def energy_weights(bc: dict, grid) -> tuple:
     """The free energy's face quadrature weights: (strain weights along x,
     damage-gradient weights of each grid axis)."""
-    w_gamma = tuple(
-        face_weights_gamma(bc["gamma"], n, ax.h) for ax, n in zip(grid.axes, reversed(grid.shape))
-    )
+    w_gamma = tuple(face_weights_gamma(bc["gamma"], ax.n, ax.h) for ax in grid.axes)
     return face_weights_u_1d(bc, grid.nx, grid.dx), w_gamma
 
 

@@ -35,36 +35,15 @@ from .errors import (
 from .model import FieldState, ScenarioConfig, initialize_state
 
 
-@dataclass(frozen=True)
-class EnergyBudget:
-    """Energy bookkeeping, all J per unit cross-section.
-
-    kinetic and free are instantaneous; dissipated, boundary_work, and
-    released are cumulative from t = 0. Closure: (kinetic + free) growth
-    equals boundary_work - dissipated - released up to time-stepping error.
-    """
-
-    kinetic: float
-    free: float
-    dissipated: float
-    boundary_work: float
-    released: float
-
-    @property
-    def total(self) -> float:
-        return self.kinetic + self.free
-
-
-@dataclass(frozen=True)
-class StepReport:
-    """Per-step health record."""
-
-    time: float
-    dt_used: float
-    max_cfl: float
-    max_diff: float
-    min_Z_gammadot: float
-    energy: EnergyBudget
+# The columns of RunResult.reports, one row per time level. kinetic and
+# free_energy are instantaneous; dissipated, boundary_work and released are
+# cumulative from t = 0 (J per unit cross-section). Closure: the growth of
+# kinetic + free_energy equals boundary_work - dissipated - released up to
+# time-stepping error. reports.csv writes these columns and their total.
+REPORT_FIELDS = (
+    "time", "dt", "max_cfl", "max_diff", "min_Z_gammadot",
+    "kinetic", "free_energy", "dissipated", "boundary_work", "released",
+)
 
 
 @dataclass
@@ -72,7 +51,7 @@ class GaugeTrace:
     """Time history at one embedded gauge point."""
 
     position: object  # x, or (x, y)
-    cell: object  # flat index, or (j, i)
+    cell: tuple  # index of the gauge's cell: (i,), or (j, i)
     t: np.ndarray
     S: np.ndarray
     gamma: np.ndarray
@@ -94,7 +73,7 @@ class Snapshot:
 
 class RunResult(NamedTuple):
     state: FieldState
-    reports: List[StepReport]
+    reports: np.ndarray  # structured, fields REPORT_FIELDS, one row per level
     gauges: List[GaugeTrace]
     snapshots: List[Snapshot]
 
@@ -336,33 +315,26 @@ def _kinetic(v, p, grid) -> float:
 
 
 def _wall_power(S_faces, v, t, cfg: ScenarioConfig) -> float:
-    """Instantaneous boundary work rate S_R*v_R - S_L*v_L (W per unit area).
+    """Instantaneous boundary work rate S_R*v_R - S_L*v_L (W per unit area),
+    summed over the grid rows.
 
-    Wall velocity: 0 for fixed, the prescribed rate for velocity walls, a
-    two-cell extrapolation for traction walls (their motion is a response)."""
+    Wall velocity: 0 for fixed, the prescribed rate for velocity walls, the
+    adjacent cell's velocity for traction walls (their motion is a response;
+    this is the boundary value of the summation-by-parts pair in ops)."""
     bc = cfg.bc
     if bc["u_left"]["type"] == "periodic":
         return 0.0
 
-    def vw(side):
+    def vw(side, v_cell):
         spec = bc[side]
-        kind = spec["type"]
-        if kind == "fixed":
+        if spec["type"] == "fixed":
             return 0.0
-        if kind == "velocity":
+        if spec["type"] == "velocity":
             return spec["value"]
-        if cfg.grid.ndim == 1:
-            if side == "u_left":
-                return 1.5 * v[0] - 0.5 * v[1]
-            return 1.5 * v[-1] - 0.5 * v[-2]
-        if side == "u_left":
-            return 1.5 * v[:, 0] - 0.5 * v[:, 1]
-        return 1.5 * v[:, -1] - 0.5 * v[:, -2]
+        return v_cell
 
-    if cfg.grid.ndim == 1:
-        return float(S_faces[-1] * vw("u_right") - S_faces[0] * vw("u_left"))
-    per_row = S_faces[:, -1] * vw("u_right") - S_faces[:, 0] * vw("u_left")
-    return float(np.sum(per_row) * cfg.grid.dy)
+    per_row = S_faces.T[-1] * vw("u_right", v.T[-1]) - S_faces.T[0] * vw("u_left", v.T[0])
+    return float(np.sum(per_row) * cfg.grid.axes[0].across)
 
 
 def _snapshot(step: int, state: FieldState, cfg: ScenarioConfig) -> Snapshot:
@@ -384,19 +356,14 @@ def _snapshot(step: int, state: FieldState, cfg: ScenarioConfig) -> Snapshot:
     )
 
 
-def _gauge_cells(cfg: ScenarioConfig):
-    out = []
-    g = cfg.grid
-    for pos in cfg.gauges:
-        if g.ndim == 1:
-            i = int(np.clip((pos - g.origin) / g.dx, 0, g.nx - 1))
-            out.append((pos, i))
-        else:
-            x, y = pos
-            i = int(np.clip((x - g.origin_x) / g.dx, 0, g.nx - 1))
-            j = int(np.clip((y - g.origin_y) / g.dy, 0, g.ny - 1))
-            out.append((pos, (j, i)))
-    return out
+def _gauge_cells(cfg: ScenarioConfig) -> tuple:
+    """The cells holding the gauges, as one index array per field axis (y
+    before x in 2D), so field[cells] reads every gauge at once."""
+    axes = cfg.grid.axes
+    pos = np.reshape(np.asarray(cfg.gauges, dtype=float), (len(cfg.gauges), len(axes)))
+    per_axis = [np.clip((pos[:, a] - ax.origin) / ax.h, 0, ax.n - 1).astype(int)
+                for a, ax in enumerate(axes)]
+    return tuple(reversed(per_axis))
 
 
 def _step_count(cfg: ScenarioConfig) -> int:
@@ -407,39 +374,38 @@ def run(cfg: ScenarioConfig) -> RunResult:
     """Integrate a scenario to t_end.
 
     kind: coupled advances the full system, kind: clifton its conservative
-    lam = 0 limit; both go through _coupled_steps. The state is sampled at
-    every level into the reports and gauge traces, and at the
-    output.snapshots cadence into full-field snapshots. The steps' typed
-    errors (CflViolation, AdmissibilityViolation, ...) propagate as raised.
+    lam = 0 limit; both go through _coupled_steps. Every level adds one row
+    to the reports (columns REPORT_FIELDS, e.g. reports["dissipated"]) and
+    one sample to each gauge trace; the output.snapshots cadence adds
+    full-field snapshots. The steps' typed errors (CflViolation,
+    AdmissibilityViolation, ...) propagate as raised.
     """
-    p = cfg.material
     nsteps = _step_count(cfg)
     state = initialize_state(cfg)
     snap_steps = set(np.linspace(0, nsteps, cfg.output["snapshots"]).astype(int).tolist())
+    cells = _gauge_cells(cfg)
+    reports = np.empty(nsteps + 1, dtype=[(name, float) for name in REPORT_FIELDS])
+    gauge_S = np.empty((nsteps + 1, len(cfg.gauges)))
+    gauge_gamma = np.empty((nsteps + 1, len(cfg.gauges)))
+    snapshots: List[Snapshot] = []
+    for k, (row, S_cells) in enumerate(_coupled_steps(state, cfg)):
+        reports[k] = row
+        gauge_S[k] = S_cells[cells]
+        gauge_gamma[k] = state.gamma[cells]
+        if k in snap_steps:
+            snapshots.append(_snapshot(k, state, cfg))
+    proxy = lateral_stress_proxy(gauge_gamma, cfg.material)
     traces = [
         GaugeTrace(
             position=pos,
-            cell=cell,
-            t=np.empty(nsteps + 1),
-            S=np.empty(nsteps + 1),
-            gamma=np.empty(nsteps + 1),
-            sigma_lateral_proxy=np.empty(nsteps + 1),
+            cell=tuple(int(c[g]) for c in cells),
+            t=reports["time"],
+            S=gauge_S[:, g],
+            gamma=gauge_gamma[:, g],
+            sigma_lateral_proxy=proxy[:, g],
         )
-        for pos, cell in _gauge_cells(cfg)
+        for g, pos in enumerate(cfg.gauges)
     ]
-    reports: List[StepReport] = []
-    snapshots: List[Snapshot] = []
-    for k, (report, S_cells) in enumerate(_coupled_steps(state, cfg)):
-        reports.append(report)
-        proxy = lateral_stress_proxy(state.gamma, p)
-        for trace in traces:
-            c = trace.cell
-            trace.t[k] = state.time
-            trace.S[k] = S_cells[c]
-            trace.gamma[k] = state.gamma[c]
-            trace.sigma_lateral_proxy[k] = proxy[c]
-        if k in snap_steps:
-            snapshots.append(_snapshot(k, state, cfg))
     return RunResult(state, reports, traces, snapshots)
 
 
@@ -460,8 +426,9 @@ def _activate(state: FieldState, S_cells, sigma0: float) -> bool:
 
 
 def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
-    """Advance state in place through the coupled system, yielding (report,
-    cell stress) at t = 0 and after each step.
+    """Advance state in place through the coupled system, yielding (row,
+    cell stress) at t = 0 and after each step; row holds the REPORT_FIELDS
+    values of the new level.
 
     Per step: elastic substep, threshold activation (|S| >= sigma0; cells
     never deactivate), damage substep, energy bookkeeping, admissibility
@@ -495,6 +462,8 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
     e_damage = None  # damage part of the free energy, evaluated when gamma moved
 
     def budget(dissipated, work, released):
+        """The budget part of a report row: kinetic, free_energy, dissipated,
+        boundary_work, released."""
         nonlocal e_damage
         if e_damage is None:
             e_damage = cst.damage_free_energy(
@@ -505,21 +474,11 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
             state.U, state.gamma, p, grid, cfg.bc, state.time, p.model,
             eps=faces.eps, weights=weights, damage=e_damage,
         )
-        return EnergyBudget(
-            kinetic=_kinetic(state.v, p, grid),
-            free=free,
-            dissipated=dissipated,
-            boundary_work=work,
-            released=released,
-        )
+        return _kinetic(state.v, p, grid), free, dissipated, work, released
 
     uXc = ops.face_mean(faces.eps)
     S_cells = np.asarray(cst.stress(uXc, state.gamma, p, p.model))
-    report = StepReport(
-        time=0.0, dt_used=dt, max_cfl=0.0, max_diff=0.0,
-        min_Z_gammadot=0.0, energy=budget(0.0, 0.0, 0.0),
-    )
-    yield report, S_cells
+    yield (0.0, dt, 0.0, 0.0, 0.0, *budget(0.0, 0.0, 0.0)), S_cells
 
     dissipated = 0.0
     released = 0.0
@@ -560,12 +519,4 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
         work += 0.5 * (power_prev + power) * dt
         power_prev = power
 
-        report = StepReport(
-            time=state.time,
-            dt_used=dt,
-            max_cfl=cfl,
-            max_diff=max_diff,
-            min_Z_gammadot=min_zg,
-            energy=budget(dissipated, work, released),
-        )
-        yield report, S_cells
+        yield (state.time, dt, cfl, max_diff, min_zg, *budget(dissipated, work, released)), S_cells

@@ -180,9 +180,9 @@ def test_criterion_05_admissibility_and_entropy(shipped_runs):
     ok = True
     details = []
     for name, (cfg, res, _) in shipped_runs.items():
-        mins = np.array([r.min_Z_gammadot for r in res.reports])
-        dis = np.array([r.energy.dissipated for r in res.reports])
-        tvals = np.array([r.time for r in res.reports])
+        mins = res.reports["min_Z_gammadot"]
+        dis = res.reports["dissipated"]
+        tvals = res.reports["time"]
         # peak scale: recorded per-step minima plus the volume-averaged
         # dissipation rate 2*D/V <= peak Z*gamma_dot (both lower bounds on
         # the true peak, so the threshold is at least as strict as stated)

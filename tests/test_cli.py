@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 import failwave as fw
@@ -81,6 +82,18 @@ def test_run_writes_artifacts_and_manifest(tmp_path):
     )
     with open(os.path.join(out, "gauge_00.csv")) as fh:
         assert fh.readline().strip() == "t,S,gamma,sigma_lateral_proxy"
+
+
+def test_reports_csv_holds_the_run_record(tmp_path):
+    out = str(tmp_path / "out")
+    assert cli.main(["run", SMOOTH, "--out", out, "--quiet"]) == 0
+    with open(SMOOTH) as fh:
+        rec = fw.run(fw.build_scenario(fh.read())).reports
+    table = np.loadtxt(os.path.join(out, "reports.csv"), delimiter=",", skiprows=1)
+    assert table.shape == (len(rec), len(rec.dtype.names) + 1)
+    for col, name in zip(table.T, rec.dtype.names):
+        assert np.array_equal(col, rec[name]), name
+    assert np.array_equal(table[:, -1], rec["kinetic"] + rec["free_energy"])
 
 
 def test_run_output_is_bitwise_deterministic(tmp_path):
