@@ -75,11 +75,9 @@ def _say(args, msg: str) -> None:
 
 
 def _snapshot_table(snap, cfg):
-    g = cfg.grid
-    if g.ndim == 1:
-        header, coords = "X,U,v,gamma,S,Z", [g.cell_centers()]
-    else:
-        header, coords = "X,Y,U,v,gamma,S,Z", np.meshgrid(g.cell_centers_x(), g.cell_centers_y())
+    axes = cfg.grid.axes
+    coords = np.meshgrid(*(ax.centers() for ax in axes))  # x first, each shaped like a field
+    header = ",".join(("X", "Y")[: len(axes)] + ("U", "v", "gamma", "S", "Z"))
     fields = (*coords, snap.U, snap.v, snap.gamma, snap.S, snap.Z)
     return header, np.column_stack([np.ravel(f) for f in fields])
 

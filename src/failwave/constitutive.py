@@ -133,10 +133,16 @@ def entropy_production(gamma_dot, p: MaterialParams):
     return p.lam * gd**2 / p.theta0
 
 
+def characteristic_speed(u2: float, p: MaterialParams) -> float:
+    """Characteristic speed sqrt((c1 + 3 c3 u2)/rho0) at squared strain u2
+    (m/s); NaN when u2 is."""
+    return float(np.sqrt((p.c1 + 3.0 * p.c3 * u2) / p.rho0))
+
+
 def elastic_wave_speed(uX, p: MaterialParams) -> float:
     """Max characteristic speed sqrt((c1 + 3 c3 uX^2)/rho0) over the field (m/s)."""
-    u2 = float(np.max(np.asarray(uX) ** 2)) if np.size(uX) else 0.0
-    return float(np.sqrt((p.c1 + 3.0 * p.c3 * u2) / p.rho0))
+    uX = np.asarray(uX)
+    return characteristic_speed(float((uX * uX).max()) if uX.size else 0.0, p)
 
 
 _ZERO_FLUX = {"type": "zero_flux"}
@@ -216,8 +222,8 @@ def damage_free_energy(
     e_grad = 0.0
     for ax, Ka, w in zip(grid.axes, K, weights):
         grad = ops.gamma_grad_faces(ax.view(gamma), ax.h, bc_g)
-        e_grad += float(np.sum(0.5 * ax.view(Ka) * grad**2 * w) * ax.across)
-    return e_grad, float(np.sum(damage_potential(gamma, p) * grid.cell_volume))
+        e_grad += float((0.5 * ax.view(Ka) * grad**2 * w).sum() * ax.across)
+    return e_grad, float((damage_potential(gamma, p) * grid.cell_volume).sum())
 
 
 def total_free_energy(
@@ -229,10 +235,6 @@ def total_free_energy(
     t: float,
     model: str = "feng",
     active: np.ndarray | None = None,
-    K: tuple | None = None,
-    eps: np.ndarray | None = None,
-    weights: tuple | None = None,
-    damage: tuple | None = None,
 ) -> float:
     """Discrete free energy (J per unit cross-section) with the quadrature
     the solver's budget uses: strain and gradient terms on faces (interior
@@ -240,19 +242,15 @@ def total_free_energy(
     excluded), potential and cross terms on cells.
 
     The half-weight wall rule makes d(psi)/d(field) reproduce the scheme's
-    force exactly, so the budget closes to time-discretization error.
-    K (face conductivity of each grid axis), eps (face strain at t),
-    weights (ops.energy_weights) and damage (damage_free_energy of gamma)
-    are computed here when not given.
+    force exactly, so the budget closes to time-discretization error. This
+    is the reference for the budget of solver.ElasticPlan, which evaluates
+    the same sums on a run's buffers.
     """
-    if eps is None:
-        eps = ops.strain_faces(U, grid, bc, t)
-    w_u, w_gamma = weights if weights is not None else ops.energy_weights(bc, grid)
-    e_el = float(np.sum(elastic_energy_density(eps, p, model) * w_u) * grid.axes[0].across)
-    if damage is None:
-        damage = damage_free_energy(gamma, p, grid, bc["gamma"], w_gamma, active, K)
-    e_grad, e_cell = damage
+    eps = ops.strain_faces(U, grid, bc, t)
+    w_u, w_gamma = ops.energy_weights(bc, grid)
+    e_el = float((elastic_energy_density(eps, p, model) * w_u).sum() * grid.axes[0].across)
+    e_grad, e_cell = damage_free_energy(gamma, p, grid, bc["gamma"], w_gamma, active)
     if model == "linear" and p.b != 0.0:
         uXc = ops.face_mean(eps)
-        e_cell += float(np.sum(p.b * uXc * gamma * grid.cell_volume))
+        e_cell += float((p.b * uXc * gamma * grid.cell_volume).sum())
     return e_el + e_grad + e_cell

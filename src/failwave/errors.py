@@ -81,8 +81,9 @@ class AdmissibilityViolation(RuntimeViolation):
 
 
 class NonFiniteState(RuntimeViolation):
-    """A damage solve met a non-finite (or singular) operator or right-hand
-    side. The step's state is attached as .state when the solver raises it."""
+    """A step met a non-finite value: a (possibly singular) damage operator
+    or right-hand side, the Courant number, or the admissibility audit. The
+    step's state is attached as .state when the solver raises it."""
 
     def __init__(self, what: str):
         self.what = what

@@ -11,11 +11,13 @@ with the boundary value taken from the adjacent cell. That adjointness makes
 the discrete damage force exactly the gradient of the discrete free energy,
 which the variational checks depend on.
 
-All functions are pure: arrays in, arrays out.
+All functions are pure, arrays in and arrays out, except the fill function
+strain_rule returns, which writes into the buffer it is given.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -24,6 +26,8 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from .errors import NonFiniteState
 
 # -- boundary-condition protocol helpers ------------------------------------
+# The rules are resolved from a BC dict once, to constants or functions of
+# the clock, so a run does not dispatch on the wall types per step.
 
 
 def traction_at(spec: dict, t: float) -> float:
@@ -38,11 +42,59 @@ def traction_at(spec: dict, t: float) -> float:
     return T
 
 
-def wall_displacement(spec: dict, t: float) -> float:
-    """Prescribed boundary displacement (m): fixed value, or velocity*t."""
-    if spec["type"] == "velocity":
-        return spec["value"] * t
-    return spec["value"]
+def stress_rules(bc: dict) -> tuple:
+    """The boundary faces whose stress is prescribed, as (face index,
+    stress(t)) pairs: 0 on free faces, the traction protocol on traction
+    faces."""
+    rules = []
+    for side, idx in (("u_left", 0), ("u_right", -1)):
+        spec = bc[side]
+        if spec["type"] == "free":
+            rules.append((idx, lambda t: 0.0))
+        elif spec["type"] == "traction":
+            rules.append((idx, partial(traction_at, spec)))
+    return tuple(rules)
+
+
+def _wall_strain(spec: dict, left: bool, dx: float):
+    """One wall's face strain as a function (e, u, t) of the face strains
+    and cells along x (x-first views) and the time."""
+    kind = spec["type"]
+    if kind == "free":
+        return lambda e, u, t: 0.0
+    if kind == "traction":  # a placeholder: the face stress is prescribed
+        return (lambda e, u, t: e[1]) if left else (lambda e, u, t: e[-2])
+    value = spec["value"]
+    wall = (lambda t: value * t) if kind == "velocity" else (lambda t: value)
+    if left:
+        return lambda e, u, t: 2.0 * (u[0] - wall(t)) / dx
+    return lambda e, u, t: 2.0 * (wall(t) - u[-1]) / dx
+
+
+def strain_rule(bc: dict, dx: float):
+    """strain_faces with bc's wall rules resolved once: returns
+    fill(U, t, eps), which writes the face strains of U at time t into eps
+    (shape (..., nx+1)) and returns it."""
+    if bc["u_left"]["type"] == "periodic":
+        def walls(e, u, t):
+            e[0] = (u[0] - u[-1]) / dx
+            e[-1] = e[0]
+    else:
+        left = _wall_strain(bc["u_left"], True, dx)
+        right = _wall_strain(bc["u_right"], False, dx)
+
+        def walls(e, u, t):
+            e[0] = left(e, u, t)
+            e[-1] = right(e, u, t)
+
+    def fill(U, t, eps):
+        inner = eps[..., 1:-1]
+        np.subtract(U[..., 1:], U[..., :-1], out=inner)
+        np.divide(inner, dx, out=inner)
+        walls(eps.T, U.T, t)  # x first: u[0] is the left cell of every row
+        return eps
+
+    return fill
 
 
 # -- faces and cells along the last axis -------------------------------------
@@ -66,53 +118,19 @@ def strain_faces(U: np.ndarray, grid, bc: dict, t: float) -> np.ndarray:
     or (ny, nx+1) row by row in 2D.
 
     fixed/velocity walls use the mirror ghost 2g - U_adj, so the boundary
-    face strain is 2(U_adj - g)/dx (toward the wall at the right end).
-    free faces carry strain 0; traction faces copy the nearest interior
-    face (a placeholder: their stress is prescribed, not computed, and
-    they are excluded from the energy quadrature).
+    face strain is 2(U_adj - g)/dx (toward the wall at the right end), with
+    g the wall value, or value*t for a velocity wall. free faces carry
+    strain 0; traction faces copy the nearest interior face (a placeholder:
+    their stress is prescribed, not computed, and they are excluded from the
+    energy quadrature).
     """
-    dx = grid.dx
-    nx = U.shape[-1]
-    eps = np.empty(U.shape[:-1] + (nx + 1,))
-    eps[..., 1:nx] = (U[..., 1:] - U[..., :-1]) / dx
-    u, e = U.T, eps.T  # x first: u[0] is the left cell of every row
-    lt, rt = bc["u_left"]["type"], bc["u_right"]["type"]
-    if lt == "periodic":
-        e[0] = (u[0] - u[-1]) / dx
-        e[nx] = e[0]
-        return eps
-    if lt in ("fixed", "velocity"):
-        g = wall_displacement(bc["u_left"], t)
-        e[0] = 2.0 * (u[0] - g) / dx
-    elif lt == "free":
-        e[0] = 0.0
-    else:  # traction
-        e[0] = e[1]
-    if rt in ("fixed", "velocity"):
-        g = wall_displacement(bc["u_right"], t)
-        e[nx] = 2.0 * (g - u[-1]) / dx
-    elif rt == "free":
-        e[nx] = 0.0
-    else:
-        e[nx] = e[nx - 1]
-    return eps
+    eps = np.empty(U.shape[:-1] + (U.shape[-1] + 1,))
+    return strain_rule(bc, grid.dx)(U, t, eps)
 
 
 def strain_cells(U: np.ndarray, grid, bc: dict, t: float) -> np.ndarray:
     """Cell-centered strain: mean of the two adjacent face strains."""
     return face_mean(strain_faces(U, grid, bc, t))
-
-
-def override_stress_faces(S_faces: np.ndarray, bc: dict, t: float) -> np.ndarray:
-    """Replace boundary-face stress with prescribed values: 0 on free faces,
-    the traction protocol value on traction faces. In place; returns input."""
-    for side, idx in (("u_left", 0), ("u_right", -1)):
-        spec = bc[side]
-        if spec["type"] == "free":
-            S_faces[..., idx] = 0.0
-        elif spec["type"] == "traction":
-            S_faces[..., idx] = traction_at(spec, t)
-    return S_faces
 
 
 # -- damage field: face values, gradients, conductivity ----------------------

@@ -16,6 +16,7 @@ work + boundary damage release).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
@@ -89,37 +90,6 @@ def lateral_stress_proxy(gamma, p) -> np.ndarray:
 # -- elastic substep ----------------------------------------------------------
 
 
-def _stress_faces(U, gamma, t, cfg: ScenarioConfig, eps=None) -> np.ndarray:
-    p = cfg.material
-    if eps is None:
-        eps = ops.strain_faces(U, cfg.grid, cfg.bc, t)
-    if p.model == "linear":
-        S = cst.stress(eps, ops.gamma_face_values(gamma, cfg.bc["gamma"]), p, "linear")
-    else:
-        S = cst.stress(eps, None, p, "feng")
-    return ops.override_stress_faces(S, cfg.bc, t)
-
-
-def _accel(S_faces, cfg: ScenarioConfig):
-    return ops.div_faces(S_faces, cfg.grid.dx) / cfg.material.rho0 + cfg.body_force
-
-
-class Faces(NamedTuple):
-    """Face strain and face stress of one time level, and the acceleration
-    div(S)/rho0 + r they give, evaluated once and read by every part of a
-    step that needs them."""
-
-    eps: np.ndarray
-    S: np.ndarray
-    accel: np.ndarray
-
-
-def level_faces(U, gamma, t: float, cfg: ScenarioConfig) -> Faces:
-    eps = ops.strain_faces(U, cfg.grid, cfg.bc, t)
-    S = _stress_faces(U, gamma, t, cfg, eps=eps)
-    return Faces(eps, S, _accel(S, cfg))
-
-
 def _check_courant(c_max: float, dt: float, dx: float, state: FieldState) -> float:
     """Courant number c_max*dt/dx. Raises CflViolation when it exceeds 1
     and NonFiniteState (state attached) when it is NaN."""
@@ -133,33 +103,146 @@ def _check_courant(c_max: float, dt: float, dx: float, state: FieldState) -> flo
     return cfl
 
 
-def step_elastic(
-    state: FieldState,
-    cfg: ScenarioConfig,
-    faces: Optional[Faces] = None,
-    t_new: Optional[float] = None,
-):
+def _wall_velocity(spec: dict, idx: int):
+    """A wall's velocity as a function of the cell velocities v: 0 for
+    fixed, the prescribed rate for velocity walls, the adjacent cell's
+    velocity for traction and free walls (their motion is a response; this
+    is the boundary value of the summation-by-parts pair in ops)."""
+    if spec["type"] == "fixed":
+        return lambda v: 0.0
+    if spec["type"] == "velocity":
+        value = spec["value"]
+        return lambda v: value
+    return lambda v: v.T[idx]
+
+
+class ElasticPlan:
+    """The elastic half of a step, resolved once per run.
+
+    cfg's wall rules (face strain, prescribed face stress, wall velocity),
+    its stress branch and its energy weights are looked up here once. A
+    time level's face strain eps, its square u2, face stress S and
+    acceleration accel = div(S)/rho0 + r live in buffers that every level
+    reuses: level() fills them, step() advances U and v in place from them.
+    Each expression keeps the operand order of its reference
+    (ops.strain_faces, cst.stress, cst.elastic_wave_speed,
+    cst.total_free_energy), and the reductions are the ufunc reductions
+    behind x.sum() and x.max() called directly, so the results are bitwise
+    theirs.
+    """
+
+    def __init__(self, cfg: ScenarioConfig):
+        p, grid, bc = cfg.material, cfg.grid, cfg.bc
+        self.p = p
+        self.dt, self.dx = cfg.dt, grid.dx
+        self.body_force = cfg.body_force
+        self.bc_gamma = bc["gamma"]
+        self.linear = p.model == "linear"
+        self.cubic = not self.linear and p.c3 != 0.0
+        self.fill_strain = ops.strain_rule(bc, grid.dx)
+        self.stress_rules = ops.stress_rules(bc)
+        self.walls = None if bc["u_left"]["type"] == "periodic" else (
+            _wall_velocity(bc["u_left"], 0), _wall_velocity(bc["u_right"], -1)
+        )
+        self.w_u, self.w_gamma = ops.energy_weights(bc, grid)
+        self.across = grid.axes[0].across
+        self.cell_volume = grid.cell_volume
+        faces = grid.shape[:-1] + (grid.nx + 1,)
+        self.eps, self.u2, self.S, self._f1, self._f2 = (np.empty(faces) for _ in range(5))
+        self.accel, self.v_half, self._c1 = (np.empty(grid.shape) for _ in range(3))
+        self._S_right, self._S_left = self.S[..., 1:], self.S[..., :-1]  # of each cell
+
+    def level(self, U, gamma, t: float) -> None:
+        """Evaluate the faces of the level (U, gamma, t) into the buffers."""
+        self.fill_strain(U, t, self.eps)
+        np.multiply(self.eps, self.eps, out=self.u2)
+        self.stress(gamma, t)
+
+    def stress(self, gamma, t: float) -> None:
+        """Face stress S of the current strain and damage gamma, the walls'
+        prescribed values included, and the acceleration it gives."""
+        p, S = self.p, self.S
+        np.multiply(self.eps, p.c1, out=S)
+        if self.linear:
+            S += p.b * ops.gamma_face_values(gamma, self.bc_gamma)
+        elif self.cubic:
+            cube = np.multiply(self.u2, self.eps, out=self._f1)
+            S += np.multiply(cube, p.c3, out=cube)
+        for idx, value in self.stress_rules:
+            S[..., idx] = value(t)
+        a = self.accel
+        np.subtract(self._S_right, self._S_left, out=a)
+        np.divide(a, self.dx, out=a)
+        np.divide(a, p.rho0, out=a)
+        np.add(a, self.body_force, out=a)
+
+    def step(self, state: FieldState, t_new: float) -> float:
+        """One velocity-Verlet step of rho0*U_tt = dS/dX + rho0*r from the
+        buffers, which hold state's level. Updates state.U and state.v in
+        place and leaves the buffers holding the new level (t_new, gamma
+        unchanged). Returns the Courant number; raises CflViolation before
+        touching the state when it exceeds 1, NonFiniteState when NaN."""
+        dt = self.dt
+        c_max = cst.characteristic_speed(float(np.maximum.reduce(self.u2, None)), self.p)
+        cfl = _check_courant(c_max, dt, self.dx, state)
+        half = 0.5 * dt
+        v_half = np.multiply(self.accel, half, out=self.v_half)
+        np.add(state.v, v_half, out=v_half)
+        np.add(state.U, np.multiply(v_half, dt, out=self._c1), out=state.U)
+        self.level(state.U, state.gamma, t_new)
+        np.add(v_half, np.multiply(self.accel, half, out=state.v), out=state.v)
+        return cfl
+
+    def cell_stress(self, gamma, at: tuple) -> np.ndarray:
+        """Cell stress (of the mean of the two face strains) at the cells
+        at, one index array per field axis."""
+        e = self.eps
+        uX = 0.5 * (e[..., :-1][at] + e[..., 1:][at])
+        return cst.stress(uX, gamma[at], self.p, self.p.model)
+
+    def kinetic(self, v) -> float:
+        square = np.multiply(v, v, out=self._c1)
+        return float(0.5 * self.p.rho0 * np.add.reduce(square, None) * self.cell_volume)
+
+    def free_energy(self, gamma, damage: tuple) -> float:
+        """cst.total_free_energy of the buffers' level, with damage its
+        damage part (cst.damage_free_energy of gamma)."""
+        p = self.p
+        e = np.multiply(self.u2, 0.5 * p.c1, out=self._f1)
+        if self.cubic:
+            quartic = np.multiply(self.u2, self.u2, out=self._f2)
+            e += np.multiply(quartic, 0.25 * p.c3, out=quartic)
+        e *= self.w_u
+        e_grad, e_cell = damage
+        if self.linear and p.b != 0.0:
+            e_cell += float((p.b * ops.face_mean(self.eps) * gamma * self.cell_volume).sum())
+        return float(np.add.reduce(e, None) * self.across) + e_grad + e_cell
+
+    def wall_power(self, v) -> float:
+        """Instantaneous boundary work rate S_R*v_R - S_L*v_L (W per unit
+        area), summed over the grid rows; 0 on a ring."""
+        if self.walls is None:
+            return 0.0
+        left, right = self.walls
+        S = self.S.T
+        return float((S[-1] * right(v) - S[0] * left(v)).sum() * self.across)
+
+
+def step_elastic(state: FieldState, cfg: ScenarioConfig, t_new: Optional[float] = None):
     """One velocity-Verlet step of rho0*U_tt = dS/dX + rho0*r.
 
-    faces are the state's own (level_faces of its U, gamma and time), computed
-    here when not given. t_new is the new level's time, state.time + dt when
-    not given; a run passes k*dt, which (k-1)*dt + dt may round off. Returns
-    (U_new, v_new, max_cfl, faces_new), where faces_new are those of U_new at
-    t_new with the unchanged gamma, as the final half kick used them. Raises
-    CflViolation before touching the state when c_max*dt/dx exceeds 1, and
-    NonFiniteState when it is NaN.
+    Runs cfg's ElasticPlan, as a run does, on copies of U and v, so state
+    is not modified. t_new is the new level's time, state.time + dt when
+    not given; a run passes k*dt, which (k-1)*dt + dt may round off.
+    Returns (U_new, v_new, max_cfl). Raises CflViolation when c_max*dt/dx
+    exceeds 1, and NonFiniteState when it is NaN.
     """
-    dt = cfg.dt
-    if faces is None:
-        faces = level_faces(state.U, state.gamma, state.time, cfg)
-    if t_new is None:
-        t_new = state.time + dt
-    cfl = _check_courant(cst.elastic_wave_speed(faces.eps, cfg.material), dt, cfg.grid.dx, state)
-    v_half = state.v + 0.5 * dt * faces.accel
-    U_new = state.U + dt * v_half
-    new = level_faces(U_new, state.gamma, t_new, cfg)
-    v_new = v_half + 0.5 * dt * new.accel
-    return U_new, v_new, cfl, new
+    plan = ElasticPlan(cfg)
+    plan.level(state.U, state.gamma, state.time)
+    new = FieldState(state.time, state.U.astype(float), state.v.astype(float),
+                     state.gamma, state.active)
+    cfl = plan.step(new, state.time + cfg.dt if t_new is None else t_new)
+    return new.U, new.v, cfl
 
 
 # -- damage substep -----------------------------------------------------------
@@ -295,11 +378,11 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None, operators=None)
     )
     zg = np.where(active, Z_mid * gamma_dot, 0.0)
     released = cst.boundary_energy_release(gamma_dot, B_mid, grid, bc_g)
-    dissipated = float(np.sum(p.lam * gamma_dot**2) * grid.cell_volume)
+    dissipated = float((p.lam * gamma_dot**2).sum() * grid.cell_volume)
     info = DamageStepInfo(
         max_diff=float(diff_number),
-        min_Z_gammadot=float(np.min(zg)) if zg.size else 0.0,
-        peak_Z_gammadot=float(np.max(np.abs(zg))) if zg.size else 0.0,
+        min_Z_gammadot=float(zg.min()) if zg.size else 0.0,
+        peak_Z_gammadot=float(np.abs(zg).max()) if zg.size else 0.0,
         dissipated_inc=dissipated * dt,
         released_inc=released * dt,
         operators=operators,
@@ -308,33 +391,6 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None, operators=None)
 
 
 # -- full runs ----------------------------------------------------------------
-
-
-def _kinetic(v, p, grid) -> float:
-    return float(0.5 * p.rho0 * np.sum(v**2) * grid.cell_volume)
-
-
-def _wall_power(S_faces, v, t, cfg: ScenarioConfig) -> float:
-    """Instantaneous boundary work rate S_R*v_R - S_L*v_L (W per unit area),
-    summed over the grid rows.
-
-    Wall velocity: 0 for fixed, the prescribed rate for velocity walls, the
-    adjacent cell's velocity for traction walls (their motion is a response;
-    this is the boundary value of the summation-by-parts pair in ops)."""
-    bc = cfg.bc
-    if bc["u_left"]["type"] == "periodic":
-        return 0.0
-
-    def vw(side, v_cell):
-        spec = bc[side]
-        if spec["type"] == "fixed":
-            return 0.0
-        if spec["type"] == "velocity":
-            return spec["value"]
-        return v_cell
-
-    per_row = S_faces.T[-1] * vw("u_right", v.T[-1]) - S_faces.T[0] * vw("u_left", v.T[0])
-    return float(np.sum(per_row) * cfg.grid.axes[0].across)
 
 
 def _snapshot(step: int, state: FieldState, cfg: ScenarioConfig) -> Snapshot:
@@ -388,9 +444,10 @@ def run(cfg: ScenarioConfig) -> RunResult:
     gauge_S = np.empty((nsteps + 1, len(cfg.gauges)))
     gauge_gamma = np.empty((nsteps + 1, len(cfg.gauges)))
     snapshots: List[Snapshot] = []
-    for k, (row, S_cells) in enumerate(_coupled_steps(state, cfg)):
+    plan = ElasticPlan(cfg)
+    for k, row in enumerate(_coupled_steps(state, cfg, plan)):
         reports[k] = row
-        gauge_S[k] = S_cells[cells]
+        gauge_S[k] = plan.cell_stress(state.gamma, cells)
         gauge_gamma[k] = state.gamma[cells]
         if k in snap_steps:
             snapshots.append(_snapshot(k, state, cfg))
@@ -409,12 +466,13 @@ def run(cfg: ScenarioConfig) -> RunResult:
     return RunResult(state, reports, traces, snapshots)
 
 
-def _activate(state: FieldState, S_cells, sigma0: float) -> bool:
-    """Switch on the cells whose stress magnitude reached sigma0 (every cell
-    when sigma0 = 0); cells never switch off. state.active is replaced by a
-    new mask only when a cell switched on, which is what this returns."""
-    if sigma0 > 0.0:
-        hit = np.abs(S_cells) >= sigma0
+def _activate(state: FieldState, uXc, p) -> bool:
+    """Switch on the cells whose stress magnitude (from the cell strain uXc)
+    reached sigma0 (every cell when sigma0 = 0); cells never switch off.
+    state.active is replaced by a new mask only when a cell switched on,
+    which is what this returns."""
+    if p.sigma0 > 0.0:
+        hit = np.abs(cst.stress(uXc, state.gamma, p, p.model)) >= p.sigma0
         if not (hit > state.active).any():
             return False
         state.active = state.active | hit
@@ -425,17 +483,18 @@ def _activate(state: FieldState, S_cells, sigma0: float) -> bool:
     return True
 
 
-def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
-    """Advance state in place through the coupled system, yielding (row,
-    cell stress) at t = 0 and after each step; row holds the REPORT_FIELDS
-    values of the new level.
+def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
+    """Advance state in place through the coupled system, yielding the
+    REPORT_FIELDS values of each level at t = 0 and after each step. plan
+    is the run's ElasticPlan (of cfg); at each yield its buffers hold the
+    level's faces.
 
     Per step: elastic substep, threshold activation (|S| >= sigma0; cells
     never deactivate), damage substep, energy bookkeeping, admissibility
-    audit. Each level's face strain is evaluated once and shared by all of
-    them, and the damage operators are rebuilt only on a step that
-    activates a cell. Raises AdmissibilityViolation (with the offending
-    state attached) if min Z*dGamma/dt drops below -tol * peak magnitude.
+    audit. The damage operators are rebuilt only on a step that activates a
+    cell. Raises AdmissibilityViolation (with the offending state attached)
+    if min Z*dGamma/dt drops below -tol * peak magnitude, NonFiniteState if
+    the audit reads NaN.
 
     kind: clifton is the conservative limit (lam = 0, c2 = 0, b = 0, no
     source; ConfigConflict otherwise): every step skips activation, the
@@ -456,8 +515,7 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
                 f"lam={p.lam}, c2={p.c2}, b={p.b}"
             )
         state.active = np.zeros(grid.shape, dtype=bool)
-    weights = ops.energy_weights(cfg.bc, grid)
-    faces = level_faces(state.U, state.gamma, state.time, cfg)
+    plan.level(state.U, state.gamma, state.time)
     damage_ops = None
     e_damage = None  # damage part of the free energy, evaluated when gamma moved
 
@@ -467,18 +525,13 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
         nonlocal e_damage
         if e_damage is None:
             e_damage = cst.damage_free_energy(
-                state.gamma, p, grid, cfg.bc["gamma"], weights[1], state.active,
+                state.gamma, p, grid, cfg.bc["gamma"], plan.w_gamma, state.active,
                 K=None if damage_ops is None else damage_ops.K,
             )
-        free = cst.total_free_energy(
-            state.U, state.gamma, p, grid, cfg.bc, state.time, p.model,
-            eps=faces.eps, weights=weights, damage=e_damage,
-        )
-        return _kinetic(state.v, p, grid), free, dissipated, work, released
+        free = plan.free_energy(state.gamma, e_damage)
+        return plan.kinetic(state.v), free, dissipated, work, released
 
-    uXc = ops.face_mean(faces.eps)
-    S_cells = np.asarray(cst.stress(uXc, state.gamma, p, p.model))
-    yield (0.0, dt, 0.0, 0.0, 0.0, *budget(0.0, 0.0, 0.0)), S_cells
+    yield (0.0, dt, 0.0, 0.0, 0.0, *budget(0.0, 0.0, 0.0))
 
     dissipated = 0.0
     released = 0.0
@@ -487,16 +540,14 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
     min_zg = 0.0
     tol_adm = cfg.numerics["tol_admissibility"]
     zg_peak = 0.0
-    power_prev = _wall_power(faces.S, state.v, state.time, cfg)
+    power_prev = plan.wall_power(state.v)
     for k in range(1, _step_count(cfg) + 1):
         t = k * dt
-        state.U, state.v, cfl, faces = step_elastic(state, cfg, faces, t)
+        cfl = plan.step(state, t)
         state.time = t
-        uXc = ops.face_mean(faces.eps)
-        # threshold activation from the fresh stress field
-        S_cells = np.asarray(cst.stress(uXc, state.gamma, p, p.model))
         if not frozen:
-            if _activate(state, S_cells, p.sigma0):
+            uXc = ops.face_mean(plan.eps)
+            if _activate(state, uXc, p):
                 damage_ops = None
             state.gamma, dinfo = step_damage(state, cfg, uX=uXc, operators=damage_ops)
             damage_ops = dinfo.operators
@@ -506,17 +557,18 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig):
             dissipated += dinfo.dissipated_inc
             released += dinfo.released_inc
             if p.model == "linear":  # damage moved, so stress moved
-                S = _stress_faces(state.U, state.gamma, state.time, cfg, eps=faces.eps)
-                faces = Faces(faces.eps, S, _accel(S, cfg))
-                S_cells = np.asarray(cst.stress(uXc, state.gamma, p, p.model))
-
+                plan.stress(state.gamma, t)
             zg_peak = max(zg_peak, dinfo.peak_Z_gammadot)
-            if min_zg < -tol_adm * max(zg_peak, 1e-30):
-                err = AdmissibilityViolation(state.time, min_zg, tol_adm * zg_peak)
+            nan = math.isnan(min_zg) or math.isnan(dinfo.peak_Z_gammadot)
+            if nan or not min_zg >= -tol_adm * max(zg_peak, 1e-30):
+                if nan:  # max(peak, nan) keeps the peak, and NaN passes a `<` test
+                    err = NonFiniteState("admissibility audit")
+                else:
+                    err = AdmissibilityViolation(state.time, min_zg, tol_adm * zg_peak)
                 err.state = state.copy()  # dumped for post-mortem inspection
                 raise err
-        power = _wall_power(faces.S, state.v, state.time, cfg)
+        power = plan.wall_power(state.v)
         work += 0.5 * (power_prev + power) * dt
         power_prev = power
 
-        yield (state.time, dt, cfl, max_diff, min_zg, *budget(dissipated, work, released)), S_cells
+        yield (t, dt, cfl, max_diff, min_zg, *budget(dissipated, work, released))

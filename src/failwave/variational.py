@@ -31,7 +31,7 @@ from .errors import (
     TooFewLevels,
 )
 from .model import ScenarioConfig, initialize_state
-from .solver import _coupled_steps, _step_count, _stress_faces
+from .solver import ElasticPlan, _coupled_steps, _step_count
 
 
 @dataclass
@@ -69,7 +69,7 @@ def record_trajectory(cfg: ScenarioConfig, stride: int = 1) -> DiscreteTrajector
         raise TooFewLevels(nsteps // stride + 1)
     state = initialize_state(cfg)
     levels = []
-    for k, _ in enumerate(_coupled_steps(state, cfg)):
+    for k, _ in enumerate(_coupled_steps(state, cfg, ElasticPlan(cfg))):
         if k % stride == 0:
             levels.append(
                 (state.time, state.U.copy(), state.v.copy(), state.gamma.copy(), state.active.copy())
@@ -86,12 +86,6 @@ def record_trajectory(cfg: ScenarioConfig, stride: int = 1) -> DiscreteTrajector
 def _require_levels(traj: DiscreteTrajectory, n: int = 3) -> None:
     if traj.nlev < n:
         raise TooFewLevels(traj.nlev)
-
-
-def _scheme_div_stress(traj: DiscreteTrajectory, k: int) -> np.ndarray:
-    cfg = traj.cfg
-    S = _stress_faces(traj.U[k], traj.gamma[k], traj.times[k], cfg)
-    return ops.div_faces(S, cfg.grid.dx)
 
 
 @dataclass
@@ -133,12 +127,13 @@ def lagrange_residual(traj: DiscreteTrajectory) -> LagrangeResidual:
     dt = traj.dt_level
     dx = grid.dx
     n = traj.nlev
+    plan = ElasticPlan(cfg)
     rU, rG, nU, nG = [], [], [], []
     for k in range(1, n - 1):
         Utt = (traj.U[k + 1] - 2.0 * traj.U[k] + traj.U[k - 1]) / dt**2
-        divS = _scheme_div_stress(traj, k)
-        resU = p.rho0 * Utt - divS - p.rho0 * cfg.body_force
-        uXc = ops.strain_cells(traj.U[k], grid, cfg.bc, traj.times[k])
+        plan.level(traj.U[k], traj.gamma[k], traj.times[k])
+        resU = p.rho0 * Utt - ops.div_faces(plan.S, dx) - p.rho0 * cfg.body_force
+        uXc = ops.face_mean(plan.eps)
         _, _, Z = cst.internal_forces(
             traj.gamma[k], p, grid, model=p.model, uX=uXc,
             bc_gamma=cfg.bc["gamma"], active=traj.active[k],
@@ -268,17 +263,19 @@ def reduce_to_generalized(traj: DiscreteTrajectory, basis: Basis) -> Generalized
     grad_psi = np.empty((n, basis.nmodes))
     Q = np.empty((n, basis.nmodes))
     bc_g = cfg.bc["gamma"]
+    plan = ElasticPlan(cfg)
     for k in range(n):
         U, gamma, t = traj.U[k], traj.gamma[k], traj.times[k]
         q[k] = np.linalg.solve(gram, (phi_U @ U + phi_G @ gamma) * dx)
 
-        S = _stress_faces(U, gamma, t, cfg)
+        plan.level(U, gamma, t)
+        S = plan.S
         S_int = S.copy()
         S_int[0] = 0.0
         S_int[-1] = 0.0
         div_int_S = ops.div_faces(S_int, dx)
 
-        uXc = ops.strain_cells(U, grid, cfg.bc, t)
+        uXc = ops.face_mean(plan.eps)
         A, B, _ = cst.internal_forces(
             gamma, p, grid, model=p.model, uX=uXc, bc_gamma=bc_g, active=traj.active[k]
         )
@@ -395,12 +392,14 @@ def action_first_variation(
     bc_g = cfg.bc["gamma"]
     w_g = ops.face_weights_gamma(bc_g, grid.nx, dx)
 
+    plan = ElasticPlan(cfg)
     delta_I = 0.0
     for k in range(1, n - 1):
         U, gamma, t = traj.U[k], traj.gamma[k], traj.times[k]
         dU, dG = delta_U[k], delta_gamma[k]
         # face terms; perturbations are interior so boundary-face variations vanish
-        S = _stress_faces(U, gamma, t, cfg)
+        plan.level(U, gamma, t)
+        S = plan.S
         duX = np.zeros(grid.nx + 1)
         duX[1:-1] = np.diff(dU) / dx
         dpsi = float(np.sum(w_u * S * duX))
@@ -409,7 +408,7 @@ def action_first_variation(
         dgrad = np.zeros(grid.nx + 1)
         dgrad[1:-1] = np.diff(dG) / dx
         dpsi += float(np.sum(w_g * K * gradf * dgrad))
-        uXc = ops.strain_cells(U, grid, cfg.bc, t)
+        uXc = ops.face_mean(plan.eps)
         A = cst.damage_force(gamma, p, model=p.model, uX=uXc)
         dpsi += float(np.sum(-np.where(traj.active[k], A, 0.0) * dG) * dx)
 

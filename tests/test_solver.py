@@ -1,10 +1,13 @@
 """Time stepping: invariants, guards, limits, and coupling structure."""
 
 import copy
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import failwave as fw
 from failwave import ops, solver
@@ -247,6 +250,23 @@ def test_nan_displacement_raises_typed_error():
     assert np.isnan(exc.value.state.U[5])
 
 
+@pytest.mark.parametrize("field", ["min_Z_gammadot", "peak_Z_gammadot"])
+def test_nan_audit_raises_typed_error(monkeypatch, field):
+    # a NaN minimum passes a `<` test, and max(peak, nan) keeps the old peak
+    step = solver.step_damage
+
+    def nan_audit(*args, **kwargs):
+        gamma, info = step(*args, **kwargs)
+        setattr(info, field, float("nan"))
+        return gamma, info
+
+    monkeypatch.setattr(solver, "step_damage", nan_audit)
+    cfg = fw.build_scenario(diffusion_doc())
+    with pytest.raises(fw.NonFiniteState, match="admissibility audit") as exc:
+        fw.run(cfg)
+    assert exc.value.state.time == cfg.dt
+
+
 def test_explicit_matches_cn_on_smooth_profile():
     cn = fw.run(fw.build_scenario(diffusion_doc()))
     ex = fw.run(fw.build_scenario(diffusion_doc(numerics={"scheme": "explicit"})))
@@ -319,30 +339,73 @@ def _activation_bar(load=None, **material):
     }
 
 
+def _activation_sheet():
+    """_activation_bar on 4 rows with a cubic stress, and a velocity pulse
+    that varies across the rows."""
+    doc = _activation_bar(c3=2.0e12, d2=3.3)
+    doc["grid"] = {"nx": 120, "ny": 4, "dx": 5.0e-5, "dy": 5.0e-4}
+    doc["ic"]["v"] = {"type": "gaussian", "amplitude": -40.0, "center": [1.0e-3, 1.0e-3],
+                      "width": [2.0e-4, 1.0e-3]}
+    doc["gauges"] = [[1.0e-3, 2.5e-4], [3.0e-3, 1.75e-3]]
+    return doc
+
+
+def _standalone_cases():
+    linear = _activation_bar(model="linear", b=1.0e9, c2=1.0e9, source={"law": "linear_decay"})
+    cases = {
+        "traction": _activation_bar({"type": "traction", "value": -4.0e9}),
+        "velocity": _activation_bar({"type": "velocity", "value": -200.0}),
+        "linear": linear,
+        "2d": _activation_sheet(),
+    }
+    for doc in cases.values():
+        doc.setdefault("gauges", [1.0e-3, 3.0e-3])
+    return cases
+
+
 # a velocity wall's strain reads the clock: the run builds level k at k*dt,
 # which (k-1)*dt + dt can round off, so the loop passes the same time
-@pytest.mark.parametrize("load", [{"type": "traction", "value": -4.0e9},
-                                  {"type": "velocity", "value": -200.0}],
-                         ids=["traction", "velocity"])
-def test_run_equals_a_loop_of_standalone_steps(load):
-    # the run shares each level's face strain and keeps the damage operators
-    # while no cell switches on; the public steps compute everything afresh
-    cfg = fw.build_scenario(_activation_bar(load))
+@pytest.mark.parametrize("case", ["traction", "velocity", "linear", "2d"])
+def test_run_equals_a_loop_of_standalone_steps(case):
+    # the run steps U and v in place on its per-run elastic plan, evaluates
+    # the cell stress only at the gauges (and wherever activation needs it),
+    # and keeps the damage operators while no cell switches on; the public
+    # steps and the reference functions compute everything afresh
+    cfg = fw.build_scenario(_standalone_cases()[case])
     p = cfg.material
     res = fw.run(cfg)
     state = fw.initialize_state(cfg)
     switched = 0
     for k in range(1, len(res.reports)):
-        state.U, state.v, _, _ = fw.step_elastic(state, cfg, t_new=k * cfg.dt)
+        state.U, state.v, _ = fw.step_elastic(state, cfg, t_new=k * cfg.dt)
         state.time = k * cfg.dt
         uX = ops.strain_cells(state.U, cfg.grid, cfg.bc, state.time)
-        active = state.active | (np.abs(fw.stress(uX, state.gamma, p)) >= p.sigma0)
+        active = state.active | (np.abs(fw.stress(uX, state.gamma, p, p.model)) >= p.sigma0)
         switched += int(active.sum() > state.active.sum())
         state.active = active
         state.gamma, _ = fw.step_damage(state, cfg, uX=uX)
     assert switched > 40
     for field in ("U", "v", "gamma", "active"):
         assert np.array_equal(getattr(state, field), getattr(res.state, field)), field
+    S = fw.stress(uX, state.gamma, p, p.model)
+    for trace in res.gauges:
+        assert trace.S[-1] == S[trace.cell]
+    last = res.reports[-1]
+    assert last["free_energy"] == fw.total_free_energy(
+        state.U, state.gamma, p, cfg.grid, cfg.bc, state.time, p.model, state.active
+    )
+    assert last["kinetic"] == 0.5 * p.rho0 * np.sum(state.v**2) * cfg.grid.cell_volume
+
+
+def test_step_elastic_leaves_its_input_untouched():
+    cfg = fw.build_scenario(_activation_sheet())
+    state = fw.initialize_state(cfg)
+    before = state.copy()
+    U, v, _ = fw.step_elastic(state, cfg)
+    assert not np.array_equal(U, state.U) and not np.array_equal(v, state.v)
+    for field in ("U", "v", "gamma", "active"):
+        assert np.array_equal(getattr(state, field), getattr(before, field)), field
+    assert state.time == before.time
 
 
 def test_damage_operator_is_factored_once_per_active_set(monkeypatch):
@@ -435,10 +498,45 @@ def test_2d_linear_wall_stress_matches_1d_row_by_row():
                                   material=dict(mat, d2=0.1)))
     x = cfg1.grid.cell_centers()
     U, gamma = 0.01 * np.sin(3.0 * x), 0.5 + 0.3 * np.cos(5.0 * x)
-    S1 = solver._stress_faces(U, gamma, 0.0, cfg1)
-    S2 = solver._stress_faces(np.tile(U, (3, 1)), np.tile(gamma, (3, 1)), 0.0, cfg2)
-    for row in S2:
-        assert np.array_equal(row, S1)
+    plan1, plan2 = solver.ElasticPlan(cfg1), solver.ElasticPlan(cfg2)
+    plan1.level(U, gamma, 0.0)
+    plan2.level(np.tile(U, (3, 1)), np.tile(gamma, (3, 1)), 0.0)
+    for row in plan2.S:
+        assert np.array_equal(row, plan1.S)
+
+
+@pytest.mark.parametrize("material", [{}, {"c3": 3.3}, {"model": "linear", "b": 0.7, "c2": 1.0}],
+                         ids=["feng", "cubic", "linear"])
+@pytest.mark.parametrize("walls", [("traction", "free"), ("velocity", "fixed")])
+def test_plan_face_stress_matches_constitutive_stress(material, walls):
+    # the plan resolves the stress branch and the wall rules once; interior
+    # faces carry cst.stress of ops.strain_faces bitwise, and the walls their
+    # prescribed stress (0 when free, the traction protocol) or the computed one
+    specs = {"traction": {"type": "traction", "value": -0.3, "ramp": 0.5, "until": 2.0},
+             "free": {"type": "free"}, "velocity": {"type": "velocity", "value": 0.2},
+             "fixed": {"type": "fixed", "value": 0.01}}
+    bc = {"u_left": specs[walls[0]], "u_right": specs[walls[1]],
+          "gamma": {"type": "dirichlet", "value": 0.25}}
+    doc = {"grid": {"nx": 64, "dx": 1.0 / 64},
+           "material": dict({"rho0": 1.0, "c1": 1.0, "lambda": 1.0, "d1": 0.1}, **material),
+           "time": {"dt": 0.01, "t_end": 0.1}, "bc": bc}
+    cfg = fw.build_scenario(doc)
+    p = cfg.material
+    x = cfg.grid.cell_centers()
+    U, gamma, t = 0.1 * np.sin(3.0 * x), 0.5 + 0.3 * np.cos(5.0 * x), 0.3
+    plan = solver.ElasticPlan(cfg)
+    plan.level(U, gamma, t)
+    eps = ops.strain_faces(U, cfg.grid, cfg.bc, t)
+    gamma_faces = ops.gamma_face_values(gamma, cfg.bc["gamma"])
+    S = fw.stress(eps, gamma_faces, p, p.model)
+    assert np.array_equal(plan.eps, eps)
+    assert np.array_equal(plan.S[1:-1], S[1:-1])
+    for side, face in (("u_left", 0), ("u_right", -1)):
+        spec = cfg.bc[side]
+        if spec["type"] == "traction":
+            assert plan.S[face] == ops.traction_at(spec, t) != 0.0, side
+        else:
+            assert plan.S[face] == (0.0 if spec["type"] == "free" else S[face]), side
 
 
 # -- output contracts --------------------------------------------------------------
@@ -470,6 +568,109 @@ def test_budget_closure_on_fast_shipped_scenarios():
     for name in ("damage_decay.yaml", "linear_quadratic.yaml"):
         res = fw.run(load_scenario(name))
         assert fw.budget_imbalance(res.reports) < 0.01, name
+
+
+@st.composite
+def small_runs(draw):
+    """A small 1D run and its CFL number: 16-48 cells, at most 60 steps, CFL
+    at most 0.5, any pair of displacement walls (a ring, or each of fixed,
+    velocity, free, traction, ramped traction), either model, with and
+    without an activation threshold.
+
+    c3 = 0, the damage potential is quadratic and |b| <= sqrt(c1*c2)/2, so
+    the free energy is at least half its uncoupled part. The initial
+    displacement, a sine of amplitude 0.01 to 0.02, then carries a free
+    energy E0 >= (0.01 pi)^2/8 = 1.2e-4; wall loads stay at or below 0.02
+    and fixed walls within 0.001 of the sine's zero (see the bound below)."""
+    nx = draw(st.integers(16, 48))
+    cfl = draw(st.floats(0.05, 0.5))
+    steps = draw(st.integers(1, 60))
+    load = st.floats(-0.02, 0.02)
+
+    def wall():
+        kind = draw(st.sampled_from(["fixed", "velocity", "free", "traction", "ramp"]))
+        if kind == "free":
+            return {"type": "free"}
+        if kind == "ramp":
+            return {"type": "traction", "value": draw(load), "ramp": draw(st.floats(0.01, 0.5))}
+        return {"type": kind, "value": draw(load) / 20.0 if kind == "fixed" else draw(load)}
+
+    if draw(st.booleans()):
+        bc = {"u_left": {"type": "periodic"}, "u_right": {"type": "periodic"},
+              "gamma": {"type": "periodic"}}
+    else:
+        bc = {"u_left": wall(), "u_right": wall(), "gamma": {"type": "zero_flux"}}
+    def coefficient(hi):  # 0, or far above roundoff (see the xfail below)
+        return draw(st.sampled_from([0.0]) | st.floats(1e-3 * hi, hi))
+
+    c2 = coefficient(1.0)
+    mat = {"rho0": 1.0, "c1": 1.0, "c2": c2, "lambda": draw(st.floats(0.1, 2.0)),
+           "d1": coefficient(0.05), "sigma0": draw(st.sampled_from([0.0, 0.002, 0.01]))}
+    if draw(st.booleans()):
+        mat.update(model="linear", b=coefficient(0.5) * draw(st.sampled_from([-1.0, 1.0])) * math.sqrt(c2))
+    bump = {"type": "gaussian", "center": draw(st.floats(0.2, 0.8)), "width": 0.1}
+    amplitude = draw(st.floats(0.01, 0.02)) * draw(st.sampled_from([-1.0, 1.0]))
+    doc = {
+        "grid": {"nx": nx, "dx": 1.0 / nx},
+        "material": mat,
+        "time": {"dt": cfl / nx, "t_end": steps * cfl / nx},
+        "ic": {"U": {"type": "sine", "amplitude": amplitude, "mode": draw(st.integers(1, 3))},
+               "v": dict(bump, amplitude=draw(st.floats(-0.05, 0.05))),
+               "gamma": dict(bump, amplitude=draw(st.floats(0.0, 0.5)))},
+        "bc": bc,
+    }
+    return doc, cfl
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_runs())
+def test_budget_closes_on_small_random_runs(run_and_cfl):
+    # The bound, 2 cfl^2 relative to the peak energy, has two terms.
+    # - Velocity Verlet: with c3 = 0 the elastic force is linear, and Verlet
+    #   conserves the modified energy H - (dt^2/8) sum rho0 a^2 dV exactly.
+    #   Mode by mode the correction is the potential energy times
+    #   (omega dt/2)^2, and the discrete operator's top frequency is 2c/dx
+    #   (mirror-ghost walls included, by Gershgorin), so kinetic + elastic
+    #   energy drifts by at most cfl^2 times the peak total.
+    # - Wall work: the trapezoidal work misses (dt/4) dT dv per step at a
+    #   loaded wall (dT, dv the step's change of wall stress and velocity).
+    #   Over the load's onset and a monotone ramp that sums to at most
+    #   cfl^2 dx |T| (|T| + |S|) / (4 rho0 c^2) <= cfl^2 * 1.1e-4 for
+    #   |T| <= 0.02, dx <= 1/16 and the stress next to the wall |S| <= 0.31
+    #   (sine strain 0.02*3 pi, fixed-wall offset 2*0.001/dx, load), which
+    #   is below cfl^2 E0.
+    # Crank-Nicolson books the drop of a quadratic damage potential exactly
+    # (its midpoint identity gives lam*gamma_dot^2*dt per step); splitting
+    # and activation add terms of higher order at these sizes.
+    doc, cfl = run_and_cfl
+    res = fw.run(fw.build_scenario(doc))
+    assert fw.budget_imbalance(res.reports) <= 2.0 * cfl**2
+
+
+@pytest.mark.xfail(strict=True, reason="the gate's scale is the run's peak |Z*dGamma/dt|, "
+                   "itself roundoff when the damage barely moves")
+def test_roundoff_damage_rate_passes_the_admissibility_gate():
+    # d1 = 2.2e-16 moves gamma by roundoff only; Z*dGamma/dt is roundoff of
+    # either sign, and its peak (about 2e-28) sets the gate's tolerance
+    nx = 45
+    doc = {"grid": {"nx": nx, "dx": 1.0 / nx},
+           "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1.0, "d1": 2.220446049250313e-16},
+           "time": {"dt": 0.5 / nx, "t_end": 0.5 / nx},
+           "ic": {"U": {"type": "sine", "amplitude": -0.015625, "mode": 1},
+                  "gamma": {"type": "gaussian", "amplitude": 0.5, "center": 0.5, "width": 0.1}},
+           "bc": {"u_left": {"type": "periodic"}, "u_right": {"type": "periodic"},
+                  "gamma": {"type": "periodic"}}}
+    fw.run(fw.build_scenario(doc))
+
+
+@pytest.mark.xfail(strict=True, reason="the release term books B*gamma_dot of the wall cell "
+                   "at a dirichlet wall, whose damage is prescribed and does not move")
+def test_budget_closes_with_a_dirichlet_damage_wall():
+    # the zero-flux run of the same profile closes to roundoff
+    bc = {"u_left": {"type": "fixed"}, "u_right": {"type": "fixed"},
+          "gamma": {"type": "dirichlet", "value": 0.2}}
+    res = fw.run(fw.build_scenario(diffusion_doc(bc=bc)))
+    assert fw.budget_imbalance(res.reports) < 1e-3
 
 
 # -- 2D ---------------------------------------------------------------------------

@@ -119,6 +119,9 @@ def test_trajectory_matches_solver_run():
             assert np.array_equal(traj.U[i], snap.U)
             assert np.array_equal(traj.v[i], snap.v)
             assert np.array_equal(traj.gamma[i], snap.gamma)
+        # the run updates U and v in place; each stored level is its own copy
+        for field in (traj.U, traj.v):
+            assert len({level.tobytes() for level in field}) == traj.nlev
 
 
 def test_trajectory_is_audited_like_run():
