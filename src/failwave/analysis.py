@@ -196,9 +196,9 @@ class LimitStudyResult:
 
 def budget_imbalance(reports) -> float:
     """Max relative energy-budget residual over a run's reports:
-    |(K+psi)(t) - (K+psi)(0) + dissipated + released - work| / peak(K+psi)."""
+    |(K+psi)(t) - (K+psi)(0) + dissipated - work| / peak(K+psi)."""
     tot = reports["kinetic"] + reports["free_energy"]
-    resid = np.abs(tot - tot[0] + reports["dissipated"] + reports["released"] - reports["boundary_work"])
+    resid = np.abs(tot - tot[0] + reports["dissipated"] - reports["boundary_work"])
     scale = float(np.max(tot))
     return float(np.max(resid)) / scale if scale > 0 else float(np.max(resid))
 

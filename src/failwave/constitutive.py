@@ -64,8 +64,9 @@ def free_energy_linear(uX, gamma, grad_gamma, p: MaterialParams):
     )
 
 
-def free_energy(uX, gamma, grad_gamma, p: MaterialParams, model: str = "feng"):
-    if model == "linear":
+def free_energy(uX, gamma, grad_gamma, p: MaterialParams):
+    """Free energy density of p.model (J/m^3)."""
+    if p.model == "linear":
         return free_energy_linear(uX, gamma, grad_gamma, p)
     return free_energy_feng(uX, gamma, grad_gamma, p)
 
@@ -85,7 +86,7 @@ def damage_potential(gamma, p: MaterialParams):
     return 0.5 * p.c2 * gamma**2
 
 
-def damage_force(gamma, p: MaterialParams, model: str = "feng", uX=None):
+def damage_force(gamma, p: MaterialParams, uX=None):
     """Internal force A = -d(psi)/d(gamma) (Pa), source law included.
 
     feng + linear_decay: -c2*gamma
@@ -93,7 +94,7 @@ def damage_force(gamma, p: MaterialParams, model: str = "feng", uX=None):
     linear:              -(b*uX + c2*gamma)
     """
     gamma = np.asarray(gamma, dtype=float)
-    if model == "linear":
+    if p.model == "linear":
         if uX is None:
             uX = np.zeros_like(gamma)
         return -(p.b * np.asarray(uX, dtype=float) + p.c2 * gamma)
@@ -102,21 +103,21 @@ def damage_force(gamma, p: MaterialParams, model: str = "feng", uX=None):
     return -p.c2 * gamma
 
 
-def stress(uX, gamma, p: MaterialParams, model: str = "feng"):
-    """Longitudinal 1st Piola-Kirchhoff stress (Pa)."""
+def stress(uX, gamma, p: MaterialParams):
+    """Longitudinal 1st Piola-Kirchhoff stress of p.model (Pa)."""
     uX = np.asarray(uX, dtype=float)
-    if model == "linear":
+    if p.model == "linear":
         return p.c1 * uX + p.b * np.asarray(gamma, dtype=float)
     if p.c3 == 0.0:
         return p.c1 * uX
     return p.c1 * uX + p.c3 * (uX * uX * uX)  # spelled out: ** dispatches to pow
 
 
-def elastic_energy_density(uX, p: MaterialParams, model: str = "feng"):
+def elastic_energy_density(uX, p: MaterialParams):
     """Strain part of psi only (the face-quadrature integrand), J/m^3."""
     uX = np.asarray(uX, dtype=float)
     u2 = uX * uX
-    if model == "linear" or p.c3 == 0.0:
+    if p.model == "linear" or p.c3 == 0.0:
         return 0.5 * p.c1 * u2
     return 0.5 * p.c1 * u2 + 0.25 * p.c3 * (u2 * u2)
 
@@ -152,55 +153,29 @@ def internal_forces(
     gamma: np.ndarray,
     p: MaterialParams,
     grid,
-    model: str = "feng",
     uX=None,
     bc_gamma: dict | None = None,
     active: np.ndarray | None = None,
     K: tuple | None = None,
-):
-    """Damage force fields (A, B, Z): A pointwise, B = -K grad(gamma) on
-    faces, Z = A - div(B) with the divergence adjoint to the face gradient.
+) -> np.ndarray:
+    """Net damage force Z = A - div(B) at cells (Pa): A is damage_force, B
+    = -K grad(gamma) the face flux, and the divergence is adjoint to the
+    face gradient (ops.grid_flux_div).
 
     Conductivity is masked to zero on faces with an inactive neighbor; K,
     the face conductivity of each grid axis (ops.grid_conductivity of
     active), is computed here when not given.
-    1D returns B as an (nx+1,) array; 2D as an (x-faces, y-faces) pair.
     """
     bc_g = bc_gamma if bc_gamma is not None else _ZERO_FLUX
     if K is None:
         K = _conductivity(active, p, grid, bc_g)
-    A = damage_force(gamma, p, model=model, uX=uX)
-    B, divB = [], []
-    for ax, Ka in zip(grid.axes, K):
-        Ba = -ax.view(Ka) * ops.gamma_grad_faces(ax.view(gamma), ax.h, bc_g)
-        B.append(ax.view(Ba))
-        divB.append(ax.view(ops.div_faces(Ba, ax.h)))
-    Z = A - sum(divB[1:], divB[0])
-    return A, (B[0] if len(B) == 1 else tuple(B)), Z
+    return damage_force(gamma, p, uX=uX) + ops.grid_flux_div(gamma, K, grid, [bc_g] * grid.ndim)
 
 
 def _conductivity(active, p: MaterialParams, grid, bc_g: dict) -> tuple:
     if active is None:
         active = np.ones(grid.shape, dtype=bool)
     return ops.grid_conductivity(active, (p.k1, p.k2), grid, bc_g)
-
-
-def boundary_energy_release(gamma_dot, B, grid, bc_gamma: dict | None = None) -> float:
-    """Surface sum H = sum over boundary faces of (B . n) * gamma_dot (W/m^2
-    in 1D, W/m in 2D). Periodic domains have no boundary: H = 0.
-
-    gamma_dot is cell-centered; the boundary face uses its adjacent cell.
-    B is face-centered ((nx+1,) in 1D, (Bx, By) pair in 2D).
-    """
-    bc_g = bc_gamma if bc_gamma is not None else _ZERO_FLUX
-    if bc_g["type"] == "periodic":
-        return 0.0
-    gd = np.asarray(gamma_dot, dtype=float)
-    H = 0.0
-    for ax, Ba in zip(grid.axes, B if isinstance(B, tuple) else (B,)):
-        b, g = ax.view(Ba), ax.view(gd)
-        H += (b[..., -1] * g[..., -1] - b[..., 0] * g[..., 0]).sum() * ax.across
-    return float(H)
 
 
 def damage_free_energy(
@@ -233,7 +208,6 @@ def total_free_energy(
     grid,
     bc: dict,
     t: float,
-    model: str = "feng",
     active: np.ndarray | None = None,
 ) -> float:
     """Discrete free energy (J per unit cross-section) with the quadrature
@@ -248,9 +222,9 @@ def total_free_energy(
     """
     eps = ops.strain_faces(U, grid, bc, t)
     w_u, w_gamma = ops.energy_weights(bc, grid)
-    e_el = float((elastic_energy_density(eps, p, model) * w_u).sum() * grid.axes[0].across)
+    e_el = float((elastic_energy_density(eps, p) * w_u).sum() * grid.axes[0].across)
     e_grad, e_cell = damage_free_energy(gamma, p, grid, bc["gamma"], w_gamma, active)
-    if model == "linear" and p.b != 0.0:
+    if p.model == "linear" and p.b != 0.0:
         uXc = ops.face_mean(eps)
         e_cell += float((p.b * uXc * gamma * grid.cell_volume).sum())
     return e_el + e_grad + e_cell

@@ -647,6 +647,6 @@ def initialize_state(cfg: ScenarioConfig) -> FieldState:
     v = _sample(cfg.ic["v"], cfg.grid)
     gamma = _sample(cfg.ic["gamma"], cfg.grid)
     uX = strain_cells(U, cfg.grid, cfg.bc, 0.0)
-    S0 = stress(uX, gamma, cfg.material, cfg.material.model)
+    S0 = stress(uX, gamma, cfg.material)
     active = (gamma > 0.0) | (np.abs(S0) >= cfg.material.sigma0)
     return FieldState(time=0.0, U=U, v=v, gamma=gamma, active=active)

@@ -11,7 +11,7 @@ damage substep skipped: the damage field stays frozen and nothing dissipates.
 Every step is audited: hyperbolic Courant number, parabolic stability
 number, the pointwise admissibility product Z*dGamma/dt, and a running
 energy budget (kinetic + free energy + cumulative dissipation + boundary
-work + boundary damage release).
+work).
 """
 
 from __future__ import annotations
@@ -37,13 +37,15 @@ from .model import FieldState, ScenarioConfig, initialize_state
 
 
 # The columns of RunResult.reports, one row per time level. kinetic and
-# free_energy are instantaneous; dissipated, boundary_work and released are
-# cumulative from t = 0 (J per unit cross-section). Closure: the growth of
-# kinetic + free_energy equals boundary_work - dissipated - released up to
-# time-stepping error. reports.csv writes these columns and their total.
+# free_energy are instantaneous; dissipated and boundary_work are cumulative
+# from t = 0 (J per unit cross-section). Closure: the growth of kinetic +
+# free_energy equals boundary_work - dissipated up to time-stepping error
+# (the damage flux does no work at any damage wall: zero-flux walls carry no
+# flux, dirichlet walls hold gamma fixed, rings have no wall). reports.csv
+# writes these columns and their total.
 REPORT_FIELDS = (
     "time", "dt", "max_cfl", "max_diff", "min_Z_gammadot",
-    "kinetic", "free_energy", "dissipated", "boundary_work", "released",
+    "kinetic", "free_energy", "dissipated", "boundary_work",
 )
 
 
@@ -198,7 +200,7 @@ class ElasticPlan:
         at, one index array per field axis."""
         e = self.eps
         uX = 0.5 * (e[..., :-1][at] + e[..., 1:][at])
-        return cst.stress(uX, gamma[at], self.p, self.p.model)
+        return cst.stress(uX, gamma[at], self.p)
 
     def kinetic(self, v) -> float:
         square = np.multiply(v, v, out=self._c1)
@@ -277,7 +279,6 @@ class DamageStepInfo:
     min_Z_gammadot: float
     peak_Z_gammadot: float
     dissipated_inc: float
-    released_inc: float
     operators: DamageOperators  # reusable while the active set stays
 
 
@@ -321,12 +322,11 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None, operators=None)
         if scheme == "explicit":
             if diff_number > 0.5 + 1e-12:
                 raise DiffusionStabilityViolation(diff_number)
-            A = cst.damage_force(gamma, p, model=p.model, uX=uX)
-            rhs = ops.grid_flux_div(gamma, K, grid, [bc_g] * len(K)) + np.where(active, A, 0.0)
-            gamma_new = gamma + dt / p.lam * np.where(active, rhs, 0.0)
+            # the update's force is the audit's: admissibility sampled at the old state
+            Z = cst.internal_forces(gamma, p, grid, uX=uX, bc_gamma=bc_g, K=K)
+            gamma_new = gamma + dt / p.lam * np.where(active, Z, 0.0)
             if not np.isfinite(gamma_new).all():
                 raise NonFiniteState("explicit damage update")
-            z_probe = gamma  # admissibility sampled at the old state
         else:
             gamma_new = gamma.copy()
             op = operators.implicit
@@ -362,29 +362,23 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None, operators=None)
                 else:
                     raise PicardNotConverged(state.time, max_iter, delta, limit)
                 gamma_new[box] = g_new
-            z_probe = None  # midpoint, assigned after the clamp below
     except (NonFiniteState, PicardNotConverged) as err:
         err.state = state.copy()  # dumped for post-mortem inspection
         raise
 
     if p.source_law == "logistic":
         gamma_new = np.maximum(gamma_new, 0.0)
-    if z_probe is None:
-        z_probe = 0.5 * (gamma + gamma_new)  # scheme-consistent midpoint
+    if scheme != "explicit":  # Z at the scheme-consistent midpoint
+        Z = cst.internal_forces(0.5 * (gamma + gamma_new), p, grid, uX=uX, bc_gamma=bc_g, K=K)
 
     gamma_dot = (gamma_new - gamma) / dt
-    _, B_mid, Z_mid = cst.internal_forces(
-        z_probe, p, grid, model=p.model, uX=uX, bc_gamma=bc_g, active=active, K=K
-    )
-    zg = np.where(active, Z_mid * gamma_dot, 0.0)
-    released = cst.boundary_energy_release(gamma_dot, B_mid, grid, bc_g)
+    zg = np.where(active, Z * gamma_dot, 0.0)
     dissipated = float((p.lam * gamma_dot**2).sum() * grid.cell_volume)
     info = DamageStepInfo(
         max_diff=float(diff_number),
         min_Z_gammadot=float(zg.min()) if zg.size else 0.0,
         peak_Z_gammadot=float(np.abs(zg).max()) if zg.size else 0.0,
         dissipated_inc=dissipated * dt,
-        released_inc=released * dt,
         operators=operators,
     )
     return gamma_new, info
@@ -396,10 +390,9 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None, operators=None)
 def _snapshot(step: int, state: FieldState, cfg: ScenarioConfig) -> Snapshot:
     p = cfg.material
     uXc = ops.strain_cells(state.U, cfg.grid, cfg.bc, state.time)
-    S = cst.stress(uXc, state.gamma, p, p.model)
-    _, _, Z = cst.internal_forces(
-        state.gamma, p, cfg.grid, model=p.model, uX=uXc,
-        bc_gamma=cfg.bc["gamma"], active=state.active,
+    S = cst.stress(uXc, state.gamma, p)
+    Z = cst.internal_forces(
+        state.gamma, p, cfg.grid, uX=uXc, bc_gamma=cfg.bc["gamma"], active=state.active
     )
     return Snapshot(
         step=step,
@@ -472,7 +465,7 @@ def _activate(state: FieldState, uXc, p) -> bool:
     state.active is replaced by a new mask only when a cell switched on,
     which is what this returns."""
     if p.sigma0 > 0.0:
-        hit = np.abs(cst.stress(uXc, state.gamma, p, p.model)) >= p.sigma0
+        hit = np.abs(cst.stress(uXc, state.gamma, p)) >= p.sigma0
         if not (hit > state.active).any():
             return False
         state.active = state.active | hit
@@ -499,7 +492,7 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
     kind: clifton is the conservative limit (lam = 0, c2 = 0, b = 0, no
     source; ConfigConflict otherwise): every step skips activation, the
     damage substep and the audit, so no cell is active, the damage field is
-    frozen, dissipation and release stay zero, and total energy is conserved
+    frozen, dissipation stays zero, and total energy is conserved
     to discretization error.
     """
     p = cfg.material
@@ -519,9 +512,9 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
     damage_ops = None
     e_damage = None  # damage part of the free energy, evaluated when gamma moved
 
-    def budget(dissipated, work, released):
+    def budget(dissipated, work):
         """The budget part of a report row: kinetic, free_energy, dissipated,
-        boundary_work, released."""
+        boundary_work."""
         nonlocal e_damage
         if e_damage is None:
             e_damage = cst.damage_free_energy(
@@ -529,12 +522,11 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
                 K=None if damage_ops is None else damage_ops.K,
             )
         free = plan.free_energy(state.gamma, e_damage)
-        return plan.kinetic(state.v), free, dissipated, work, released
+        return plan.kinetic(state.v), free, dissipated, work
 
-    yield (0.0, dt, 0.0, 0.0, 0.0, *budget(0.0, 0.0, 0.0))
+    yield (0.0, dt, 0.0, 0.0, 0.0, *budget(0.0, 0.0))
 
     dissipated = 0.0
-    released = 0.0
     work = 0.0
     max_diff = 0.0
     min_zg = 0.0
@@ -555,7 +547,6 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
             max_diff, min_zg = dinfo.max_diff, dinfo.min_Z_gammadot
 
             dissipated += dinfo.dissipated_inc
-            released += dinfo.released_inc
             if p.model == "linear":  # damage moved, so stress moved
                 plan.stress(state.gamma, t)
             zg_peak = max(zg_peak, dinfo.peak_Z_gammadot)
@@ -571,4 +562,4 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
         work += 0.5 * (power_prev + power) * dt
         power_prev = power
 
-        yield (t, dt, cfl, max_diff, min_zg, *budget(dissipated, work, released))
+        yield (t, dt, cfl, max_diff, min_zg, *budget(dissipated, work))

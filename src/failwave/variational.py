@@ -134,9 +134,8 @@ def lagrange_residual(traj: DiscreteTrajectory) -> LagrangeResidual:
         plan.level(traj.U[k], traj.gamma[k], traj.times[k])
         resU = p.rho0 * Utt - ops.div_faces(plan.S, dx) - p.rho0 * cfg.body_force
         uXc = ops.face_mean(plan.eps)
-        _, _, Z = cst.internal_forces(
-            traj.gamma[k], p, grid, model=p.model, uX=uXc,
-            bc_gamma=cfg.bc["gamma"], active=traj.active[k],
+        Z = cst.internal_forces(
+            traj.gamma[k], p, grid, uX=uXc, bc_gamma=cfg.bc["gamma"], active=traj.active[k]
         )
         gdot = (traj.gamma[k + 1] - traj.gamma[k - 1]) / (2.0 * dt)
         resG = p.lam * gdot - np.where(traj.active[k], Z, 0.0)
@@ -275,11 +274,10 @@ def reduce_to_generalized(traj: DiscreteTrajectory, basis: Basis) -> Generalized
         S_int[-1] = 0.0
         div_int_S = ops.div_faces(S_int, dx)
 
-        uXc = ops.face_mean(plan.eps)
-        A, B, _ = cst.internal_forces(
-            gamma, p, grid, model=p.model, uX=uXc, bc_gamma=bc_g, active=traj.active[k]
-        )
-        B_int = np.asarray(B).copy()
+        A = cst.damage_force(gamma, p, uX=ops.face_mean(plan.eps))
+        K = ops.face_conductivity(traj.active[k], p.k1, bc_g)
+        B = -K * ops.gamma_grad_faces(gamma, dx, bc_g)
+        B_int = B.copy()
         B_int[0] = 0.0
         B_int[-1] = 0.0
         Z_int = np.where(traj.active[k], A, 0.0) - ops.div_faces(B_int, dx)
@@ -352,7 +350,7 @@ def discrete_action(traj: DiscreteTrajectory) -> float:
     action = 0.0
     for k in range(n):
         psi = cst.total_free_energy(
-            traj.U[k], traj.gamma[k], p, grid, cfg.bc, traj.times[k], p.model, traj.active[k]
+            traj.U[k], traj.gamma[k], p, grid, cfg.bc, traj.times[k], traj.active[k]
         )
         ext = p.rho0 * cfg.body_force * float(np.sum(traj.U[k]) * dx)
         action += dt * (psi - ext)
@@ -409,7 +407,7 @@ def action_first_variation(
         dgrad[1:-1] = np.diff(dG) / dx
         dpsi += float(np.sum(w_g * K * gradf * dgrad))
         uXc = ops.face_mean(plan.eps)
-        A = cst.damage_force(gamma, p, model=p.model, uX=uXc)
+        A = cst.damage_force(gamma, p, uX=uXc)
         dpsi += float(np.sum(-np.where(traj.active[k], A, 0.0) * dG) * dx)
 
         gdot = (traj.gamma[k + 1] - traj.gamma[k - 1]) / (2.0 * dt)

@@ -283,11 +283,11 @@ def test_criterion_08_gradient_checks():
             uX = rng.uniform(-0.5, 0.5)
             G = rng.uniform(0.0, 2.0)
             g = rng.uniform(-3.0, 3.0)
-            psi = lambda u_, G_, g_: fw.free_energy(u_, G_, g_, p, model)
-            worst = max(worst, scaled_err(fw.stress(uX, G, p, model), central(lambda u_: psi(u_, G, g), uX)))
+            psi = lambda u_, G_, g_: fw.free_energy(u_, G_, g_, p)
+            worst = max(worst, scaled_err(fw.stress(uX, G, p), central(lambda u_: psi(u_, G, g), uX)))
             worst = max(
                 worst,
-                scaled_err(fw.damage_force(G, p, model=model, uX=uX), -central(lambda G_: psi(uX, G_, g), G)),
+                scaled_err(fw.damage_force(G, p, uX=uX), -central(lambda G_: psi(uX, G_, g), G)),
             )
             # conduction flux B = -k1 * grad, so dpsi/dgrad must equal k1*grad
             worst = max(worst, scaled_err(p.k1 * g, central(lambda g_: psi(uX, G, g_), g)))

@@ -195,8 +195,7 @@ def test_budget_imbalance_definition():
     got = fw.budget_imbalance(res.reports)
     tot = res.reports["kinetic"] + res.reports["free_energy"]
     dis = res.reports["dissipated"]
-    rel = res.reports["released"]
     wrk = res.reports["boundary_work"]
-    expected = np.max(np.abs(tot - tot[0] + dis + rel - wrk)) / np.max(tot)
+    expected = np.max(np.abs(tot - tot[0] + dis - wrk)) / np.max(tot)
     assert got == pytest.approx(expected, rel=1e-15)
     assert got < 1e-4

@@ -78,7 +78,7 @@ def test_run_writes_artifacts_and_manifest(tmp_path):
         header = fh.readline().strip()
     assert header == (
         "time,dt,max_cfl,max_diff,min_Z_gammadot,"
-        "kinetic,free_energy,dissipated,boundary_work,released,total"
+        "kinetic,free_energy,dissipated,boundary_work,total"
     )
     with open(os.path.join(out, "gauge_00.csv")) as fh:
         assert fh.readline().strip() == "t,S,gamma,sigma_lateral_proxy"

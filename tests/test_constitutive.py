@@ -45,17 +45,15 @@ def test_stress_points():
     # feng: 2*0.5 + 4*0.125 = 1.5 ; linear: 2*0.5 + 3*2 = 7
     assert fw.stress(0.5, 0.0, mat(c1=2.0, c3=4.0)) == pytest.approx(1.5, rel=1e-14)
     p_lin = mat(c1=2.0, b=3.0, model="linear")
-    assert fw.stress(0.5, 2.0, p_lin, model="linear") == pytest.approx(7.0, rel=1e-14)
+    assert fw.stress(0.5, 2.0, p_lin) == pytest.approx(7.0, rel=1e-14)
 
 
 def test_internal_forces_uniform_field():
-    # uniform gamma: no gradient, so A = -c2*G = -6 and Z = A
+    # uniform gamma: no gradient, so Z = A = -c2*G = -6
     p = mat(c2=3.0, lam=1.0, d1=0.5)
     grid = fw.Grid1D(nx=8, dx=0.125)
     gamma = np.full(8, 2.0)
-    A, B, Z = fw.internal_forces(gamma, p, grid)
-    assert np.allclose(A, -6.0, rtol=1e-14)
-    assert np.allclose(B, 0.0, atol=0.0)
+    Z = fw.internal_forces(gamma, p, grid)
     assert np.allclose(Z, -6.0, rtol=1e-14)
 
 
@@ -83,35 +81,6 @@ def test_elastic_wave_speed_uses_peak_strain():
     assert c == pytest.approx(np.sqrt(1.36 / 4.0), rel=1e-14)
 
 
-# -- boundary energy release -----------------------------------------------------
-
-
-def test_boundary_release_linear_flux():
-    # H = B(R)*gd(R) - B(L)*gd(L) = 1*2 - 0*2 = 2
-    grid = fw.Grid1D(nx=10, dx=0.1)
-    B = np.linspace(0.0, 1.0, 11)
-    gd = np.full(11, 2.0)
-    H = fw.boundary_energy_release(gd, B, grid, {"type": "dirichlet", "value": 0.0})
-    assert H == pytest.approx(2.0, rel=1e-14)
-
-
-def test_boundary_release_zero_flux_wall_is_zero():
-    p = mat(lam=1.0, d1=0.5)
-    grid = fw.Grid1D(nx=32, dx=1.0 / 32)
-    x = grid.cell_centers()
-    gamma = np.exp(-((x - 0.5) ** 2) / 0.02)
-    _, B, _ = fw.internal_forces(gamma, p, grid, bc_gamma={"type": "zero_flux"})
-    assert B[0] == 0.0 and B[-1] == 0.0
-    gd = np.ones(33)
-    assert fw.boundary_energy_release(gd, B, grid, {"type": "zero_flux"}) == 0.0
-
-
-def test_boundary_release_periodic_is_zero():
-    grid = fw.Grid1D(nx=8, dx=0.125)
-    B = np.linspace(0.0, 1.0, 9)
-    assert fw.boundary_energy_release(np.ones(9), B, grid, {"type": "periodic"}) == 0.0
-
-
 # -- derivative consistency --------------------------------------------------------
 
 
@@ -137,13 +106,13 @@ def test_forces_match_free_energy_gradient(model):
         G = rng.uniform(0.0, 2.0)
         g = rng.uniform(-3.0, 3.0)
 
-        psi = lambda u_, G_, g_: fw.free_energy(u_, G_, g_, p, model)
+        psi = lambda u_, G_, g_: fw.free_energy(u_, G_, g_, p)
         S_fd = _central(lambda u_: psi(u_, G, g), uX, h)
         A_fd = -_central(lambda G_: psi(uX, G_, g), G, h)
         Bg_fd = _central(lambda g_: psi(uX, G, g_), g, h)  # dpsi/dg = K g = -B
 
-        S = fw.stress(uX, G, p, model)
-        A = fw.damage_force(G, p, model=model, uX=uX)
+        S = fw.stress(uX, G, p)
+        A = fw.damage_force(G, p, uX=uX)
         assert S == pytest.approx(S_fd, rel=1e-6, abs=1e-9)
         assert A == pytest.approx(A_fd, rel=1e-6, abs=1e-9)
         assert p.k1 * g == pytest.approx(Bg_fd, rel=1e-6, abs=1e-9)
@@ -204,6 +173,8 @@ def test_flux_divergence_adjoint_to_gradient(kind, two_d, seed):
         div = ops.damage_flux_div(G, K, ax.h, bc_g)
         lhs = float(np.sum(P * div) * ax.h * ax.across)
         gradG = ops.gamma_grad_faces(G, ax.h, bc_g)
+        if kind == "zero_flux":  # the wall faces carry no flux
+            assert not gradG[..., [0, -1]].any()
         gradP = ops.gamma_grad_faces(P, ax.h, bc_g)
         w = ops.face_weights_gamma(bc_g, G.shape[-1], ax.h)
         rhs = -float(np.sum(K * gradG * gradP * w) * ax.across)
