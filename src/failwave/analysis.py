@@ -196,10 +196,13 @@ class LimitStudyResult:
 
 def budget_imbalance(reports) -> float:
     """Max relative energy-budget residual over a run's reports:
-    |(K+psi)(t) - (K+psi)(0) + dissipated - work| / peak(K+psi)."""
-    tot = reports["kinetic"] + reports["free_energy"]
+    |(K+psi)(t) - (K+psi)(0) + dissipated - work| / peak(|K| + |psi|).
+    The scale sums magnitudes because psi can be negative (the logistic
+    potential is), and a peak of K + psi could then cancel to near 0."""
+    kinetic, free = reports["kinetic"], reports["free_energy"]
+    tot = kinetic + free
     resid = np.abs(tot - tot[0] + reports["dissipated"] - reports["boundary_work"])
-    scale = float(np.max(tot))
+    scale = float(np.max(np.abs(kinetic) + np.abs(free)))
     return float(np.max(resid)) / scale if scale > 0 else float(np.max(resid))
 
 

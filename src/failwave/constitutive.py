@@ -1,22 +1,24 @@
-"""Free energy, dissipation, and every quantity derived from them.
+"""The paper's two functions, the free energy and the dissipation rate, and
+every quantity derived from them.
 
-Two material forms are supported:
+free_energy is the density the discrete sums integrate,
+    psi = elastic_energy_density + W(gamma) + (1/2)k1 (dGamma/dX)^2
+          + (1/2)k2 |grad_perp Gamma|^2 [+ b*uX*gamma, model: linear],
+with k1 = lam*d1, k2 = lam*d2; stress and damage_force are its derivatives
+in uX and -gamma. feng's strain energy (c1/2)uX^2 + (c3/4)uX^4 has no cross
+term, so the elastic field never feels the damage field; linear is the
+quadratic form (c1/2)uX^2 + b*uX*gamma, whose stress carries b*gamma.
 
-* feng: psi = (c1/2)uX^2 + W(gamma) + (1/2)k1 (dGamma/dX)^2
-            + (1/2)k2 |grad_perp Gamma|^2 + (c3/4)uX^4,
-  with k1 = lam*d1, k2 = lam*d2. Stress is strain-only (evaluated on the
-  undamaged branch), so the elastic field never feels the damage field.
-* linear: psi = (c1/2)uX^2 + b*uX*gamma + (c2/2)gamma^2 + (1/2)k1|grad|^2,
-  a genuine quadratic form whose stress carries the b*gamma cross term.
+W(gamma) (damage_potential) is (c2/2)gamma^2 under source law linear_decay,
+which relaxes, and -r*lam*(gamma^2/2 - gamma^3/(3*gamma_max)) under
+logistic, whose force r*lam*gamma*(1 - gamma/gamma_max) sustains traveling
+fronts. Keeping the source inside the potential keeps Z*dGamma/dt >= 0
+structurally, so the admissibility monitor stays meaningful for
+front-forming runs.
 
-W(gamma) is the damage potential. Its literal form is (c2/2)gamma^2, which
-relaxes; the logistic option swaps in a double-well-ish cubic whose force
-r*lam*gamma*(1 - gamma/gamma_max) sustains traveling fronts. Keeping the
-source inside the potential keeps Z*dGamma/dt >= 0 structurally, so the
-admissibility monitor stays meaningful for front-forming runs.
-
-Densities are volumetric: psi in J/m^3, dissipation in W/m^3, entropy
-production in W/(m^3 K).
+dissipation_rate is lam*(dGamma/dt)^2, the rate the energy budget books;
+entropy production is that rate over theta0. Densities are volumetric: psi
+in J/m^3, the rate in W/m^3, entropy production in W/(m^3 K).
 """
 
 from __future__ import annotations
@@ -33,42 +35,6 @@ def _grad_parts(grad_gamma):
         gx, gy = grad_gamma
         return np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
     return np.asarray(grad_gamma, dtype=float), 0.0
-
-
-def free_energy_feng(uX, gamma, grad_gamma, p: MaterialParams):
-    """Quartic-strain free energy density (J/m^3); grad_gamma may be a
-    scalar/array (1D) or an (x, y) pair."""
-    gx, gy = _grad_parts(grad_gamma)
-    uX = np.asarray(uX, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    return (
-        0.5 * p.c1 * uX**2
-        + 0.5 * p.c2 * gamma**2
-        + 0.5 * p.k1 * gx**2
-        + 0.5 * p.k2 * np.asarray(gy) ** 2
-        + 0.25 * p.c3 * uX**4
-    )
-
-
-def free_energy_linear(uX, gamma, grad_gamma, p: MaterialParams):
-    """Quadratic-form free energy density with the b strain-damage cross term."""
-    gx, gy = _grad_parts(grad_gamma)
-    uX = np.asarray(uX, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    return (
-        0.5 * p.c1 * uX**2
-        + p.b * uX * gamma
-        + 0.5 * p.c2 * gamma**2
-        + 0.5 * p.k1 * gx**2
-        + 0.5 * p.k2 * np.asarray(gy) ** 2
-    )
-
-
-def free_energy(uX, gamma, grad_gamma, p: MaterialParams):
-    """Free energy density of p.model (J/m^3)."""
-    if p.model == "linear":
-        return free_energy_linear(uX, gamma, grad_gamma, p)
-    return free_energy_feng(uX, gamma, grad_gamma, p)
 
 
 def damage_potential(gamma, p: MaterialParams):
@@ -122,16 +88,34 @@ def elastic_energy_density(uX, p: MaterialParams):
     return 0.5 * p.c1 * u2 + 0.25 * p.c3 * (u2 * u2)
 
 
-def dissipation(gamma_dot, p: MaterialParams):
-    """Dissipation density (lam/2)*gamma_dot^2 (W/m^3); always >= 0."""
+def free_energy(uX, gamma, grad_gamma, p: MaterialParams):
+    """Free energy density psi of p (J/m^3): elastic_energy_density +
+    damage_potential + (1/2)k1 gx^2 + (1/2)k2 gy^2, plus b*uX*gamma for
+    model: linear. grad_gamma may be a scalar/array (1D) or an (x, y) pair."""
+    gx, gy = _grad_parts(grad_gamma)
+    uX = np.asarray(uX, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    psi = (
+        elastic_energy_density(uX, p)
+        + damage_potential(gamma, p)
+        + 0.5 * p.k1 * gx**2
+        + 0.5 * p.k2 * gy**2
+    )
+    if p.model == "linear":
+        psi = psi + p.b * uX * gamma
+    return psi
+
+
+def dissipation_rate(gamma_dot, p: MaterialParams):
+    """Dissipation rate lam*gamma_dot^2 (W/m^3), the rate the energy budget
+    books as dissipated; always >= 0."""
     gd = np.asarray(gamma_dot, dtype=float)
-    return 0.5 * p.lam * gd**2
+    return p.lam * gd**2
 
 
 def entropy_production(gamma_dot, p: MaterialParams):
-    """Volumetric entropy production lam*gamma_dot^2/theta0 = 2*dissipation/theta0."""
-    gd = np.asarray(gamma_dot, dtype=float)
-    return p.lam * gd**2 / p.theta0
+    """Volumetric entropy production dissipation_rate/theta0 (W/(m^3 K))."""
+    return dissipation_rate(gamma_dot, p) / p.theta0
 
 
 def characteristic_speed(u2: float, p: MaterialParams) -> float:

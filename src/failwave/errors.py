@@ -53,16 +53,6 @@ class CflViolation(RuntimeViolation):
         )
 
 
-class DiffusionStabilityViolation(RuntimeViolation):
-    """Explicit diffusion step rejected: max(d1/dx^2, d2/dy^2)*dt > 1/2."""
-
-    def __init__(self, number: float):
-        self.number = number
-        super().__init__(
-            f"explicit diffusion unstable: max(d/dx^2)*dt = {number:.6g} > 0.5"
-        )
-
-
 class SingularLambda(RuntimeViolation):
     """Parabolic stepping requested with a zero dissipation coefficient."""
 

@@ -25,7 +25,6 @@ IC_KINDS = ("zeros", "constant", "gaussian", "sine", "step", "tabulated")
 SOURCE_LAWS = ("linear_decay", "logistic")
 MODELS = ("feng", "linear")
 KINDS = ("coupled", "clifton")
-SCHEMES = ("cn", "explicit")
 
 
 class Axis(NamedTuple):
@@ -298,20 +297,23 @@ _MATERIAL_KEYS = {
     "d1", "d2", "b", "sigma0", "model", "source",
 }
 _SOURCE_KEYS = {"law", "rate", "gamma_max"}
+_NUMERICS_KEYS = {"tol_admissibility", "source_tol", "source_max_iter"}
+
+
+def _reject_unknown(raw: Mapping, known: set, path: str) -> None:
+    # mistyped or retired keys must not silently fall back to defaults
+    for key in raw:
+        if key not in known:
+            raise InvalidValue(f"{path}.{key}", "unknown key")
 
 
 def _parse_material(raw: Mapping) -> MaterialParams:
-    # mistyped keys must not silently fall back to defaults
-    for key in raw:
-        if key not in _MATERIAL_KEYS:
-            raise InvalidValue(f"material.{key}", "unknown key")
+    _reject_unknown(raw, _MATERIAL_KEYS, "material")
     rho0 = _as_float(_need(raw, "rho0", "material"), "material.rho0")
     c1 = _as_float(_need(raw, "c1", "material"), "material.c1")
     lam = _as_float(raw.get("lambda", raw.get("lam", 1.0)), "material.lambda")
     source = raw.get("source", {}) or {}
-    for key in source:
-        if key not in _SOURCE_KEYS:
-            raise InvalidValue(f"material.source.{key}", "unknown key")
+    _reject_unknown(source, _SOURCE_KEYS, "material.source")
     law = _check_enum(str(source.get("law", "linear_decay")), SOURCE_LAWS, "material.source.law")
     rate = _as_float(source.get("rate", 0.0), "material.source.rate")
     gamma_max = _as_float(source.get("gamma_max", 1.0), "material.source.gamma_max")
@@ -518,8 +520,8 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
     output = {"snapshots": snapshots}
 
     num_raw = raw.get("numerics", {}) or {}
+    _reject_unknown(num_raw, _NUMERICS_KEYS, "numerics")
     numerics = {
-        "scheme": _check_enum(str(num_raw.get("scheme", "cn")), SCHEMES, "numerics.scheme"),
         "tol_admissibility": _as_float(
             num_raw.get("tol_admissibility", 1e-12), "numerics.tol_admissibility"
         ),

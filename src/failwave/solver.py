@@ -2,16 +2,16 @@
 
 Lie splitting per step: a velocity-Verlet elastic update (the composition is
 algebraically identical to the centered three-level scheme), then activation
-of cells whose stress magnitude reached the threshold, then one damage step
-(Crank-Nicolson by default, explicit Euler for cross-checks). Coupling is
-one-way in the feng model: the elastic substep never reads the damage field.
-The conservative lam = 0 limit (kind: clifton) is the same loop with the
-damage substep skipped: the damage field stays frozen and nothing dissipates.
+of cells whose stress magnitude reached the threshold, then one
+Crank-Nicolson damage step. Coupling is one-way in the feng model: the
+elastic substep never reads the damage field. The conservative lam = 0
+limit (kind: clifton) is the same loop with the damage substep skipped: the
+damage field stays frozen and nothing dissipates.
 
-Every step is audited: hyperbolic Courant number, parabolic stability
-number, the pointwise admissibility product Z*dGamma/dt, and a running
-energy budget (kinetic + free energy + cumulative dissipation + boundary
-work).
+Every step is audited: hyperbolic Courant number, the pointwise
+admissibility product Z*dGamma/dt, and a running energy budget (kinetic +
+free energy + cumulative dissipation + boundary work); the diffusion number
+is reported.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     AdmissibilityViolation,
     CflViolation,
     ConfigConflict,
-    DiffusionStabilityViolation,
     NonFiniteState,
     PicardNotConverged,
     SingularLambda,
@@ -252,9 +251,9 @@ def step_elastic(state: FieldState, cfg: ScenarioConfig, t_new: Optional[float] 
 
 class DamageOperators(NamedTuple):
     """What a damage step needs that depends only on the active set: the face
-    conductivity of each grid axis and the implicit operator on the active
-    box with its factor (None when no cell is active, and for the explicit
-    scheme). A run rebuilds them only on a step that activates a cell."""
+    conductivity of each grid axis and the Crank-Nicolson operator on the
+    active box with its factor (None when no cell is active). A run rebuilds
+    them only on a step that activates a cell."""
 
     K: tuple
     implicit: Optional[ops.DamageOperator]
@@ -264,8 +263,6 @@ def damage_operators(active: np.ndarray, cfg: ScenarioConfig) -> DamageOperators
     p = cfg.material
     bc_g = cfg.bc["gamma"]
     K = ops.grid_conductivity(active, (p.k1, p.k2), cfg.grid, bc_g)
-    if cfg.numerics["scheme"] == "explicit":
-        return DamageOperators(K, None)
     if p.model != "linear" and p.source_law == "logistic":
         react = np.zeros(active.shape)
     else:
@@ -283,19 +280,18 @@ class DamageStepInfo:
 
 
 def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None, operators=None):
-    """One step of lam*dGamma/dt = div(K grad Gamma) + source on active cells.
+    """One Crank-Nicolson step of lam*dGamma/dt = div(K grad Gamma) + source
+    on active cells.
 
-    Crank-Nicolson (default) folds linear sources into the solve; the
-    logistic source is iterated to the implicit midpoint (Picard, tolerance
+    Linear sources are folded into the solve; the logistic source is
+    iterated to the implicit midpoint (Picard, tolerance
     numerics.source_tol), together with the 2D defect correction
     (ops.damage_step), so the discrete admissibility product stays
     nonnegative up to roundoff in 1D and 2D; PicardNotConverged is raised
     when numerics.source_max_iter iterations fall short. The solve covers the
     bounding box of the active cells; every other cell keeps its value.
-    NonFiniteState is raised on a non-finite operator or right-hand side,
-    or a non-finite explicit update. Both carry a copy of the state as
-    .state. Explicit Euler available for cross-checks, guarded by the
-    max(d1/dx^2, d2/dy^2)*dt <= 1/2 limit.
+    NonFiniteState is raised on a non-finite operator or right-hand side.
+    Both carry a copy of the state as .state.
 
     uX (cell strain) and operators (damage_operators of state.active) are
     computed here when not given. Returns (gamma_new, DamageStepInfo).
@@ -312,68 +308,58 @@ def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None, operators=None)
     bc_g = cfg.bc["gamma"]
     active = state.active
     gamma = state.gamma
-    scheme = cfg.numerics["scheme"]
     diff_number = max(d / ax.h**2 for ax, d in zip(grid.axes, (p.d1, p.d2))) * dt
 
+    gamma_new = gamma.copy()
     try:
         if operators is None:
             operators = damage_operators(active, cfg)
-        K = operators.K
-        if scheme == "explicit":
-            if diff_number > 0.5 + 1e-12:
-                raise DiffusionStabilityViolation(diff_number)
-            # the update's force is the audit's: admissibility sampled at the old state
-            Z = cst.internal_forces(gamma, p, grid, uX=uX, bc_gamma=bc_g, K=K)
-            gamma_new = gamma + dt / p.lam * np.where(active, Z, 0.0)
-            if not np.isfinite(gamma_new).all():
-                raise NonFiniteState("explicit damage update")
-        else:
-            gamma_new = gamma.copy()
-            op = operators.implicit
-            if op is not None:
-                box = op.box
-                g = gamma[box]
-                on = active[box]
-                # the operator and the source-free right-hand side hold for
-                # the whole step; each iteration updates the logistic source
-                # (Picard to the midpoint) and, in 2D, the defect correction
-                rhs0 = ops.damage_rhs(g, op, grid)
-                picard = p.model == "feng" and p.source_law == "logistic"
-                if p.model == "linear":
-                    source = np.where(on, -p.b * uX[box], 0.0)
-                elif not picard:
-                    source = np.zeros(g.shape)
-                tol, max_iter = cfg.numerics["source_tol"], cfg.numerics["source_max_iter"]
-                rest = np.abs(gamma)
-                rest[box] = 0.0
-                rest_max = float(rest.max())  # |Γ| outside the box, fixed this step
-                g_new, prev = g, None
-                for _ in range(max_iter):
-                    if picard:
-                        source = np.where(on, cst.damage_force(0.5 * (g + g_new), p), 0.0)
-                    nxt, x = ops.damage_step(rhs0, source, op, grid, prev)
-                    delta = float(np.abs(nxt - g_new).max())
-                    g_new, prev = nxt, (nxt, x)
-                    if not picard and x is None:
-                        break  # 1D linear or source-free: the one solve is exact
-                    limit = tol * max(1.0, float(np.abs(g_new).max()), rest_max)
-                    if delta <= limit:
-                        break
-                else:
-                    raise PicardNotConverged(state.time, max_iter, delta, limit)
-                gamma_new[box] = g_new
+        op = operators.implicit
+        if op is not None:
+            box = op.box
+            g = gamma[box]
+            on = active[box]
+            # the operator and the source-free right-hand side hold for the
+            # whole step; each iteration updates the logistic source (Picard
+            # to the midpoint) and, in 2D, the defect correction
+            rhs0 = ops.damage_rhs(g, op, grid)
+            picard = p.model == "feng" and p.source_law == "logistic"
+            if p.model == "linear":
+                source = np.where(on, -p.b * uX[box], 0.0)
+            elif not picard:
+                source = np.zeros(g.shape)
+            tol, max_iter = cfg.numerics["source_tol"], cfg.numerics["source_max_iter"]
+            rest = np.abs(gamma)
+            rest[box] = 0.0
+            rest_max = float(rest.max())  # |Γ| outside the box, fixed this step
+            g_new, prev = g, None
+            for _ in range(max_iter):
+                if picard:
+                    source = np.where(on, cst.damage_force(0.5 * (g + g_new), p), 0.0)
+                nxt, x = ops.damage_step(rhs0, source, op, grid, prev)
+                delta = float(np.abs(nxt - g_new).max())
+                g_new, prev = nxt, (nxt, x)
+                if not picard and x is None:
+                    break  # 1D linear or source-free: the one solve is exact
+                limit = tol * max(1.0, float(np.abs(g_new).max()), rest_max)
+                if delta <= limit:
+                    break
+            else:
+                raise PicardNotConverged(state.time, max_iter, delta, limit)
+            gamma_new[box] = g_new
     except (NonFiniteState, PicardNotConverged) as err:
         err.state = state.copy()  # dumped for post-mortem inspection
         raise
 
     if p.source_law == "logistic":
         gamma_new = np.maximum(gamma_new, 0.0)
-    if scheme != "explicit":  # Z at the scheme-consistent midpoint
-        Z = cst.internal_forces(0.5 * (gamma + gamma_new), p, grid, uX=uX, bc_gamma=bc_g, K=K)
+    # Z at the midpoint, where the CN step balances lam*dGamma/dt
+    Z = cst.internal_forces(0.5 * (gamma + gamma_new), p, grid, uX=uX, bc_gamma=bc_g,
+                            K=operators.K)
 
     gamma_dot = (gamma_new - gamma) / dt
     zg = np.where(active, Z * gamma_dot, 0.0)
-    dissipated = float((p.lam * gamma_dot**2).sum() * grid.cell_volume)
+    dissipated = float(cst.dissipation_rate(gamma_dot, p).sum() * grid.cell_volume)
     info = DamageStepInfo(
         max_diff=float(diff_number),
         min_Z_gammadot=float(zg.min()) if zg.size else 0.0,

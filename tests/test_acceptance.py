@@ -268,7 +268,8 @@ def test_criterion_08_gradient_checks():
     def scaled_err(a, b):
         return abs(a - b) / (max(abs(a), abs(b)) + 1e-3)
 
-    for model in ("feng", "linear"):
+    # every admissible (model, source law) pair: a logistic source needs feng
+    for model, law in (("feng", "linear_decay"), ("feng", "logistic"), ("linear", "linear_decay")):
         for _ in range(100):
             p = fw.MaterialParams(
                 rho0=1.0,
@@ -279,6 +280,9 @@ def test_criterion_08_gradient_checks():
                 lam=rng.uniform(0.2, 2.0),
                 d1=rng.uniform(0.05, 1.0),
                 model=model,
+                source_law=law,
+                source_rate=rng.uniform(0.5, 3.0),
+                gamma_max=rng.uniform(0.5, 2.0),
             )
             uX = rng.uniform(-0.5, 0.5)
             G = rng.uniform(0.0, 2.0)
@@ -292,7 +296,7 @@ def test_criterion_08_gradient_checks():
             # conduction flux B = -k1 * grad, so dpsi/dgrad must equal k1*grad
             worst = max(worst, scaled_err(p.k1 * g, central(lambda g_: psi(uX, G, g_), g)))
     ok = worst < 1e-6
-    _report(8, "free-energy gradient checks", ok, f"worst scaled error {worst:.2e} over 2x100 states")
+    _report(8, "free-energy gradient checks", ok, f"worst scaled error {worst:.2e} over 3x100 states")
 
 
 # -- 9: one-way coupling, bitwise ----------------------------------------------------

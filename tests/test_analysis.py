@@ -193,9 +193,19 @@ def test_budget_imbalance_definition():
     }
     res = fw.run(fw.build_scenario(doc))
     got = fw.budget_imbalance(res.reports)
-    tot = res.reports["kinetic"] + res.reports["free_energy"]
+    kin, free = res.reports["kinetic"], res.reports["free_energy"]
+    tot = kin + free
     dis = res.reports["dissipated"]
     wrk = res.reports["boundary_work"]
-    expected = np.max(np.abs(tot - tot[0] + dis - wrk)) / np.max(tot)
+    expected = np.max(np.abs(tot - tot[0] + dis - wrk)) / np.max(np.abs(kin) + np.abs(free))
     assert got == pytest.approx(expected, rel=1e-15)
     assert got < 1e-4
+
+    # a negative free energy that cancels the kinetic one: the peak of
+    # K + psi is 0.01, the peak of |K| + |psi| is 1.5 + 1.49 = 2.99, and the
+    # residual 1e-6 reads 1e-6/2.99 (over 0.01 it would read 1e-4)
+    reports = np.zeros(2, dtype=res.reports.dtype)
+    reports["kinetic"] = [1.0, 1.5]
+    reports["free_energy"] = [-0.99, -1.49]
+    reports["dissipated"] = [0.0, 1e-6]
+    assert fw.budget_imbalance(reports) == pytest.approx(1e-6 / 2.99, rel=1e-9)

@@ -26,19 +26,23 @@ def mat(**kw):
 def test_free_energy_feng_strain_part():
     # (c1/2) uX^2 + (c3/4) uX^4 = 1*0.25 + 1*0.0625 = 0.3125
     p = mat(c1=2.0, c3=4.0)
-    assert fw.free_energy_feng(0.5, 0.0, 0.0, p) == pytest.approx(0.3125, rel=1e-14)
+    assert fw.free_energy(0.5, 0.0, 0.0, p) == pytest.approx(0.3125, rel=1e-14)
 
 
 def test_free_energy_feng_damage_part():
-    # (c2/2) G^2 + (lam*d1/2) g^2 = 0.5*4 + 1*9 = 11
+    # linear_decay: (c2/2) G^2 + (lam*d1/2) g^2 = 0.5*4 + 1*9 = 11
     p = mat(c2=1.0, lam=1.0, d1=2.0)
-    assert fw.free_energy_feng(0.0, 2.0, 3.0, p) == pytest.approx(11.0, rel=1e-14)
+    assert fw.free_energy(0.0, 2.0, 3.0, p) == pytest.approx(11.0, rel=1e-14)
+    # logistic, c2 playing no part: -r lam (G^2/2 - G^3/(3 Gmax)) + (lam*d1/2) g^2
+    # = -2*(0.045 - 0.009) + 9 = 8.928 (r 2, lam 1, Gmax 1, G 0.3, g 3)
+    p = mat(c2=1.0, lam=1.0, d1=2.0, source_law="logistic", source_rate=2.0)
+    assert fw.free_energy(0.0, 0.3, 3.0, p) == pytest.approx(8.928, rel=1e-14)
 
 
 def test_free_energy_linear_point():
     # (c1/2) uX^2 + b uX G + (c2/2) G^2 = 1 + 3 + 2 = 6
-    p = mat(c1=2.0, b=3.0, c2=4.0)
-    assert fw.free_energy_linear(1.0, 1.0, 0.0, p) == pytest.approx(6.0, rel=1e-14)
+    p = mat(c1=2.0, b=3.0, c2=4.0, model="linear")
+    assert fw.free_energy(1.0, 1.0, 0.0, p) == pytest.approx(6.0, rel=1e-14)
 
 
 def test_stress_points():
@@ -58,14 +62,14 @@ def test_internal_forces_uniform_field():
 
 
 def test_dissipation_and_entropy_production():
-    # D = (lam/2) gd^2 = 9 ; s_dot = lam gd^2/theta0 = 18/300 = 0.06
+    # rate = lam gd^2 = 18, twice the Rayleigh potential D = (lam/2) gd^2 = 9 ;
+    # s_dot = lam gd^2/theta0 = 18/300 = 0.06
     p = mat(lam=2.0, theta0=300.0)
-    assert fw.dissipation(3.0, p) == pytest.approx(9.0, rel=1e-14)
+    assert fw.dissipation_rate(3.0, p) == pytest.approx(18.0, rel=1e-14)
     assert fw.entropy_production(3.0, p) == pytest.approx(0.06, rel=1e-14)
-    # identity s_dot = 2 D / theta0 on an array
+    # identity s_dot = rate / theta0 on an array
     gd = np.linspace(-2.0, 2.0, 11)
-    assert np.allclose(fw.entropy_production(gd, p),
-                       2.0 * fw.dissipation(gd, p) / p.theta0, rtol=1e-15)
+    assert np.array_equal(fw.entropy_production(gd, p), fw.dissipation_rate(gd, p) / p.theta0)
 
 
 def test_logistic_damage_force_point():
@@ -90,9 +94,11 @@ def _central(f, x, h):
 
 @pytest.mark.parametrize("model", ["feng", "linear"])
 def test_forces_match_free_energy_gradient(model):
+    # feng draws both source laws (a logistic source needs model: feng)
     rng = np.random.default_rng(42)
     h = 1e-6
-    for _ in range(100):
+    for i in range(100):
+        law = "logistic" if model == "feng" and i % 2 else "linear_decay"
         p = mat(
             c1=rng.uniform(0.5, 4.0),
             c3=rng.uniform(0.0, 2.0) if model == "feng" else 0.0,
@@ -101,6 +107,9 @@ def test_forces_match_free_energy_gradient(model):
             lam=rng.uniform(0.2, 2.0),
             d1=rng.uniform(0.05, 1.0),
             model=model,
+            source_law=law,
+            source_rate=rng.uniform(0.5, 3.0),
+            gamma_max=rng.uniform(0.5, 2.0),
         )
         uX = rng.uniform(-0.5, 0.5)
         G = rng.uniform(0.0, 2.0)
@@ -127,11 +136,13 @@ def test_logistic_force_matches_potential_gradient():
 
 
 def test_rate_conjugacy():
-    # rho0-normalized Rayleigh function: d(D)/d(gd) = lam*gd (thermodynamic force)
+    # the rate is force times rate, (lam*gd)*gd, with the thermodynamic force
+    # lam*gd = d(D)/d(gd) of the Rayleigh function D = rate/2
     p = mat(lam=1.7)
     for gd in [-2.0, -0.3, 0.0, 0.9, 4.0]:
-        force_fd = _central(lambda g_: fw.dissipation(g_, p), gd, 1e-6)
+        force_fd = _central(lambda g_: 0.5 * fw.dissipation_rate(g_, p), gd, 1e-6)
         assert force_fd == pytest.approx(p.lam * gd, rel=1e-8, abs=1e-8)
+        assert fw.dissipation_rate(gd, p) == pytest.approx(p.lam * gd * gd, rel=1e-15)
 
 
 def test_elastic_energy_convex():

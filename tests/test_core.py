@@ -1,5 +1,8 @@
 """Grid geometry, config parsing/validation, initial sampling, activation."""
 
+import os
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +84,23 @@ def test_unknown_material_key_rejected():
     assert "source_law" in str(exc.value)
 
 
+def test_unknown_numerics_key_rejected():
+    # a retired key (the explicit damage scheme) must not run silently as CN
+    doc = minimal_doc(numerics={"scheme": "explicit"})
+    with pytest.raises(InvalidValue) as exc:
+        fw.build_scenario(doc)
+    assert exc.value.name == "numerics.scheme"
+
+
+def test_readme_skeleton_builds():
+    # the README's scenario skeleton stays a valid scenario
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(path) as fh:
+        skeleton = re.search(r"```yaml\n(.*?)```", fh.read(), re.S).group(1)
+    cfg = fw.build_scenario(skeleton)
+    assert cfg.name == "my_run" and cfg.numerics["tol_admissibility"] == 1e-12
+
+
 def test_unknown_source_key_rejected():
     doc = minimal_doc(
         material={
@@ -109,8 +129,8 @@ def test_lambda_key_maps_to_lam():
 
 def test_numerics_defaults():
     cfg = fw.build_scenario(minimal_doc())
-    assert cfg.numerics["scheme"] == "cn"
-    assert cfg.numerics["tol_admissibility"] == 1e-12
+    assert cfg.numerics == {"tol_admissibility": 1e-12, "source_tol": 1e-14,
+                            "source_max_iter": 30}
     assert cfg.output["snapshots"] == 11
 
 
@@ -275,7 +295,6 @@ def scenario_docs(draw):
         "gauges": draw(st.lists(gauge, max_size=3)),
         "output": {"snapshots": draw(st.integers(2, 50))},
         "numerics": {
-            "scheme": draw(st.sampled_from(("cn", "explicit"))),
             "tol_admissibility": draw(nonnegative),
             "source_tol": draw(positive),
             "source_max_iter": draw(st.integers(1, 1000)),
