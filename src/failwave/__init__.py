@@ -73,8 +73,6 @@ from .solver import (
     Snapshot,
     lateral_stress_proxy,
     run,
-    step_damage,
-    step_elastic,
 )
 from .variational import (
     Basis,

@@ -272,7 +272,9 @@ def _parse_grid(raw: Mapping) -> Grid:
     dx = _as_float(_need(raw, "dx", "grid"), "grid.dx")
     if dx <= 0:
         raise InvalidValue("grid.dx", "must be > 0")
-    if "ny" in raw and raw["ny"] is not None:
+    two_d = raw.get("ny") is not None
+    _reject_unknown(raw, _GRID_KEYS[two_d], "grid")
+    if two_d:
         ny = _as_int(raw["ny"], "grid.ny")
         dy = _as_float(_need(raw, "dy", "grid"), "grid.dy")
         if dy <= 0:
@@ -298,6 +300,12 @@ _MATERIAL_KEYS = {
 }
 _SOURCE_KEYS = {"law", "rate", "gamma_max"}
 _NUMERICS_KEYS = {"tol_admissibility", "source_tol", "source_max_iter"}
+_GRID_KEYS = ({"nx", "dx", "origin", "ny"}, {"nx", "ny", "dx", "dy", "origin_x", "origin_y"})
+# the keys each initial-condition and boundary type reads, besides "type"
+_IC_KEYS = {"zeros": set(), "constant": {"value"}, "gaussian": {"amplitude", "center", "width"},
+            "sine": {"amplitude", "mode"}, "step": {"left", "right", "at"}, "tabulated": {"values"}}
+_WALL_KEYS = {"fixed": {"value"}, "velocity": {"value"}, "traction": {"value", "until", "ramp"},
+              "free": set(), "periodic": set(), "zero_flux": set(), "dirichlet": {"value"}}
 
 
 def _reject_unknown(raw: Mapping, known: set, path: str) -> None:
@@ -366,6 +374,7 @@ def _norm_ic_entry(raw: Optional[Mapping], path: str, grid: Grid) -> dict:
     if not isinstance(raw, Mapping):
         raise InvalidValue(path, "expected a mapping with a 'type' key")
     kind = _check_enum(str(raw.get("type", "zeros")), IC_KINDS, f"{path}.type")
+    _reject_unknown(raw, {"type"} | _IC_KEYS[kind], path)
     out: dict = {"type": kind}
     if kind == "constant":
         out["value"] = _as_float(_need(raw, "value", path), f"{path}.value")
@@ -410,6 +419,7 @@ def _norm_u_bc(raw: Optional[Mapping], path: str) -> dict:
     if raw is None:
         return {"type": "fixed", "value": 0.0}
     kind = _check_enum(str(raw.get("type", "fixed")), U_BC_KINDS, f"{path}.type")
+    _reject_unknown(raw, {"type"} | _WALL_KEYS[kind], path)
     out: dict = {"type": kind}
     if kind in ("fixed", "velocity"):
         out["value"] = _as_float(raw.get("value", 0.0), f"{path}.value")
@@ -430,6 +440,7 @@ def _norm_gamma_bc(raw: Optional[Mapping], path: str) -> dict:
     if raw is None:
         return {"type": "zero_flux"}
     kind = _check_enum(str(raw.get("type", "zero_flux")), GAMMA_BC_KINDS, f"{path}.type")
+    _reject_unknown(raw, {"type"} | _WALL_KEYS[kind], path)
     out: dict = {"type": kind}
     if kind == "dirichlet":
         out["value"] = _as_float(raw.get("value", 0.0), f"{path}.value")
@@ -464,6 +475,7 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
     time_sec = _need(raw, "time", "")
     dt = _as_float(_need(time_sec, "dt", "time"), "time.dt")
     t_end = _as_float(_need(time_sec, "t_end", "time"), "time.t_end")
+    _reject_unknown(time_sec, {"dt", "t_end"}, "time")
     if dt <= 0:
         raise InvalidValue("time.dt", "must be > 0")
     if t_end < dt:
@@ -472,6 +484,7 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
     kind = _check_enum(str(raw.get("kind", "coupled")), KINDS, "kind")
 
     ic_raw = raw.get("ic", {}) or {}
+    _reject_unknown(ic_raw, {"U", "v", "gamma"}, "ic")
     ic = {
         "U": _norm_ic_entry(ic_raw.get("U"), "ic.U", grid),
         "v": _norm_ic_entry(ic_raw.get("v"), "ic.v", grid),
@@ -479,6 +492,7 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
     }
 
     bc_raw = raw.get("bc", {}) or {}
+    _reject_unknown(bc_raw, {"u_left", "u_right", "gamma"}, "bc")
     bc = {
         "u_left": _norm_u_bc(bc_raw.get("u_left"), "bc.u_left"),
         "u_right": _norm_u_bc(bc_raw.get("u_right"), "bc.u_right"),
@@ -490,6 +504,7 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
 
     body_raw = raw.get("body_force", 0.0)
     if isinstance(body_raw, Mapping):
+        _reject_unknown(body_raw, {"value"}, "body_force")
         body_force = _as_float(body_raw.get("value", 0.0), "body_force.value")
     else:
         body_force = _as_float(body_raw or 0.0, "body_force")
@@ -514,6 +529,7 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
             gauges.append((x, y))
 
     out_raw = raw.get("output", {}) or {}
+    _reject_unknown(out_raw, {"snapshots"}, "output")
     snapshots = _as_int(out_raw.get("snapshots", 11), "output.snapshots")
     if snapshots < 2:
         raise InvalidValue("output.snapshots", "need at least first+last, so >= 2")

@@ -139,41 +139,37 @@ def strain_cells(U: np.ndarray, grid, bc: dict, t: float) -> np.ndarray:
 # cell of every line: a scalar in 1D, a column in 2D.
 
 
-def _gamma_ghosts(gamma: np.ndarray, bc_g: dict):
-    """Ghost cell values implied by the damage boundary condition."""
-    kind = bc_g["type"]
-    g = gamma.T
-    if kind == "periodic":
-        return g[-1], g[0]
-    if kind == "dirichlet":
-        value = bc_g.get("value", 0.0)
-        return 2.0 * value - g[0], 2.0 * value - g[-1]
-    # zero_flux: even reflection
-    return g[0], g[-1]
-
-
 def gamma_grad_faces(gamma: np.ndarray, dh: float, bc_g: dict) -> np.ndarray:
-    """Face gradients (Γ_{i+1} - Γ_i)/dh with BC ghosts."""
+    """Face gradients (Γ_{i+1} - Γ_i)/dh with BC ghosts: the periodic image,
+    the wall cell itself at a zero-flux wall (even reflection), 2w - Γ at a
+    dirichlet wall of value w."""
     n = gamma.shape[-1]
     grad = np.empty(gamma.shape[:-1] + (n + 1,))
     grad[..., 1:n] = (gamma[..., 1:] - gamma[..., :-1]) / dh
     g, out = gamma.T, grad.T
-    gl, gr = _gamma_ghosts(gamma, bc_g)
+    kind = bc_g["type"]
+    gl, gr = (g[-1], g[0]) if kind == "periodic" else (g[0], g[-1])
+    if kind == "dirichlet":
+        value = bc_g.get("value", 0.0)
+        gl, gr = 2.0 * value - g[0], 2.0 * value - g[-1]
     out[0] = (g[0] - gl) / dh
     out[n] = (gr - g[-1]) / dh
     return grad
 
 
 def gamma_face_values(gamma: np.ndarray, bc_g: dict) -> np.ndarray:
-    """Face-centered Γ: mean of adjacent cells (ghosts at the boundary, so a
-    dirichlet face carries exactly its prescribed value)."""
+    """Face-centered Γ: mean of adjacent cells. A wall face carries its wall
+    cell's Γ, whatever the damage BC: the derivative of the free energy's
+    cell cross term b*face_mean(eps)*Γ at the wall face. A ring's wrap face
+    is the mean of the first and last cells."""
     n = gamma.shape[-1]
     out = np.empty(gamma.shape[:-1] + (n + 1,))
     out[..., 1:n] = 0.5 * (gamma[..., 1:] + gamma[..., :-1])
     g, o = gamma.T, out.T
-    gl, gr = _gamma_ghosts(gamma, bc_g)
-    o[0] = 0.5 * (g[0] + gl)
-    o[n] = 0.5 * (g[-1] + gr)
+    if bc_g["type"] == "periodic":
+        o[0] = o[n] = 0.5 * (g[0] + g[-1])
+    else:
+        o[0], o[n] = g[0], g[-1]
     return out
 
 
@@ -268,9 +264,10 @@ def factor_lines(K, react, a: float, s: float, dh: float, bc_g: dict) -> LineFac
     index. The lines become one tridiagonal system with zero coupling
     between them, so a single LAPACK dgttrf call factors every line and
     solve_lines reuses the factor for any number of right-hand sides.
-    Dirichlet values enter through the ghost 2g - x_adj; periodic lines wrap
-    via a Sherman-Morrison rank-1 update, whose matrix-only solve is done
-    here once. Raises NonFiniteState on a non-finite or singular operator.
+    Dirichlet values enter through the ghost 2g - x_adj, whose constant is
+    returned as .ghost, not applied (solve_lines is homogeneous); periodic
+    lines wrap via a Sherman-Morrison rank-1 update, whose matrix-only solve
+    is done here once. Raises NonFiniteState on a non-finite or singular operator.
     """
     kind = bc_g["type"]
     cl = K[..., :-1] / dh**2  # left face of each cell
@@ -311,13 +308,11 @@ def factor_lines(K, react, a: float, s: float, dh: float, bc_g: dict) -> LineFac
 
 
 def solve_lines(fac: LineFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve the factored line systems for a (..., n) right-hand side."""
+    """Solve the factored line systems for a (..., n) right-hand side; the
+    dirichlet constants fac.ghost are the caller's to add (damage_step adds
+    them to b)."""
     if not np.isfinite(rhs).all():
         raise NonFiniteState("damage right-hand side")
-    if fac.ghost is not None:
-        rhs = rhs.copy()
-        rhs[..., 0] += fac.ghost[0]
-        rhs[..., -1] += fac.ghost[1]
     x = dgttrs(*fac.lu, rhs.ravel())[0].reshape(rhs.shape)
     if fac.sm is not None:
         w, v_coef, denom = fac.sm
@@ -362,8 +357,7 @@ class DamageOperator(NamedTuple):
     bc: tuple
     coef: np.ndarray  # C = lam/dt - react/2, the explicit diagonal
     diag: np.ndarray  # D = lam/dt + react/2
-    fac: tuple  # factor_lines of D - L_a/2 per axis, homogeneous (no dirichlet constant)
-    ghost: tuple  # each axis's dirichlet constants at its (first, last) cells, or None
+    fac: tuple  # factor_lines of D - L_a/2 per axis, its dirichlet constants included
 
 
 def damage_operator(active, K, react, lam: float, dt: float, grid, bc_g: dict):
@@ -383,21 +377,17 @@ def damage_operator(active, K, react, lam: float, dt: float, grid, bc_g: dict):
     box = tuple(_three_cells(s, n) for s, n in zip(box, active.shape))
     react = react[box]
     a = lam / dt
-    Kb, bcs, facs, ghosts = [], [], [], []
+    Kb, bcs, facs = [], [], []
     for i, (ax, Ka) in enumerate(zip(grid.axes, K)):
         dim = active.ndim - 1 - i  # x is the last array axis, y the first
         s = box[dim]
         Ka = Ka[box[:dim] + (slice(s.start, s.stop + 1),) + box[dim + 1:]]
         spans = s.stop - s.start == active.shape[dim]
         bc = bc_g if spans or bc_g["type"] != "periodic" else _ZERO_FLUX
-        fac = factor_lines(ax.view(Ka), ax.view(react), a, 0.5, ax.h, bc)
         Kb.append(Ka)
         bcs.append(bc)
-        facs.append(fac._replace(ghost=None))
-        ghosts.append(fac.ghost)
-    return DamageOperator(
-        box, tuple(Kb), tuple(bcs), a - 0.5 * react, a + 0.5 * react, tuple(facs), tuple(ghosts)
-    )
+        facs.append(factor_lines(ax.view(Ka), ax.view(react), a, 0.5, ax.h, bc))
+    return DamageOperator(box, tuple(Kb), tuple(bcs), a - 0.5 * react, a + 0.5 * react, tuple(facs))
 
 
 def damage_rhs(gamma: np.ndarray, op: DamageOperator, grid):
@@ -410,8 +400,9 @@ def damage_rhs(gamma: np.ndarray, op: DamageOperator, grid):
 def damage_step(rhs0: tuple, source: np.ndarray, op: DamageOperator, grid, prev=None):
     """One correction towards the Crank-Nicolson damage step on op's box,
     (D - L/2) Γ = b with b = C Γ0 + L Γ0 / 2 + g + source: rhs0 is
-    damage_rhs's pair, g the dirichlet constants (added here once, so every
-    line solve is homogeneous), and source is zero on inactive cells (K and
+    damage_rhs's pair, g the dirichlet constants (each axis's
+    LineFactor.ghost, added here and nowhere else, so every line solve is
+    homogeneous), and source is zero on inactive cells (K and
     react are zero there too, so frozen cells reduce to identity rows).
 
     Solves M Γ = b + (M - A) Γk with M = (D - Lx/2) D^-1 (D - Ly/2), the
@@ -425,11 +416,11 @@ def damage_step(rhs0: tuple, source: np.ndarray, op: DamageOperator, grid, prev=
     """
     explicit, half_div = rhs0
     b = (explicit + source) + half_div
-    for ax, ghost in zip(grid.axes, op.ghost):
-        if ghost is not None:
+    for ax, fac in zip(grid.axes, op.fac):
+        if fac.ghost is not None:
             view = ax.view(b)
-            view[..., 0] += ghost[0]
-            view[..., -1] += ghost[1]
+            view[..., 0] += fac.ghost[0]
+            view[..., -1] += fac.ghost[1]
     if prev is not None and prev[1] is not None:  # Lx D^-1 Ly Γk / 4, homogeneous
         bc = _HOMOGENEOUS_DIRICHLET if op.bc[0]["type"] == "dirichlet" else op.bc[0]
         b += 0.5 * damage_flux_div(prev[0] - prev[1], op.K[0], grid.axes[0].h, bc)

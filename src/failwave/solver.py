@@ -3,7 +3,10 @@
 Lie splitting per step: a velocity-Verlet elastic update (the composition is
 algebraically identical to the centered three-level scheme), then activation
 of cells whose stress magnitude reached the threshold, then one
-Crank-Nicolson damage step. Coupling is one-way in the feng model: the
+Crank-Nicolson damage step. Each half is resolved once per run into a plan:
+ElasticPlan holds the wall rules, the stress branch and the buffers of the
+elastic half, DamagePlan the source branch, the tolerances and the operator
+of the current active set. Coupling is one-way in the feng model: the
 elastic substep never reads the damage field. The conservative lam = 0
 limit (kind: clifton) is the same loop with the damage substep skipped: the
 damage field stays frozen and nothing dissipates.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -145,7 +148,7 @@ class ElasticPlan:
         self.walls = None if bc["u_left"]["type"] == "periodic" else (
             _wall_velocity(bc["u_left"], 0), _wall_velocity(bc["u_right"], -1)
         )
-        self.w_u, self.w_gamma = ops.energy_weights(bc, grid)
+        self.w_u = ops.energy_weights(bc, grid)[0]
         self.across = grid.axes[0].across
         self.cell_volume = grid.cell_volume
         faces = grid.shape[:-1] + (grid.nx + 1,)
@@ -229,145 +232,130 @@ class ElasticPlan:
         return float((S[-1] * right(v) - S[0] * left(v)).sum() * self.across)
 
 
-def step_elastic(state: FieldState, cfg: ScenarioConfig, t_new: Optional[float] = None):
-    """One velocity-Verlet step of rho0*U_tt = dS/dX + rho0*r.
-
-    Runs cfg's ElasticPlan, as a run does, on copies of U and v, so state
-    is not modified. t_new is the new level's time, state.time + dt when
-    not given; a run passes k*dt, which (k-1)*dt + dt may round off.
-    Returns (U_new, v_new, max_cfl). Raises CflViolation when c_max*dt/dx
-    exceeds 1, and NonFiniteState when it is NaN.
-    """
-    plan = ElasticPlan(cfg)
-    plan.level(state.U, state.gamma, state.time)
-    new = FieldState(state.time, state.U.astype(float), state.v.astype(float),
-                     state.gamma, state.active)
-    cfl = plan.step(new, state.time + cfg.dt if t_new is None else t_new)
-    return new.U, new.v, cfl
-
-
 # -- damage substep -----------------------------------------------------------
 
 
-class DamageOperators(NamedTuple):
-    """What a damage step needs that depends only on the active set: the face
-    conductivity of each grid axis and the Crank-Nicolson operator on the
-    active box with its factor (None when no cell is active). A run rebuilds
-    them only on a step that activates a cell."""
+class DamagePlan:
+    """The damage half of a step, resolved once per run, as ElasticPlan
+    resolves the elastic half.
 
-    K: tuple
-    implicit: Optional[ops.DamageOperator]
-
-
-def damage_operators(active: np.ndarray, cfg: ScenarioConfig) -> DamageOperators:
-    p = cfg.material
-    bc_g = cfg.bc["gamma"]
-    K = ops.grid_conductivity(active, (p.k1, p.k2), cfg.grid, bc_g)
-    if p.model != "linear" and p.source_law == "logistic":
-        react = np.zeros(active.shape)
-    else:
-        react = np.where(active, p.c2, 0.0)
-    return DamageOperators(K, ops.damage_operator(active, K, react, p.lam, cfg.dt, cfg.grid, bc_g))
-
-
-@dataclass
-class DamageStepInfo:
-    max_diff: float
-    min_Z_gammadot: float
-    peak_Z_gammadot: float
-    dissipated_inc: float
-    operators: DamageOperators  # reusable while the active set stays
-
-
-def step_damage(state: FieldState, cfg: ScenarioConfig, uX=None, operators=None):
-    """One Crank-Nicolson step of lam*dGamma/dt = div(K grad Gamma) + source
-    on active cells.
-
-    Linear sources are folded into the solve; the logistic source is
-    iterated to the implicit midpoint (Picard, tolerance
-    numerics.source_tol), together with the 2D defect correction
-    (ops.damage_step), so the discrete admissibility product stays
-    nonnegative up to roundoff in 1D and 2D; PicardNotConverged is raised
-    when numerics.source_max_iter iterations fall short. The solve covers the
-    bounding box of the active cells; every other cell keeps its value.
-    NonFiniteState is raised on a non-finite operator or right-hand side.
-    Both carry a copy of the state as .state.
-
-    uX (cell strain) and operators (damage_operators of state.active) are
-    computed here when not given. Returns (gamma_new, DamageStepInfo).
+    cfg's diffusion number, source branch and reaction, source and Picard
+    tolerances and damage-gradient weights are looked up here once. The face
+    conductivity K of each grid axis and the Crank-Nicolson operator on the
+    box of the active cells (ops.damage_operator, None when no cell is
+    active) hold while the active set does: they are built for active here
+    and rebuilt by activate() only when a cell switches on. Raises
+    SingularLambda when lam is 0 (that limit is run with kind: clifton).
     """
-    p = cfg.material
-    grid = cfg.grid
-    dt = cfg.dt
-    if p.lam == 0.0:
-        raise SingularLambda(
-            "damage step needs lam > 0; the lam = 0 limit is run with kind: clifton"
-        )
-    if uX is None:
-        uX = ops.strain_cells(state.U, grid, cfg.bc, state.time)
-    bc_g = cfg.bc["gamma"]
-    active = state.active
-    gamma = state.gamma
-    diff_number = max(d / ax.h**2 for ax, d in zip(grid.axes, (p.d1, p.d2))) * dt
 
-    gamma_new = gamma.copy()
-    try:
-        if operators is None:
-            operators = damage_operators(active, cfg)
-        op = operators.implicit
-        if op is not None:
-            box = op.box
-            g = gamma[box]
-            on = active[box]
-            # the operator and the source-free right-hand side hold for the
-            # whole step; each iteration updates the logistic source (Picard
-            # to the midpoint) and, in 2D, the defect correction
-            rhs0 = ops.damage_rhs(g, op, grid)
-            picard = p.model == "feng" and p.source_law == "logistic"
-            if p.model == "linear":
-                source = np.where(on, -p.b * uX[box], 0.0)
-            elif not picard:
-                source = np.zeros(g.shape)
-            tol, max_iter = cfg.numerics["source_tol"], cfg.numerics["source_max_iter"]
-            rest = np.abs(gamma)
-            rest[box] = 0.0
-            rest_max = float(rest.max())  # |Γ| outside the box, fixed this step
-            g_new, prev = g, None
-            for _ in range(max_iter):
-                if picard:
-                    source = np.where(on, cst.damage_force(0.5 * (g + g_new), p), 0.0)
-                nxt, x = ops.damage_step(rhs0, source, op, grid, prev)
-                delta = float(np.abs(nxt - g_new).max())
-                g_new, prev = nxt, (nxt, x)
-                if not picard and x is None:
-                    break  # 1D linear or source-free: the one solve is exact
-                limit = tol * max(1.0, float(np.abs(g_new).max()), rest_max)
-                if delta <= limit:
-                    break
-            else:
-                raise PicardNotConverged(state.time, max_iter, delta, limit)
-            gamma_new[box] = g_new
-    except (NonFiniteState, PicardNotConverged) as err:
-        err.state = state.copy()  # dumped for post-mortem inspection
-        raise
+    def __init__(self, cfg: ScenarioConfig, active: np.ndarray):
+        p, grid = cfg.material, cfg.grid
+        if p.lam == 0.0:
+            raise SingularLambda(
+                "damage step needs lam > 0; the lam = 0 limit is run with kind: clifton"
+            )
+        self.p, self.grid, self.dt, self.bc_g = p, grid, cfg.dt, cfg.bc["gamma"]
+        diffusivity = max(d / ax.h**2 for ax, d in zip(grid.axes, (p.d1, p.d2)))
+        self.diff_number = float(diffusivity * cfg.dt)
+        # the logistic source is iterated to the midpoint (Picard); the
+        # linear one is folded into the operator as the reaction c2
+        self.picard = p.model == "feng" and p.source_law == "logistic"
+        self.reaction = 0.0 if self.picard else p.c2
+        self.tol, self.max_iter = cfg.numerics["source_tol"], cfg.numerics["source_max_iter"]
+        self.w_gamma = ops.energy_weights(cfg.bc, grid)[1]
+        self._build(active)
 
-    if p.source_law == "logistic":
-        gamma_new = np.maximum(gamma_new, 0.0)
-    # Z at the midpoint, where the CN step balances lam*dGamma/dt
-    Z = cst.internal_forces(0.5 * (gamma + gamma_new), p, grid, uX=uX, bc_gamma=bc_g,
-                            K=operators.K)
+    def _build(self, active: np.ndarray) -> None:
+        p = self.p
+        self.K = ops.grid_conductivity(active, (p.k1, p.k2), self.grid, self.bc_g)
+        react = np.where(active, self.reaction, 0.0)
+        self.op = ops.damage_operator(active, self.K, react, p.lam, self.dt, self.grid, self.bc_g)
 
-    gamma_dot = (gamma_new - gamma) / dt
-    zg = np.where(active, Z * gamma_dot, 0.0)
-    dissipated = float(cst.dissipation_rate(gamma_dot, p).sum() * grid.cell_volume)
-    info = DamageStepInfo(
-        max_diff=float(diff_number),
-        min_Z_gammadot=float(zg.min()) if zg.size else 0.0,
-        peak_Z_gammadot=float(np.abs(zg).max()) if zg.size else 0.0,
-        dissipated_inc=dissipated * dt,
-        operators=operators,
-    )
-    return gamma_new, info
+    def activate(self, state: FieldState, uXc) -> None:
+        """Switch on the cells whose stress magnitude (from the cell strain
+        uXc) reached sigma0, every cell when sigma0 = 0; cells never switch
+        off. Only when a cell switched on are state.active replaced by a new
+        mask and K and the operator rebuilt."""
+        if state.active.all():
+            return
+        hit = np.abs(cst.stress(uXc, state.gamma, self.p)) >= self.p.sigma0
+        if not (hit > state.active).any():
+            return
+        state.active = state.active | hit
+        try:
+            self._build(state.active)
+        except NonFiniteState as err:
+            err.state = state.copy()  # dumped for post-mortem inspection
+            raise
+
+    def step(self, state: FieldState, uX) -> tuple:
+        """One Crank-Nicolson step of lam*dGamma/dt = div(K grad Gamma) +
+        source on the active cells, uX the cell strain; state, whose active
+        set is the plan's, is not modified. The solve covers the box of the
+        active cells; every other cell keeps its value.
+
+        The logistic source is iterated to the implicit midpoint together
+        with the 2D defect correction (ops.damage_step), so the discrete
+        admissibility product stays nonnegative up to roundoff in 1D and 2D.
+        Raises PicardNotConverged when numerics.source_max_iter iterations
+        fall short of numerics.source_tol, NonFiniteState on a non-finite
+        right-hand side, both with a copy of the state as .state.
+
+        Returns (gamma_new, min Z*dGamma/dt, peak |Z*dGamma/dt|, dissipated
+        increment), over the active cells with Z at the midpoint.
+        """
+        p, grid, dt, op = self.p, self.grid, self.dt, self.op
+        active, gamma = state.active, state.gamma
+        gamma_new = gamma.copy()
+        try:
+            if op is not None:
+                box = op.box
+                g = gamma[box]
+                on = active[box]
+                # the operator and the source-free right-hand side hold for the
+                # whole step; each iteration updates the logistic source (Picard
+                # to the midpoint) and, in 2D, the defect correction
+                rhs0 = ops.damage_rhs(g, op, grid)
+                if p.model == "linear":
+                    source = np.where(on, -p.b * uX[box], 0.0)
+                elif not self.picard:
+                    source = np.zeros(g.shape)
+                rest = np.abs(gamma)
+                rest[box] = 0.0
+                rest_max = float(rest.max())  # |Γ| outside the box, fixed this step
+                g_new, prev = g, None
+                for _ in range(self.max_iter):
+                    if self.picard:
+                        source = np.where(on, cst.damage_force(0.5 * (g + g_new), p), 0.0)
+                    nxt, x = ops.damage_step(rhs0, source, op, grid, prev)
+                    delta = float(np.abs(nxt - g_new).max())
+                    g_new, prev = nxt, (nxt, x)
+                    if not self.picard and x is None:
+                        break  # 1D linear or source-free: the one solve is exact
+                    limit = self.tol * max(1.0, float(np.abs(g_new).max()), rest_max)
+                    if delta <= limit:
+                        break
+                else:
+                    raise PicardNotConverged(state.time, self.max_iter, delta, limit)
+                gamma_new[box] = g_new
+        except (NonFiniteState, PicardNotConverged) as err:
+            err.state = state.copy()  # dumped for post-mortem inspection
+            raise
+
+        if p.source_law == "logistic":
+            gamma_new = np.maximum(gamma_new, 0.0)
+        # Z at the midpoint, where the CN step balances lam*dGamma/dt
+        Z = cst.internal_forces(0.5 * (gamma + gamma_new), p, grid, uX=uX, bc_gamma=self.bc_g,
+                                K=self.K)
+        gamma_dot = (gamma_new - gamma) / dt
+        zg = np.where(active, Z * gamma_dot, 0.0)
+        dissipated = float(cst.dissipation_rate(gamma_dot, p).sum() * grid.cell_volume)
+        return gamma_new, float(zg.min()), float(np.abs(zg).max()), dissipated * dt
+
+    def energy(self, gamma) -> tuple:
+        """The damage part of the free energy (cst.damage_free_energy's pair)
+        under the plan's active set."""
+        return cst.damage_free_energy(gamma, self.p, self.grid, self.bc_g, self.w_gamma, K=self.K)
 
 
 # -- full runs ----------------------------------------------------------------
@@ -445,23 +433,6 @@ def run(cfg: ScenarioConfig) -> RunResult:
     return RunResult(state, reports, traces, snapshots)
 
 
-def _activate(state: FieldState, uXc, p) -> bool:
-    """Switch on the cells whose stress magnitude (from the cell strain uXc)
-    reached sigma0 (every cell when sigma0 = 0); cells never switch off.
-    state.active is replaced by a new mask only when a cell switched on,
-    which is what this returns."""
-    if p.sigma0 > 0.0:
-        hit = np.abs(cst.stress(uXc, state.gamma, p)) >= p.sigma0
-        if not (hit > state.active).any():
-            return False
-        state.active = state.active | hit
-        return True
-    if state.active.all():
-        return False
-    state.active = np.ones(state.active.shape, dtype=bool)
-    return True
-
-
 def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
     """Advance state in place through the coupled system, yielding the
     REPORT_FIELDS values of each level at t = 0 and after each step. plan
@@ -470,22 +441,22 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
 
     Per step: elastic substep, threshold activation (|S| >= sigma0; cells
     never deactivate), damage substep, energy bookkeeping, admissibility
-    audit. The damage operators are rebuilt only on a step that activates a
-    cell. Raises AdmissibilityViolation (with the offending state attached)
-    if min Z*dGamma/dt drops below -tol * peak magnitude, NonFiniteState if
-    the audit reads NaN.
+    audit. The run's DamagePlan does the activation and the damage substep;
+    it rebuilds its operator only on a step that activates a cell. Raises
+    AdmissibilityViolation (with the offending state, new damage included,
+    attached) if min Z*dGamma/dt drops below -tol * peak magnitude,
+    NonFiniteState if the audit reads NaN.
 
     kind: clifton is the conservative limit (lam = 0, c2 = 0, b = 0, no
-    source; ConfigConflict otherwise): every step skips activation, the
-    damage substep and the audit, so no cell is active, the damage field is
-    frozen, dissipation stays zero, and total energy is conserved
-    to discretization error.
+    source; ConfigConflict otherwise): it builds no DamagePlan, and every
+    step skips activation, the damage substep and the audit, so no cell is
+    active, the damage field is frozen, dissipation stays zero, and total
+    energy is conserved to discretization error.
     """
     p = cfg.material
-    grid = cfg.grid
     dt = cfg.dt
-    frozen = cfg.kind == "clifton"
-    if frozen:
+    damage = None
+    if cfg.kind == "clifton":
         if p.lam != 0.0 or p.c2 != 0.0 or p.b != 0.0 or (
             p.source_law == "logistic" and p.source_rate != 0.0
         ):
@@ -493,24 +464,15 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
                 "conservative limit needs lam = 0, c2 = 0, b = 0, and no source; got "
                 f"lam={p.lam}, c2={p.c2}, b={p.b}"
             )
-        state.active = np.zeros(grid.shape, dtype=bool)
+        state.active = np.zeros(cfg.grid.shape, dtype=bool)
+        # lam = 0 zeroes the conductivity, c2 = 0 and no source the potential
+        e_damage = (0.0, 0.0)
+    else:
+        damage = DamagePlan(cfg, state.active)
+        e_damage = damage.energy(state.gamma)
     plan.level(state.U, state.gamma, state.time)
-    damage_ops = None
-    e_damage = None  # damage part of the free energy, evaluated when gamma moved
-
-    def budget(dissipated, work):
-        """The budget part of a report row: kinetic, free_energy, dissipated,
-        boundary_work."""
-        nonlocal e_damage
-        if e_damage is None:
-            e_damage = cst.damage_free_energy(
-                state.gamma, p, grid, cfg.bc["gamma"], plan.w_gamma, state.active,
-                K=None if damage_ops is None else damage_ops.K,
-            )
-        free = plan.free_energy(state.gamma, e_damage)
-        return plan.kinetic(state.v), free, dissipated, work
-
-    yield (0.0, dt, 0.0, 0.0, 0.0, *budget(0.0, 0.0))
+    yield (0.0, dt, 0.0, 0.0, 0.0, plan.kinetic(state.v), plan.free_energy(state.gamma, e_damage),
+           0.0, 0.0)
 
     dissipated = 0.0
     work = 0.0
@@ -523,20 +485,16 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
         t = k * dt
         cfl = plan.step(state, t)
         state.time = t
-        if not frozen:
+        if damage is not None:
             uXc = ops.face_mean(plan.eps)
-            if _activate(state, uXc, p):
-                damage_ops = None
-            state.gamma, dinfo = step_damage(state, cfg, uX=uXc, operators=damage_ops)
-            damage_ops = dinfo.operators
-            e_damage = None
-            max_diff, min_zg = dinfo.max_diff, dinfo.min_Z_gammadot
-
-            dissipated += dinfo.dissipated_inc
+            damage.activate(state, uXc)
+            state.gamma, min_zg, peak, inc = damage.step(state, uXc)
+            max_diff = damage.diff_number
+            dissipated += inc
             if p.model == "linear":  # damage moved, so stress moved
                 plan.stress(state.gamma, t)
-            zg_peak = max(zg_peak, dinfo.peak_Z_gammadot)
-            nan = math.isnan(min_zg) or math.isnan(dinfo.peak_Z_gammadot)
+            zg_peak = max(zg_peak, peak)
+            nan = math.isnan(min_zg) or math.isnan(peak)
             if nan or not min_zg >= -tol_adm * max(zg_peak, 1e-30):
                 if nan:  # max(peak, nan) keeps the peak, and NaN passes a `<` test
                     err = NonFiniteState("admissibility audit")
@@ -544,8 +502,10 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
                     err = AdmissibilityViolation(state.time, min_zg, tol_adm * zg_peak)
                 err.state = state.copy()  # dumped for post-mortem inspection
                 raise err
+            e_damage = damage.energy(state.gamma)
         power = plan.wall_power(state.v)
         work += 0.5 * (power_prev + power) * dt
         power_prev = power
 
-        yield (t, dt, cfl, max_diff, min_zg, *budget(dissipated, work))
+        yield (t, dt, cfl, max_diff, min_zg, plan.kinetic(state.v),
+               plan.free_energy(state.gamma, e_damage), dissipated, work)

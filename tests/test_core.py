@@ -92,6 +92,27 @@ def test_unknown_numerics_key_rejected():
     assert exc.value.name == "numerics.scheme"
 
 
+@pytest.mark.parametrize("over, name", [
+    ({"grid": {"nx": 16, "dx": 0.0625, "origin_x": 1.0}}, "grid.origin_x"),  # a 2D key in 1D
+    ({"grid": {"nx": 4, "ny": 4, "dx": 0.25, "dy": 0.25, "origin": 1.0}}, "grid.origin"),
+    ({"time": {"dt": 0.01, "t_end": 0.1, "tend": 0.2}}, "time.tend"),
+    ({"output": {"snapshot": 3}}, "output.snapshot"),
+    ({"ic": {"Gamma": {"type": "constant", "value": 0.5}}}, "ic.Gamma"),
+    ({"ic": {"gamma": {"type": "sine", "amplitude": 0.5, "width": 0.1}}}, "ic.gamma.width"),
+    ({"bc": {"gama": {"type": "dirichlet"}}}, "bc.gama"),
+    ({"bc": {"u_left": {"type": "free", "value": 1.0}}}, "bc.u_left.value"),
+    ({"bc": {"u_right": {"type": "traction", "value": 1.0, "untill": 0.1}}}, "bc.u_right.untill"),
+    ({"bc": {"gamma": {"type": "zero_flux", "value": 0.3}}}, "bc.gamma.value"),
+    ({"body_force": {"value": 1.0, "units": "N"}}, "body_force.units"),
+], ids=["grid-1d", "grid-2d", "time", "output", "ic", "ic-entry", "bc", "free-wall",
+        "traction-wall", "gamma-wall", "body_force"])
+def test_unknown_key_rejected_in_every_section(over, name):
+    # a mistyped key must not fall back to its default silently
+    with pytest.raises(InvalidValue) as exc:
+        fw.build_scenario(minimal_doc(**over))
+    assert exc.value.name == name
+
+
 def test_readme_skeleton_builds():
     # the README's scenario skeleton stays a valid scenario
     path = os.path.join(os.path.dirname(__file__), "..", "README.md")

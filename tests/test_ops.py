@@ -41,17 +41,15 @@ def line_systems(draw):
     }
 
 
-def _dense_solve(K_line, react_line, a, s, dh, bc_g, rhs_line):
-    """Solve (a + react/2 - s*L) x = rhs with L assembled column by column
-    from the explicit flux divergence; its affine part (the dirichlet ghost)
-    moves to the right-hand side."""
+def _dense_system(K_line, react_line, a, s, dh, bc_g):
+    """(a + react/2 - s*L, s*c): L assembled column by column from the
+    explicit flux divergence, c its affine part (the dirichlet ghost)."""
     n = react_line.size
     c = ops.damage_flux_div(np.zeros(n), K_line, dh, bc_g)
     L = np.column_stack(
         [ops.damage_flux_div(e, K_line, dh, bc_g) - c for e in np.eye(n)]
     )
-    A = np.diag(a + 0.5 * react_line) - s * L
-    return np.linalg.solve(A, rhs_line + s * c)
+    return np.diag(a + 0.5 * react_line) - s * L, s * c
 
 
 def _scale(x):
@@ -64,14 +62,21 @@ def _scale(x):
 @settings(max_examples=150, deadline=None)
 @given(line_systems())
 def test_factored_lines_match_dense_solve(sys_):
-    fac = ops.factor_lines(sys_["K"], sys_["react"], sys_["a"], sys_["s"], sys_["dh"], sys_["bc_g"])
+    # the line solve is homogeneous; the factor hands the dirichlet ghost's
+    # constants (the affine part of s*L) to the caller as .ghost
+    args = (sys_["a"], sys_["s"], sys_["dh"], sys_["bc_g"])
+    fac = ops.factor_lines(sys_["K"], sys_["react"], *args)
+    lines = [_dense_system(K, react, *args) for K, react in zip(sys_["K"], sys_["react"])]
+    constants = np.array([c for _, c in lines])
+    if fac.ghost is None:
+        assert not constants.any()
+    else:
+        assert np.array_equal(constants[:, 1:-1], np.zeros_like(constants[:, 1:-1]))
+        for got, want in zip(fac.ghost, (constants[:, 0], constants[:, -1])):
+            assert float(np.max(np.abs(got - want))) <= 1e-12 * _scale(want)
     for rhs in sys_["rhs"]:
         x = ops.solve_lines(fac, rhs)
-        dense = np.array([
-            _dense_solve(sys_["K"][j], sys_["react"][j], sys_["a"], sys_["s"], sys_["dh"],
-                         sys_["bc_g"], rhs[j])
-            for j in range(rhs.shape[0])
-        ])
+        dense = np.array([np.linalg.solve(A, b) for (A, _), b in zip(lines, rhs)])
         assert float(np.max(np.abs(x - dense))) <= 1e-12 * _scale(dense)
 
 
