@@ -308,9 +308,15 @@ _WALL_KEYS = {"fixed": {"value"}, "velocity": {"value"}, "traction": {"value", "
               "free": set(), "periodic": set(), "zero_flux": set(), "dirichlet": {"value"}}
 
 
-def _reject_unknown(raw: Mapping, known: set, path: str) -> None:
+def _mapping(raw: Any, path: str) -> Mapping:
+    if not isinstance(raw, Mapping):
+        raise InvalidValue(path, "must be a mapping")
+    return raw
+
+
+def _reject_unknown(raw: Any, known: set, path: str) -> None:
     # mistyped or retired keys must not silently fall back to defaults
-    for key in raw:
+    for key in _mapping(raw, path):
         if key not in known:
             raise InvalidValue(f"{path}.{key}", "unknown key")
 
@@ -369,10 +375,7 @@ def _parse_material(raw: Mapping) -> MaterialParams:
 
 
 def _norm_ic_entry(raw: Optional[Mapping], path: str, grid: Grid) -> dict:
-    if raw is None:
-        return {"type": "zeros"}
-    if not isinstance(raw, Mapping):
-        raise InvalidValue(path, "expected a mapping with a 'type' key")
+    raw = {} if raw is None else _mapping(raw, path)
     kind = _check_enum(str(raw.get("type", "zeros")), IC_KINDS, f"{path}.type")
     _reject_unknown(raw, {"type"} | _IC_KEYS[kind], path)
     out: dict = {"type": kind}
@@ -415,13 +418,14 @@ def _norm_ic_entry(raw: Optional[Mapping], path: str, grid: Grid) -> dict:
     return out
 
 
-def _norm_u_bc(raw: Optional[Mapping], path: str) -> dict:
-    if raw is None:
-        return {"type": "fixed", "value": 0.0}
-    kind = _check_enum(str(raw.get("type", "fixed")), U_BC_KINDS, f"{path}.type")
+def _norm_wall(raw: Optional[Mapping], path: str, kinds: tuple) -> dict:
+    """One wall spec, a U wall (kinds U_BC_KINDS) or a damage wall
+    (GAMMA_BC_KINDS); a missing spec or type is the first kind."""
+    raw = {} if raw is None else _mapping(raw, path)
+    kind = _check_enum(str(raw.get("type", kinds[0])), kinds, f"{path}.type")
     _reject_unknown(raw, {"type"} | _WALL_KEYS[kind], path)
     out: dict = {"type": kind}
-    if kind in ("fixed", "velocity"):
+    if kind in ("fixed", "velocity", "dirichlet"):
         out["value"] = _as_float(raw.get("value", 0.0), f"{path}.value")
     elif kind == "traction":
         out["value"] = _as_float(_need(raw, "value", path), f"{path}.value")
@@ -433,17 +437,6 @@ def _norm_u_bc(raw: Optional[Mapping], path: str) -> dict:
         out["ramp"] = _as_float(raw.get("ramp", 0.0), f"{path}.ramp")
         if out["ramp"] < 0:
             raise InvalidValue(f"{path}.ramp", "must be >= 0")
-    return out
-
-
-def _norm_gamma_bc(raw: Optional[Mapping], path: str) -> dict:
-    if raw is None:
-        return {"type": "zero_flux"}
-    kind = _check_enum(str(raw.get("type", "zero_flux")), GAMMA_BC_KINDS, f"{path}.type")
-    _reject_unknown(raw, {"type"} | _WALL_KEYS[kind], path)
-    out: dict = {"type": kind}
-    if kind == "dirichlet":
-        out["value"] = _as_float(raw.get("value", 0.0), f"{path}.value")
     return out
 
 
@@ -494,9 +487,9 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
     bc_raw = raw.get("bc", {}) or {}
     _reject_unknown(bc_raw, {"u_left", "u_right", "gamma"}, "bc")
     bc = {
-        "u_left": _norm_u_bc(bc_raw.get("u_left"), "bc.u_left"),
-        "u_right": _norm_u_bc(bc_raw.get("u_right"), "bc.u_right"),
-        "gamma": _norm_gamma_bc(bc_raw.get("gamma"), "bc.gamma"),
+        "u_left": _norm_wall(bc_raw.get("u_left"), "bc.u_left", U_BC_KINDS),
+        "u_right": _norm_wall(bc_raw.get("u_right"), "bc.u_right", U_BC_KINDS),
+        "gamma": _norm_wall(bc_raw.get("gamma"), "bc.gamma", GAMMA_BC_KINDS),
     }
     kinds = (bc["u_left"]["type"], bc["u_right"]["type"], bc["gamma"]["type"])
     if "periodic" in kinds and set(kinds) != {"periodic"}:

@@ -21,7 +21,7 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import NonFiniteState
 
@@ -251,7 +251,7 @@ def energy_weights(bc: dict, grid) -> tuple:
 
 
 class LineFactor(NamedTuple):
-    lu: tuple  # dgttrf output for all lines joined into one system
+    lu: tuple  # dpttrf's (d, e), the LDLᵀ factor of all lines joined into one system
     ghost: Optional[tuple]  # dirichlet constants of the (first, last) cells
     sm: Optional[tuple]  # periodic Sherman-Morrison terms (w, v_coef, denom)
 
@@ -261,13 +261,15 @@ def factor_lines(K, react, a: float, s: float, dh: float, bc_g: dict) -> LineFac
 
     K holds face conductivities, shape (..., n+1); react the cell reaction,
     shape (..., n), one line of n cells along the last axis per leading
-    index. The lines become one tridiagonal system with zero coupling
-    between them, so a single LAPACK dgttrf call factors every line and
+    index. The operator is symmetric positive definite, and the lines become
+    one tridiagonal system with zero coupling between them, so a single
+    LAPACK dpttrf call factors every line as LDLᵀ (no pivoting) and
     solve_lines reuses the factor for any number of right-hand sides.
     Dirichlet values enter through the ghost 2g - x_adj, whose constant is
     returned as .ghost, not applied (solve_lines is homogeneous); periodic
     lines wrap via a Sherman-Morrison rank-1 update, whose matrix-only solve
-    is done here once. Raises NonFiniteState on a non-finite or singular operator.
+    is done here once. Raises NonFiniteState on a non-finite operator or one
+    that is not positive definite.
     """
     kind = bc_g["type"]
     cl = K[..., :-1] / dh**2  # left face of each cell
@@ -276,8 +278,7 @@ def factor_lines(K, react, a: float, s: float, dh: float, bc_g: dict) -> LineFac
         cl[..., 0] = 0.0  # no flux through the walls
         cr[..., -1] = 0.0
     diag = a + 0.5 * react + s * (cl + cr)
-    sub = -s * cl
-    sup = -s * cr
+    off = -s * cr  # A[i, i+1] = A[i+1, i]: both read the face between them
     ghost = sm = None
     if kind == "dirichlet":
         # the ghost doubles the wall coupling and adds a constant
@@ -286,22 +287,22 @@ def factor_lines(K, react, a: float, s: float, dh: float, bc_g: dict) -> LineFac
         diag[..., -1] += s * cr[..., -1]
         ghost = (2.0 * s * cl[..., 0] * g, 2.0 * s * cr[..., -1] * g)
     elif kind == "periodic":
+        # B = A + u uᵀ/d0, u = (-d0, 0, .., corner), drops A's corners and stays SPD
         corner = -s * K[..., 0] / dh**2  # A[0, n-1] = A[n-1, 0]
         gam = -diag[..., 0]
         diag[..., 0] -= gam
         diag[..., -1] -= corner * corner / gam
     if not np.isfinite(diag).all():  # every coupling also enters diag
         raise NonFiniteState("damage operator")
-    sub[..., 0] = 0.0  # lines do not couple
-    sup[..., -1] = 0.0
-    *lu, info = dgttrf(sub.ravel()[1:], diag.ravel(), sup.ravel()[:-1])
+    off[..., -1] = 0.0  # lines do not couple
+    *lu, info = dpttrf(diag.ravel(), off.ravel()[:-1])
     if info > 0:
-        raise NonFiniteState(f"damage operator (singular at row {info - 1})")
+        raise NonFiniteState(f"damage operator (not positive definite at row {info - 1})")
     if kind == "periodic":
         u = np.zeros_like(diag)
         u[..., 0] = gam
         u[..., -1] = corner
-        w = dgttrs(*lu, u.ravel())[0].reshape(diag.shape)
+        w = dpttrs(*lu, u.ravel())[0].reshape(diag.shape)
         v_coef = corner / gam
         sm = (w, v_coef, 1.0 + (w[..., 0] + v_coef * w[..., -1]))
     return LineFactor(tuple(lu), ghost, sm)
@@ -313,7 +314,7 @@ def solve_lines(fac: LineFactor, rhs: np.ndarray) -> np.ndarray:
     them to b)."""
     if not np.isfinite(rhs).all():
         raise NonFiniteState("damage right-hand side")
-    x = dgttrs(*fac.lu, rhs.ravel())[0].reshape(rhs.shape)
+    x = dpttrs(*fac.lu, rhs.ravel())[0].reshape(rhs.shape)
     if fac.sm is not None:
         w, v_coef, denom = fac.sm
         x = x - w * ((x[..., 0] + v_coef * x[..., -1]) / denom)[..., None]
@@ -373,7 +374,7 @@ def damage_operator(active, K, react, lam: float, dt: float, grid, bc_g: dict):
     box = active_box(active)
     if box is None:
         return None
-    # scipy's dgttrf/dgttrs want 3 unknowns or more: pad with inactive cells
+    # scipy's dpttrf rejects a system of one unknown: pad with inactive cells
     box = tuple(_three_cells(s, n) for s, n in zip(box, active.shape))
     react = react[box]
     a = lam / dt

@@ -414,8 +414,9 @@ def run(cfg: ScenarioConfig) -> RunResult:
     plan = ElasticPlan(cfg)
     for k, row in enumerate(_coupled_steps(state, cfg, plan)):
         reports[k] = row
-        gauge_S[k] = plan.cell_stress(state.gamma, cells)
-        gauge_gamma[k] = state.gamma[cells]
+        if cfg.gauges:
+            gauge_S[k] = plan.cell_stress(state.gamma, cells)
+            gauge_gamma[k] = state.gamma[cells]
         if k in snap_steps:
             snapshots.append(_snapshot(k, state, cfg))
     proxy = lateral_stress_proxy(gauge_gamma, cfg.material)

@@ -104,8 +104,16 @@ def test_unknown_numerics_key_rejected():
     ({"bc": {"u_right": {"type": "traction", "value": 1.0, "untill": 0.1}}}, "bc.u_right.untill"),
     ({"bc": {"gamma": {"type": "zero_flux", "value": 0.3}}}, "bc.gamma.value"),
     ({"body_force": {"value": 1.0, "units": "N"}}, "body_force.units"),
+    # a section or a wall that is not a mapping
+    ({"output": 3}, "output"),
+    ({"ic": 5}, "ic"),
+    ({"numerics": 2}, "numerics"),
+    ({"material": {"rho0": 1.0, "c1": 1.0, "source": 3}}, "material.source"),
+    ({"bc": {"u_left": 3}}, "bc.u_left"),
+    ({"bc": {"gamma": 1}}, "bc.gamma"),
 ], ids=["grid-1d", "grid-2d", "time", "output", "ic", "ic-entry", "bc", "free-wall",
-        "traction-wall", "gamma-wall", "body_force"])
+        "traction-wall", "gamma-wall", "body_force", "output-scalar", "ic-scalar",
+        "numerics-scalar", "source-scalar", "u-wall-scalar", "gamma-wall-scalar"])
 def test_unknown_key_rejected_in_every_section(over, name):
     # a mistyped key must not fall back to its default silently
     with pytest.raises(InvalidValue) as exc:

@@ -1,5 +1,6 @@
 """Factored line solves of the implicit damage operator: agreement with a
-dense assembly of each line, factor reuse, and the finite-value guard."""
+dense assembly of each line, backward stability on stiff lines, factor
+reuse, and the finite-value and positive-definiteness guards."""
 
 import numpy as np
 import pytest
@@ -106,6 +107,55 @@ def test_non_finite_operator_or_rhs_is_typed():
     K[0, 3] = np.inf
     with pytest.raises(fw.NonFiniteState, match="operator"):
         ops.factor_lines(K, react, 1.0, 0.5, 0.1, bc_g)
+
+
+def test_indefinite_operator_is_typed():
+    # a < 0 makes the zero-flux operator indefinite (its constant mode has
+    # the eigenvalue a); the LDLᵀ factor needs positive definiteness
+    K = np.ones((2, 6))
+    react = np.zeros((2, 5))
+    with pytest.raises(fw.NonFiniteState, match="positive definite"):
+        ops.factor_lines(K, react, -1.0, 0.5, 0.1, {"type": "zero_flux"})
+
+
+@st.composite
+def stiff_line_systems(draw):
+    """Line systems whose diffusion ratios K/(a dh²) span 1 to 1e6 face by
+    face (impact_k8 steps at about 12.5), with one right-hand side."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(3, 12))
+    kind = draw(st.sampled_from(BC_KINDS))
+    a = draw(st.floats(0.5, 50.0))
+    dh = draw(st.floats(0.2, 1.0))
+    ratio = hnp.arrays(float, (m, n + 1), elements=st.floats(0.0, 6.0))
+    K = 10.0 ** draw(ratio) * a * dh**2
+    if kind == "periodic":
+        K[:, -1] = K[:, 0]
+    return {
+        "K": K,
+        "react": draw(hnp.arrays(float, (m, n), elements=st.floats(0.0, 5.0))),
+        "a": a,
+        "s": draw(st.sampled_from([0.5, 1.0])),
+        "dh": dh,
+        "bc_g": _bc(kind, draw(st.floats(-1.0, 1.0))),
+        "rhs": draw(hnp.arrays(float, (m, n), elements=st.floats(-1.0, 1.0))),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(stiff_line_systems())
+def test_stiff_line_solve_is_backward_stable(sys_):
+    # LDLᵀ runs without pivoting: its residual must stay at roundoff of the
+    # operator's scale however stiff the lines are. A residual bound, not a
+    # forward one: at these ratios the error against a dense solve measures
+    # the conditioning.
+    args = (sys_["a"], sys_["s"], sys_["dh"], sys_["bc_g"])
+    x = ops.solve_lines(ops.factor_lines(sys_["K"], sys_["react"], *args), sys_["rhs"])
+    eps = np.finfo(float).eps
+    for K, react, xl, b in zip(sys_["K"], sys_["react"], x, sys_["rhs"]):
+        A, _ = _dense_system(K, react, *args)
+        scale = np.max(np.abs(A).sum(axis=1)) * _scale(xl) + _scale(b)
+        assert float(np.max(np.abs(A @ xl - b))) <= 8 * eps * scale
 
 
 # -- the damage step on the active box ---------------------------------------------
