@@ -3,7 +3,7 @@ vanish linearly while the frozen-damage limit conserves energy.
 
 For c2 = 0 and no source the damage rate is d1 * Laplacian(gamma),
 independent of lambda, so the dissipated power integral scales exactly
-linearly in lambda. At lambda = 0 (kind: clifton) the same velocity-Verlet
+linearly in lambda. At lambda = 0 (Clifton's model) the same velocity-Verlet
 loop runs with the damage substep skipped: the damage field is frozen and
 the elastic step conserves total energy to its O(dt^2) wobble.
 

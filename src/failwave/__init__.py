@@ -52,7 +52,6 @@ from .errors import (
     RuntimeViolation,
     ShapeMismatch,
     SingularBasis,
-    SingularLambda,
     TooFewLevels,
 )
 from .model import (

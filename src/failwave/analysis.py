@@ -208,17 +208,16 @@ def budget_imbalance(reports) -> float:
 
 def clifton_limit_study(base_cfg: ScenarioConfig, lambdas: Sequence[float]) -> LimitStudyResult:
     """Re-run one scenario across dissipation coefficients, holding d1 fixed
-    (so conductivity lam*d1 vanishes with lam). lam = 0 entries run as
-    kind: clifton, the same integrator with the damage field frozen, so the
-    rows are one discretisation's limit. Cumulative dissipation scales
-    linearly in lam because the damage trajectory itself is lam-independent
-    over this family (pure diffusion with diffusivity d1).
+    (so conductivity lam*d1 vanishes with lam). lam = 0 entries run
+    Clifton's conservative limit, the same integrator with the damage field
+    frozen, so the rows are one discretisation's limit. Cumulative
+    dissipation scales linearly in lam because the damage trajectory itself
+    is lam-independent over this family (pure diffusion with diffusivity d1).
     """
     rows: List[LimitRow] = []
     for lam in lambdas:
         mat = replace(base_cfg.material, lam=float(lam))
-        kind = "clifton" if lam == 0.0 else "coupled"
-        result = run(replace(base_cfg, material=mat, kind=kind))
+        result = run(replace(base_cfg, material=mat))
         reports = result.reports
         gamma = result.state.gamma
         sharp = float(np.max(np.abs(np.diff(gamma)))) / base_cfg.grid.dx if gamma.size > 1 else 0.0

@@ -1,13 +1,14 @@
 """The paper's two functions, the free energy and the dissipation rate, and
 every quantity derived from them.
 
-free_energy is the density the discrete sums integrate,
-    psi = elastic_energy_density + W(gamma) + (1/2)k1 (dGamma/dX)^2
-          + (1/2)k2 |grad_perp Gamma|^2 [+ b*uX*gamma, model: linear],
+free_energy is the one density the discrete sums integrate,
+    psi = (c1/2)uX^2 + (c3/4)uX^4 + b*uX*gamma + W(gamma)
+          + (1/2)k1 (dGamma/dX)^2 + (1/2)k2 |grad_perp Gamma|^2,
 with k1 = lam*d1, k2 = lam*d2; stress and damage_force are its derivatives
-in uX and -gamma. feng's strain energy (c1/2)uX^2 + (c3/4)uX^4 has no cross
-term, so the elastic field never feels the damage field; linear is the
-quadratic form (c1/2)uX^2 + b*uX*gamma, whose stress carries b*gamma.
+in uX and -gamma. The classical models are special cases by parameter:
+b = 0 is Feng's one-way coupling (the elastic field never feels the damage
+field), and lam = 0 is Clifton's conservative limit (solver.run freezes the
+damage field). A zero c3 or b drops its term, so no branch adds 0*x.
 
 W(gamma) (damage_potential) is (c2/2)gamma^2 under source law linear_decay,
 which relaxes, and -r*lam*(gamma^2/2 - gamma^3/(3*gamma_max)) under
@@ -53,45 +54,48 @@ def damage_potential(gamma, p: MaterialParams):
 
 
 def damage_force(gamma, p: MaterialParams, uX=None):
-    """Internal force A = -d(psi)/d(gamma) (Pa), source law included.
+    """Internal force A = -d(psi)/d(gamma) (Pa), source law included; uX
+    (the strain, 0 when not given) enters only when b != 0.
 
-    feng + linear_decay: -c2*gamma
-    feng + logistic:     r*lam*gamma*(1 - gamma/gamma_max)
-    linear:              -(b*uX + c2*gamma)
+    linear_decay: -(b*uX + c2*gamma)
+    logistic:     r*lam*gamma*(1 - gamma/gamma_max)  (b = 0, see MaterialParams)
     """
     gamma = np.asarray(gamma, dtype=float)
-    if p.model == "linear":
-        if uX is None:
-            uX = np.zeros_like(gamma)
-        return -(p.b * np.asarray(uX, dtype=float) + p.c2 * gamma)
     if p.source_law == "logistic":
         return p.source_rate * p.lam * gamma * (1.0 - gamma / p.gamma_max)
-    return -p.c2 * gamma
+    if p.b == 0.0:
+        return -p.c2 * gamma
+    if uX is None:
+        uX = np.zeros_like(gamma)
+    return -(p.b * np.asarray(uX, dtype=float) + p.c2 * gamma)
 
 
 def stress(uX, gamma, p: MaterialParams):
-    """Longitudinal 1st Piola-Kirchhoff stress of p.model (Pa)."""
+    """Longitudinal 1st Piola-Kirchhoff stress d(psi)/d(uX) = c1*uX +
+    c3*uX^3 + b*gamma (Pa), its terms added in that order."""
     uX = np.asarray(uX, dtype=float)
-    if p.model == "linear":
-        return p.c1 * uX + p.b * np.asarray(gamma, dtype=float)
-    if p.c3 == 0.0:
-        return p.c1 * uX
-    return p.c1 * uX + p.c3 * (uX * uX * uX)  # spelled out: ** dispatches to pow
+    S = p.c1 * uX
+    if p.c3 != 0.0:
+        S = S + p.c3 * (uX * uX * uX)  # spelled out: ** dispatches to pow
+    if p.b != 0.0:
+        S = S + p.b * np.asarray(gamma, dtype=float)
+    return S
 
 
 def elastic_energy_density(uX, p: MaterialParams):
-    """Strain part of psi only (the face-quadrature integrand), J/m^3."""
+    """Strain part (c1/2)uX^2 + (c3/4)uX^4 of psi only (the face-quadrature
+    integrand), J/m^3."""
     uX = np.asarray(uX, dtype=float)
     u2 = uX * uX
-    if p.model == "linear" or p.c3 == 0.0:
+    if p.c3 == 0.0:
         return 0.5 * p.c1 * u2
     return 0.5 * p.c1 * u2 + 0.25 * p.c3 * (u2 * u2)
 
 
 def free_energy(uX, gamma, grad_gamma, p: MaterialParams):
     """Free energy density psi of p (J/m^3): elastic_energy_density +
-    damage_potential + (1/2)k1 gx^2 + (1/2)k2 gy^2, plus b*uX*gamma for
-    model: linear. grad_gamma may be a scalar/array (1D) or an (x, y) pair."""
+    damage_potential + (1/2)k1 gx^2 + (1/2)k2 gy^2 + b*uX*gamma.
+    grad_gamma may be a scalar/array (1D) or an (x, y) pair."""
     gx, gy = _grad_parts(grad_gamma)
     uX = np.asarray(uX, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -101,7 +105,7 @@ def free_energy(uX, gamma, grad_gamma, p: MaterialParams):
         + 0.5 * p.k1 * gx**2
         + 0.5 * p.k2 * gy**2
     )
-    if p.model == "linear":
+    if p.b != 0.0:
         psi = psi + p.b * uX * gamma
     return psi
 
@@ -208,7 +212,7 @@ def total_free_energy(
     w_u, w_gamma = ops.energy_weights(bc, grid)
     e_el = float((elastic_energy_density(eps, p) * w_u).sum() * grid.axes[0].across)
     e_grad, e_cell = damage_free_energy(gamma, p, grid, bc["gamma"], w_gamma, active)
-    if p.model == "linear" and p.b != 0.0:
+    if p.b != 0.0:
         uXc = ops.face_mean(eps)
         e_cell += float((p.b * uXc * gamma * grid.cell_volume).sum())
     return e_el + e_grad + e_cell

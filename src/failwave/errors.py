@@ -53,13 +53,6 @@ class CflViolation(RuntimeViolation):
         )
 
 
-class SingularLambda(RuntimeViolation):
-    """Parabolic stepping requested with a zero dissipation coefficient."""
-
-    def __init__(self, msg: str = "lambda = 0: parabolic step undefined, use clifton mode"):
-        super().__init__(msg)
-
-
 class AdmissibilityViolation(RuntimeViolation):
     """min(Z*gamma_dot) fell below -tol: dissipation inequality broken."""
 

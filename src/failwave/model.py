@@ -23,8 +23,6 @@ U_BC_KINDS = ("fixed", "free", "traction", "velocity", "periodic")
 GAMMA_BC_KINDS = ("zero_flux", "dirichlet", "periodic")
 IC_KINDS = ("zeros", "constant", "gaussian", "sine", "step", "tabulated")
 SOURCE_LAWS = ("linear_decay", "logistic")
-MODELS = ("feng", "linear")
-KINDS = ("coupled", "clifton")
 
 
 class Axis(NamedTuple):
@@ -140,7 +138,8 @@ Grid = Union[Grid1D, Grid2D]
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Constitutive coefficients in SI units.
+    """Constitutive coefficients in SI units, of the one free energy in
+    constitutive: b = 0 is Feng's model, lam = 0 Clifton's.
 
     rho0   : reference mass density (kg/m^3)
     theta0 : reference temperature (K)
@@ -150,10 +149,9 @@ class MaterialParams:
     lam    : dissipation coefficient (Pa*s); `lambda` in config files
     d1     : longitudinal damage diffusivity (m^2/s)
     d2     : transverse damage diffusivity (m^2/s)
-    b      : strain-damage coupling of the quadratic-form model (Pa)
+    b      : strain-damage coupling (Pa); b = 0 decouples the elastic field
+             from the damage field, and a logistic source needs b = 0
     sigma0 : activation stress threshold (Pa); 0 means always active
-    model  : 'feng' (quartic strain energy, one-way coupling) or
-             'linear' (quadratic form with b coupling)
     source_law  : 'linear_decay' (-c2*gamma) or 'logistic'
                   (r*lam*gamma*(1 - gamma/gamma_max), front-forming)
     source_rate : logistic rate r (1/s)
@@ -173,7 +171,6 @@ class MaterialParams:
     d2: float = 0.0
     b: float = 0.0
     sigma0: float = 0.0
-    model: str = "feng"
     source_law: str = "linear_decay"
     source_rate: float = 0.0
     gamma_max: float = 1.0
@@ -224,7 +221,6 @@ class ScenarioConfig:
     """
 
     name: str
-    kind: str
     grid: Grid
     material: MaterialParams
     dt: float
@@ -294,10 +290,7 @@ def _parse_grid(raw: Mapping) -> Grid:
     return Grid1D(nx=nx, dx=dx, origin=_as_float(raw.get("origin", 0.0), "grid.origin"))
 
 
-_MATERIAL_KEYS = {
-    "rho0", "c1", "c2", "c3", "theta0", "lambda", "lam",
-    "d1", "d2", "b", "sigma0", "model", "source",
-}
+_MATERIAL_KEYS = {"rho0", "c1", "c2", "c3", "theta0", "lambda", "d1", "d2", "b", "sigma0", "source"}
 _SOURCE_KEYS = {"law", "rate", "gamma_max"}
 _NUMERICS_KEYS = {"tol_admissibility", "source_tol", "source_max_iter"}
 _GRID_KEYS = ({"nx", "dx", "origin", "ny"}, {"nx", "ny", "dx", "dy", "origin_x", "origin_y"})
@@ -325,7 +318,7 @@ def _parse_material(raw: Mapping) -> MaterialParams:
     _reject_unknown(raw, _MATERIAL_KEYS, "material")
     rho0 = _as_float(_need(raw, "rho0", "material"), "material.rho0")
     c1 = _as_float(_need(raw, "c1", "material"), "material.c1")
-    lam = _as_float(raw.get("lambda", raw.get("lam", 1.0)), "material.lambda")
+    lam = _as_float(raw.get("lambda", 1.0), "material.lambda")
     source = raw.get("source", {}) or {}
     _reject_unknown(source, _SOURCE_KEYS, "material.source")
     law = _check_enum(str(source.get("law", "linear_decay")), SOURCE_LAWS, "material.source.law")
@@ -342,7 +335,6 @@ def _parse_material(raw: Mapping) -> MaterialParams:
         d2=_as_float(raw.get("d2", raw.get("d1", 0.0)), "material.d2"),
         b=_as_float(raw.get("b", 0.0), "material.b"),
         sigma0=_as_float(raw.get("sigma0", 0.0), "material.sigma0"),
-        model=_check_enum(str(raw.get("model", "feng")), MODELS, "material.model"),
         source_law=law,
         source_rate=rate,
         gamma_max=gamma_max,
@@ -366,10 +358,10 @@ def _parse_material(raw: Mapping) -> MaterialParams:
             raise InvalidValue("material.source.rate", "logistic source needs rate > 0")
         if p.gamma_max <= 0:
             raise InvalidValue("material.source.gamma_max", "must be > 0")
-        if p.model == "linear":
+        if p.b != 0.0:
             raise ConfigConflict(
-                "model=linear uses its own quadratic-form source (-b*uX - c2*gamma); "
-                "a logistic source requires model=feng"
+                "b != 0 couples the strain into a linear_decay source (-b*uX - c2*gamma); "
+                "a logistic source needs b = 0"
             )
     return p
 
@@ -457,7 +449,7 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
         raw = doc
     if not isinstance(raw, Mapping):
         raise InvalidValue("document", "top level must be a mapping")
-    known = {"name", "kind", "grid", "material", "time", "ic", "bc",
+    known = {"name", "grid", "material", "time", "ic", "bc",
              "body_force", "gauges", "output", "numerics"}
     for key in raw:
         if key not in known:
@@ -473,8 +465,6 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
         raise InvalidValue("time.dt", "must be > 0")
     if t_end < dt:
         raise InvalidValue("time.t_end", "must be >= dt")
-
-    kind = _check_enum(str(raw.get("kind", "coupled")), KINDS, "kind")
 
     ic_raw = raw.get("ic", {}) or {}
     _reject_unknown(ic_raw, {"U", "v", "gamma"}, "ic")
@@ -544,7 +534,6 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
 
     return ScenarioConfig(
         name=str(raw.get("name", "scenario")),
-        kind=kind,
         grid=grid,
         material=material,
         dt=dt,
@@ -584,7 +573,6 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
         "d2": p.d2,
         "b": p.b,
         "sigma0": p.sigma0,
-        "model": p.model,
         "source": {
             "law": p.source_law,
             "rate": p.source_rate,
@@ -593,7 +581,6 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     }
     return {
         "name": cfg.name,
-        "kind": cfg.kind,
         "grid": grid,
         "material": material,
         "time": {"dt": cfg.dt, "t_end": cfg.t_end},

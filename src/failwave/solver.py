@@ -4,12 +4,12 @@ Lie splitting per step: a velocity-Verlet elastic update (the composition is
 algebraically identical to the centered three-level scheme), then activation
 of cells whose stress magnitude reached the threshold, then one
 Crank-Nicolson damage step. Each half is resolved once per run into a plan:
-ElasticPlan holds the wall rules, the stress branch and the buffers of the
+ElasticPlan holds the wall rules, the stress terms and the buffers of the
 elastic half, DamagePlan the source branch, the tolerances and the operator
-of the current active set. Coupling is one-way in the feng model: the
-elastic substep never reads the damage field. The conservative lam = 0
-limit (kind: clifton) is the same loop with the damage substep skipped: the
-damage field stays frozen and nothing dissipates.
+of the current active set. Coupling is one-way when b = 0 (Feng's model):
+the elastic substep never reads the damage field. The conservative lam = 0
+limit (Clifton's model) is the same loop with the damage substep skipped:
+the damage field stays frozen and nothing dissipates.
 
 Every step is audited: hyperbolic Courant number, the pointwise
 admissibility product Z*dGamma/dt, and a running energy budget (kinetic +
@@ -33,7 +33,6 @@ from .errors import (
     ConfigConflict,
     NonFiniteState,
     PicardNotConverged,
-    SingularLambda,
 )
 from .model import FieldState, ScenarioConfig, initialize_state
 
@@ -124,10 +123,11 @@ class ElasticPlan:
     """The elastic half of a step, resolved once per run.
 
     cfg's wall rules (face strain, prescribed face stress, wall velocity),
-    its stress branch and its energy weights are looked up here once. A
-    time level's face strain eps, its square u2, face stress S and
-    acceleration accel = div(S)/rho0 + r live in buffers that every level
-    reuses: level() fills them, step() advances U and v in place from them.
+    the stress terms its material sets (c3 != 0, b != 0) and its energy
+    weights are looked up here once. A time level's face strain eps, its
+    square u2, face stress S and acceleration accel = div(S)/rho0 + r live
+    in buffers that every level reuses: level() fills them, step() advances
+    U and v in place from them.
     Each expression keeps the operand order of its reference
     (ops.strain_faces, cst.stress, cst.elastic_wave_speed,
     cst.total_free_energy), and the reductions are the ufunc reductions
@@ -141,8 +141,7 @@ class ElasticPlan:
         self.dt, self.dx = cfg.dt, grid.dx
         self.body_force = cfg.body_force
         self.bc_gamma = bc["gamma"]
-        self.linear = p.model == "linear"
-        self.cubic = not self.linear and p.c3 != 0.0
+        self.cubic, self.coupled = p.c3 != 0.0, p.b != 0.0
         self.fill_strain = ops.strain_rule(bc, grid.dx)
         self.stress_rules = ops.stress_rules(bc)
         self.walls = None if bc["u_left"]["type"] == "periodic" else (
@@ -167,11 +166,11 @@ class ElasticPlan:
         prescribed values included, and the acceleration it gives."""
         p, S = self.p, self.S
         np.multiply(self.eps, p.c1, out=S)
-        if self.linear:
-            S += p.b * ops.gamma_face_values(gamma, self.bc_gamma)
-        elif self.cubic:
+        if self.cubic:
             cube = np.multiply(self.u2, self.eps, out=self._f1)
             S += np.multiply(cube, p.c3, out=cube)
+        if self.coupled:
+            S += p.b * ops.gamma_face_values(gamma, self.bc_gamma)
         for idx, value in self.stress_rules:
             S[..., idx] = value(t)
         a = self.accel
@@ -218,7 +217,7 @@ class ElasticPlan:
             e += np.multiply(quartic, 0.25 * p.c3, out=quartic)
         e *= self.w_u
         e_grad, e_cell = damage
-        if self.linear and p.b != 0.0:
+        if self.coupled:
             e_cell += float((p.b * ops.face_mean(self.eps) * gamma * self.cell_volume).sum())
         return float(np.add.reduce(e, None) * self.across) + e_grad + e_cell
 
@@ -244,22 +243,18 @@ class DamagePlan:
     conductivity K of each grid axis and the Crank-Nicolson operator on the
     box of the active cells (ops.damage_operator, None when no cell is
     active) hold while the active set does: they are built for active here
-    and rebuilt by activate() only when a cell switches on. Raises
-    SingularLambda when lam is 0 (that limit is run with kind: clifton).
+    and rebuilt by activate() only when a cell switches on. Built only when
+    lam > 0.
     """
 
     def __init__(self, cfg: ScenarioConfig, active: np.ndarray):
         p, grid = cfg.material, cfg.grid
-        if p.lam == 0.0:
-            raise SingularLambda(
-                "damage step needs lam > 0; the lam = 0 limit is run with kind: clifton"
-            )
         self.p, self.grid, self.dt, self.bc_g = p, grid, cfg.dt, cfg.bc["gamma"]
         diffusivity = max(d / ax.h**2 for ax, d in zip(grid.axes, (p.d1, p.d2)))
         self.diff_number = float(diffusivity * cfg.dt)
         # the logistic source is iterated to the midpoint (Picard); the
         # linear one is folded into the operator as the reaction c2
-        self.picard = p.model == "feng" and p.source_law == "logistic"
+        self.picard = p.source_law == "logistic"
         self.reaction = 0.0 if self.picard else p.c2
         self.tol, self.max_iter = cfg.numerics["source_tol"], cfg.numerics["source_max_iter"]
         self.w_gamma = ops.energy_weights(cfg.bc, grid)[1]
@@ -316,7 +311,7 @@ class DamagePlan:
                 # whole step; each iteration updates the logistic source (Picard
                 # to the midpoint) and, in 2D, the defect correction
                 rhs0 = ops.damage_rhs(g, op, grid)
-                if p.model == "linear":
+                if p.b != 0.0:
                     source = np.where(on, -p.b * uX[box], 0.0)
                 elif not self.picard:
                     source = np.zeros(g.shape)
@@ -342,8 +337,8 @@ class DamagePlan:
             err.state = state.copy()  # dumped for post-mortem inspection
             raise
 
-        if p.source_law == "logistic":
-            gamma_new = np.maximum(gamma_new, 0.0)
+        if self.picard:  # the logistic law keeps active damage nonnegative
+            np.maximum(gamma_new, 0.0, out=gamma_new, where=active)
         # Z at the midpoint, where the CN step balances lam*dGamma/dt
         Z = cst.internal_forces(0.5 * (gamma + gamma_new), p, grid, uX=uX, bc_gamma=self.bc_g,
                                 K=self.K)
@@ -396,11 +391,10 @@ def _step_count(cfg: ScenarioConfig) -> int:
 def run(cfg: ScenarioConfig) -> RunResult:
     """Integrate a scenario to t_end.
 
-    kind: coupled advances the full system, kind: clifton its conservative
-    lam = 0 limit; both go through _coupled_steps. Every level adds one row
-    to the reports (columns REPORT_FIELDS, e.g. reports["dissipated"]) and
-    one sample to each gauge trace; the output.snapshots cadence adds
-    full-field snapshots. The steps' typed errors (CflViolation,
+    Both the full system and its conservative lam = 0 limit go through
+    _coupled_steps. Every level adds one row to the reports (columns
+    REPORT_FIELDS, e.g. reports["dissipated"]) and one sample to each gauge
+    trace; the output.snapshots cadence adds full-field snapshots. The steps' typed errors (CflViolation,
     AdmissibilityViolation, ...) propagate as raised.
     """
     nsteps = _step_count(cfg)
@@ -448,7 +442,7 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
     attached) if min Z*dGamma/dt drops below -tol * peak magnitude,
     NonFiniteState if the audit reads NaN.
 
-    kind: clifton is the conservative limit (lam = 0, c2 = 0, b = 0, no
+    lam = 0 is the conservative limit (it needs c2 = 0, b = 0 and no
     source; ConfigConflict otherwise): it builds no DamagePlan, and every
     step skips activation, the damage substep and the audit, so no cell is
     active, the damage field is frozen, dissipation stays zero, and total
@@ -457,13 +451,11 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
     p = cfg.material
     dt = cfg.dt
     damage = None
-    if cfg.kind == "clifton":
-        if p.lam != 0.0 or p.c2 != 0.0 or p.b != 0.0 or (
-            p.source_law == "logistic" and p.source_rate != 0.0
-        ):
+    if p.lam == 0.0:
+        if p.c2 != 0.0 or p.b != 0.0 or (p.source_law == "logistic" and p.source_rate != 0.0):
             raise ConfigConflict(
-                "conservative limit needs lam = 0, c2 = 0, b = 0, and no source; got "
-                f"lam={p.lam}, c2={p.c2}, b={p.b}"
+                "conservative limit lam = 0 needs c2 = 0, b = 0, and no source; got "
+                f"c2={p.c2}, b={p.b}"
             )
         state.active = np.zeros(cfg.grid.shape, dtype=bool)
         # lam = 0 zeroes the conductivity, c2 = 0 and no source the potential
@@ -492,7 +484,7 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
             state.gamma, min_zg, peak, inc = damage.step(state, uXc)
             max_diff = damage.diff_number
             dissipated += inc
-            if p.model == "linear":  # damage moved, so stress moved
+            if p.b != 0.0:  # damage moved, so stress moved
                 plan.stress(state.gamma, t)
             zg_peak = max(zg_peak, peak)
             nan = math.isnan(min_zg) or math.isnan(peak)

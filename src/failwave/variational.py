@@ -243,7 +243,7 @@ def reduce_to_generalized(traj: DiscreteTrajectory, basis: Basis) -> Generalized
     grid = cfg.grid
     if grid.ndim != 1:
         raise InvalidValue("grid", "generalized reduction handles 1D trajectories")
-    if p.model == "linear" and p.b != 0.0:
+    if p.b != 0.0:
         raise ConfigConflict(
             "generalized reduction needs b = 0; the strain-damage cross term "
             "has no interior/boundary split in this quadrature"

@@ -268,18 +268,17 @@ def test_criterion_08_gradient_checks():
     def scaled_err(a, b):
         return abs(a - b) / (max(abs(a), abs(b)) + 1e-3)
 
-    # every admissible (model, source law) pair: a logistic source needs feng
-    for model, law in (("feng", "linear_decay"), ("feng", "logistic"), ("linear", "linear_decay")):
-        for _ in range(100):
+    # c3 and b together under linear_decay; a logistic source needs b = 0
+    for law in ("linear_decay", "logistic"):
+        for _ in range(150):
             p = fw.MaterialParams(
                 rho0=1.0,
                 c1=rng.uniform(0.5, 4.0),
-                c3=rng.uniform(0.0, 2.0) if model == "feng" else 0.0,
+                c3=rng.uniform(0.0, 2.0),
                 c2=rng.uniform(0.1, 2.0),
-                b=rng.uniform(-1.0, 1.0) if model == "linear" else 0.0,
+                b=rng.uniform(-1.0, 1.0) if law == "linear_decay" else 0.0,
                 lam=rng.uniform(0.2, 2.0),
                 d1=rng.uniform(0.05, 1.0),
-                model=model,
                 source_law=law,
                 source_rate=rng.uniform(0.5, 3.0),
                 gamma_max=rng.uniform(0.5, 2.0),
@@ -296,20 +295,17 @@ def test_criterion_08_gradient_checks():
             # conduction flux B = -k1 * grad, so dpsi/dgrad must equal k1*grad
             worst = max(worst, scaled_err(p.k1 * g, central(lambda g_: psi(uX, G, g_), g)))
     ok = worst < 1e-6
-    _report(8, "free-energy gradient checks", ok, f"worst scaled error {worst:.2e} over 3x100 states")
+    _report(8, "free-energy gradient checks", ok, f"worst scaled error {worst:.2e} over 2x150 states")
 
 
 # -- 9: one-way coupling, bitwise ----------------------------------------------------
 
 
-def _coupling_doc(model):
+def _coupling_doc():
     return {
         "name": "coupling-probe",
         "grid": {"nx": 64, "dx": 1.0 / 64},
-        "material": {
-            "rho0": 1.0, "c1": 1.0, "c2": 0.5, "lambda": 1.0, "d1": 0.1,
-            "model": model, "b": 0.0,
-        },
+        "material": {"rho0": 1.0, "c1": 1.0, "c2": 0.5, "lambda": 1.0, "d1": 0.1, "b": 0.0},
         "time": {"dt": 0.005, "t_end": 0.25},
         "ic": {"U": {"type": "gaussian", "amplitude": 0.01, "center": 0.5, "width": 0.1}},
         "bc": {"u_left": {"type": "fixed"}, "u_right": {"type": "fixed"},
@@ -319,27 +315,25 @@ def _coupling_doc(model):
 
 
 def test_criterion_09_decoupling_bitwise():
-    # feng: the motion must not see the damage field
-    doc = _coupling_doc("feng")
+    # b = 0 (Feng's model) decouples both ways on one config
+    doc = _coupling_doc()
     t_plain = fw.record_trajectory(fw.build_scenario(doc))
     doc["ic"]["gamma"] = {"type": "gaussian", "amplitude": 0.6, "center": 0.4, "width": 0.15}
     t_seeded = fw.record_trajectory(fw.build_scenario(doc))
-    feng_ok = np.array_equal(t_plain.U, t_seeded.U) and np.array_equal(t_plain.v, t_seeded.v)
+    # the motion must not see the damage seed
+    motion_ok = np.array_equal(t_plain.U, t_seeded.U) and np.array_equal(t_plain.v, t_seeded.v)
     assert np.any(t_plain.gamma != t_seeded.gamma)  # the comparison is not trivial
 
-    # linear with b = 0: the damage history must not see the motion
-    doc = _coupling_doc("linear")
-    doc["ic"]["gamma"] = {"type": "gaussian", "amplitude": 0.6, "center": 0.4, "width": 0.15}
-    t_a = fw.record_trajectory(fw.build_scenario(doc))
+    # the damage history must not see the displacement bump
     doc["ic"]["U"] = {"type": "zeros"}
-    t_b = fw.record_trajectory(fw.build_scenario(doc))
-    lin_ok = np.array_equal(t_a.gamma, t_b.gamma)
-    assert np.any(t_a.U != t_b.U)
+    t_still = fw.record_trajectory(fw.build_scenario(doc))
+    damage_ok = np.array_equal(t_seeded.gamma, t_still.gamma)
+    assert np.any(t_seeded.U != t_still.U)
 
-    ok = feng_ok and lin_ok
+    ok = motion_ok and damage_ok
     _report(
         9,
         "one-way coupling",
         ok,
-        f"motion blind to damage seed: {feng_ok}; damage blind to motion (b=0): {lin_ok}",
+        f"motion blind to damage seed: {motion_ok}; damage blind to motion (b=0): {damage_ok}",
     )

@@ -160,7 +160,6 @@ def test_variance_growth_matches_diffusivity():
 
 def test_clifton_mini_study_rows_and_slope():
     doc = {
-        "kind": "clifton",
         "grid": {"nx": 128, "dx": 1.0 / 128},
         "material": {"rho0": 1.0, "c1": 1.0, "lambda": 0.0, "d1": 0.2},
         "time": {"dt": 0.2 / 128, "t_end": 0.5},

@@ -21,7 +21,6 @@ def write_yaml(tmp_path, name, text):
 
 
 CLIFTON_SMALL = """\
-kind: clifton
 name: clifton_small
 grid: {nx: 128, dx: 0.0078125}
 material: {rho0: 1.0, c1: 1.0, lambda: 0.01, d1: 0.2}

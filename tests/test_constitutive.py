@@ -41,14 +41,14 @@ def test_free_energy_feng_damage_part():
 
 def test_free_energy_linear_point():
     # (c1/2) uX^2 + b uX G + (c2/2) G^2 = 1 + 3 + 2 = 6
-    p = mat(c1=2.0, b=3.0, c2=4.0, model="linear")
+    p = mat(c1=2.0, b=3.0, c2=4.0)
     assert fw.free_energy(1.0, 1.0, 0.0, p) == pytest.approx(6.0, rel=1e-14)
 
 
 def test_stress_points():
     # feng: 2*0.5 + 4*0.125 = 1.5 ; linear: 2*0.5 + 3*2 = 7
     assert fw.stress(0.5, 0.0, mat(c1=2.0, c3=4.0)) == pytest.approx(1.5, rel=1e-14)
-    p_lin = mat(c1=2.0, b=3.0, model="linear")
+    p_lin = mat(c1=2.0, b=3.0)
     assert fw.stress(0.5, 2.0, p_lin) == pytest.approx(7.0, rel=1e-14)
 
 
@@ -92,21 +92,21 @@ def _central(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-@pytest.mark.parametrize("model", ["feng", "linear"])
-def test_forces_match_free_energy_gradient(model):
-    # feng draws both source laws (a logistic source needs model: feng)
+@pytest.mark.parametrize("case", ["feng", "linear"])
+def test_forces_match_free_energy_gradient(case):
+    # feng (b = 0) draws both source laws, linear draws c3 and b together
+    # under linear_decay (a logistic source needs b = 0)
     rng = np.random.default_rng(42)
     h = 1e-6
     for i in range(100):
-        law = "logistic" if model == "feng" and i % 2 else "linear_decay"
+        law = "logistic" if case == "feng" and i % 2 else "linear_decay"
         p = mat(
             c1=rng.uniform(0.5, 4.0),
-            c3=rng.uniform(0.0, 2.0) if model == "feng" else 0.0,
+            c3=rng.uniform(0.0, 2.0),
             c2=rng.uniform(0.1, 2.0),
-            b=rng.uniform(-1.0, 1.0) if model == "linear" else 0.0,
+            b=rng.uniform(-1.0, 1.0) if case == "linear" else 0.0,
             lam=rng.uniform(0.2, 2.0),
             d1=rng.uniform(0.05, 1.0),
-            model=model,
             source_law=law,
             source_rate=rng.uniform(0.5, 3.0),
             gamma_max=rng.uniform(0.5, 2.0),

@@ -111,9 +111,14 @@ def test_unknown_numerics_key_rejected():
     ({"material": {"rho0": 1.0, "c1": 1.0, "source": 3}}, "material.source"),
     ({"bc": {"u_left": 3}}, "bc.u_left"),
     ({"bc": {"gamma": 1}}, "bc.gamma"),
+    # retired switches and spellings: the parameters decide the model
+    ({"kind": "coupled"}, "kind"),
+    ({"material": {"rho0": 1.0, "c1": 1.0, "model": "feng"}}, "material.model"),
+    ({"material": {"rho0": 1.0, "c1": 1.0, "lam": 1.0}}, "material.lam"),
 ], ids=["grid-1d", "grid-2d", "time", "output", "ic", "ic-entry", "bc", "free-wall",
         "traction-wall", "gamma-wall", "body_force", "output-scalar", "ic-scalar",
-        "numerics-scalar", "source-scalar", "u-wall-scalar", "gamma-wall-scalar"])
+        "numerics-scalar", "source-scalar", "u-wall-scalar", "gamma-wall-scalar",
+        "kind", "material-model", "material-lam"])
 def test_unknown_key_rejected_in_every_section(over, name):
     # a mistyped key must not fall back to its default silently
     with pytest.raises(InvalidValue) as exc:
@@ -172,10 +177,12 @@ def test_mixed_periodic_bc_conflict():
         fw.build_scenario(doc)
 
 
-def test_logistic_with_linear_model_conflict():
+def test_logistic_with_nonzero_b_conflict():
+    # the Gamma >= 0 clamp of the logistic law is not admissible under the
+    # strain forcing -b*uX, so the two do not combine
     doc = minimal_doc(
         material={
-            "rho0": 1.0, "c1": 1.0, "model": "linear", "b": 0.5,
+            "rho0": 1.0, "c1": 1.0, "b": 0.5,
             "source": {"law": "logistic", "rate": 1.0, "gamma_max": 1.0},
         }
     )
@@ -183,12 +190,11 @@ def test_logistic_with_linear_model_conflict():
         fw.build_scenario(doc)
 
 
-def test_clifton_kind_runs_in_2d():
-    # the conservative limit of a periodic sheet: damage frozen bitwise,
-    # nothing dissipated, total energy held to discretization error
+def test_clifton_limit_runs_in_2d():
+    # the conservative limit (lambda = 0) of a periodic sheet: damage frozen
+    # bitwise, nothing dissipated, total energy held to discretization error
     periodic = {"type": "periodic"}
     doc = minimal_doc(
-        kind="clifton",
         grid={"nx": 64, "ny": 48, "dx": 1.0 / 64, "dy": 1.0 / 48},
         material={"rho0": 1.0, "c1": 1.0, "lambda": 0.0, "d1": 0.2},
         time={"dt": 0.2 / 64, "t_end": 1.0},
@@ -298,12 +304,12 @@ def scenario_docs(draw):
         grid = {"nx": nx, "dx": draw(positive), "origin": draw(finite)}
         shape = (nx,)
         gauge = st.floats(0.0, 1.0).map(lambda f: grid["origin"] + f * (nx * grid["dx"]))
-    model = draw(st.sampled_from(("feng", "linear")))
-    law = draw(st.sampled_from(("linear_decay", "logistic"))) if model == "feng" else "linear_decay"
+    law = draw(st.sampled_from(("linear_decay", "logistic")))  # a logistic source needs b = 0
     material = {
         "rho0": draw(positive), "c1": draw(positive), "c2": draw(nonnegative), "c3": draw(finite),
         "theta0": draw(positive), "lambda": draw(nonnegative), "d1": draw(nonnegative),
-        "d2": draw(nonnegative), "b": draw(finite), "sigma0": draw(nonnegative), "model": model,
+        "d2": draw(nonnegative), "b": 0.0 if law == "logistic" else draw(finite),
+        "sigma0": draw(nonnegative),
         "source": {"law": law, "rate": draw(positive), "gamma_max": draw(positive)},
     }
     if draw(st.booleans()):
@@ -314,7 +320,6 @@ def scenario_docs(draw):
     ics = _ic_entries(shape)
     return {
         "name": draw(st.text("abcxyz019_- ", min_size=1, max_size=8)),
-        "kind": draw(st.sampled_from(("coupled", "clifton"))),
         "grid": grid,
         "material": material,
         "time": {"dt": dt, "t_end": draw(st.floats(dt, 2e100))},

@@ -79,7 +79,6 @@ def test_cfl_violation_raises():
 
 def test_clifton_limit_conserves_energy():
     doc = {
-        "kind": "clifton",
         "grid": {"nx": 256, "dx": 1.0 / 256},
         "material": {"rho0": 1.0, "c1": 1.0, "lambda": 0.0, "d1": 0.2},
         "time": {"dt": 0.2 / 256, "t_end": 2.0},
@@ -100,7 +99,6 @@ def _clifton_bar(left, nx, length, cfl, t_end, ny=None):
     if ny is not None:
         grid.update(ny=ny, dy=length / nx)
     return fw.build_scenario({
-        "kind": "clifton",
         "grid": grid,
         "material": {"rho0": 1.0, "c1": 1.0, "lambda": 0.0},
         "time": {"dt": cfl * length / nx, "t_end": t_end},
@@ -160,9 +158,34 @@ def test_gamma_zero_is_logistic_fixed_point():
 
 
 def test_coupled_run_with_zero_lambda_raises():
-    doc = diffusion_doc(material={"rho0": 1.0, "c1": 1.0, "lambda": 0.0, "d1": 0.05})
-    with pytest.raises(fw.SingularLambda):
-        fw.run(fw.build_scenario(doc))
+    # lambda = 0 is the conservative limit: a damage potential (c2 > 0) there
+    # could not dissipate, so the run refuses it; without one the damage
+    # field stays frozen
+    mat = {"rho0": 1.0, "c1": 1.0, "c2": 1.0, "lambda": 0.0, "d1": 0.05}
+    with pytest.raises(fw.ConfigConflict):
+        fw.run(fw.build_scenario(diffusion_doc(material=mat)))
+    cfg = fw.build_scenario(diffusion_doc(material=dict(mat, c2=0.0)))
+    res = fw.run(cfg)
+    assert np.array_equal(res.state.gamma, fw.initialize_state(cfg).gamma)
+    assert not res.state.active.any() and np.all(res.reports["dissipated"] == 0.0)
+
+
+def test_logistic_clamp_leaves_inactive_cells_alone():
+    # the logistic law clamps active damage at 0; an inactive cell keeps its
+    # value, negative or not, so the budget still closes
+    doc = diffusion_doc(
+        material={"rho0": 1.0, "c1": 1.0, "lambda": 1.0, "d1": 0.01, "sigma0": 1e6,
+                  "source": {"law": "logistic", "rate": 2.0}},
+        ic={"gamma": {"type": "sine", "amplitude": 0.3, "mode": 2}},
+        time={"dt": 0.01, "t_end": 0.5},
+    )
+    cfg = fw.build_scenario(doc)
+    init = fw.initialize_state(cfg)
+    res = fw.run(cfg)
+    off = ~res.state.active
+    assert (init.gamma[off] < 0.0).all() and off.sum() == 32
+    assert np.array_equal(res.state.gamma[off], init.gamma[off])
+    assert fw.budget_imbalance(res.reports) < 1e-4
 
 
 def test_unconverged_picard_loop_raises_typed_error():
@@ -342,7 +365,7 @@ def _activation_sheet():
 
 
 def _standalone_cases():
-    linear = _activation_bar(model="linear", b=1.0e9, c2=1.0e9, source={"law": "linear_decay"})
+    linear = _activation_bar(b=1.0e9, c2=1.0e9, source={"law": "linear_decay"})
     cases = {
         "traction": _activation_bar({"type": "traction", "value": -4.0e9}),
         "velocity": _activation_bar({"type": "velocity", "value": -200.0}),
@@ -436,8 +459,7 @@ def test_feng_displacement_blind_to_damage():
 
 def test_uncoupled_quadratic_damage_blind_to_displacement():
     base = diffusion_doc(
-        material={"rho0": 1.0, "c1": 4.0, "c2": 1.0, "b": 0.0, "lambda": 0.5,
-                  "d1": 0.2, "model": "linear"},
+        material={"rho0": 1.0, "c1": 4.0, "c2": 1.0, "b": 0.0, "lambda": 0.5, "d1": 0.2},
         time={"dt": 0.001, "t_end": 0.2},
     )
     pushed = copy.deepcopy(base)
@@ -453,8 +475,7 @@ def test_uncoupled_quadratic_damage_blind_to_displacement():
 def test_linear_model_two_way_coupling_is_live():
     # with b != 0 the same experiment must change the damage field
     base = diffusion_doc(
-        material={"rho0": 1.0, "c1": 4.0, "c2": 1.0, "b": 0.8, "lambda": 0.5,
-                  "d1": 0.2, "model": "linear"},
+        material={"rho0": 1.0, "c1": 4.0, "c2": 1.0, "b": 0.8, "lambda": 0.5, "d1": 0.2},
         time={"dt": 0.001, "t_end": 0.2},
     )
     pushed = copy.deepcopy(base)
@@ -469,8 +490,7 @@ def test_linear_model_two_way_coupling_is_live():
 def test_2d_linear_wall_stress_matches_1d_row_by_row():
     # a y-uniform 2D state is the 1D state on every row, dirichlet damage wall
     # included: its face carries the wall cell's value, as a zero-flux one does
-    mat = {"rho0": 1.0, "c1": 1.0, "c2": 1.0, "b": 0.5, "lambda": 1.0, "d1": 0.1,
-           "model": "linear"}
+    mat = {"rho0": 1.0, "c1": 1.0, "c2": 1.0, "b": 0.5, "lambda": 1.0, "d1": 0.1}
     bc = {"u_left": {"type": "fixed"}, "u_right": {"type": "fixed"},
           "gamma": {"type": "dirichlet", "value": 0.25}}
     doc = {"grid": {"nx": 8, "dx": 0.125}, "material": mat, "time": {"dt": 0.01, "t_end": 0.1},
@@ -487,8 +507,9 @@ def test_2d_linear_wall_stress_matches_1d_row_by_row():
         assert np.array_equal(row, plan1.S)
 
 
-@pytest.mark.parametrize("material", [{}, {"c3": 3.3}, {"model": "linear", "b": 0.7, "c2": 1.0}],
-                         ids=["feng", "cubic", "linear"])
+@pytest.mark.parametrize("material", [{}, {"c3": 3.3}, {"b": 0.7, "c2": 1.0},
+                                      {"c3": 3.3, "b": 0.7, "c2": 1.0}],
+                         ids=["feng", "cubic", "linear", "cubic-linear"])
 @pytest.mark.parametrize("walls", [("traction", "free"), ("velocity", "fixed")])
 def test_plan_face_stress_matches_constitutive_stress(material, walls):
     # the plan resolves the stress branch and the wall rules once; interior
@@ -557,8 +578,8 @@ def small_runs(draw):
     """A small 1D run and its CFL number: 16-48 cells, at most 60 steps, CFL
     at most 0.5, any pair of displacement walls (a ring, or each of fixed,
     velocity, free, traction, ramped traction) with a zero-flux or a
-    dirichlet damage wall, either model, with and without an activation
-    threshold.
+    dirichlet damage wall, with and without the strain-damage coupling b and
+    an activation threshold.
 
     c3 = 0, the damage potential is quadratic and |b| <= sqrt(c1*c2)/2, so
     the free energy is at least half its uncoupled part. The initial
@@ -595,7 +616,7 @@ def small_runs(draw):
            "d1": coefficient(0.05), "sigma0": draw(st.sampled_from([0.0, 0.002, 0.01]))}
     if draw(st.booleans()):
         b = coefficient(0.5) * draw(st.sampled_from([-1.0, 1.0])) * math.sqrt(c2)
-        mat.update(model="linear", b=b)
+        mat["b"] = b
     bump = {"type": "gaussian", "center": draw(st.floats(0.2, 0.8)), "width": 0.1}
     amplitude = draw(st.floats(0.01, 0.02)) * draw(st.sampled_from([-1.0, 1.0]))
     doc = {
@@ -674,8 +695,7 @@ def test_linear_coupling_closes_the_budget_at_a_dirichlet_damage_wall():
     # as the same run with a zero-flux damage wall does, to 4e-5
     nx, cfl = 16, 0.05
     doc = {"grid": {"nx": nx, "dx": 1.0 / nx},
-           "material": {"rho0": 1.0, "c1": 1.0, "c2": 1.0, "lambda": 1.0, "d1": 0.0,
-                        "model": "linear", "b": 0.5},
+           "material": {"rho0": 1.0, "c1": 1.0, "c2": 1.0, "lambda": 1.0, "d1": 0.0, "b": 0.5},
            "time": {"dt": cfl / nx, "t_end": 60 * cfl / nx},
            "ic": {"U": {"type": "sine", "amplitude": 0.01, "mode": 1},
                   "gamma": {"type": "gaussian", "amplitude": 0.1, "center": 0.5, "width": 0.1}},

@@ -88,7 +88,6 @@ def test_record_trajectory_records_clifton():
     # the conservative limit runs the same Verlet loop: its momentum residual
     # is roundoff, and with no active cell and lam = 0 nothing drives gamma
     doc = verify_doc(nx=64, dt=2e-3)
-    doc["kind"] = "clifton"
     doc["material"] = {"rho0": 1.0, "c1": 1.0, "lambda": 0.0, "d1": 0.1}
     doc["ic"]["v"] = {"type": "gaussian", "amplitude": 1.0, "center": 0.5, "width": 0.1}
     doc["bc"] = {"u_left": {"type": "periodic"}, "u_right": {"type": "periodic"},
@@ -202,7 +201,7 @@ def test_singular_basis_rejected(traj):
 def test_reduction_rejects_two_way_coupling(traj):
     doc = verify_doc()
     doc["material"] = {"rho0": 1.0, "c1": 1.0, "c2": 1.0, "b": 0.5,
-                       "lambda": 1.0, "d1": 0.1, "model": "linear"}
+                       "lambda": 1.0, "d1": 0.1}
     t = fw.record_trajectory(fw.build_scenario(doc))
     with pytest.raises(fw.ConfigConflict):
         fw.reduce_to_generalized(t, fw.nodal_basis(t.cfg.grid))
