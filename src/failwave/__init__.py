@@ -81,7 +81,7 @@ from .variational import (
     LagrangeResidual,
     action_first_variation,
     discrete_action,
-    dissipation_variation,
+    free_energy_gradient,
     generalized_residual,
     lagrange_residual,
     nodal_basis,

@@ -209,8 +209,11 @@ def cmd_verify_variational(args) -> int:
     max_norms = []
     for lev in range(args.levels):
         doc = json.loads(json.dumps(base))  # deep copy
-        doc["grid"]["nx"] = base["grid"]["nx"] * 2**lev
-        doc["grid"]["dx"] = base["grid"]["dx"] / 2**lev
+        grid = doc["grid"]
+        for n, h in (("nx", "dx"), ("ny", "dy")):  # every grid axis
+            if n in grid:
+                grid[n] *= 2**lev
+                grid[h] /= 2**lev
         doc["time"]["dt"] = base["time"]["dt"] / 2**lev
         cfg_lev = build_scenario(doc)
         traj = record_trajectory(cfg_lev)

@@ -54,20 +54,21 @@ def damage_potential(gamma, p: MaterialParams):
 
 
 def damage_force(gamma, p: MaterialParams, uX=None):
-    """Internal force A = -d(psi)/d(gamma) (Pa), source law included; uX
-    (the strain, 0 when not given) enters only when b != 0.
+    """Internal force A = -d(psi)/d(gamma) = -b*uX - W'(gamma) (Pa), under
+    either source law; uX (the strain, 0 when not given) enters only when
+    b != 0.
 
-    linear_decay: -(b*uX + c2*gamma)
-    logistic:     r*lam*gamma*(1 - gamma/gamma_max)  (b = 0, see MaterialParams)
+    linear_decay: -W' = -c2*gamma
+    logistic:     -W' = r*lam*gamma*(1 - gamma/gamma_max)
     """
     gamma = np.asarray(gamma, dtype=float)
     if p.source_law == "logistic":
-        return p.source_rate * p.lam * gamma * (1.0 - gamma / p.gamma_max)
-    if p.b == 0.0:
-        return -p.c2 * gamma
-    if uX is None:
-        uX = np.zeros_like(gamma)
-    return -(p.b * np.asarray(uX, dtype=float) + p.c2 * gamma)
+        A = p.source_rate * p.lam * gamma * (1.0 - gamma / p.gamma_max)
+    else:
+        A = -p.c2 * gamma
+    if p.b != 0.0 and uX is not None:
+        A = A - p.b * np.asarray(uX, dtype=float)
+    return A
 
 
 def stress(uX, gamma, p: MaterialParams):

@@ -209,28 +209,10 @@ def grid_flux_div(gamma: np.ndarray, K: tuple, grid, bcs) -> np.ndarray:
 # -- energy quadrature weights ----------------------------------------------
 
 
-def face_weights_u_1d(bc: dict, nx: int, dx: float) -> np.ndarray:
-    """Quadrature weights for face-centered elastic energy density.
-
-    Interior faces weigh dx. Displacement walls (fixed/velocity) weigh dx/2,
-    which makes the semi-discrete power balance exact against the mirror
-    ghost. Free and traction faces are excluded (their work enters the budget
-    through the boundary-work term instead). Periodic counts nx unique faces.
-    """
-    w = np.full(nx + 1, dx)
-    if bc["u_left"]["type"] == "periodic":
-        w[-1] = 0.0
-        return w
-    for side, idx in (("u_left", 0), ("u_right", -1)):
-        kind = bc[side]["type"]
-        w[idx] = 0.5 * dx if kind in ("fixed", "velocity") else 0.0
-    return w
-
-
 def face_weights_gamma(bc_g: dict, n: int, dh: float) -> np.ndarray:
-    """Same rule for the damage-gradient energy along one axis of n cells:
-    dirichlet walls dh/2, zero-flux walls dh/2 (their gradient is zero
-    anyway), periodic wraps."""
+    """Quadrature weights for the damage-gradient energy along one axis of n
+    cells: interior faces dh, dirichlet walls dh/2, zero-flux walls dh/2
+    (their gradient is zero anyway), periodic counts n unique faces."""
     w = np.full(n + 1, dh)
     if bc_g["type"] == "periodic":
         w[-1] = 0.0
@@ -242,9 +224,22 @@ def face_weights_gamma(bc_g: dict, n: int, dh: float) -> np.ndarray:
 
 def energy_weights(bc: dict, grid) -> tuple:
     """The free energy's face quadrature weights: (strain weights along x,
-    damage-gradient weights of each grid axis)."""
+    damage-gradient weights of each grid axis).
+
+    Interior strain faces weigh dx. Displacement walls (fixed/velocity)
+    weigh dx/2, which makes the semi-discrete power balance exact against
+    the mirror ghost. Free and traction faces are excluded (their work
+    enters the budget through the boundary-work term instead). Periodic
+    counts nx unique faces.
+    """
     w_gamma = tuple(face_weights_gamma(bc["gamma"], ax.n, ax.h) for ax in grid.axes)
-    return face_weights_u_1d(bc, grid.nx, grid.dx), w_gamma
+    w_u = np.full(grid.nx + 1, grid.dx)
+    if bc["u_left"]["type"] == "periodic":
+        w_u[-1] = 0.0
+        return w_u, w_gamma
+    for side, idx in (("u_left", 0), ("u_right", -1)):
+        w_u[idx] = 0.5 * grid.dx if bc[side]["type"] in ("fixed", "velocity") else 0.0
+    return w_u, w_gamma
 
 
 # -- banded parabolic solves --------------------------------------------------

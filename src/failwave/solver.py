@@ -321,7 +321,7 @@ class DamagePlan:
                 g_new, prev = g, None
                 for _ in range(self.max_iter):
                     if self.picard:
-                        source = np.where(on, cst.damage_force(0.5 * (g + g_new), p), 0.0)
+                        source = np.where(on, cst.damage_force(0.5 * (g + g_new), p, uX[box]), 0.0)
                     nxt, x = ops.damage_step(rhs0, source, op, grid, prev)
                     delta = float(np.abs(nxt - g_new).max())
                     g_new, prev = nxt, (nxt, x)

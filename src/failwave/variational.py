@@ -1,17 +1,23 @@
 """Discrete variational verifier.
 
 Treats a recorded trajectory as a candidate stationary point of the discrete
-action (free energy minus kinetic energy, plus the rate-potential term for
-the damage field) and measures how far it is from satisfying the centered
-Euler-Lagrange equations. Three views of the same residual:
+action (free energy minus kinetic energy and applied work, plus the
+rate-potential term for the damage field) and measures how far it is from
+satisfying the centered Euler-Lagrange equations. The scheme's forces are
+the gradient of the discrete free energy Psi_h (cst.total_free_energy), so
+free_energy_gradient is the one place the verifier reads them, in 1D and 2D
+and for any b. Three views of the same residual read it:
 
   * field form: pointwise residuals of the displacement and damage equations,
   * generalized form: weighted residuals against a reduced basis,
   * action form: the exact first variation against a chosen perturbation.
 
+Fields are stored per level with the grid's shape, (nlev, *grid.shape); a
+basis works on fields flattened to one axis.
+
 The displacement residual of the shipped velocity-Verlet integrator vanishes
-to roundoff; the damage residual is second order in dt, so refining dt by 2x
-shrinks it by 4x. That contrast is the verifier's calibration.
+to roundoff; the damage residual is second order in dt at b = 0, so refining
+dt by 2x shrinks it by 4x. That contrast is the verifier's calibration.
 """
 
 from __future__ import annotations
@@ -23,13 +29,7 @@ import numpy as np
 
 from . import constitutive as cst
 from . import ops
-from .errors import (
-    ConfigConflict,
-    InvalidValue,
-    ShapeMismatch,
-    SingularBasis,
-    TooFewLevels,
-)
+from .errors import InvalidValue, ShapeMismatch, SingularBasis, TooFewLevels
 from .model import ScenarioConfig, initialize_state
 from .solver import ElasticPlan, _coupled_steps, _step_count
 
@@ -38,8 +38,9 @@ from .solver import ElasticPlan, _coupled_steps, _step_count
 class DiscreteTrajectory:
     """Uniformly spaced time levels of a run: fields plus activation masks.
 
-    times has shape (nlev,); U, v, gamma are (nlev, nx) and active is the
-    matching bool array. dt_level is the level spacing (stride * cfg.dt).
+    times has shape (nlev,); U, v, gamma are (nlev, *grid.shape) and active
+    is the matching bool array. dt_level is the level spacing (stride *
+    cfg.dt).
     """
 
     cfg: ScenarioConfig
@@ -80,6 +81,49 @@ def record_trajectory(cfg: ScenarioConfig, stride: int = 1) -> DiscreteTrajector
     )
 
 
+# -- the discrete free energy's gradient ----------------------------------------
+
+
+def free_energy_gradient(
+    cfg: ScenarioConfig, U, gamma, t: float, active, plan: Optional[ElasticPlan] = None
+) -> tuple:
+    """(grad_U Psi_h, grad_Gamma Psi_h) at the level (U, gamma, t) under the
+    active set, each shaped like the grid (J/m per unit cross-section).
+
+    The displacement part is -dS*across, the difference of ElasticPlan's
+    face stresses with the prescribed (traction and free) faces zeroed: a
+    prescribed stress is an applied force (_applied_forces), not a
+    derivative of Psi_h. The damage part is -Z*cell_volume with Z =
+    cst.internal_forces. Both are the scheme's own forces and the exact
+    gradient at every wall type, except that with b != 0 a traction wall's
+    placeholder strain enters the cell cross term, so the displacement part
+    misses the gradient in the two cells beside that wall. plan, an
+    ElasticPlan of cfg, is reused when given.
+    """
+    plan = ElasticPlan(cfg) if plan is None else plan
+    plan.level(U, gamma, t)
+    S = plan.S.copy()
+    for idx, _ in plan.stress_rules:
+        S[..., idx] = 0.0
+    grad_U = (S[..., :-1] - S[..., 1:]) * plan.across
+    Z = cst.internal_forces(
+        gamma, cfg.material, cfg.grid, uX=ops.face_mean(plan.eps), bc_gamma=cfg.bc["gamma"],
+        active=active,
+    )
+    return grad_U, -Z * cfg.grid.cell_volume
+
+
+def _applied_forces(cfg: ScenarioConfig, plan: ElasticPlan, t: float) -> np.ndarray:
+    """The displacement forces at time t that Psi_h does not give, per cell
+    and unit cross-section: the body force, and the prescribed stress of
+    each traction face on its wall cell (0 at free faces)."""
+    f = np.full(cfg.grid.shape, cfg.material.rho0 * cfg.body_force * cfg.grid.cell_volume)
+    for idx, stress in plan.stress_rules:
+        side = 1.0 if idx == -1 else -1.0  # outward normal of the wall face
+        f[..., idx] += side * stress(t) * plan.across
+    return f
+
+
 # -- field-form residuals ------------------------------------------------------
 
 
@@ -92,8 +136,9 @@ def _require_levels(traj: DiscreteTrajectory, n: int = 3) -> None:
 class LagrangeResidual:
     """Centered Euler-Lagrange residuals at the interior time levels.
 
-    resid_U rows are rho0*U_tt - dS/dX - rho0*r (N/m^3); resid_gamma rows are
-    lam*dGamma/dt - Z (Pa). norms_* are the discrete L2 norms per level.
+    resid_U rows are rho0*U_tt - div(S) - rho0*r (N/m^3); resid_gamma rows
+    are lam*dGamma/dt - Z (Pa), zero on inactive cells; both shaped
+    (nlev - 2, *grid.shape). norms_* are the discrete L2 norms per level.
     """
 
     times: np.ndarray
@@ -110,39 +155,33 @@ class LagrangeResidual:
 def lagrange_residual(traj: DiscreteTrajectory) -> LagrangeResidual:
     """Field-form verification of a recorded trajectory.
 
-    The displacement residual uses the same face stresses (ghosts, traction
-    overrides) as the integrator, so at stride 1 the velocity-Verlet update
-    telescopes to the centered three-level scheme and the residual is pure
-    roundoff. The damage residual compares the centered rate against Z at the
-    level itself; Crank-Nicolson leaves a (dt^2/4)*d2Z/dt2 remainder. Models
-    whose stress depends on damage (b != 0) see the operator-splitting lag in
-    the displacement residual at first order in dt.
+    The displacement residual reads the integrator's own face stresses
+    (free_energy_gradient plus the applied forces), so at stride 1 the
+    velocity-Verlet update telescopes to the centered three-level scheme
+    and the residual is pure roundoff. The damage residual compares the
+    centered rate against Z at the level itself; Crank-Nicolson leaves a
+    (dt^2/4)*d2Z/dt2 remainder. With b != 0 the Lie split moves gamma
+    between the elastic and damage halves, so the damage residual is first
+    order in dt.
     """
     _require_levels(traj)
     cfg = traj.cfg
     p = cfg.material
-    grid = cfg.grid
-    if grid.ndim != 1:
-        raise InvalidValue("grid", "the verifier handles 1D trajectories")
+    vol = cfg.grid.cell_volume
     dt = traj.dt_level
-    dx = grid.dx
-    n = traj.nlev
     plan = ElasticPlan(cfg)
     rU, rG, nU, nG = [], [], [], []
-    for k in range(1, n - 1):
+    for k in range(1, traj.nlev - 1):
+        t, active = traj.times[k], traj.active[k]
+        grad_U, grad_G = free_energy_gradient(cfg, traj.U[k], traj.gamma[k], t, active, plan)
         Utt = (traj.U[k + 1] - 2.0 * traj.U[k] + traj.U[k - 1]) / dt**2
-        plan.level(traj.U[k], traj.gamma[k], traj.times[k])
-        resU = p.rho0 * Utt - ops.div_faces(plan.S, dx) - p.rho0 * cfg.body_force
-        uXc = ops.face_mean(plan.eps)
-        Z = cst.internal_forces(
-            traj.gamma[k], p, grid, uX=uXc, bc_gamma=cfg.bc["gamma"], active=traj.active[k]
-        )
+        resU = p.rho0 * Utt + (grad_U - _applied_forces(cfg, plan, t)) / vol
         gdot = (traj.gamma[k + 1] - traj.gamma[k - 1]) / (2.0 * dt)
-        resG = p.lam * gdot - np.where(traj.active[k], Z, 0.0)
+        resG = p.lam * gdot + np.where(active, grad_G, 0.0) / vol
         rU.append(resU)
         rG.append(resG)
-        nU.append(float(np.sqrt(np.sum(resU**2) * dx)))
-        nG.append(float(np.sqrt(np.sum(resG**2) * dx)))
+        nU.append(float(np.sqrt(np.sum(resU**2) * vol)))
+        nG.append(float(np.sqrt(np.sum(resG**2) * vol)))
     return LagrangeResidual(
         times=traj.times[1:-1],
         resid_U=np.asarray(rU),
@@ -152,34 +191,16 @@ def lagrange_residual(traj: DiscreteTrajectory) -> LagrangeResidual:
     )
 
 
-def dissipation_variation(traj: DiscreteTrajectory, delta_gamma: np.ndarray) -> np.ndarray:
-    """First variation of the dissipation functional along delta_gamma at
-    each interior level: integral lam * dGamma/dt * delta_gamma dV, with the
-    centered rate (units W/m^2 per unit delta)."""
-    _require_levels(traj)
-    grid = traj.cfg.grid
-    delta_gamma = np.asarray(delta_gamma, dtype=float)
-    if delta_gamma.shape != grid.shape:
-        raise ShapeMismatch("delta_gamma", grid.shape, delta_gamma.shape)
-    p = traj.cfg.material
-    dt = traj.dt_level
-    out = []
-    for k in range(1, traj.nlev - 1):
-        gdot = (traj.gamma[k + 1] - traj.gamma[k - 1]) / (2.0 * dt)
-        out.append(float(np.sum(p.lam * gdot * delta_gamma) * grid.cell_volume))
-    return np.asarray(out)
-
-
 # -- generalized (reduced) form ------------------------------------------------
 
 
 @dataclass
 class Basis:
     """Reduction basis: mode i pairs a displacement shape phi_U[i] with a
-    damage shape phi_G[i] (either may be zero)."""
+    damage shape phi_G[i] (either may be zero), each a flattened field."""
 
-    phi_U: np.ndarray  # (m, nx)
-    phi_G: np.ndarray  # (m, nx)
+    phi_U: np.ndarray  # (m, ncells)
+    phi_G: np.ndarray  # (m, ncells)
 
     @property
     def nmodes(self) -> int:
@@ -187,11 +208,12 @@ class Basis:
 
 
 def nodal_basis(grid) -> Basis:
-    """One mode per displacement node plus one per damage node; reduction
-    with this basis reproduces the field residuals exactly (scaled by dx)."""
-    nx = grid.nx
-    eye = np.eye(nx)
-    zero = np.zeros((nx, nx))
+    """One mode per displacement cell plus one per damage cell; reduction
+    with this basis reproduces the field residuals exactly (scaled by the
+    cell volume)."""
+    n = int(np.prod(grid.shape))
+    eye = np.eye(n)
+    zero = np.zeros((n, n))
     return Basis(
         phi_U=np.vstack([eye, zero]),
         phi_G=np.vstack([zero, eye]),
@@ -199,12 +221,15 @@ def nodal_basis(grid) -> Basis:
 
 
 def sine_basis(grid, nmodes: int) -> Basis:
-    """Smooth global reduction: sin(i pi x / L) shapes, one displacement and
-    one damage mode per wavenumber (2*nmodes modes total)."""
-    x = grid.cell_centers()
-    L = grid.length
-    rows = [np.sin(i * np.pi * (x - grid.origin) / L) for i in range(1, nmodes + 1)]
-    zero = np.zeros_like(x)
+    """Smooth global reduction: sin(i pi x / L) shapes along x, constant
+    across, one displacement and one damage mode per wavenumber (2*nmodes
+    modes total)."""
+    ax = grid.axes[0]
+    x = ax.centers()
+    L = ax.n * ax.h
+    rows = [np.broadcast_to(np.sin(i * np.pi * (x - ax.origin) / L), grid.shape).ravel()
+            for i in range(1, nmodes + 1)]
+    zero = np.zeros_like(rows[0])
     phi_U = []
     phi_G = []
     for r in rows:
@@ -226,69 +251,38 @@ class GeneralizedSystem:
     C: np.ndarray  # (m, m) dissipation
     gram: np.ndarray  # (m, m) projection Gram matrix
     grad_psi: np.ndarray  # (nlev, m)
-    Q: np.ndarray  # (nlev, m) boundary + body generalized forces
+    Q: np.ndarray  # (nlev, m) traction-face + body generalized forces
 
 
 def reduce_to_generalized(traj: DiscreteTrajectory, basis: Basis) -> GeneralizedSystem:
     """Galerkin reduction of a recorded trajectory onto a basis.
 
-    The free-energy gradient keeps interior faces only; everything the
-    boundary contributes (scheme face stresses, damage boundary fluxes, body
-    force) lands in the generalized force Q, so dropping Q breaks the budget
-    visibly rather than silently.
+    grad_psi projects free_energy_gradient, its damage part on the active
+    cells; the generalized force Q projects what Psi_h does not give, the
+    prescribed traction faces and the body force, so dropping Q at a loaded
+    wall breaks the balance visibly rather than silently.
     """
     _require_levels(traj)
     cfg = traj.cfg
     p = cfg.material
-    grid = cfg.grid
-    if grid.ndim != 1:
-        raise InvalidValue("grid", "generalized reduction handles 1D trajectories")
-    if p.b != 0.0:
-        raise ConfigConflict(
-            "generalized reduction needs b = 0; the strain-damage cross term "
-            "has no interior/boundary split in this quadrature"
-        )
-    dx = grid.dx
+    vol = cfg.grid.cell_volume
     phi_U, phi_G = basis.phi_U, basis.phi_G
-    gram = (phi_U @ phi_U.T + phi_G @ phi_G.T) * dx
+    gram = (phi_U @ phi_U.T + phi_G @ phi_G.T) * vol
     cond = float(np.linalg.cond(gram))
     if cond > 1e12:
         raise SingularBasis(cond)
-    M = p.rho0 * (phi_U @ phi_U.T) * dx
-    C = p.lam * (phi_G @ phi_G.T) * dx
+    M = p.rho0 * (phi_U @ phi_U.T) * vol
+    C = p.lam * (phi_G @ phi_G.T) * vol
 
     n = traj.nlev
-    q = np.empty((n, basis.nmodes))
-    grad_psi = np.empty((n, basis.nmodes))
-    Q = np.empty((n, basis.nmodes))
-    bc_g = cfg.bc["gamma"]
+    q, grad_psi, Q = (np.empty((n, basis.nmodes)) for _ in range(3))
     plan = ElasticPlan(cfg)
     for k in range(n):
-        U, gamma, t = traj.U[k], traj.gamma[k], traj.times[k]
-        q[k] = np.linalg.solve(gram, (phi_U @ U + phi_G @ gamma) * dx)
-
-        plan.level(U, gamma, t)
-        S = plan.S
-        S_int = S.copy()
-        S_int[0] = 0.0
-        S_int[-1] = 0.0
-        div_int_S = ops.div_faces(S_int, dx)
-
-        A = cst.damage_force(gamma, p, uX=ops.face_mean(plan.eps))
-        K = ops.face_conductivity(traj.active[k], p.k1, bc_g)
-        B = -K * ops.gamma_grad_faces(gamma, dx, bc_g)
-        B_int = B.copy()
-        B_int[0] = 0.0
-        B_int[-1] = 0.0
-        Z_int = np.where(traj.active[k], A, 0.0) - ops.div_faces(B_int, dx)
-
-        grad_psi[k] = -dx * (phi_U @ div_int_S + phi_G @ Z_int)
-        Q[k] = (
-            S[-1] * phi_U[:, -1]
-            - S[0] * phi_U[:, 0]
-            - (B[-1] * phi_G[:, -1] + (-B[0]) * phi_G[:, 0])
-            + p.rho0 * cfg.body_force * np.sum(phi_U, axis=1) * dx
-        )
+        U, gamma, t, active = traj.U[k], traj.gamma[k], traj.times[k], traj.active[k]
+        q[k] = np.linalg.solve(gram, (phi_U @ U.ravel() + phi_G @ gamma.ravel()) * vol)
+        grad_U, grad_G = free_energy_gradient(cfg, U, gamma, t, active, plan)
+        grad_psi[k] = phi_U @ grad_U.ravel() + phi_G @ np.where(active, grad_G, 0.0).ravel()
+        Q[k] = phi_U @ _applied_forces(cfg, plan, t).ravel()
     return GeneralizedSystem(
         basis=basis,
         times=traj.times.copy(),
@@ -314,7 +308,7 @@ def generalized_residual(sys: GeneralizedSystem, Q: Optional[np.ndarray] = None)
     dual norm sqrt(R^T G^-1 R) so nodal reduction reports the field L2 norm.
 
     Pass Q to override the stored generalized forces (e.g. zeros, to measure
-    how much the boundary terms carry)."""
+    how much the applied forces carry)."""
     if Q is None:
         Q = sys.Q
     dt = sys.dt_level
@@ -338,46 +332,47 @@ def generalized_residual(sys: GeneralizedSystem, Q: Optional[np.ndarray] = None)
 
 
 def discrete_action(traj: DiscreteTrajectory) -> float:
-    """Action sum I = sum_k dt * [psi(U_k, Gamma_k) - rho0*r.U_k - K_(k+1/2)]
-    with the midpoint kinetic energy K_(k+1/2) built from forward
-    differences. The damage rate term enters only through the variation."""
+    """Action sum I = sum_k dt * [Psi_h(U_k, Gamma_k) - f_k.U_k - K_(k+1/2)]
+    with f the applied forces (traction faces and body force) and the
+    midpoint kinetic energy K_(k+1/2) built from forward differences. The
+    damage rate term enters only through the variation."""
     cfg = traj.cfg
     p = cfg.material
-    grid = cfg.grid
+    vol = cfg.grid.cell_volume
     dt = traj.dt_level
-    dx = grid.dx
-    n = traj.nlev
+    plan = ElasticPlan(cfg)
     action = 0.0
-    for k in range(n):
+    for k in range(traj.nlev):
         psi = cst.total_free_energy(
-            traj.U[k], traj.gamma[k], p, grid, cfg.bc, traj.times[k], traj.active[k]
+            traj.U[k], traj.gamma[k], p, cfg.grid, cfg.bc, traj.times[k], traj.active[k]
         )
-        ext = p.rho0 * cfg.body_force * float(np.sum(traj.U[k]) * dx)
+        ext = float(np.sum(_applied_forces(cfg, plan, traj.times[k]) * traj.U[k]))
         action += dt * (psi - ext)
-    for k in range(n - 1):
+    for k in range(traj.nlev - 1):
         du = (traj.U[k + 1] - traj.U[k]) / dt
-        action -= dt * float(0.5 * p.rho0 * np.sum(du**2) * dx)
+        action -= dt * float(0.5 * p.rho0 * np.sum(du**2) * vol)
     return action
 
 
 def action_first_variation(
     traj: DiscreteTrajectory, delta_U: np.ndarray, delta_gamma: np.ndarray
 ):
-    """Exact directional derivative of the discrete action along a space-time
-    perturbation, plus the Biot rate term for the damage field.
+    """Directional derivative of the discrete action along a space-time
+    perturbation, from free_energy_gradient, plus the Biot rate term for the
+    damage field. As in the field form, the damage gradient enters on the
+    active cells only: the inactive ones are frozen.
 
-    Returns (delta_I, inner) where inner = sum_k dt * integral (resid_U *
+    Returns (delta_I, inner) where inner = sum_k dt * sum (resid_U *
     delta_U + resid_gamma * delta_gamma) dV over the interior levels. For
-    perturbations vanishing at the first/last level and in the boundary
-    cells, summation by parts makes the two equal to roundoff; that identity
-    is the verifier's self-test.
+    perturbations vanishing at the first and last level, summation by parts
+    in time makes the two equal to roundoff; that identity is the
+    verifier's self-test.
     """
     _require_levels(traj)
     cfg = traj.cfg
     p = cfg.material
-    grid = cfg.grid
+    vol = cfg.grid.cell_volume
     dt = traj.dt_level
-    dx = grid.dx
     n = traj.nlev
     delta_U = np.asarray(delta_U, dtype=float)
     delta_gamma = np.asarray(delta_gamma, dtype=float)
@@ -386,43 +381,22 @@ def action_first_variation(
     if delta_gamma.shape != traj.gamma.shape:
         raise ShapeMismatch("delta_gamma", traj.gamma.shape, delta_gamma.shape)
 
-    w_u = ops.face_weights_u_1d(cfg.bc, grid.nx, dx)
-    bc_g = cfg.bc["gamma"]
-    w_g = ops.face_weights_gamma(bc_g, grid.nx, dx)
-
     plan = ElasticPlan(cfg)
     delta_I = 0.0
     for k in range(1, n - 1):
-        U, gamma, t = traj.U[k], traj.gamma[k], traj.times[k]
-        dU, dG = delta_U[k], delta_gamma[k]
-        # face terms; perturbations are interior so boundary-face variations vanish
-        plan.level(U, gamma, t)
-        S = plan.S
-        duX = np.zeros(grid.nx + 1)
-        duX[1:-1] = np.diff(dU) / dx
-        dpsi = float(np.sum(w_u * S * duX))
-        K = ops.face_conductivity(traj.active[k], p.k1, bc_g)
-        gradf = ops.gamma_grad_faces(gamma, dx, bc_g)
-        dgrad = np.zeros(grid.nx + 1)
-        dgrad[1:-1] = np.diff(dG) / dx
-        dpsi += float(np.sum(w_g * K * gradf * dgrad))
-        uXc = ops.face_mean(plan.eps)
-        A = cst.damage_force(gamma, p, uX=uXc)
-        dpsi += float(np.sum(-np.where(traj.active[k], A, 0.0) * dG) * dx)
-
+        t, active = traj.times[k], traj.active[k]
+        grad_U, grad_G = free_energy_gradient(cfg, traj.U[k], traj.gamma[k], t, active, plan)
+        force_U = grad_U - _applied_forces(cfg, plan, t)
         gdot = (traj.gamma[k + 1] - traj.gamma[k - 1]) / (2.0 * dt)
-        biot = float(np.sum(p.lam * gdot * dG) * dx)
-        ext = p.rho0 * cfg.body_force * float(np.sum(dU) * dx)
-        delta_I += dt * (dpsi + biot - ext)
+        force_G = np.where(active, grad_G, 0.0) + p.lam * gdot * vol  # + Biot term
+        delta_I += dt * float(np.sum(force_U * delta_U[k] + force_G * delta_gamma[k]))
     for k in range(n - 1):
         du = (traj.U[k + 1] - traj.U[k]) / dt
         ddu = (delta_U[k + 1] - delta_U[k]) / dt
-        delta_I -= dt * float(p.rho0 * np.sum(du * ddu) * dx)
+        delta_I -= dt * float(p.rho0 * np.sum(du * ddu) * vol)
 
     res = lagrange_residual(traj)
-    inner = 0.0
-    for i, k in enumerate(range(1, n - 1)):
-        inner += dt * float(
-            np.sum(res.resid_U[i] * delta_U[k] + res.resid_gamma[i] * delta_gamma[k]) * dx
-        )
+    inner = dt * float(
+        np.sum(res.resid_U * delta_U[1:-1] + res.resid_gamma * delta_gamma[1:-1]) * vol
+    )
     return delta_I, inner

@@ -135,6 +135,17 @@ def test_logistic_force_matches_potential_gradient():
         assert fw.damage_force(G, p) == pytest.approx(A_fd, rel=1e-7, abs=1e-10)
 
 
+def test_logistic_damage_force_keeps_the_coupling():
+    # built directly, a material may pair the logistic law with b != 0
+    # (build_scenario refuses the pair); the force is still -dpsi/dgamma:
+    # r*lam*G*(1 - G/G_max) - b*uX = 0.42 - 0.1
+    p = mat(b=0.5, source_law="logistic", source_rate=2.0)
+    uX, G = 0.2, 0.3
+    A_fd = -_central(lambda G_: fw.free_energy(uX, G_, 0.0, p), G, 1e-6)
+    assert fw.damage_force(G, p, uX=uX) == pytest.approx(A_fd, rel=1e-8)
+    assert fw.damage_force(G, p, uX=uX) == pytest.approx(0.32, rel=1e-14)
+
+
 def test_rate_conjugacy():
     # the rate is force times rate, (lam*gd)*gd, with the thermodynamic force
     # lam*gd = d(D)/d(gd) of the Rayleigh function D = rate/2
