@@ -1,5 +1,6 @@
 """Grid geometry, config parsing/validation, initial sampling, activation."""
 
+import importlib.util
 import os
 import re
 
@@ -304,11 +305,14 @@ def scenario_docs(draw):
         grid = {"nx": nx, "dx": draw(positive), "origin": draw(finite)}
         shape = (nx,)
         gauge = st.floats(0.0, 1.0).map(lambda f: grid["origin"] + f * (nx * grid["dx"]))
-    law = draw(st.sampled_from(("linear_decay", "logistic")))  # a logistic source needs b = 0
+    # a logistic source needs b = 0; lambda = 0 needs c2 = 0, b = 0 and no source
+    lam = draw(nonnegative)
+    law = "linear_decay" if lam == 0.0 else draw(st.sampled_from(("linear_decay", "logistic")))
+    coupled = law == "linear_decay" and lam != 0.0
     material = {
-        "rho0": draw(positive), "c1": draw(positive), "c2": draw(nonnegative), "c3": draw(finite),
-        "theta0": draw(positive), "lambda": draw(nonnegative), "d1": draw(nonnegative),
-        "d2": draw(nonnegative), "b": 0.0 if law == "logistic" else draw(finite),
+        "rho0": draw(positive), "c1": draw(positive), "c2": draw(nonnegative) if lam else 0.0,
+        "c3": draw(finite), "theta0": draw(positive), "lambda": lam, "d1": draw(nonnegative),
+        "d2": draw(nonnegative), "b": draw(finite) if coupled else 0.0,
         "sigma0": draw(nonnegative),
         "source": {"law": law, "rate": draw(positive), "gamma_max": draw(positive)},
     }
@@ -343,6 +347,35 @@ def test_yaml_round_trip_identity(doc):
     again = fw.build_scenario(fw.scenario_to_yaml(cfg))
     assert again == cfg
     assert fw.config_hash(again) == fw.config_hash(cfg)
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+PINNED_HASHES = {
+    "clifton_pulse": "c0f00c5b79e0084cb099595aff682d90b6d8979a94815f8f617b5be6126efbba",
+    "damage_decay": "80ce810e8fe8208369ce3c10b3402687f77eb83abfbbcb33ef36b536c868139d",
+    "heat_kernel": "cb5b02e544ed780eccd35297bc7bb1800551089bf9e2d1634c79d10d64d05131",
+    "impact_k8": "5139f2130d171768485d95fe268bb9d72975a33f745433e4a360a9830e2308ba",
+    "kpp_front": "a7ca684000cbb98eeb38c59945bfba086c26e9874263c05028f5fe0f4f9bd231",
+    "linear_quadratic": "1e9850481eb4eb7520062692a4e2601104aee3ef13d7f6a288d0ee0a4db890be",
+    "standing_wave": "e1fbb0d122ba750a4af168bc6976848a0e7ecad054b1c13c00431a42001e2508",
+    "verify_smooth": "0f3b3ff0cfb4999d51a21067f2d735474db796fbe958907a710b8803a40d76da",
+    "lateral_spread_2d": "270da970b51cc097fe7e91c5444fac70c57b3ddf0082657dd434e83183da8ad7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+def test_config_hash_pinned(name):
+    # the canonical dict of every shipped scenario and of the 2D demo's is
+    # fixed: a schema refactor must not move a single key or default
+    if name == "lateral_spread_2d":
+        spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "demos", name + ".py"))
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        cfg = fw.build_scenario(demo.SCENARIO)
+    else:
+        with open(os.path.join(ROOT, "scenarios", name + ".yaml")) as fh:
+            cfg = fw.build_scenario(fh.read())
+    assert fw.config_hash(cfg) == PINNED_HASHES[name]
 
 
 def test_config_hash_stable_and_sensitive():
