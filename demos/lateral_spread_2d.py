@@ -42,7 +42,7 @@ def first_crossing(trace, threshold: float = 0.5):
 
 def main() -> None:
     cfg = fw.build_scenario(SCENARIO)
-    print(f"running {cfg.name}: {cfg.grid.nx}x{cfg.grid.ny} cells, "
+    print(f"running {cfg.name}: {cfg.grid.nx}x{cfg.grid.axes[1].n} cells, "
           f"d1={cfg.material.d1}, d2={cfg.material.d2} m^2/s")
     res = fw.run(cfg)
 

@@ -56,8 +56,7 @@ from .errors import (
 )
 from .model import (
     FieldState,
-    Grid1D,
-    Grid2D,
+    Grid,
     MaterialParams,
     ScenarioConfig,
     build_scenario,

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidValue, NoFrontDetected, NonpositiveSpeed, NoPlateau
+from .errors import NoFrontDetected, NonpositiveSpeed, NoPlateau
 from .model import MaterialParams, ScenarioConfig, build_scenario
 from .solver import GaugeTrace, RunResult, run
 
@@ -83,25 +83,25 @@ def _crossing_position(x: np.ndarray, gamma: np.ndarray, thr: float) -> Optional
 
 
 def track_front(snapshots, grid, level: float = 0.5, gamma_max: Optional[float] = None):
-    """Front trajectory from snapshots: position of the rightmost crossing of
-    gamma = level * gamma_max per snapshot, speed from a least-squares fit
-    over the last half of the detected points.
+    """Front trajectory along x from snapshots: position of the rightmost
+    crossing of gamma = level * gamma_max per snapshot (over every grid row
+    in 2D), speed from a least-squares fit over the last half of the
+    detected points.
 
     gamma_max defaults to the largest gamma seen in any snapshot. Raises
     NoFrontDetected when fewer than 5 snapshots contain a crossing.
     """
-    if grid.ndim != 1:
-        raise InvalidValue("grid", "front tracking is defined for 1D runs")
     if gamma_max is None:
         gamma_max = max(float(np.max(s.gamma)) for s in snapshots) or 1.0
     thr = level * gamma_max
-    x = grid.cell_centers()
+    x = grid.axes[0].centers()
     times, positions = [], []
     for snap in snapshots:
-        pos = _crossing_position(x, snap.gamma, thr)
-        if pos is not None:
+        rows = np.reshape(snap.gamma, (-1, x.size))  # the lines along x
+        hits = [p for p in (_crossing_position(x, row, thr) for row in rows) if p is not None]
+        if hits:
             times.append(snap.time)
-            positions.append(pos)
+            positions.append(max(hits))
     if len(times) < 5:
         raise NoFrontDetected(
             f"level {level} crossed in only {len(times)} snapshots (need >= 5)"
@@ -369,7 +369,7 @@ def elastic_convergence_study(resolutions: Sequence[int] = (64, 128, 256)) -> Co
             }
         )
         result = run(cfg)
-        x = cfg.grid.cell_centers()
+        x = cfg.grid.axes[0].centers()
         exact = np.cos(np.pi * t_end) * np.sin(np.pi * x)
         err = float(np.sqrt(np.sum((result.state.U - exact) ** 2) * dx))
         errors.append(err)
@@ -400,7 +400,7 @@ def diffusion_convergence_study(resolutions: Sequence[int] = (48, 96, 192)) -> C
             }
         )
         result = run(cfg)
-        x = cfg.grid.cell_centers()
+        x = cfg.grid.axes[0].centers()
         var = sig0**2 + 2.0 * d * t_end
         exact = sig0 / np.sqrt(var) * np.exp(-0.5 * x**2 / var)
         err = float(np.sqrt(np.sum((result.state.gamma - exact) ** 2) * dx))
@@ -429,7 +429,7 @@ def variance_growth_slope(d: float = 0.3, nx: int = 400, t_end: float = 2.0) -> 
         }
     )
     result = run(cfg)
-    x = cfg.grid.cell_centers()
+    x = cfg.grid.axes[0].centers()
     times, variances = [], []
     for snap in result.snapshots:
         mass = float(np.sum(snap.gamma) * dx)

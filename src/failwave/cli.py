@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError, FailwaveError, RuntimeViolation
-from .model import build_scenario, config_hash, scenario_to_dict
+from .model import AXIS_KEYS, build_scenario, config_hash, scenario_to_dict
 from .solver import REPORT_FIELDS, run
 from .variational import lagrange_residual, record_trajectory
 
@@ -210,7 +210,7 @@ def cmd_verify_variational(args) -> int:
     for lev in range(args.levels):
         doc = json.loads(json.dumps(base))  # deep copy
         grid = doc["grid"]
-        for n, h in (("nx", "dx"), ("ny", "dy")):  # every grid axis
+        for n, h, _ in AXIS_KEYS:
             if n in grid:
                 grid[n] *= 2**lev
                 grid[h] /= 2**lev

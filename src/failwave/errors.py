@@ -54,7 +54,9 @@ class CflViolation(RuntimeViolation):
 
 
 class AdmissibilityViolation(RuntimeViolation):
-    """min(Z*gamma_dot) fell below -tol: dissipation inequality broken."""
+    """min(Z*gamma_dot) fell below -tol: dissipation inequality broken.
+    tol is the whole bound, the relative tolerance times the run's peak
+    |Z*gamma_dot| plus the step's roundoff."""
 
     def __init__(self, time: float, value: float, tol: float):
         self.time, self.value, self.tol = time, value, tol

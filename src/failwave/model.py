@@ -1,17 +1,21 @@
 """Grids, material parameters, field state, and scenario configuration.
 
-Every other module consumes these types. Configs are plain YAML mappings;
+Every other module consumes these types. A Grid is its axes, x first, so
+no code path depends on the dimension. Configs are plain YAML mappings;
 build_scenario validates and normalizes them into a ScenarioConfig whose
-canonical dict form round-trips bitwise (same defaults filled in, same
-key order when emitted).
+canonical dict form round-trips bitwise (same defaults filled in, same key
+order when emitted). One key table per config section parses, rejects
+unknown keys and emits; the material rules live in MaterialParams.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
+from operator import methodcaller
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
@@ -31,7 +35,7 @@ class Axis(NamedTuple):
     reached by a transpose), so one helper serves every axis."""
 
     h: float  # cell width along the axis
-    across: float  # cell measure across it: 1 in 1D, the other width in 2D
+    across: float  # cell measure across it: the product of the other axes' widths
     view: Callable
     n: int  # cells along the axis
     origin: float  # coordinate of its first face
@@ -45,95 +49,46 @@ def _unchanged(a):
 
 
 @dataclass(frozen=True)
-class Grid1D:
-    """Uniform cell-centered 1D grid in material coordinates.
-
-    nx cells of width dx (m); cell i is centered at origin + (i + 1/2)*dx.
+class Grid:
+    """Uniform cell-centered grid in material coordinates. n, h and origin
+    hold one entry per axis, x (the loading direction) first: its cell count,
+    cell width (m) and first face. Field arrays are shaped (ny, nx), x last;
+    cell (j, i) is centered at (origin[0] + (i + 1/2)*h[0], origin[1] + (j + 1/2)*h[1]).
     """
 
-    nx: int
-    dx: float
-    origin: float = 0.0
+    n: tuple
+    h: tuple
+    origin: tuple
 
     @property
     def ndim(self) -> int:
-        return 1
+        return len(self.n)
 
     @property
     def shape(self) -> tuple:
-        return (self.nx,)
+        return self.n[::-1]
 
     @property
-    def length(self) -> float:
-        return self.nx * self.dx
+    def nx(self) -> int:
+        return self.n[0]
 
     @property
+    def dx(self) -> float:
+        return self.h[0]
+
+    @cached_property
     def cell_volume(self) -> float:
-        # per unit cross-section area (m)
-        return self.dx
+        # per unit cross-section area (m) in 1D, per unit depth (m^2) in 2D
+        return math.prod(self.h)
 
     @cached_property
     def axes(self) -> tuple:
-        return (Axis(self.dx, 1.0, _unchanged, self.nx, self.origin),)
-
-    def cell_centers(self) -> np.ndarray:
-        return self.axes[0].centers()
-
-    def faces(self) -> np.ndarray:
-        return self.origin + np.arange(self.nx + 1) * self.dx
-
-
-@dataclass(frozen=True)
-class Grid2D:
-    """Uniform cell-centered 2D grid; x is the loading direction, y transverse.
-
-    Field arrays are shaped (ny, nx). Cell (j, i) is centered at
-    (origin_x + (i + 1/2)*dx, origin_y + (j + 1/2)*dy).
-    """
-
-    nx: int
-    ny: int
-    dx: float
-    dy: float
-    origin_x: float = 0.0
-    origin_y: float = 0.0
-
-    @property
-    def ndim(self) -> int:
-        return 2
-
-    @property
-    def shape(self) -> tuple:
-        return (self.ny, self.nx)
-
-    @property
-    def length(self) -> float:
-        return self.nx * self.dx
-
-    @property
-    def width(self) -> float:
-        return self.ny * self.dy
-
-    @property
-    def cell_volume(self) -> float:
-        # per unit depth (m^2)
-        return self.dx * self.dy
-
-    @cached_property
-    def axes(self) -> tuple:
-        return (
-            Axis(self.dx, self.dy, _unchanged, self.nx, self.origin_x),
-            Axis(self.dy, self.dx, np.transpose, self.ny, self.origin_y),
+        last = self.ndim - 1
+        return tuple(
+            Axis(h, math.prod(self.h[:a] + self.h[a + 1:], start=1.0),
+                 methodcaller("swapaxes", last - a, last) if a else _unchanged, n, o)
+            for a, (n, h, o) in enumerate(zip(self.n, self.h, self.origin))
         )
-
-    def cell_centers_x(self) -> np.ndarray:
-        return self.axes[0].centers()
-
-    def cell_centers_y(self) -> np.ndarray:
-        return self.axes[1].centers()
-
-
-Grid = Union[Grid1D, Grid2D]
 
 
 @dataclass(frozen=True)
@@ -159,6 +114,11 @@ class MaterialParams:
 
     The damage-flux conductivity tensor is lam*diag(d1, d2), so every term
     of the damage balance carries Pa and d1, d2 keep m^2/s.
+
+    However a parameter set is built (build_scenario, directly, replace), it
+    is checked here: InvalidValue names the material.* key at fault, and
+    ConfigConflict a pair that does not combine (lam = 0, the conservative
+    limit, needs c2 = 0, b = 0 and no source).
     """
 
     rho0: float
@@ -174,6 +134,34 @@ class MaterialParams:
     source_law: str = "linear_decay"
     source_rate: float = 0.0
     gamma_max: float = 1.0
+
+    def __post_init__(self):
+        _check_enum(self.source_law, SOURCE_LAWS, "material.source.law")
+        logistic = self.source_law == "logistic"
+        rules = (  # written so that NaN fails them
+            ("rho0", self.rho0 > 0, "must be > 0"),
+            ("theta0", self.theta0 > 0, "must be > 0"),
+            ("c1", self.c1 > 0, "must be > 0"),
+            ("lambda", self.lam >= 0, "must be >= 0"),
+            ("d1/d2", self.d1 >= 0 and self.d2 >= 0, "diffusivities must be >= 0"),
+            ("c2", self.c2 >= 0, "must be >= 0"),
+            ("sigma0", self.sigma0 >= 0, "must be >= 0"),
+            ("source.rate", not logistic or self.source_rate > 0, "logistic source needs rate > 0"),
+            ("source.gamma_max", not logistic or self.gamma_max > 0, "must be > 0"),
+        )
+        for key, ok, reason in rules:
+            if not ok:
+                raise InvalidValue(f"material.{key}", reason)
+        if logistic and self.b != 0.0:
+            raise ConfigConflict(
+                "b != 0 couples the strain into a linear_decay source (-b*uX - c2*gamma); "
+                "a logistic source needs b = 0"
+            )
+        if self.lam == 0.0 and (self.c2 != 0.0 or self.b != 0.0 or logistic):
+            raise ConfigConflict(
+                "conservative limit lam = 0 needs c2 = 0, b = 0, and no source; got "
+                f"c2={self.c2}, b={self.b}, source law {self.source_law}"
+            )
 
     @property
     def k1(self) -> float:
@@ -263,38 +251,63 @@ def _check_enum(value: str, allowed: tuple, path: str) -> str:
     return value
 
 
+# The (cells, width, origin) keys of each grid axis, x first; a 1D grid's
+# origin key is the bare "origin".
+AXIS_KEYS = (("nx", "dx", "origin_x"), ("ny", "dy", "origin_y"))
+
+
+def _axis_keys(ndim: int) -> tuple:
+    return (("nx", "dx", "origin"),) if ndim == 1 else AXIS_KEYS[:ndim]
+
+
 def _parse_grid(raw: Mapping) -> Grid:
-    nx = _as_int(_need(raw, "nx", "grid"), "grid.nx")
-    dx = _as_float(_need(raw, "dx", "grid"), "grid.dx")
-    if dx <= 0:
-        raise InvalidValue("grid.dx", "must be > 0")
-    two_d = raw.get("ny") is not None
-    _reject_unknown(raw, _GRID_KEYS[two_d], "grid")
-    if two_d:
-        ny = _as_int(raw["ny"], "grid.ny")
-        dy = _as_float(_need(raw, "dy", "grid"), "grid.dy")
-        if dy <= 0:
-            raise InvalidValue("grid.dy", "must be > 0")
-        if nx < 3 or ny < 3:
-            raise InvalidValue("grid.nx/ny", "need at least 3 cells per direction")
-        return Grid2D(
-            nx=nx,
-            ny=ny,
-            dx=dx,
-            dy=dy,
-            origin_x=_as_float(raw.get("origin_x", 0.0), "grid.origin_x"),
-            origin_y=_as_float(raw.get("origin_y", 0.0), "grid.origin_y"),
-        )
-    if nx < 3:
-        raise InvalidValue("grid.nx", "need at least 3 cells")
-    return Grid1D(nx=nx, dx=dx, origin=_as_float(raw.get("origin", 0.0), "grid.origin"))
+    keys = _axis_keys(2 if isinstance(raw, Mapping) and raw.get("ny") is not None else 1)
+    _reject_unknown(raw, {key for axis in keys for key in axis} | {"ny"}, "grid")
+    n, h, origin = [], [], []
+    for cells, width, at in keys:
+        n.append(_as_int(_need(raw, cells, "grid"), f"grid.{cells}"))
+        h.append(_as_float(_need(raw, width, "grid"), f"grid.{width}"))
+        if h[-1] <= 0:
+            raise InvalidValue(f"grid.{width}", "must be > 0")
+        if n[-1] < 3:
+            raise InvalidValue(f"grid.{cells}", "need at least 3 cells")
+        origin.append(_as_float(raw.get(at, 0.0), f"grid.{at}"))
+    return Grid(tuple(n), tuple(h), tuple(origin))
 
 
-_MATERIAL_KEYS = {"rho0", "c1", "c2", "c3", "theta0", "lambda", "d1", "d2", "b", "sigma0", "source"}
-_SOURCE_KEYS = {"law", "rate", "gamma_max"}
-_NUMERICS_KEYS = {"tol_admissibility", "source_tol", "source_max_iter"}
-_GRID_KEYS = ({"nx", "dx", "origin", "ny"}, {"nx", "ny", "dx", "dy", "origin_x", "origin_y"})
-# the keys each initial-condition and boundary type reads, besides "type"
+# One table per config section, config key -> (field, default, type), drives
+# parsing, unknown-key rejection and canonical emission. A None default marks
+# a required key, a callable one reads the fields parsed before it; a table
+# as the type is a nested section whose fields join its parent's.
+_SOURCE = {
+    "law": ("source_law", "linear_decay", str),
+    "rate": ("source_rate", 0.0, float),
+    "gamma_max": ("gamma_max", 1.0, float),
+}
+_MATERIAL = {
+    "rho0": ("rho0", None, float),
+    "theta0": ("theta0", 300.0, float),
+    "c1": ("c1", None, float),
+    "c2": ("c2", 0.0, float),
+    "c3": ("c3", 0.0, float),
+    "lambda": ("lam", 1.0, float),
+    "d1": ("d1", 0.0, float),
+    "d2": ("d2", lambda fields: fields["d1"], float),  # isotropic unless given
+    "b": ("b", 0.0, float),
+    "sigma0": ("sigma0", 0.0, float),
+    "source": (None, {}, _SOURCE),
+}
+_NUMERICS = {
+    "tol_admissibility": ("tol_admissibility", 1e-12, float),
+    "source_tol": ("source_tol", 1e-14, float),
+    "source_max_iter": ("source_max_iter", 30, int),
+}
+_TIME = {"dt": ("dt", None, float), "t_end": ("t_end", None, float)}
+_OUTPUT = {"snapshots": ("snapshots", 11, int)}
+_CONVERT = {float: _as_float, int: _as_int, str: lambda value, path: str(value)}
+# the initial fields, the walls with their types, and each type's keys besides "type"
+_IC_FIELDS = ("U", "v", "gamma")
+_WALLS = {"u_left": U_BC_KINDS, "u_right": U_BC_KINDS, "gamma": GAMMA_BC_KINDS}
 _IC_KEYS = {"zeros": set(), "constant": {"value"}, "gaussian": {"amplitude", "center", "width"},
             "sine": {"amplitude", "mode"}, "step": {"left", "right", "at"}, "tabulated": {"values"}}
 _WALL_KEYS = {"fixed": {"value"}, "velocity": {"value"}, "traction": {"value", "until", "ramp"},
@@ -307,63 +320,55 @@ def _mapping(raw: Any, path: str) -> Mapping:
     return raw
 
 
-def _reject_unknown(raw: Any, known: set, path: str) -> None:
+def _reject_unknown(raw: Any, known, path: str) -> None:
     # mistyped or retired keys must not silently fall back to defaults
     for key in _mapping(raw, path):
         if key not in known:
-            raise InvalidValue(f"{path}.{key}", "unknown key")
+            raise InvalidValue(f"{path}.{key}" if path else str(key), "unknown key")
 
 
-def _parse_material(raw: Mapping) -> MaterialParams:
-    _reject_unknown(raw, _MATERIAL_KEYS, "material")
-    rho0 = _as_float(_need(raw, "rho0", "material"), "material.rho0")
-    c1 = _as_float(_need(raw, "c1", "material"), "material.c1")
-    lam = _as_float(raw.get("lambda", 1.0), "material.lambda")
-    source = raw.get("source", {}) or {}
-    _reject_unknown(source, _SOURCE_KEYS, "material.source")
-    law = _check_enum(str(source.get("law", "linear_decay")), SOURCE_LAWS, "material.source.law")
-    rate = _as_float(source.get("rate", 0.0), "material.source.rate")
-    gamma_max = _as_float(source.get("gamma_max", 1.0), "material.source.gamma_max")
-    p = MaterialParams(
-        rho0=rho0,
-        c1=c1,
-        theta0=_as_float(raw.get("theta0", 300.0), "material.theta0"),
-        c2=_as_float(raw.get("c2", 0.0), "material.c2"),
-        c3=_as_float(raw.get("c3", 0.0), "material.c3"),
-        lam=lam,
-        d1=_as_float(raw.get("d1", 0.0), "material.d1"),
-        d2=_as_float(raw.get("d2", raw.get("d1", 0.0)), "material.d2"),
-        b=_as_float(raw.get("b", 0.0), "material.b"),
-        sigma0=_as_float(raw.get("sigma0", 0.0), "material.sigma0"),
-        source_law=law,
-        source_rate=rate,
-        gamma_max=gamma_max,
-    )
-    if p.rho0 <= 0:
-        raise InvalidValue("material.rho0", "must be > 0")
-    if p.theta0 <= 0:
-        raise InvalidValue("material.theta0", "must be > 0")
-    if p.c1 <= 0:
-        raise InvalidValue("material.c1", "must be > 0")
-    if p.lam < 0:
-        raise InvalidValue("material.lambda", "must be >= 0")
-    if p.d1 < 0 or p.d2 < 0:
-        raise InvalidValue("material.d1/d2", "diffusivities must be >= 0")
-    if p.c2 < 0:
-        raise InvalidValue("material.c2", "must be >= 0")
-    if p.sigma0 < 0:
-        raise InvalidValue("material.sigma0", "must be >= 0")
-    if p.source_law == "logistic":
-        if p.source_rate <= 0:
-            raise InvalidValue("material.source.rate", "logistic source needs rate > 0")
-        if p.gamma_max <= 0:
-            raise InvalidValue("material.source.gamma_max", "must be > 0")
-        if p.b != 0.0:
-            raise ConfigConflict(
-                "b != 0 couples the strain into a linear_decay source (-b*uX - c2*gamma); "
-                "a logistic source needs b = 0"
-            )
-    return p
+def _parse_section(raw: Any, table: dict, path: str) -> dict:
+    """The fields of one config section by its table, defaults filled in."""
+    _reject_unknown(raw, table, path)
+    fields: dict = {}
+    for key, (name, default, kind) in table.items():
+        where = f"{path}.{key}"
+        if isinstance(kind, dict):
+            fields.update(_parse_section(raw.get(key) or default, kind, where))
+        elif default is None:
+            fields[name] = _CONVERT[kind](_need(raw, key, path), where)
+        else:
+            value = raw.get(key, default(fields) if callable(default) else default)
+            fields[name] = _CONVERT[kind](value, where)
+    return fields
+
+
+def _emit(obj: Any, table: dict) -> dict:
+    """The canonical dict of obj's fields under a section table."""
+    return {key: _emit(obj, kind) if isinstance(kind, dict) else getattr(obj, name)
+            for key, (name, _, kind) in table.items()}
+
+
+def _per_axis(value: Any, grid: Grid, path: str):
+    """A number per grid axis: a bare number in 1D, in 2D a list of one per
+    axis or one number for all."""
+    if grid.ndim == 1:
+        return _as_float(value, path)
+    values = value if isinstance(value, (list, tuple)) else [value] * grid.ndim
+    if len(values) != grid.ndim:
+        raise InvalidValue(path, f"needs {grid.ndim} values, one per axis")
+    return [_as_float(v, path) for v in values]
+
+
+def _parse_gauge(raw: Any, grid: Grid, path: str):
+    """A gauge position inside the grid: a bare x in 1D, [x, y] in 2D."""
+    coords = [raw] if grid.ndim == 1 else raw
+    if not isinstance(coords, (list, tuple)) or len(coords) != grid.ndim:
+        raise InvalidValue(path, "needs [x, y], one coordinate per axis")
+    pos = tuple(_as_float(c, path) for c in coords)
+    if not all(ax.origin <= x <= ax.origin + ax.n * ax.h for ax, x in zip(grid.axes, pos)):
+        raise InvalidValue(path, "position outside the grid")
+    return pos[0] if grid.ndim == 1 else pos
 
 
 def _norm_ic_entry(raw: Optional[Mapping], path: str, grid: Grid) -> dict:
@@ -375,16 +380,8 @@ def _norm_ic_entry(raw: Optional[Mapping], path: str, grid: Grid) -> dict:
         out["value"] = _as_float(_need(raw, "value", path), f"{path}.value")
     elif kind == "gaussian":
         out["amplitude"] = _as_float(_need(raw, "amplitude", path), f"{path}.amplitude")
-        center = _need(raw, "center", path)
-        width = _need(raw, "width", path)
-        if grid.ndim == 1:
-            out["center"] = _as_float(center, f"{path}.center")
-            out["width"] = _as_float(width, f"{path}.width")
-        else:
-            cx, cy = (center if isinstance(center, (list, tuple)) else (center, center))
-            wx, wy = (width if isinstance(width, (list, tuple)) else (width, width))
-            out["center"] = [_as_float(cx, f"{path}.center"), _as_float(cy, f"{path}.center")]
-            out["width"] = [_as_float(wx, f"{path}.width"), _as_float(wy, f"{path}.width")]
+        out["center"] = _per_axis(_need(raw, "center", path), grid, f"{path}.center")
+        out["width"] = _per_axis(_need(raw, "width", path), grid, f"{path}.width")
         if np.min(np.asarray(out["width"], dtype=float)) <= 0:
             raise InvalidValue(f"{path}.width", "must be > 0")
     elif kind == "sine":
@@ -449,40 +446,27 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
         raw = doc
     if not isinstance(raw, Mapping):
         raise InvalidValue("document", "top level must be a mapping")
-    known = {"name", "grid", "material", "time", "ic", "bc",
-             "body_force", "gauges", "output", "numerics"}
-    for key in raw:
-        if key not in known:
-            raise InvalidValue(str(key), "unknown top-level key")
+    _reject_unknown(raw, {"name", "grid", "material", "time", "ic", "bc",
+                          "body_force", "gauges", "output", "numerics"}, "")
 
     grid = _parse_grid(_need(raw, "grid", ""))
-    material = _parse_material(_need(raw, "material", ""))
-    time_sec = _need(raw, "time", "")
-    dt = _as_float(_need(time_sec, "dt", "time"), "time.dt")
-    t_end = _as_float(_need(time_sec, "t_end", "time"), "time.t_end")
-    _reject_unknown(time_sec, {"dt", "t_end"}, "time")
+    material = MaterialParams(**_parse_section(_need(raw, "material", ""), _MATERIAL, "material"))
+    time_sec = _parse_section(_need(raw, "time", ""), _TIME, "time")
+    dt, t_end = time_sec["dt"], time_sec["t_end"]
     if dt <= 0:
         raise InvalidValue("time.dt", "must be > 0")
     if t_end < dt:
         raise InvalidValue("time.t_end", "must be >= dt")
 
     ic_raw = raw.get("ic", {}) or {}
-    _reject_unknown(ic_raw, {"U", "v", "gamma"}, "ic")
-    ic = {
-        "U": _norm_ic_entry(ic_raw.get("U"), "ic.U", grid),
-        "v": _norm_ic_entry(ic_raw.get("v"), "ic.v", grid),
-        "gamma": _norm_ic_entry(ic_raw.get("gamma"), "ic.gamma", grid),
-    }
+    _reject_unknown(ic_raw, _IC_FIELDS, "ic")
+    ic = {f: _norm_ic_entry(ic_raw.get(f), f"ic.{f}", grid) for f in _IC_FIELDS}
 
     bc_raw = raw.get("bc", {}) or {}
-    _reject_unknown(bc_raw, {"u_left", "u_right", "gamma"}, "bc")
-    bc = {
-        "u_left": _norm_wall(bc_raw.get("u_left"), "bc.u_left", U_BC_KINDS),
-        "u_right": _norm_wall(bc_raw.get("u_right"), "bc.u_right", U_BC_KINDS),
-        "gamma": _norm_wall(bc_raw.get("gamma"), "bc.gamma", GAMMA_BC_KINDS),
-    }
-    kinds = (bc["u_left"]["type"], bc["u_right"]["type"], bc["gamma"]["type"])
-    if "periodic" in kinds and set(kinds) != {"periodic"}:
+    _reject_unknown(bc_raw, _WALLS, "bc")
+    bc = {side: _norm_wall(bc_raw.get(side), f"bc.{side}", kinds) for side, kinds in _WALLS.items()}
+    kinds = {wall["type"] for wall in bc.values()}
+    if "periodic" in kinds and kinds != {"periodic"}:
         raise ConfigConflict("periodic boundaries must be periodic for U (both ends) and gamma")
 
     body_raw = raw.get("body_force", 0.0)
@@ -492,41 +476,14 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
     else:
         body_force = _as_float(body_raw or 0.0, "body_force")
 
-    gauges_raw = raw.get("gauges", []) or []
-    gauges = []
-    for i, g in enumerate(gauges_raw):
-        if grid.ndim == 1:
-            x = _as_float(g, f"gauges[{i}]")
-            if not (grid.origin <= x <= grid.origin + grid.length):
-                raise InvalidValue(f"gauges[{i}]", "position outside the grid")
-            gauges.append(x)
-        else:
-            if not isinstance(g, (list, tuple)) or len(g) != 2:
-                raise InvalidValue(f"gauges[{i}]", "2D gauge needs [x, y]")
-            x = _as_float(g[0], f"gauges[{i}].x")
-            y = _as_float(g[1], f"gauges[{i}].y")
-            if not (grid.origin_x <= x <= grid.origin_x + grid.length):
-                raise InvalidValue(f"gauges[{i}]", "x outside the grid")
-            if not (grid.origin_y <= y <= grid.origin_y + grid.width):
-                raise InvalidValue(f"gauges[{i}]", "y outside the grid")
-            gauges.append((x, y))
+    gauges = tuple(_parse_gauge(g, grid, f"gauges[{i}]")
+                   for i, g in enumerate(raw.get("gauges") or []))
 
-    out_raw = raw.get("output", {}) or {}
-    _reject_unknown(out_raw, {"snapshots"}, "output")
-    snapshots = _as_int(out_raw.get("snapshots", 11), "output.snapshots")
-    if snapshots < 2:
+    output = _parse_section(raw.get("output") or {}, _OUTPUT, "output")
+    if output["snapshots"] < 2:
         raise InvalidValue("output.snapshots", "need at least first+last, so >= 2")
-    output = {"snapshots": snapshots}
 
-    num_raw = raw.get("numerics", {}) or {}
-    _reject_unknown(num_raw, _NUMERICS_KEYS, "numerics")
-    numerics = {
-        "tol_admissibility": _as_float(
-            num_raw.get("tol_admissibility", 1e-12), "numerics.tol_admissibility"
-        ),
-        "source_tol": _as_float(num_raw.get("source_tol", 1e-14), "numerics.source_tol"),
-        "source_max_iter": _as_int(num_raw.get("source_max_iter", 30), "numerics.source_max_iter"),
-    }
+    numerics = _parse_section(raw.get("numerics") or {}, _NUMERICS, "numerics")
     if numerics["tol_admissibility"] < 0:
         raise InvalidValue("numerics.tol_admissibility", "must be >= 0")
     if numerics["source_max_iter"] < 1:
@@ -541,7 +498,7 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
         ic=ic,
         bc=bc,
         body_force=body_force,
-        gauges=tuple(gauges),
+        gauges=gauges,
         output=output,
         numerics=numerics,
     )
@@ -550,40 +507,13 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """Canonical plain-dict form of a config (for emission and hashing)."""
     g = cfg.grid
-    if g.ndim == 1:
-        grid = {"nx": g.nx, "dx": g.dx, "origin": g.origin}
-    else:
-        grid = {
-            "nx": g.nx,
-            "ny": g.ny,
-            "dx": g.dx,
-            "dy": g.dy,
-            "origin_x": g.origin_x,
-            "origin_y": g.origin_y,
-        }
-    p = cfg.material
-    material = {
-        "rho0": p.rho0,
-        "theta0": p.theta0,
-        "c1": p.c1,
-        "c2": p.c2,
-        "c3": p.c3,
-        "lambda": p.lam,
-        "d1": p.d1,
-        "d2": p.d2,
-        "b": p.b,
-        "sigma0": p.sigma0,
-        "source": {
-            "law": p.source_law,
-            "rate": p.source_rate,
-            "gamma_max": p.gamma_max,
-        },
-    }
+    grid = {key: value for keys, axis in zip(_axis_keys(g.ndim), zip(g.n, g.h, g.origin))
+            for key, value in zip(keys, axis)}
     return {
         "name": cfg.name,
         "grid": grid,
-        "material": material,
-        "time": {"dt": cfg.dt, "t_end": cfg.t_end},
+        "material": _emit(cfg.material, _MATERIAL),
+        "time": _emit(cfg, _TIME),
         "ic": cfg.ic,
         "bc": cfg.bc,
         "body_force": cfg.body_force,
@@ -618,7 +548,7 @@ def _sample(entry: dict, grid: Grid) -> np.ndarray:
         return entry["amplitude"] * np.exp(-0.5 * sum(((c - m) / w) ** 2 for c, m, w in spread))
     if kind == "sine":
         return entry["amplitude"] * np.sin(
-            entry["mode"] * np.pi * (coords[0] - axes[0].origin) / grid.length
+            entry["mode"] * np.pi * (coords[0] - axes[0].origin) / (axes[0].n * axes[0].h)
         )
     if kind == "step":
         return np.where(coords[0] < entry["at"], entry["left"], entry["right"]).astype(float)

@@ -27,13 +27,7 @@ import numpy as np
 
 from . import constitutive as cst
 from . import ops
-from .errors import (
-    AdmissibilityViolation,
-    CflViolation,
-    ConfigConflict,
-    NonFiniteState,
-    PicardNotConverged,
-)
+from .errors import AdmissibilityViolation, CflViolation, NonFiniteState, PicardNotConverged
 from .model import FieldState, ScenarioConfig, initialize_state
 
 
@@ -297,7 +291,8 @@ class DamagePlan:
         right-hand side, both with a copy of the state as .state.
 
         Returns (gamma_new, min Z*dGamma/dt, peak |Z*dGamma/dt|, dissipated
-        increment), over the active cells with Z at the midpoint.
+        increment), over the active cells with Z at the midpoint; that Z
+        stays as .Z for roundoff().
         """
         p, grid, dt, op = self.p, self.grid, self.dt, self.op
         active, gamma = state.active, state.gamma
@@ -340,12 +335,20 @@ class DamagePlan:
         if self.picard:  # the logistic law keeps active damage nonnegative
             np.maximum(gamma_new, 0.0, out=gamma_new, where=active)
         # Z at the midpoint, where the CN step balances lam*dGamma/dt
-        Z = cst.internal_forces(0.5 * (gamma + gamma_new), p, grid, uX=uX, bc_gamma=self.bc_g,
-                                K=self.K)
+        Z = self.Z = cst.internal_forces(0.5 * (gamma + gamma_new), p, grid, uX=uX,
+                                         bc_gamma=self.bc_g, K=self.K)
         gamma_dot = (gamma_new - gamma) / dt
         zg = np.where(active, Z * gamma_dot, 0.0)
         dissipated = float(cst.dissipation_rate(gamma_dot, p).sum() * grid.cell_volume)
         return gamma_new, float(zg.min()), float(np.abs(zg).max()), dissipated * dt
+
+    def roundoff(self, gamma, gamma_new, active) -> float:
+        """The roundoff in Z*dGamma/dt of the last step, gamma -> gamma_new:
+        eps*max|Z|*max(|gamma|, |gamma_new|)/dt over the active cells, Z the
+        step's midpoint forces. A damage rate that is itself roundoff carries
+        a product of either sign up to this size."""
+        size = max(float(np.abs(gamma[active]).max()), float(np.abs(gamma_new[active]).max()))
+        return float(np.finfo(float).eps * np.abs(self.Z[active]).max() * size / self.dt)
 
     def energy(self, gamma) -> tuple:
         """The damage part of the free energy (cst.damage_free_energy's pair)
@@ -439,11 +442,12 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
     audit. The run's DamagePlan does the activation and the damage substep;
     it rebuilds its operator only on a step that activates a cell. Raises
     AdmissibilityViolation (with the offending state, new damage included,
-    attached) if min Z*dGamma/dt drops below -tol * peak magnitude,
-    NonFiniteState if the audit reads NaN.
+    attached) if min Z*dGamma/dt drops below -(tol * peak magnitude + the
+    step's roundoff, DamagePlan.roundoff), NonFiniteState if the audit
+    reads NaN.
 
-    lam = 0 is the conservative limit (it needs c2 = 0, b = 0 and no
-    source; ConfigConflict otherwise): it builds no DamagePlan, and every
+    lam = 0 is the conservative limit (MaterialParams admits it only with
+    c2 = 0, b = 0 and no source): it builds no DamagePlan, and every
     step skips activation, the damage substep and the audit, so no cell is
     active, the damage field is frozen, dissipation stays zero, and total
     energy is conserved to discretization error.
@@ -452,11 +456,6 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
     dt = cfg.dt
     damage = None
     if p.lam == 0.0:
-        if p.c2 != 0.0 or p.b != 0.0 or (p.source_law == "logistic" and p.source_rate != 0.0):
-            raise ConfigConflict(
-                "conservative limit lam = 0 needs c2 = 0, b = 0, and no source; got "
-                f"c2={p.c2}, b={p.b}"
-            )
         state.active = np.zeros(cfg.grid.shape, dtype=bool)
         # lam = 0 zeroes the conductivity, c2 = 0 and no source the potential
         e_damage = (0.0, 0.0)
@@ -481,6 +480,7 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
         if damage is not None:
             uXc = ops.face_mean(plan.eps)
             damage.activate(state, uXc)
+            gamma = state.gamma
             state.gamma, min_zg, peak, inc = damage.step(state, uXc)
             max_diff = damage.diff_number
             dissipated += inc
@@ -488,13 +488,19 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
                 plan.stress(state.gamma, t)
             zg_peak = max(zg_peak, peak)
             nan = math.isnan(min_zg) or math.isnan(peak)
-            if nan or not min_zg >= -tol_adm * max(zg_peak, 1e-30):
-                if nan:  # max(peak, nan) keeps the peak, and NaN passes a `<` test
-                    err = NonFiniteState("admissibility audit")
-                else:
-                    err = AdmissibilityViolation(state.time, min_zg, tol_adm * zg_peak)
-                err.state = state.copy()  # dumped for post-mortem inspection
-                raise err
+            if nan or not min_zg >= -tol_adm * zg_peak:
+                # only a step that fails the cheap test pays for its roundoff;
+                # a NaN (which max(peak, nan) drops and `<` passes) gets a
+                # NaN bound, which no value meets
+                bound = math.nan if nan else (
+                    tol_adm * zg_peak + damage.roundoff(gamma, state.gamma, state.active))
+                if not min_zg >= -bound:
+                    if nan:
+                        err = NonFiniteState("admissibility audit")
+                    else:
+                        err = AdmissibilityViolation(state.time, min_zg, bound)
+                    err.state = state.copy()  # dumped for post-mortem inspection
+                    raise err
             e_damage = damage.energy(state.gamma)
         power = plan.wall_power(state.v)
         work += 0.5 * (power_prev + power) * dt

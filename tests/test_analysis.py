@@ -33,8 +33,8 @@ def test_nonpositive_speed_rejected():
 
 
 def _sigmoid_snapshots(v=2.0, n_snaps=9, nx=400, L=40.0, width=0.25):
-    grid = fw.Grid1D(nx=nx, dx=L / nx)
-    x = grid.cell_centers()
+    grid = fw.Grid((nx,), (L / nx,), (0.0,))
+    x = grid.axes[0].centers()
     snaps = []
     for k in range(n_snaps):
         t = 0.5 * k
@@ -69,11 +69,22 @@ def test_no_front_detected():
         fw.track_front(snaps, grid, gamma_max=1.0)
 
 
-def test_front_tracking_is_1d_only():
-    snaps, _ = _sigmoid_snapshots()
-    grid2 = fw.Grid2D(nx=4, ny=4, dx=0.1, dy=0.1)
-    with pytest.raises(fw.InvalidValue):
-        fw.track_front(snaps, grid2)
+def test_front_tracking_of_tiled_rows_is_the_1d_track():
+    # a 2D run whose rows all hold the 1D profile tracks bitwise as 1D does,
+    # and a row ahead of the others sets the front
+    snaps, grid = _sigmoid_snapshots()
+    ny = 5
+    grid2 = fw.Grid((grid.nx, ny), (grid.dx, 0.1), (0.0, 0.0))
+    tiled = [Snapshot(step=s.step, time=s.time, U=None, v=None, gamma=np.tile(s.gamma, (ny, 1)),
+                      S=None, Z=None) for s in snaps]
+    one = fw.track_front(snaps, grid, gamma_max=1.0)
+    two = fw.track_front(tiled, grid2, gamma_max=1.0)
+    assert np.array_equal(one.times, two.times) and np.array_equal(one.positions, two.positions)
+    assert (one.v_f, one.fit_r2) == (two.v_f, two.fit_r2)
+    lead, _ = _sigmoid_snapshots(v=3.0)
+    for s, ahead in zip(tiled, lead):
+        s.gamma[3] = ahead.gamma
+    assert fw.track_front(tiled, grid2, gamma_max=1.0).v_f == pytest.approx(3.0, rel=1e-3)
 
 
 # -- rise times ---------------------------------------------------------------------

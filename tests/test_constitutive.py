@@ -55,7 +55,7 @@ def test_stress_points():
 def test_internal_forces_uniform_field():
     # uniform gamma: no gradient, so Z = A = -c2*G = -6
     p = mat(c2=3.0, lam=1.0, d1=0.5)
-    grid = fw.Grid1D(nx=8, dx=0.125)
+    grid = fw.Grid((8,), (0.125,), (0.0,))
     gamma = np.full(8, 2.0)
     Z = fw.internal_forces(gamma, p, grid)
     assert np.allclose(Z, -6.0, rtol=1e-14)
@@ -135,15 +135,11 @@ def test_logistic_force_matches_potential_gradient():
         assert fw.damage_force(G, p) == pytest.approx(A_fd, rel=1e-7, abs=1e-10)
 
 
-def test_logistic_damage_force_keeps_the_coupling():
-    # built directly, a material may pair the logistic law with b != 0
-    # (build_scenario refuses the pair); the force is still -dpsi/dgamma:
-    # r*lam*G*(1 - G/G_max) - b*uX = 0.42 - 0.1
-    p = mat(b=0.5, source_law="logistic", source_rate=2.0)
-    uX, G = 0.2, 0.3
-    A_fd = -_central(lambda G_: fw.free_energy(uX, G_, 0.0, p), G, 1e-6)
-    assert fw.damage_force(G, p, uX=uX) == pytest.approx(A_fd, rel=1e-8)
-    assert fw.damage_force(G, p, uX=uX) == pytest.approx(0.32, rel=1e-14)
+def test_logistic_law_with_coupling_raises_at_construction():
+    # the logistic law with b != 0 is refused however the material is built,
+    # directly too, so no force of that pair can be evaluated
+    with pytest.raises(fw.ConfigConflict):
+        mat(b=0.5, source_law="logistic", source_rate=2.0)
 
 
 def test_rate_conjugacy():
@@ -179,9 +175,9 @@ def test_flux_divergence_adjoint_to_gradient(kind, two_d, seed):
     #   sum phi div(K grad G) dV = -sum_faces K (grad G)(grad phi) w dA
     rng = np.random.default_rng(seed)
     if two_d:
-        grid = fw.Grid2D(nx=9, ny=12, dx=0.03, dy=0.02)
+        grid = fw.Grid((9, 12), (0.03, 0.02), (0.0, 0.0))
     else:
-        grid = fw.Grid1D(nx=40, dx=0.025)
+        grid = fw.Grid((40,), (0.025,), (0.0,))
     k = mat(lam=1.3, d1=0.6).k1
     bc_g = {"type": kind, "value": 0.0} if kind == "dirichlet" else {"type": kind}
     gamma = rng.standard_normal(grid.shape)

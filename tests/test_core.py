@@ -3,6 +3,7 @@
 import importlib.util
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,24 +34,32 @@ def minimal_doc(**over):
 
 
 def test_grid1d_geometry():
-    g = fw.Grid1D(nx=4, dx=0.25)
-    assert g.length == 1.0
-    assert g.cell_volume == 0.25
-    assert np.allclose(g.cell_centers(), [0.125, 0.375, 0.625, 0.875])
-    assert np.allclose(g.faces(), [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert g.shape == (4,)
+    g = fw.Grid((4,), (0.25,), (0.0,))
+    (ax,) = g.axes
+    assert (g.ndim, g.shape, g.nx, g.dx) == (1, (4,), 4, 0.25)
+    assert g.cell_volume == 0.25 and ax.n * ax.h == 1.0
+    assert ax.across == 1.0 and ax.view is not None
+    assert np.array_equal(ax.centers(), [0.125, 0.375, 0.625, 0.875])
 
 
 def test_grid1d_origin_offset():
-    g = fw.Grid1D(nx=2, dx=0.5, origin=-0.5)
-    assert np.allclose(g.cell_centers(), [-0.25, 0.25])
+    g = fw.Grid((2,), (0.5,), (-0.5,))
+    assert np.array_equal(g.axes[0].centers(), [-0.25, 0.25])
 
 
 def test_grid2d_geometry():
-    g = fw.Grid2D(nx=3, ny=2, dx=0.5, dy=0.25)
-    assert g.shape == (2, 3)  # row-major: (ny, nx)
-    assert g.cell_volume == pytest.approx(0.125)
-    assert g.ndim == 2
+    g = fw.Grid((3, 2), (0.5, 0.3), (1.0, -0.3))
+    x, y = g.axes
+    assert (g.ndim, g.shape, g.nx, g.dx) == (2, (2, 3), 3, 0.5)  # row-major: (ny, nx)
+    assert g.cell_volume == 0.5 * 0.3
+    # the measure across an axis is the other axis's width itself, not
+    # cell_volume / h (0.15 / 0.3 is not 0.5 in binary)
+    assert (x.across, y.across) == (0.3, 0.5)
+    assert np.array_equal(x.centers(), [1.25, 1.75, 2.25])
+    assert np.allclose(y.centers(), [-0.15, 0.15], rtol=0, atol=1e-16)
+    field = np.arange(6.0).reshape(g.shape)
+    assert np.array_equal(x.view(field), field)
+    assert np.array_equal(y.view(field), field.T)  # y moved to the last array axis
 
 
 # -- parsing and validation ----------------------------------------------------
@@ -189,6 +198,50 @@ def test_logistic_with_nonzero_b_conflict():
     )
     with pytest.raises(ConfigConflict):
         fw.build_scenario(doc)
+
+
+_CONFIG_KEY = {"lam": "lambda", "source_law": "law", "source_rate": "rate",
+               "gamma_max": "gamma_max"}
+
+
+@pytest.mark.parametrize("fields, error, name", [
+    ({"rho0": 0.0}, InvalidValue, "material.rho0"),
+    ({"theta0": -1.0}, InvalidValue, "material.theta0"),
+    ({"c1": -1.0}, InvalidValue, "material.c1"),
+    ({"lam": -1.0}, InvalidValue, "material.lambda"),
+    ({"d2": -1.0}, InvalidValue, "material.d1/d2"),
+    ({"c2": -1.0}, InvalidValue, "material.c2"),
+    ({"sigma0": -1.0}, InvalidValue, "material.sigma0"),
+    ({"source_law": "logistc"}, InvalidValue, "material.source.law"),
+    ({"source_law": "logistic"}, InvalidValue, "material.source.rate"),
+    ({"source_law": "logistic", "source_rate": 1.0, "gamma_max": 0.0}, InvalidValue,
+     "material.source.gamma_max"),
+    ({"source_law": "logistic", "source_rate": 1.0, "b": 0.5}, ConfigConflict, None),
+    ({"lam": 0.0, "c2": 1.0}, ConfigConflict, None),
+    ({"lam": 0.0, "b": 0.5}, ConfigConflict, None),
+    ({"lam": 0.0, "source_law": "logistic", "source_rate": 1.0}, ConfigConflict, None),
+], ids=["rho0", "theta0", "c1", "lambda", "d2", "c2", "sigma0", "law", "rate", "gamma_max",
+        "logistic-b", "frozen-c2", "frozen-b", "frozen-source"])
+def test_material_rules_hold_however_the_material_is_built(fields, error, name):
+    # the rules live in MaterialParams, so a direct construction, replace()
+    # and a scenario document all raise the same error with the same path
+    material = {"rho0": 1.0, "c1": 1.0}
+    for field, value in fields.items():
+        if field in _CONFIG_KEY:
+            section = material if field == "lam" else material.setdefault("source", {})
+            section[_CONFIG_KEY[field]] = value
+        else:
+            material[field] = value
+    raised = []
+    for build in (lambda: fw.MaterialParams(**{"rho0": 1.0, "c1": 1.0, **fields}),
+                  lambda: replace(fw.MaterialParams(rho0=1.0, c1=1.0), **fields),
+                  lambda: fw.build_scenario(minimal_doc(material=material))):
+        with pytest.raises(error) as exc:
+            build()
+        raised.append(exc.value)
+    assert {type(e) for e in raised} == {error}
+    assert len({str(e) for e in raised}) == 1
+    assert {getattr(e, "name", None) for e in raised} == {name}
 
 
 def test_clifton_limit_runs_in_2d():
@@ -404,7 +457,7 @@ def test_gaussian_ic_center_and_decay():
         ic={"gamma": {"type": "gaussian", "amplitude": 0.8, "center": 0.5, "width": 0.05}},
     )
     state = fw.initialize_state(fw.build_scenario(doc))
-    x = fw.build_scenario(doc).grid.cell_centers()
+    x = fw.build_scenario(doc).grid.axes[0].centers()
     expected = 0.8 * np.exp(-((x - 0.5) ** 2) / (2 * 0.05**2))
     assert np.allclose(state.gamma, expected, rtol=0, atol=1e-14)
 

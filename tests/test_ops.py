@@ -168,10 +168,10 @@ def box_steps(draw):
     n), conductivities masked by it, a reaction and a source on active
     cells, and Γ everywhere."""
     if draw(st.booleans()):
-        grid = fw.Grid2D(draw(st.integers(3, 6)), draw(st.integers(3, 6)),
-                         draw(st.floats(0.2, 1.0)), draw(st.floats(0.2, 1.0)))
+        n = (draw(st.integers(3, 6)), draw(st.integers(3, 6)))
+        grid = fw.Grid(n, (draw(st.floats(0.2, 1.0)), draw(st.floats(0.2, 1.0))), (0.0, 0.0))
     else:
-        grid = fw.Grid1D(draw(st.integers(3, 9)), draw(st.floats(0.2, 1.0)))
+        grid = fw.Grid((draw(st.integers(3, 9)),), (draw(st.floats(0.2, 1.0)),), (0.0,))
     shape = grid.shape
     mode = draw(st.sampled_from(("empty", "full", "scattered", "block")))
     if mode == "scattered":

@@ -3,6 +3,7 @@
 import copy
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def test_standing_wave_second_order():
     for nx in (32, 64):
         cfg = fw.build_scenario(standing_doc(nx))
         res = fw.run(cfg)
-        x = cfg.grid.cell_centers()
+        x = cfg.grid.axes[0].centers()
         exact = 0.01 * np.cos(np.pi * res.state.time) * np.sin(np.pi * x)
         errs[nx] = float(np.max(np.abs(res.state.U - exact)))
     ratio = errs[32] / errs[64]
@@ -159,11 +160,14 @@ def test_gamma_zero_is_logistic_fixed_point():
 
 def test_coupled_run_with_zero_lambda_raises():
     # lambda = 0 is the conservative limit: a damage potential (c2 > 0) there
-    # could not dissipate, so the run refuses it; without one the damage
-    # field stays frozen
+    # could not dissipate, so the parameters are refused when they are built,
+    # replace() included; without one the damage field stays frozen
     mat = {"rho0": 1.0, "c1": 1.0, "c2": 1.0, "lambda": 0.0, "d1": 0.05}
     with pytest.raises(fw.ConfigConflict):
-        fw.run(fw.build_scenario(diffusion_doc(material=mat)))
+        fw.build_scenario(diffusion_doc(material=mat))
+    cfg = fw.build_scenario(diffusion_doc(material=dict(mat, **{"lambda": 1.0})))
+    with pytest.raises(fw.ConfigConflict):
+        replace(cfg.material, lam=0.0)
     cfg = fw.build_scenario(diffusion_doc(material=dict(mat, c2=0.0)))
     res = fw.run(cfg)
     assert np.array_equal(res.state.gamma, fw.initialize_state(cfg).gamma)
@@ -498,7 +502,7 @@ def test_2d_linear_wall_stress_matches_1d_row_by_row():
     cfg1 = fw.build_scenario(doc)
     cfg2 = fw.build_scenario(dict(doc, grid={"nx": 8, "ny": 3, "dx": 0.125, "dy": 0.2},
                                   material=dict(mat, d2=0.1)))
-    x = cfg1.grid.cell_centers()
+    x = cfg1.grid.axes[0].centers()
     U, gamma = 0.01 * np.sin(3.0 * x), 0.5 + 0.3 * np.cos(5.0 * x)
     plan1, plan2 = solver.ElasticPlan(cfg1), solver.ElasticPlan(cfg2)
     plan1.level(U, gamma, 0.0)
@@ -525,7 +529,7 @@ def test_plan_face_stress_matches_constitutive_stress(material, walls):
            "time": {"dt": 0.01, "t_end": 0.1}, "bc": bc}
     cfg = fw.build_scenario(doc)
     p = cfg.material
-    x = cfg.grid.cell_centers()
+    x = cfg.grid.axes[0].centers()
     U, gamma, t = 0.1 * np.sin(3.0 * x), 0.5 + 0.3 * np.cos(5.0 * x), 0.3
     plan = solver.ElasticPlan(cfg)
     plan.level(U, gamma, t)
@@ -608,7 +612,7 @@ def small_runs(draw):
             gamma_wall = {"type": "dirichlet", "value": draw(st.floats(-0.5, 0.5))}
         bc = {"u_left": wall(), "u_right": wall(), "gamma": gamma_wall}
 
-    def coefficient(hi):  # 0, or far above roundoff (see the roundoff xfail below)
+    def coefficient(hi):  # 0, or far above roundoff
         return draw(st.sampled_from([0.0]) | st.floats(1e-3 * hi, hi))
 
     c2 = coefficient(1.0)
@@ -656,11 +660,11 @@ def test_budget_closes_on_small_random_runs(run_and_cfl):
     assert fw.budget_imbalance(res.reports) <= 2.0 * cfl**2
 
 
-@pytest.mark.xfail(strict=True, reason="the gate's scale is the run's peak |Z*dGamma/dt|, "
-                   "itself roundoff when the damage barely moves")
 def test_roundoff_damage_rate_passes_the_admissibility_gate():
     # d1 = 2.2e-16 moves gamma by roundoff only; Z*dGamma/dt is roundoff of
-    # either sign, and its peak (about 2e-28) sets the gate's tolerance
+    # either sign (min -6.7e-30), its peak about 2e-28 is roundoff too, and
+    # only the step's roundoff allowance eps*max|Z|*max|Gamma|/dt (1.1e-28)
+    # covers it
     nx = 45
     doc = {"grid": {"nx": nx, "dx": 1.0 / nx},
            "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1.0, "d1": 2.220446049250313e-16},

@@ -63,7 +63,7 @@ def test_residuals_shrink_at_second_order():
 def test_perturbed_trajectory_flags_large_residual(traj):
     res0 = float(np.max(fw.lagrange_residual(traj).norms_U))
     bad = copy.deepcopy(traj)
-    x = bad.cfg.grid.cell_centers()
+    x = bad.cfg.grid.axes[0].centers()
     k = bad.nlev // 2
     bad.U[k] = bad.U[k] + 1e-6 * np.sin(np.pi * x)
     res1 = float(np.max(fw.lagrange_residual(bad).norms_U))
