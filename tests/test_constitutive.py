@@ -135,13 +135,6 @@ def test_logistic_force_matches_potential_gradient():
         assert fw.damage_force(G, p) == pytest.approx(A_fd, rel=1e-7, abs=1e-10)
 
 
-def test_logistic_law_with_coupling_raises_at_construction():
-    # the logistic law with b != 0 is refused however the material is built,
-    # directly too, so no force of that pair can be evaluated
-    with pytest.raises(fw.ConfigConflict):
-        mat(b=0.5, source_law="logistic", source_rate=2.0)
-
-
 def test_rate_conjugacy():
     # the rate is force times rate, (lam*gd)*gd, with the thermodynamic force
     # lam*gd = d(D)/d(gd) of the Rayleigh function D = rate/2
