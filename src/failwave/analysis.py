@@ -163,11 +163,18 @@ def wave_metrics(
     hi: float = 0.9,
 ) -> WaveMetrics:
     """Combined extraction: front speed from snapshots, rise time from the
-    first gauge, predictor widths from the material diffusivities."""
+    first gauge, predictor widths from the material diffusivities. tau is
+    NaN when there is no gauge or its trace never settles (NoPlateau); the
+    front's speed stands without it."""
     p = cfg.material
     gmax = p.gamma_max if p.source_law == "logistic" else None
     ft = track_front(result.snapshots, cfg.grid, level=level, gamma_max=gmax)
-    tau = measure_rise_time(result.gauges[0], lo=lo, hi=hi) if result.gauges else float("nan")
+    tau = float("nan")
+    if result.gauges:
+        try:
+            tau = measure_rise_time(result.gauges[0], lo=lo, hi=hi)
+        except NoPlateau:
+            pass
     return WaveMetrics(
         v_f=ft.v_f,
         tau=tau,

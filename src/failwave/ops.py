@@ -247,7 +247,6 @@ def energy_weights(bc: dict, grid) -> tuple:
 
 class LineFactor(NamedTuple):
     lu: tuple  # dpttrf's (d, e), the LDLᵀ factor of all lines joined into one system
-    ghost: Optional[tuple]  # dirichlet constants of the (first, last) cells
     sm: Optional[tuple]  # periodic Sherman-Morrison terms (w, v_coef, denom)
 
 
@@ -256,15 +255,15 @@ def factor_lines(K, react, a: float, s: float, dh: float, bc_g: dict) -> LineFac
 
     K holds face conductivities, shape (..., n+1); react the cell reaction,
     shape (..., n), one line of n cells along the last axis per leading
-    index. The operator is symmetric positive definite, and the lines become
-    one tridiagonal system with zero coupling between them, so a single
-    LAPACK dpttrf call factors every line as LDLᵀ (no pivoting) and
-    solve_lines reuses the factor for any number of right-hand sides.
-    Dirichlet values enter through the ghost 2g - x_adj, whose constant is
-    returned as .ghost, not applied (solve_lines is homogeneous); periodic
-    lines wrap via a Sherman-Morrison rank-1 update, whose matrix-only solve
-    is done here once. Raises NonFiniteState on a non-finite operator or one
-    that is not positive definite.
+    index. L is the homogeneous part of the flux divergence: a dirichlet
+    wall's ghost 2g - x_adj doubles the wall coupling, and its constant
+    belongs to the right-hand side. The operator is symmetric positive
+    definite, and the lines become one tridiagonal system with zero coupling
+    between them, so a single LAPACK dpttrf call factors every line as LDLᵀ
+    (no pivoting) and solve_lines reuses the factor for any number of
+    right-hand sides. Periodic lines wrap via a Sherman-Morrison rank-1
+    update, whose matrix-only solve is done here once. Raises NonFiniteState
+    on a non-finite operator or one that is not positive definite.
     """
     kind = bc_g["type"]
     cl = K[..., :-1] / dh**2  # left face of each cell
@@ -274,13 +273,10 @@ def factor_lines(K, react, a: float, s: float, dh: float, bc_g: dict) -> LineFac
         cr[..., -1] = 0.0
     diag = a + 0.5 * react + s * (cl + cr)
     off = -s * cr  # A[i, i+1] = A[i+1, i]: both read the face between them
-    ghost = sm = None
-    if kind == "dirichlet":
-        # the ghost doubles the wall coupling and adds a constant
-        g = bc_g.get("value", 0.0)
+    sm = None
+    if kind == "dirichlet":  # the ghost doubles the wall coupling
         diag[..., 0] += s * cl[..., 0]
         diag[..., -1] += s * cr[..., -1]
-        ghost = (2.0 * s * cl[..., 0] * g, 2.0 * s * cr[..., -1] * g)
     elif kind == "periodic":
         # B = A + u uᵀ/d0, u = (-d0, 0, .., corner), drops A's corners and stays SPD
         corner = -s * K[..., 0] / dh**2  # A[0, n-1] = A[n-1, 0]
@@ -300,13 +296,11 @@ def factor_lines(K, react, a: float, s: float, dh: float, bc_g: dict) -> LineFac
         w = dpttrs(*lu, u.ravel())[0].reshape(diag.shape)
         v_coef = corner / gam
         sm = (w, v_coef, 1.0 + (w[..., 0] + v_coef * w[..., -1]))
-    return LineFactor(tuple(lu), ghost, sm)
+    return LineFactor(tuple(lu), sm)
 
 
 def solve_lines(fac: LineFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve the factored line systems for a (..., n) right-hand side; the
-    dirichlet constants fac.ghost are the caller's to add (damage_step adds
-    them to b)."""
+    """Solve the factored line systems for a (..., n) right-hand side."""
     if not np.isfinite(rhs).all():
         raise NonFiniteState("damage right-hand side")
     x = dpttrs(*fac.lu, rhs.ravel())[0].reshape(rhs.shape)
@@ -344,16 +338,15 @@ def _three_cells(s: slice, n: int) -> slice:
 class DamageOperator(NamedTuple):
     """The Crank-Nicolson damage operator of one active set, restricted to
     the bounding box of its active cells: A = D - L/2, with D = lam/dt +
-    react/2 and L the sum of every grid axis's flux divergence. K (one face
-    array per grid axis), coef, diag and fac cover the box only; bc is the
-    damage BC of each grid axis at the box edges."""
+    react/2 and L the sum of every grid axis's homogeneous flux divergence.
+    K (one face array per grid axis), diag and fac cover the box only; bc is
+    the damage BC of each grid axis at the box edges."""
 
     box: tuple  # one slice per array axis
     K: tuple
     bc: tuple
-    coef: np.ndarray  # C = lam/dt - react/2, the explicit diagonal
     diag: np.ndarray  # D = lam/dt + react/2
-    fac: tuple  # factor_lines of D - L_a/2 per axis, its dirichlet constants included
+    fac: tuple  # factor_lines of D - L_a/2 per axis
 
 
 def damage_operator(active, K, react, lam: float, dt: float, grid, bc_g: dict):
@@ -383,44 +376,30 @@ def damage_operator(active, K, react, lam: float, dt: float, grid, bc_g: dict):
         Kb.append(Ka)
         bcs.append(bc)
         facs.append(factor_lines(ax.view(Ka), ax.view(react), a, 0.5, ax.h, bc))
-    return DamageOperator(box, tuple(Kb), tuple(bcs), a - 0.5 * react, a + 0.5 * react, tuple(facs))
+    return DamageOperator(box, tuple(Kb), tuple(bcs), a + 0.5 * react, tuple(facs))
 
 
-def damage_rhs(gamma: np.ndarray, op: DamageOperator, grid):
-    """The source-free part of a damage step's right-hand side on op's box
-    (gamma is the box's cells): the pair (C Γ, L Γ / 2), with the dirichlet
-    ghosts inside L. It holds for every iteration of the step."""
-    return op.coef * gamma, 0.5 * grid_flux_div(gamma, op.K, grid, op.bc)
+def damage_step(force: np.ndarray, op: DamageOperator, grid, prev=None):
+    """One correction towards the Crank-Nicolson damage increment on op's
+    box: d = Γ1 - Γ0 solves (D - L/2) d = force, the net damage force of the
+    step (the caller's; for the linear law it is Z(Γ0) with the dirichlet
+    ghosts inside its flux). d is an increment, so every wall is
+    homogeneous, and force, K and react are zero on inactive cells, whose
+    rows then give d = 0 exactly: they keep their Γ bit for bit.
 
-
-def damage_step(rhs0: tuple, source: np.ndarray, op: DamageOperator, grid, prev=None):
-    """One correction towards the Crank-Nicolson damage step on op's box,
-    (D - L/2) Γ = b with b = C Γ0 + L Γ0 / 2 + g + source: rhs0 is
-    damage_rhs's pair, g the dirichlet constants (each axis's
-    LineFactor.ghost, added here and nowhere else, so every line solve is
-    homogeneous), and source is zero on inactive cells (K and
-    react are zero there too, so frozen cells reduce to identity rows).
-
-    Solves M Γ = b + (M - A) Γk with M = (D - Lx/2) D^-1 (D - Ly/2), the
+    Solves M d = force + (M - A) dk with M = (D - Lx/2) D^-1 (D - Ly/2), the
     approximate factorisation of A = D - L/2: an x solve, a multiply by D,
     a y solve. In 1D M = A and one correction is the exact step. In 2D the
     cross term M - A = Lx D^-1 Ly / 4 costs one flux divergence, since the
-    previous y solve gives Ly Γk = 2 D (Γk - xk), xk its x-sweep result;
+    previous y solve gives Ly dk = 2 D (dk - xk), xk its x-sweep result;
     the corrections contract each mode by mu_x mu_y / ((1+mu_x)(1+mu_y)).
-    prev is the previous return value (Γk, xk), None for the first one.
-    Returns (Γ, x), x None in 1D.
+    prev is the previous return value (dk, xk), None for the first one.
+    Returns (d, x), x None in 1D.
     """
-    explicit, half_div = rhs0
-    b = (explicit + source) + half_div
-    for ax, fac in zip(grid.axes, op.fac):
-        if fac.ghost is not None:
-            view = ax.view(b)
-            view[..., 0] += fac.ghost[0]
-            view[..., -1] += fac.ghost[1]
-    if prev is not None and prev[1] is not None:  # Lx D^-1 Ly Γk / 4, homogeneous
+    if prev is not None and prev[1] is not None:  # Lx D^-1 Ly dk / 4
         bc = _HOMOGENEOUS_DIRICHLET if op.bc[0]["type"] == "dirichlet" else op.bc[0]
-        b += 0.5 * damage_flux_div(prev[0] - prev[1], op.K[0], grid.axes[0].h, bc)
-    x = solve_lines(op.fac[0], b)  # x lines run along the last array axis
+        force = force + 0.5 * damage_flux_div(prev[0] - prev[1], op.K[0], grid.axes[0].h, bc)
+    x = solve_lines(op.fac[0], force)  # x lines run along the last array axis
     if len(op.fac) == 1:
         return x, None
     y = grid.axes[1]

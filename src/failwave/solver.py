@@ -5,7 +5,7 @@ algebraically identical to the centered three-level scheme), then activation
 of cells whose stress magnitude reached the threshold, then one
 Crank-Nicolson damage step. Each half is resolved once per run into a plan:
 ElasticPlan holds the wall rules, the stress terms and the buffers of the
-elastic half, DamagePlan the source branch, the tolerances and the operator
+elastic half, DamagePlan the source law, the tolerances and the operator
 of the current active set. Coupling is one-way when b = 0 (Feng's model):
 the elastic substep never reads the damage field. The conservative lam = 0
 limit (Clifton's model) is the same loop with the damage substep skipped:
@@ -232,13 +232,14 @@ class DamagePlan:
     """The damage half of a step, resolved once per run, as ElasticPlan
     resolves the elastic half.
 
-    cfg's diffusion number, source branch and reaction, source and Picard
-    tolerances and damage-gradient weights are looked up here once. The face
-    conductivity K of each grid axis and the Crank-Nicolson operator on the
-    box of the active cells (ops.damage_operator, None when no cell is
-    active) hold while the active set does: they are built for active here
-    and rebuilt by activate() only when a cell switches on. Built only when
-    lam > 0.
+    cfg's diffusion number, source law and reaction, Picard tolerances and
+    damage-gradient weights are looked up here once. The face conductivity K
+    of each grid axis and the Crank-Nicolson operator on the box of the
+    active cells (ops.damage_operator, None when no cell is active) hold
+    while the active set does: they are built for active here and rebuilt by
+    activate() only when a cell switches on. Each step solves that operator
+    for the increment of Gamma, its right-hand side the net damage force.
+    Built only when lam > 0.
     """
 
     def __init__(self, cfg: ScenarioConfig, active: np.ndarray):
@@ -278,17 +279,22 @@ class DamagePlan:
             raise
 
     def step(self, state: FieldState, uX) -> tuple:
-        """One Crank-Nicolson step of lam*dGamma/dt = div(K grad Gamma) +
-        source on the active cells, uX the cell strain; state, whose active
-        set is the plan's, is not modified. The solve covers the box of the
-        active cells; every other cell keeps its value.
+        """One Crank-Nicolson step of lam*dGamma/dt = Z on the active cells,
+        Z = div(K grad Gamma) + source the net damage force and uX the cell
+        strain; state, whose active set is the plan's, is not modified. The
+        solve covers the box of the active cells and is for the increment d
+        = Gamma_new - Gamma: every other cell keeps its value bit for bit.
 
-        The logistic source is iterated to the implicit midpoint together
-        with the 2D defect correction (ops.damage_step), so the discrete
+        Its right-hand side is the step's net damage force (ops.damage_step):
+        the flux of Gamma, once per step, plus the source at Gamma under the
+        linear law (whose reaction c2 is in the operator) or at the midpoint
+        Gamma + d/2 under the logistic law. The logistic source is iterated
+        (Picard) together with the 2D defect correction, so the discrete
         admissibility product stays nonnegative up to roundoff in 1D and 2D.
         Raises PicardNotConverged when numerics.source_max_iter iterations
-        fall short of numerics.source_tol, NonFiniteState on a non-finite
-        right-hand side, both with a copy of the state as .state.
+        fall short of numerics.source_tol (on the scale max(1, max|Gamma_new|)
+        over the box), NonFiniteState on a non-finite right-hand side, both
+        with a copy of the state as .state.
 
         Returns (gamma_new, min Z*dGamma/dt, peak |Z*dGamma/dt|, dissipated
         increment), over the active cells with Z at the midpoint; that Z
@@ -300,34 +306,22 @@ class DamagePlan:
         try:
             if op is not None:
                 box = op.box
-                g = gamma[box]
-                on = active[box]
-                # the operator and the source-free right-hand side hold for the
-                # whole step; each iteration updates the logistic source (Picard
-                # to the midpoint) and, in 2D, the defect correction
-                rhs0 = ops.damage_rhs(g, op, grid)
-                if p.b != 0.0:
-                    source = np.where(on, -p.b * uX[box], 0.0)
-                elif not self.picard:
-                    source = np.zeros(g.shape)
-                rest = np.abs(gamma)
-                rest[box] = 0.0
-                rest_max = float(rest.max())  # |Γ| outside the box, fixed this step
-                g_new, prev = g, None
+                g, on, uXb = gamma[box], active[box], uX[box]
+                flux = ops.grid_flux_div(g, op.K, grid, op.bc)
+                d, prev = np.zeros(g.shape), None
                 for _ in range(self.max_iter):
-                    if self.picard:
-                        source = np.where(on, cst.damage_force(0.5 * (g + g_new), p, uX[box]), 0.0)
-                    nxt, x = ops.damage_step(rhs0, source, op, grid, prev)
-                    delta = float(np.abs(nxt - g_new).max())
-                    g_new, prev = nxt, (nxt, x)
+                    source = cst.damage_force(g + 0.5 * d if self.picard else g, p, uXb)
+                    nxt, x = ops.damage_step(flux + np.where(on, source, 0.0), op, grid, prev)
+                    delta = float(np.abs(nxt - d).max())
+                    d, prev = nxt, (nxt, x)
                     if not self.picard and x is None:
-                        break  # 1D linear or source-free: the one solve is exact
-                    limit = self.tol * max(1.0, float(np.abs(g_new).max()), rest_max)
+                        break  # 1D linear: the one solve is exact
+                    limit = self.tol * max(1.0, float(np.abs(g + d).max()))
                     if delta <= limit:
                         break
                 else:
                     raise PicardNotConverged(state.time, self.max_iter, delta, limit)
-                gamma_new[box] = g_new
+                gamma_new[box] += d
         except (NonFiniteState, PicardNotConverged) as err:
             err.state = state.copy()  # dumped for post-mortem inspection
             raise

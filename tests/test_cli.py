@@ -303,6 +303,39 @@ def test_manifest_reports_actual_final_time(tmp_path):
     assert summary["t_final"] < doc["time"]["t_end"]
 
 
+
+UNSETTLED_FRONT = """\
+name: unsettled_front
+grid: {nx: 200, dx: 0.1}
+material:
+  rho0: 1.0
+  c1: 1.0
+  lambda: 1.0
+  d1: 1.0
+  source: {law: logistic, rate: 1.0, gamma_max: 1.0}
+time: {dt: 0.05, t_end: 6.0}
+ic:
+  gamma: {type: step, left: 1.0, right: 0.0, at: 2.0}
+bc:
+  u_left: {type: fixed}
+  u_right: {type: fixed}
+  gamma: {type: zero_flux}
+gauges: [12.0]   # the front reaches it near the end: its trace never settles
+output: {snapshots: 11}
+"""
+
+
+def test_manifest_keeps_the_front_speed_of_an_unsettled_gauge(tmp_path):
+    path = write_yaml(tmp_path, "front.yaml", UNSETTLED_FRONT)
+    out = str(tmp_path / "out")
+    assert cli.main(["run", path, "--out", out, "--quiet"]) == 0
+    with open(os.path.join(out, "manifest.json")) as fh:
+        summary = json.load(fh)["summary"]
+    assert summary["tau"] is None
+    assert 1.0 < summary["v_f"] < 2.5  # the pulled speed 2 sqrt(d1 r) = 2 is approached from below
+    assert summary["fit_r2"] > 0.99
+    assert summary["delta1"] is not None and summary["delta2"] is not None
+
 def test_non_finite_tabulated_ic_exits_one(tmp_path, capsys):
     doc = """\
 name: tab_nan

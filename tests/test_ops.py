@@ -43,14 +43,15 @@ def line_systems(draw):
 
 
 def _dense_system(K_line, react_line, a, s, dh, bc_g):
-    """(a + react/2 - s*L, s*c): L assembled column by column from the
-    explicit flux divergence, c its affine part (the dirichlet ghost)."""
+    """a + react/2 - s*L, with L the homogeneous part of the explicit flux
+    divergence (a dirichlet wall's constant taken out), assembled column by
+    column."""
     n = react_line.size
     c = ops.damage_flux_div(np.zeros(n), K_line, dh, bc_g)
     L = np.column_stack(
         [ops.damage_flux_div(e, K_line, dh, bc_g) - c for e in np.eye(n)]
     )
-    return np.diag(a + 0.5 * react_line) - s * L, s * c
+    return np.diag(a + 0.5 * react_line) - s * L
 
 
 def _scale(x):
@@ -63,21 +64,12 @@ def _scale(x):
 @settings(max_examples=150, deadline=None)
 @given(line_systems())
 def test_factored_lines_match_dense_solve(sys_):
-    # the line solve is homogeneous; the factor hands the dirichlet ghost's
-    # constants (the affine part of s*L) to the caller as .ghost
     args = (sys_["a"], sys_["s"], sys_["dh"], sys_["bc_g"])
     fac = ops.factor_lines(sys_["K"], sys_["react"], *args)
     lines = [_dense_system(K, react, *args) for K, react in zip(sys_["K"], sys_["react"])]
-    constants = np.array([c for _, c in lines])
-    if fac.ghost is None:
-        assert not constants.any()
-    else:
-        assert np.array_equal(constants[:, 1:-1], np.zeros_like(constants[:, 1:-1]))
-        for got, want in zip(fac.ghost, (constants[:, 0], constants[:, -1])):
-            assert float(np.max(np.abs(got - want))) <= 1e-12 * _scale(want)
     for rhs in sys_["rhs"]:
         x = ops.solve_lines(fac, rhs)
-        dense = np.array([np.linalg.solve(A, b) for (A, _), b in zip(lines, rhs)])
+        dense = np.array([np.linalg.solve(A, b) for A, b in zip(lines, rhs)])
         assert float(np.max(np.abs(x - dense))) <= 1e-12 * _scale(dense)
 
 
@@ -153,7 +145,7 @@ def test_stiff_line_solve_is_backward_stable(sys_):
     x = ops.solve_lines(ops.factor_lines(sys_["K"], sys_["react"], *args), sys_["rhs"])
     eps = np.finfo(float).eps
     for K, react, xl, b in zip(sys_["K"], sys_["react"], x, sys_["rhs"]):
-        A, _ = _dense_system(K, react, *args)
+        A = _dense_system(K, react, *args)
         scale = np.max(np.abs(A).sum(axis=1)) * _scale(xl) + _scale(b)
         assert float(np.max(np.abs(A @ xl - b))) <= 8 * eps * scale
 
@@ -197,42 +189,37 @@ def box_steps(draw):
     }
 
 
-def _affine(apply, shape):
-    """(M, c) with apply(x) = M x.ravel() + c for every x of the given shape."""
-    c = apply(np.zeros(shape)).ravel()
-    cols = [apply(e.reshape(shape)).ravel() - c for e in np.eye(int(np.prod(shape)))]
-    return np.column_stack(cols), c
+def _force(sys_):
+    """The step's net damage force on the full grid: the flux divergence of
+    Γ (dirichlet ghosts included) plus the source; zero on inactive cells."""
+    K, bc_g = sys_["K"], sys_["bc_g"]
+    return ops.grid_flux_div(sys_["gamma"], K, sys_["grid"], [bc_g] * len(K)) + sys_["source"]
 
 
-def _dense_step(sys_):
-    """The full-grid Crank-Nicolson step with dt = 1: (D - L/2) x = (C + L/2) Γ
-    + c + source, with L the sum of every axis's flux divergence, assembled
-    densely from its explicit form, and c its affine part (the dirichlet
-    ghosts; the explicit side's half comes with the divergence of Γ)."""
-    grid, bc_g, K = sys_["grid"], sys_["bc_g"], sys_["K"]
-    g, r, src, lam = sys_["gamma"], sys_["react"], sys_["source"], sys_["lam"]
+def _dense_increment(sys_, force):
+    """The full-grid Crank-Nicolson increment with dt = 1: (D - L/2) d =
+    force, with L the homogeneous sum of every axis's flux divergence,
+    assembled densely from its explicit form."""
+    grid, bc_g, K, shape = sys_["grid"], sys_["bc_g"], sys_["K"], sys_["gamma"].shape
 
     def div(x):
-        return ops.grid_flux_div(x, K, grid, [bc_g] * len(K))
+        return ops.grid_flux_div(x.reshape(shape), K, grid, [bc_g] * len(K)).ravel()
 
-    L, c = _affine(div, g.shape)
-    A = np.diag(lam + 0.5 * r.ravel()) - 0.5 * L
-    rhs = ((lam - 0.5 * r) * g + src + 0.5 * div(g)).ravel() + 0.5 * c
-    return np.linalg.solve(A, rhs).reshape(g.shape)
+    c = div(np.zeros(shape))
+    L = np.column_stack([div(e) - c for e in np.eye(int(np.prod(shape)))])
+    A = np.diag(sys_["lam"] + 0.5 * sys_["react"].ravel()) - 0.5 * L
+    return np.linalg.solve(A, force.ravel()).reshape(shape)
 
 
-def _converged_step(sys_, op):
+def _converged_increment(force, op, grid):
     """Iterate damage_step's corrections on op's box until they stop
     shrinking (one correction in 1D, where it is exact)."""
-    grid, gamma = sys_["grid"], sys_["gamma"]
-    g = gamma[op.box]
-    rhs0 = ops.damage_rhs(g, op, grid)
-    prev = ops.damage_step(rhs0, sys_["source"][op.box], op, grid)
+    prev = ops.damage_step(force, op, grid)
     if prev[1] is None:
         return prev[0]
     steps = []
     while len(steps) < 20000:
-        nxt = ops.damage_step(rhs0, sys_["source"][op.box], op, grid, prev)
+        nxt = ops.damage_step(force, op, grid, prev)
         steps.append(float(np.max(np.abs(nxt[0] - prev[0]))))
         prev = nxt
         # stop at roundoff: no progress over the last 50 corrections
@@ -244,17 +231,20 @@ def _converged_step(sys_, op):
 @settings(max_examples=150, deadline=None)
 @given(box_steps())
 def test_active_box_step_matches_dense_full_grid_step(sys_):
-    grid, gamma = sys_["grid"], sys_["gamma"]
-    op = ops.damage_operator(sys_["active"], sys_["K"], sys_["react"], sys_["lam"], 1.0, grid,
+    # the box increment equals the full-grid one fed the same force, and
+    # Γ + d keeps every inactive cell bit for bit, inside the box too
+    grid, gamma, active = sys_["grid"], sys_["gamma"], sys_["active"]
+    op = ops.damage_operator(active, sys_["K"], sys_["react"], sys_["lam"], 1.0, grid,
                              sys_["bc_g"])
-    out = gamma.copy()
-    inside = np.zeros(gamma.shape, dtype=bool)
+    force = _force(sys_)
+    d = np.zeros(gamma.shape)
     if op is not None:
-        out[op.box] = _converged_step(sys_, op)
+        d[op.box] = _converged_increment(force[op.box], op, grid)
+        inside = np.zeros(gamma.shape, dtype=bool)
         inside[op.box] = True
-        assert sys_["active"][~inside].sum() == 0  # the box holds every active cell
+        assert not active[~inside].any()  # the box holds every active cell
     else:
-        assert not sys_["active"].any()
-    assert np.array_equal(out[~inside], gamma[~inside])  # frozen cells, bit for bit
-    dense = _dense_step(sys_)
-    assert float(np.max(np.abs(out - dense))) <= 1e-12 * _scale(dense)
+        assert not active.any()
+    assert np.array_equal((gamma + d)[~active], gamma[~active])  # frozen cells, bit for bit
+    dense = _dense_increment(sys_, force)
+    assert float(np.max(np.abs(d - dense))) <= 1e-12 * _scale(dense)

@@ -307,6 +307,18 @@ def test_dissipated_energy_linear_in_lambda():
 # -- activation threshold --------------------------------------------------------
 
 
+
+def test_damage_mass_is_conserved_on_a_diffusing_ring():
+    # on the ring at lam = 1e-3 the damage law is pure diffusion, which
+    # conserves sum(Γ) exactly; the increment form keeps it to roundoff,
+    # at most eps per step
+    cfg = load_scenario("clifton_pulse.yaml")
+    nsteps = 500
+    cfg = replace(cfg, material=replace(cfg.material, lam=1e-3), t_end=nsteps * cfg.dt)
+    mass0 = fw.initialize_state(cfg).gamma.sum()
+    mass = fw.run(cfg).state.gamma.sum()
+    assert abs(mass - mass0) <= nsteps * np.finfo(float).eps * abs(mass0)
+
 def test_subthreshold_pulse_never_activates():
     doc = {
         "grid": {"nx": 100, "dx": 0.01},
