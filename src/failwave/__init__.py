@@ -14,11 +14,10 @@ from .analysis import (
     WaveMetrics,
     budget_imbalance,
     clifton_limit_study,
-    diffusion_convergence_study,
-    elastic_convergence_study,
     measure_rise_time,
     predict_tau,
     predict_width,
+    refinement_study,
     table_report,
     track_front,
     variance_growth_slope,
@@ -62,6 +61,7 @@ from .model import (
     build_scenario,
     config_hash,
     initialize_state,
+    refine,
     scenario_to_dict,
     scenario_to_yaml,
 )

@@ -1,5 +1,5 @@
 """Wave metrics, deflagration predictors, comparison tables, the small-lam
-limit study, and convergence studies.
+limit study, and the refinement study of any scenario's order of accuracy.
 
 The predictors encode the deflagration reading of a failure front: speed set
 by diffusivity and reaction time (v_f ~ sqrt(d1/tau)), widths d/v_f. The
@@ -15,14 +15,15 @@ measured rise time as tau underestimates v_f by about 2 sqrt(ln 81) ~ 4.19.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import NoFrontDetected, NonpositiveSpeed, NoPlateau
-from .model import MaterialParams, ScenarioConfig, build_scenario
-from .solver import GaugeTrace, RunResult, run
+from .errors import InvalidValue, NoFrontDetected, NonpositiveSpeed, NoPlateau, TooFewLevels
+from .model import ScenarioConfig, build_scenario, refine
+from .solver import GaugeTrace, RunResult, _step_count, run
 
 
 @dataclass(frozen=True)
@@ -338,82 +339,72 @@ def table_report(presets: Optional[Sequence[MaterialPreset]] = None) -> TableRep
     return TableReport(rows=rows)
 
 
-# -- convergence studies -------------------------------------------------------
+# -- refinement study ----------------------------------------------------------
 
 
 @dataclass
 class ConvergenceStudy:
+    """One scenario at successive refinement levels. errors holds per field
+    ('U', 'gamma') the L2 error of each level against the exact solution,
+    or the L2 norm of each successive difference; orders each field's
+    observed order (none for a field whose finest differences are exactly
+    0), and order the worst of them."""
+
     name: str
-    resolutions: List[int]
+    resolutions: List[int]  # nx per level
     dxs: List[float]
-    errors: List[float]
-    order: float  # least-squares slope of log(error) vs log(dx)
+    errors: Dict[str, List[float]]
+    orders: Dict[str, float]
+    order: float
 
 
-def _fit_order(dxs, errors) -> float:
-    return float(np.polyfit(np.log(np.asarray(dxs)), np.log(np.asarray(errors)), 1)[0])
+def _l2(field: np.ndarray, grid) -> float:
+    return math.sqrt(float(np.sum(field**2)) * grid.cell_volume)
 
 
-def elastic_convergence_study(resolutions: Sequence[int] = (64, 128, 256)) -> ConvergenceStudy:
-    """Standing-wave refinement: U0 = sin(pi X) on [0,1], fixed ends, unit
-    wave speed, integrated to t = 2.25 (off the period so phase error enters
-    the comparison linearly). L2 error vs cos(pi t) sin(pi X); second order
-    in dx with dt/dx held fixed."""
-    t_end = 2.25
-    errors, dxs = [], []
-    for nx in resolutions:
-        dx = 1.0 / nx
-        dt = 0.5 * dx  # CFL 0.5 at unit wave speed
-        cfg = build_scenario(
-            {
-                "name": f"standing-{nx}",
-                "grid": {"nx": nx, "dx": dx},
-                "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1.0, "d1": 0.0},
-                "time": {"dt": dt, "t_end": t_end},
-                "ic": {"U": {"type": "sine", "amplitude": 1.0, "mode": 1}},
-                "bc": {"u_left": {"type": "fixed"}, "u_right": {"type": "fixed"}},
-                "output": {"snapshots": 2},
-            }
-        )
-        result = run(cfg)
-        x = cfg.grid.axes[0].centers()
-        exact = np.cos(np.pi * t_end) * np.sin(np.pi * x)
-        err = float(np.sqrt(np.sum((result.state.U - exact) ** 2) * dx))
-        errors.append(err)
-        dxs.append(dx)
-    return ConvergenceStudy("elastic-standing-wave", list(resolutions), dxs, errors, _fit_order(dxs, errors))
+def _coarsen(field: np.ndarray) -> np.ndarray:
+    """Block mean onto the grid of twice the cell width: 2 cells in 1D,
+    2x2 in 2D; a second-order cell-centred restriction."""
+    blocks = sum(((n // 2, 2) for n in field.shape), ())
+    return field.reshape(blocks).mean(axis=tuple(range(1, len(blocks), 2)))
 
 
-def diffusion_convergence_study(resolutions: Sequence[int] = (48, 96, 192)) -> ConvergenceStudy:
-    """Spreading-Gaussian refinement for the Crank-Nicolson damage solver:
-    pure diffusion (c2 = 0, d = 0.05) of a width-0.1 Gaussian on [-1.5, 1.5],
-    compared against the exact kernel at t = 0.4. Second order with dt/dx
-    fixed; the domain is wide enough that wall effects sit below 1e-9."""
-    d, sig0, t_end = 0.05, 0.1, 0.4
-    errors, dxs = [], []
-    for nx in resolutions:
-        dx = 3.0 / nx
-        steps = 2 * nx // 3
-        dt = t_end / steps
-        cfg = build_scenario(
-            {
-                "name": f"kernel-{nx}",
-                "grid": {"nx": nx, "dx": dx, "origin": -1.5},
-                "material": {"rho0": 1.0, "c1": 1.0, "c2": 0.0, "lambda": 1.0, "d1": d},
-                "time": {"dt": dt, "t_end": t_end},
-                "ic": {"gamma": {"type": "gaussian", "amplitude": 1.0, "center": 0.0, "width": sig0}},
-                "bc": {"u_left": {"type": "fixed"}, "u_right": {"type": "fixed"}},
-                "output": {"snapshots": 2},
-            }
-        )
-        result = run(cfg)
-        x = cfg.grid.axes[0].centers()
-        var = sig0**2 + 2.0 * d * t_end
-        exact = sig0 / np.sqrt(var) * np.exp(-0.5 * x**2 / var)
-        err = float(np.sqrt(np.sum((result.state.gamma - exact) ** 2) * dx))
-        errors.append(err)
-        dxs.append(dx)
-    return ConvergenceStudy("damage-heat-kernel", list(resolutions), dxs, errors, _fit_order(dxs, errors))
+def refinement_study(doc, levels: int = 3, exact: Optional[Callable] = None) -> ConvergenceStudy:
+    """Run refine(doc, k) for k in range(levels) of a scenario document (YAML
+    text or a mapping), space and dt halved together; estimate the order.
+
+    exact(cfg) gives the exact final fields of a level, keyed 'U' and/or
+    'gamma'; each field's order is the least-squares slope of log(L2 error)
+    against log(dx). Without it, each level's final U and gamma are
+    block-averaged onto the previous level's grid, and a field's order is
+    log2 of the finest pair's difference ratio (Roache's three-level
+    estimate); this needs levels >= 3 and raises TooFewLevels below that.
+    Every level must stop at the same time, else InvalidValue.
+    """
+    need = 3 if exact is None else 2
+    if levels < need:
+        raise TooFewLevels(levels, f"this refinement study needs >= {need} levels")
+    cfgs = [build_scenario(refine(doc, k)) for k in range(levels)]
+    if len({_step_count(cfg) * cfg.dt for cfg in cfgs}) > 1:  # the final times run() reaches
+        raise InvalidValue("time.t_end", "the levels would stop at different times; "
+                                         "make it a whole number of the coarsest steps")
+    finals = [run(cfg).state for cfg in cfgs]
+    dxs = [cfg.grid.dx for cfg in cfgs]
+    if exact is not None:
+        exacts = [exact(cfg) for cfg in cfgs]
+        errors = {name: [_l2(getattr(state, name) - fields[name], cfg.grid)
+                         for cfg, state, fields in zip(cfgs, finals, exacts)]
+                  for name in exacts[0]}
+        orders = {name: float(np.polyfit(np.log(dxs), np.log(errs), 1)[0]) for name, errs in errors.items()}
+    else:
+        errors = {name: [_l2(getattr(coarse, name) - _coarsen(getattr(fine, name)), cfg.grid)
+                         for cfg, coarse, fine in zip(cfgs, finals, finals[1:])]
+                  for name in ("U", "gamma")}
+        with np.errstate(divide="ignore"):
+            orders = {name: float(np.log2(np.divide(d[-2], d[-1])))
+                      for name, d in errors.items() if any(d[-2:])}
+    worst = min(orders.values(), default=math.nan)
+    return ConvergenceStudy(cfgs[0].name, [cfg.grid.nx for cfg in cfgs], dxs, errors, orders, worst)
 
 
 def variance_growth_slope(d: float = 0.3, nx: int = 400, t_end: float = 2.0) -> tuple:

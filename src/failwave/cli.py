@@ -2,9 +2,10 @@
 
 Subcommands: run (integrate a scenario and dump CSV artifacts), clifton-study
 (dissipation scaling across lam values), tables (predictor vs experiment),
-verify-variational (Euler-Lagrange residual refinement), convergence (order
-studies). Exit codes: 0 success, 1 unusable configuration, 2 a run tripped a
-stability or admissibility contract.
+verify-variational (Euler-Lagrange residual refinement), convergence (the
+observed order of a scenario refined twice by model.refine). Exit codes: 0
+success, 1 unusable configuration, 2 a run tripped a stability or
+admissibility contract.
 
 All CSV output uses %.17g so reruns of the same config are byte-identical;
 wall-clock stamps live only in the JSON manifest.
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError, FailwaveError, RuntimeViolation
-from .model import AXIS_KEYS, build_scenario, config_hash, scenario_to_dict
+from .model import build_scenario, config_hash, refine, scenario_to_dict
 from .solver import REPORT_FIELDS, run
 from .variational import lagrange_residual, record_trajectory
 
@@ -199,31 +200,15 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify_variational(args) -> int:
-    cfg = _load_config(args.config)
-    base = scenario_to_dict(cfg)
-    for entry in base.get("ic", {}).values():
-        if entry.get("type") == "tabulated" and args.levels > 1:
-            raise ConfigError("refinement cannot resample tabulated initial data")
+    base = scenario_to_dict(_load_config(args.config))
+    cfgs = [build_scenario(refine(base, lev)) for lev in range(args.levels)]
     out = _outdir(args)
     lines = ["level,nx,dt,time,residU_L2,residGamma_L2"]
     max_norms = []
-    for lev in range(args.levels):
-        doc = json.loads(json.dumps(base))  # deep copy
-        grid = doc["grid"]
-        for n, h, _ in AXIS_KEYS:
-            if n in grid:
-                grid[n] *= 2**lev
-                grid[h] /= 2**lev
-        doc["time"]["dt"] = base["time"]["dt"] / 2**lev
-        cfg_lev = build_scenario(doc)
-        traj = record_trajectory(cfg_lev)
-        res = lagrange_residual(traj)
-        for i, t in enumerate(res.times):
-            lines.append(
-                ",".join(
-                    _fmt(v) for v in (lev, cfg_lev.grid.nx, cfg_lev.dt, t, res.norms_U[i], res.norms_gamma[i])
-                )
-            )
+    for lev, cfg_lev in enumerate(cfgs):
+        res = lagrange_residual(record_trajectory(cfg_lev))
+        for row in zip(res.times, res.norms_U, res.norms_gamma):
+            lines.append(",".join(map(_fmt, (lev, cfg_lev.grid.nx, cfg_lev.dt, *row))))
         max_norms.append(float(np.max(res.norms_combined)))
         _say(args, f"level {lev}: nx={cfg_lev.grid.nx} dt={cfg_lev.dt:.3e} max residual {max_norms[-1]:.6e}")
     _write(os.path.join(out, "residual_norms.csv"), lines)
@@ -237,18 +222,17 @@ def cmd_verify_variational(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    studies = []
-    if args.study in ("elastic", "all"):
-        studies.append(analysis.elastic_convergence_study())
-    if args.study in ("diffusion", "all"):
-        studies.append(analysis.diffusion_convergence_study())
+    study = analysis.refinement_study(scenario_to_dict(_load_config(args.config)))
     out = _outdir(args)
-    lines = ["study,nx,dx,error,order"]
-    for st in studies:
-        for nx, dx, err in zip(st.resolutions, st.dxs, st.errors):
-            lines.append(st.name + "," + ",".join(_fmt(v) for v in (nx, dx, err, st.order)))
-        _say(args, f"{st.name}: observed order {st.order:.3f}")
+    lines = ["level,nx,dx,field,difference,order"]  # one row per level and field
+    for lev in range(1, len(study.resolutions)):
+        for name, diffs in study.errors.items():
+            order = study.orders.get(name, math.nan)
+            lines.append(",".join((*map(_fmt, (lev, study.resolutions[lev], study.dxs[lev])),
+                                   name, _fmt(diffs[lev - 1]), _fmt(order))))
     _write(os.path.join(out, "convergence.csv"), lines)
+    for name, order in study.orders.items():
+        _say(args, f"{study.name} {name}: observed order {order:.3f}")
     return 0
 
 
@@ -292,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_vv)
     p_vv.set_defaults(func=cmd_verify_variational)
 
-    p_cv = subs.add_parser("convergence", help="order-of-accuracy studies")
-    p_cv.add_argument("study", choices=["elastic", "diffusion", "all"], help="which study to run")
+    p_cv = subs.add_parser("convergence", help="order-of-accuracy refinement study")
+    p_cv.add_argument("config", help="scenario YAML file (coarsest of 3 levels)")
     _add_common(p_cv)
     p_cv.set_defaults(func=cmd_convergence)
     return parser

@@ -108,8 +108,8 @@ class NoPlateau(FailwaveError):
 
 
 class TooFewLevels(FailwaveError):
-    def __init__(self, n: int):
-        super().__init__(f"trajectory needs >= 3 time levels, got {n}")
+    def __init__(self, n: int, what: str = "trajectory needs >= 3 time levels"):
+        super().__init__(f"{what}, got {n}")
 
 
 class SingularBasis(FailwaveError):

@@ -533,6 +533,26 @@ def config_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def refine(doc: Union[str, Mapping], k: int) -> dict:
+    """The canonical dict of a scenario document with dt and each grid axis's
+    cell width divided by 2**k and its cell count multiplied by 2**k; k < 0
+    coarsens. Raises InvalidValue for an axis whose cell count 2**-k does
+    not divide, and for tabulated initial data at k != 0."""
+    cfg = build_scenario(doc)
+    out = scenario_to_dict(cfg)
+    for field, entry in out["ic"].items():
+        if k and entry["type"] == "tabulated":
+            raise InvalidValue(f"ic.{field}", "refinement cannot resample tabulated initial data")
+    grid = out["grid"]
+    for n, h, _ in AXIS_KEYS[:cfg.grid.ndim]:
+        cells = grid[n] * 2**k
+        if cells % 1:
+            raise InvalidValue(f"grid.{n}", f"{grid[n]} cells do not coarsen by {2**-k}")
+        grid[n], grid[h] = int(cells), grid[h] / 2**k
+    out["time"]["dt"] /= 2**k
+    return out
+
+
 def _sample(entry: dict, grid: Grid) -> np.ndarray:
     """Initial data at the cell centers. A gaussian's center and width hold
     one value per grid axis; sine and step profiles vary along x."""

@@ -6,7 +6,6 @@ otherwise) before asserting. Reference values marked below are frozen from
 independent derivations; nothing is read back from the code under test.
 """
 
-import json
 import os
 import time
 
@@ -145,21 +144,23 @@ def test_criterion_02b_rise_time_predictor(shipped_runs):
 # -- 3: elastic convergence --------------------------------------------------------
 
 
-def test_criterion_03_elastic_convergence():
+def test_criterion_03_elastic_convergence(standing_wave_225):
+    doc, exact = standing_wave_225
     t0 = time.perf_counter()
-    st = analysis.elastic_convergence_study()  # dx = 1/64, 1/128, 1/256
+    st = fw.refinement_study(doc, 3, exact)  # dx = 1/64, 1/128, 1/256
     wall = time.perf_counter() - t0
     ok = st.order >= 1.9 and wall < 30.0
-    errs = ", ".join(f"{e:.3e}" for e in st.errors)
+    errs = ", ".join(f"{e:.3e}" for e in st.errors["U"])
     _report(3, "elastic order", ok, f"order {st.order:.3f} (errors {errs}; t=2.25; wall {wall:.1f} s)")
 
 
 # -- 4: diffusion convergence and variance growth ----------------------------------
 
 
-def test_criterion_04_diffusion_convergence():
+def test_criterion_04_diffusion_convergence(heat_kernel):
+    text, exact = heat_kernel
     t0 = time.perf_counter()
-    st = analysis.diffusion_convergence_study()
+    st = fw.refinement_study(fw.refine(text, -1), 3, exact)  # nx = 48, 96, 192
     slope, target = analysis.variance_growth_slope()
     wall = time.perf_counter() - t0
     rel = abs(slope - target) / target
@@ -225,11 +226,7 @@ def test_criterion_07_variational_refinement():
     norms = []
     traj0 = None
     for lev in range(3):
-        doc = json.loads(json.dumps(base))
-        doc["grid"]["nx"] = base["grid"]["nx"] * 2**lev
-        doc["grid"]["dx"] = base["grid"]["dx"] / 2**lev
-        doc["time"]["dt"] = base["time"]["dt"] / 2**lev
-        traj = fw.record_trajectory(fw.build_scenario(doc))
+        traj = fw.record_trajectory(fw.build_scenario(fw.refine(base, lev)))
         if lev == 0:
             traj0 = traj
         norms.append(float(np.max(fw.lagrange_residual(traj).norms_combined)))

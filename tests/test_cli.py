@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -166,27 +167,11 @@ def test_verify_variational_command(tmp_path, capsys):
     assert len(rows) == 19 + 39
 
 
-RING_2D = """\
-name: ring2d
-grid: {nx: 16, ny: 8, dx: 0.0625, dy: 0.0625}
-material: {rho0: 1.0, c1: 1.0, c2: 1.0, lambda: 1.0, d1: 0.1, d2: 0.05}
-time: {dt: 0.004, t_end: 0.08}
-ic:
-  U: {type: sine, amplitude: 0.01, mode: 2}
-  gamma: {type: sine, amplitude: 0.5, mode: 2}
-bc:
-  u_left: {type: periodic}
-  u_right: {type: periodic}
-  gamma: {type: periodic}
-output: {snapshots: 2}
-"""
-
-
-def test_verify_variational_refines_a_2d_ring(tmp_path, capsys):
+def test_verify_variational_refines_a_2d_ring(tmp_path, capsys, ring_2d):
     # both axes refine with dt: 16x8 then 32x16 cells; the displacement
     # residual stays roundoff and the damage residual shrinks at O(dt^2)
     out = str(tmp_path / "vv2d")
-    rc = cli.main(["verify-variational", write_yaml(tmp_path, "ring.yaml", RING_2D),
+    rc = cli.main(["verify-variational", write_yaml(tmp_path, "ring.yaml", ring_2d),
                    "--levels", "2", "--out", out])
     assert rc == 0
     assert "residual shrank" in capsys.readouterr().out
@@ -198,7 +183,9 @@ def test_verify_variational_refines_a_2d_ring(tmp_path, capsys):
     assert levels[0][:, 5].max() / levels[1][:, 5].max() >= 3.5
 
 
-def test_verify_variational_rejects_tabulated_refinement(tmp_path, capsys):
+@pytest.mark.parametrize("command", [["verify-variational", "--levels", "2"], ["convergence"]],
+                         ids=["verify-variational", "convergence"])
+def test_verify_variational_rejects_tabulated_refinement(tmp_path, capsys, command):
     doc = """\
 name: tab
 grid: {nx: 8, dx: 0.125}
@@ -213,22 +200,38 @@ bc:
 output: {snapshots: 2}
 """
     path = write_yaml(tmp_path, "tab.yaml", doc)
-    rc = cli.main(["verify-variational", path, "--levels", "2", "--quiet"])
+    rc = cli.main([command[0], path, *command[1:], "--quiet"])
     assert rc == 1
     assert "tabulated" in capsys.readouterr().err
 
 
 def test_convergence_command(tmp_path, capsys):
     out = str(tmp_path / "conv")
-    rc = cli.main(["convergence", "diffusion", "--out", out])
+    rc = cli.main(["convergence", HEAT, "--out", out])
     assert rc == 0
-    assert "observed order" in capsys.readouterr().out
+    # gamma spreads, U stays identically zero and has no order to report
+    said = capsys.readouterr().out.splitlines()
+    assert len(said) == 1 and said[0].startswith("heat_kernel gamma: observed order")
     with open(os.path.join(out, "convergence.csv")) as fh:
         header = fh.readline().strip()
-        rows = fh.read().strip().splitlines()
-    assert header == "study,nx,dx,error,order"
-    assert len(rows) == 3
-    assert all(r.startswith("damage-heat-kernel,") for r in rows)
+        rows = [r.split(",") for r in fh.read().strip().splitlines()]
+    assert header == "level,nx,dx,field,difference,order"
+    assert [r[:4] for r in rows] == [["1", "192", "0.015625", "U"], ["1", "192", "0.015625", "gamma"],
+                                     ["2", "384", "0.0078125", "U"], ["2", "384", "0.0078125", "gamma"]]
+    assert [r[4:] for r in rows[::2]] == [["0", "nan"], ["0", "nan"]]
+    diffs = [float(r[4]) for r in rows[1::2]]
+    assert diffs[0] / diffs[1] >= 3.5
+
+
+def test_readme_commands_parse():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("failwave ")]
+    assert len(commands) == 5
+    parser = cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).func.__name__ == "cmd_" + argv[0].replace("-", "_")
 
 
 def test_clifton_study_command(tmp_path, capsys):
