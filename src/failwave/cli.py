@@ -4,8 +4,9 @@ Subcommands: run (integrate a scenario and dump CSV artifacts), clifton-study
 (dissipation scaling across lam values), tables (predictor vs experiment),
 verify-variational (Euler-Lagrange residual refinement), convergence (the
 observed order of a scenario refined twice by model.refine). Exit codes: 0
-success, 1 unusable configuration, 2 a run tripped a stability or
-admissibility contract.
+success, 1 a refused input (a bad configuration or argument, or another
+FailwaveError such as a trajectory too short to verify), 2 a run tripped a
+stability or admissibility contract.
 
 All CSV output uses %.17g so reruns of the same config are byte-identical;
 wall-clock stamps live only in the JSON manifest.
@@ -23,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import analysis
-from .errors import ConfigError, FailwaveError, RuntimeViolation
+from .errors import ConfigError, FailwaveError, InvalidValue, RuntimeViolation
 from .model import build_scenario, config_hash, refine, scenario_to_dict
 from .solver import REPORT_FIELDS, run
 from .variational import lagrange_residual, record_trajectory
@@ -161,7 +162,12 @@ def cmd_run(args) -> int:
 
 def cmd_clifton_study(args) -> int:
     cfg = _load_config(args.config)
-    lambdas = [float(s) for s in args.lambdas.split(",") if s.strip() != ""]
+    try:
+        lambdas = [float(s) for s in args.lambdas.split(",") if s.strip() != ""]
+    except ValueError:
+        lambdas = []
+    if not lambdas:
+        raise InvalidValue("--lambdas", f"not a comma-separated list of numbers: {args.lambdas!r}")
     study = analysis.clifton_limit_study(cfg, lambdas)
     out = _outdir(args)
     lines = ["lambda,dissipated,energy_drift,front_sharpness"]
@@ -200,6 +206,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify_variational(args) -> int:
+    if args.levels < 1:
+        raise InvalidValue("--levels", "must be >= 1")
     base = scenario_to_dict(_load_config(args.config))
     cfgs = [build_scenario(refine(base, lev)) for lev in range(args.levels)]
     out = _outdir(args)
@@ -287,12 +295,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except RuntimeViolation as err:
         print(f"runtime violation: {err}", file=sys.stderr)
         return 2
+    except FailwaveError as err:  # ConfigError, or an input a study refuses
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

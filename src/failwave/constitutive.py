@@ -135,30 +135,27 @@ def elastic_wave_speed(uX, p: MaterialParams) -> float:
     return characteristic_speed(float((uX * uX).max()) if uX.size else 0.0, p)
 
 
-_ZERO_FLUX = {"type": "zero_flux"}
-
-
 def internal_forces(
     gamma: np.ndarray,
     p: MaterialParams,
     grid,
     uX=None,
-    bc_gamma: dict | None = None,
+    *,
+    bc_gamma: dict,
     active: np.ndarray | None = None,
     K: tuple | None = None,
 ) -> np.ndarray:
     """Net damage force Z = A - div(B) at cells (Pa): A is damage_force, B
     = -K grad(gamma) the face flux, and the divergence is adjoint to the
-    face gradient (ops.grid_flux_div).
+    face gradient (ops.grid_flux_div) under the damage wall bc_gamma.
 
     Conductivity is masked to zero on faces with an inactive neighbor; K,
     the face conductivity of each grid axis (ops.grid_conductivity of
     active), is computed here when not given.
     """
-    bc_g = bc_gamma if bc_gamma is not None else _ZERO_FLUX
     if K is None:
-        K = _conductivity(active, p, grid, bc_g)
-    return damage_force(gamma, p, uX=uX) + ops.grid_flux_div(gamma, K, grid, [bc_g] * grid.ndim)
+        K = _conductivity(active, p, grid, bc_gamma)
+    return damage_force(gamma, p, uX=uX) + ops.grid_flux_div(gamma, K, grid, [bc_gamma] * grid.ndim)
 
 
 def _conductivity(active, p: MaterialParams, grid, bc_g: dict) -> tuple:

@@ -11,6 +11,10 @@ with the boundary value taken from the adjacent cell. That adjointness makes
 the discrete damage force exactly the gradient of the discrete free energy,
 which the variational checks depend on.
 
+What a wall kind means is written here once: wall() for the displacement
+walls, which the solver's plans, the budget and the verifier read, and
+_padded() for the damage walls.
+
 All functions are pure, arrays in and arrays out, except the fill function
 strain_rule returns, which writes into the buffer it is given.
 """
@@ -18,16 +22,15 @@ strain_rule returns, which writes into the buffer it is given.
 from __future__ import annotations
 
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import NonFiniteState
 
-# -- boundary-condition protocol helpers ------------------------------------
-# The rules are resolved from a BC dict once, to constants or functions of
-# the clock, so a run does not dispatch on the wall types per step.
+# -- displacement walls --------------------------------------------------------
+# resolved from a BC dict once per run, to functions of the state and clock
 
 
 def traction_at(spec: dict, t: float) -> float:
@@ -42,48 +45,66 @@ def traction_at(spec: dict, t: float) -> float:
     return T
 
 
-def stress_rules(bc: dict) -> tuple:
-    """The boundary faces whose stress is prescribed, as (face index,
-    stress(t)) pairs: 0 on free faces, the traction protocol on traction
-    faces."""
-    rules = []
-    for side, idx in (("u_left", 0), ("u_right", -1)):
-        spec = bc[side]
-        if spec["type"] == "free":
-            rules.append((idx, lambda t: 0.0))
-        elif spec["type"] == "traction":
-            rules.append((idx, partial(traction_at, spec)))
-    return tuple(rules)
+class Wall(NamedTuple):
+    """One displacement wall's rules (x-first views of the fields)."""
+
+    face: int  # its face along x: 0 at the left, -1 at the right
+    normal: float  # its outward normal: -1 at the left, +1 at the right
+    strain: Callable  # (e, u, t) -> face strain, of face strains e and cells u
+    stress: Optional[Callable]  # t -> prescribed face stress; None: the strain's
+    velocity: Callable  # v -> wall velocity, of cell velocities v
+    weight: float  # the face's energy quadrature weight, in units of dx
 
 
-def _wall_strain(spec: dict, left: bool, dx: float):
-    """One wall's face strain as a function (e, u, t) of the face strains
-    and cells along x (x-first views) and the time."""
+def wall(spec: dict, left: bool, dx: float) -> Wall:
+    """The rules of the wall spec at the left or right end of a line of cells
+    dx wide.
+
+    fixed/velocity walls hold the wall at g (value, or value*t) through the
+    mirror ghost 2g - U_adj, so the face strain is 2(U_adj - g)/dx (toward
+    the wall at the right end); they weigh 1/2, which makes the
+    semi-discrete power balance exact against the ghost. free and traction
+    walls prescribe the face stress (0, or the traction protocol) and move
+    with their cell; their work is boundary work, so they weigh 0. A free
+    face's strain is 0; a traction face copies the nearest interior face (a
+    placeholder: its stress is prescribed, not computed).
+    """
     kind = spec["type"]
-    if kind == "free":
-        return lambda e, u, t: 0.0
-    if kind == "traction":  # a placeholder: the face stress is prescribed
-        return (lambda e, u, t: e[1]) if left else (lambda e, u, t: e[-2])
+    face, normal = (0, -1.0) if left else (-1, 1.0)
+    if kind in ("free", "traction"):
+        inner, velocity = (1 if left else -2), (lambda v: v.T[face])
+        if kind == "free":
+            return Wall(face, normal, lambda e, u, t: 0.0, lambda t: 0.0, velocity, 0.0)
+        return Wall(face, normal, lambda e, u, t: e[inner], partial(traction_at, spec), velocity, 0.0)
     value = spec["value"]
-    wall = (lambda t: value * t) if kind == "velocity" else (lambda t: value)
+    if kind == "velocity":
+        at, velocity = (lambda t: value * t), (lambda v: value)
+    else:
+        at, velocity = (lambda t: value), (lambda v: 0.0)
     if left:
-        return lambda e, u, t: 2.0 * (u[0] - wall(t)) / dx
-    return lambda e, u, t: 2.0 * (wall(t) - u[-1]) / dx
+        return Wall(face, normal, lambda e, u, t: 2.0 * (u[0] - at(t)) / dx, None, velocity, 0.5)
+    return Wall(face, normal, lambda e, u, t: 2.0 * (at(t) - u[-1]) / dx, None, velocity, 0.5)
 
 
-def strain_rule(bc: dict, dx: float):
-    """strain_faces with bc's wall rules resolved once: returns
-    fill(U, t, eps), which writes the face strains of U at time t into eps
-    (shape (..., nx+1)) and returns it."""
+def walls(bc: dict, dx: float) -> Optional[tuple]:
+    """bc's (left, right) displacement walls; None on a ring, which has none."""
     if bc["u_left"]["type"] == "periodic":
-        def walls(e, u, t):
+        return None
+    return wall(bc["u_left"], True, dx), wall(bc["u_right"], False, dx)
+
+
+def strain_rule(sides: Optional[tuple], dx: float):
+    """strain_faces with the walls sides (of walls()) resolved once: returns
+    fill(U, t, eps), which writes the face strains of U at time t into eps
+    (shape (..., nx+1)) and returns it. A ring's wrap face is periodic."""
+    if sides is None:
+        def fill_walls(e, u, t):
             e[0] = (u[0] - u[-1]) / dx
             e[-1] = e[0]
     else:
-        left = _wall_strain(bc["u_left"], True, dx)
-        right = _wall_strain(bc["u_right"], False, dx)
+        left, right = (side.strain for side in sides)
 
-        def walls(e, u, t):
+        def fill_walls(e, u, t):
             e[0] = left(e, u, t)
             e[-1] = right(e, u, t)
 
@@ -91,7 +112,7 @@ def strain_rule(bc: dict, dx: float):
         inner = eps[..., 1:-1]
         np.subtract(U[..., 1:], U[..., :-1], out=inner)
         np.divide(inner, dx, out=inner)
-        walls(eps.T, U.T, t)  # x first: u[0] is the left cell of every row
+        fill_walls(eps.T, U.T, t)  # x first: u[0] is the left cell of every row
         return eps
 
     return fill
@@ -115,17 +136,10 @@ def div_faces(F: np.ndarray, dh: float) -> np.ndarray:
 
 def strain_faces(U: np.ndarray, grid, bc: dict, t: float) -> np.ndarray:
     """Face strains (U_{i+1} - U_i)/dx along x, the last axis: shape (nx+1,),
-    or (ny, nx+1) row by row in 2D.
-
-    fixed/velocity walls use the mirror ghost 2g - U_adj, so the boundary
-    face strain is 2(U_adj - g)/dx (toward the wall at the right end), with
-    g the wall value, or value*t for a velocity wall. free faces carry
-    strain 0; traction faces copy the nearest interior face (a placeholder:
-    their stress is prescribed, not computed, and they are excluded from the
-    energy quadrature).
-    """
+    or (ny, nx+1) row by row in 2D. The wall faces follow their Wall's
+    strain rule (wall())."""
     eps = np.empty(U.shape[:-1] + (U.shape[-1] + 1,))
-    return strain_rule(bc, grid.dx)(U, t, eps)
+    return strain_rule(walls(bc, grid.dx), grid.dx)(U, t, eps)
 
 
 def strain_cells(U: np.ndarray, grid, bc: dict, t: float) -> np.ndarray:
@@ -139,47 +153,43 @@ def strain_cells(U: np.ndarray, grid, bc: dict, t: float) -> np.ndarray:
 # cell of every line: a scalar in 1D, a column in 2D.
 
 
-def gamma_grad_faces(gamma: np.ndarray, dh: float, bc_g: dict) -> np.ndarray:
-    """Face gradients (Γ_{i+1} - Γ_i)/dh with BC ghosts: the periodic image,
-    the wall cell itself at a zero-flux wall (even reflection), 2w - Γ at a
-    dirichlet wall of value w."""
-    n = gamma.shape[-1]
-    grad = np.empty(gamma.shape[:-1] + (n + 1,))
-    grad[..., 1:n] = (gamma[..., 1:] - gamma[..., :-1]) / dh
-    g, out = gamma.T, grad.T
-    kind = bc_g["type"]
-    gl, gr = (g[-1], g[0]) if kind == "periodic" else (g[0], g[-1])
-    if kind == "dirichlet":
+def _padded(x: np.ndarray, bc_g: dict, held: bool = True) -> np.ndarray:
+    """x (an x-first view) with the ghost cell beyond each end of its lines:
+    the periodic image; else the wall cell itself (even reflection), or
+    2w - x at a dirichlet wall of value w when the wall holds x (held)."""
+    if bc_g["type"] == "periodic":
+        lo, hi = x[-1:], x[:1]
+    elif held and bc_g["type"] == "dirichlet":
         value = bc_g.get("value", 0.0)
-        gl, gr = 2.0 * value - g[0], 2.0 * value - g[-1]
-    out[0] = (g[0] - gl) / dh
-    out[n] = (gr - g[-1]) / dh
-    return grad
+        lo, hi = 2.0 * value - x[:1], 2.0 * value - x[-1:]
+    else:
+        lo, hi = x[:1], x[-1:]
+    return np.concatenate((lo, x, hi))
+
+
+def gamma_grad_faces(gamma: np.ndarray, dh: float, bc_g: dict) -> np.ndarray:
+    """Face gradients (Γ_{i+1} - Γ_i)/dh, the wall faces against the ghost
+    cells of _padded; C order, the order of the energy sums over them."""
+    g = _padded(gamma.T, bc_g)
+    grad = np.empty(gamma.shape[:-1] + (gamma.shape[-1] + 1,))
+    np.subtract(g[1:], g[:-1], out=grad.T)
+    return np.divide(grad, dh, out=grad)
 
 
 def gamma_face_values(gamma: np.ndarray, bc_g: dict) -> np.ndarray:
     """Face-centered Γ: mean of adjacent cells. A wall face carries its wall
-    cell's Γ, whatever the damage BC: the derivative of the free energy's
-    cell cross term b*face_mean(eps)*Γ at the wall face. A ring's wrap face
-    is the mean of the first and last cells."""
-    n = gamma.shape[-1]
-    out = np.empty(gamma.shape[:-1] + (n + 1,))
-    out[..., 1:n] = 0.5 * (gamma[..., 1:] + gamma[..., :-1])
-    g, o = gamma.T, out.T
-    if bc_g["type"] == "periodic":
-        o[0] = o[n] = 0.5 * (g[0] + g[-1])
-    else:
-        o[0], o[n] = g[0], g[-1]
-    return out
+    cell's Γ, whatever the damage BC (the even ghost): the derivative of the
+    free energy's cell cross term b*face_mean(eps)*Γ at the wall face. A
+    ring's wrap face is the mean of the first and last cells."""
+    g = _padded(gamma.T, bc_g, held=False)
+    return (0.5 * (g[1:] + g[:-1])).T
 
 
 def face_conductivity(active: np.ndarray, k: float, bc_g: dict) -> np.ndarray:
     """Face conductivity, zero unless both adjacent cells are active.
 
     Boundary faces follow the single adjacent cell (periodic wraps)."""
-    a = active.T
-    lo, hi = (a[-1:], a[:1]) if bc_g["type"] == "periodic" else (a[:1], a[-1:])
-    a = np.concatenate((lo, a, hi))  # ghost cells: the wall cell, or its periodic image
+    a = _padded(active.T, bc_g, held=False)
     return np.where(a[1:] & a[:-1], k, 0.0).T
 
 
@@ -226,19 +236,17 @@ def energy_weights(bc: dict, grid) -> tuple:
     """The free energy's face quadrature weights: (strain weights along x,
     damage-gradient weights of each grid axis).
 
-    Interior strain faces weigh dx. Displacement walls (fixed/velocity)
-    weigh dx/2, which makes the semi-discrete power balance exact against
-    the mirror ghost. Free and traction faces are excluded (their work
-    enters the budget through the boundary-work term instead). Periodic
-    counts nx unique faces.
+    Interior strain faces weigh dx, a wall face its Wall's weight times dx;
+    a ring counts nx unique faces.
     """
     w_gamma = tuple(face_weights_gamma(bc["gamma"], ax.n, ax.h) for ax in grid.axes)
     w_u = np.full(grid.nx + 1, grid.dx)
-    if bc["u_left"]["type"] == "periodic":
+    sides = walls(bc, grid.dx)
+    if sides is None:
         w_u[-1] = 0.0
-        return w_u, w_gamma
-    for side, idx in (("u_left", 0), ("u_right", -1)):
-        w_u[idx] = 0.5 * grid.dx if bc[side]["type"] in ("fixed", "velocity") else 0.0
+    else:
+        for side in sides:
+            w_u[side.face] = side.weight * grid.dx
     return w_u, w_gamma
 
 
@@ -311,7 +319,6 @@ def solve_lines(fac: LineFactor, rhs: np.ndarray) -> np.ndarray:
 
 
 _ZERO_FLUX = {"type": "zero_flux"}
-_HOMOGENEOUS_DIRICHLET = {"type": "dirichlet", "value": 0.0}
 
 
 def active_box(active: np.ndarray):
@@ -397,7 +404,7 @@ def damage_step(force: np.ndarray, op: DamageOperator, grid, prev=None):
     Returns (d, x), x None in 1D.
     """
     if prev is not None and prev[1] is not None:  # Lx D^-1 Ly dk / 4
-        bc = _HOMOGENEOUS_DIRICHLET if op.bc[0]["type"] == "dirichlet" else op.bc[0]
+        bc = dict(op.bc[0], value=0.0)  # an increment: every wall is homogeneous
         force = force + 0.5 * damage_flux_div(prev[0] - prev[1], op.K[0], grid.axes[0].h, bc)
     x = solve_lines(op.fac[0], force)  # x lines run along the last array axis
     if len(op.fac) == 1:

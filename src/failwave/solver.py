@@ -4,12 +4,13 @@ Lie splitting per step: a velocity-Verlet elastic update (the composition is
 algebraically identical to the centered three-level scheme), then activation
 of cells whose stress magnitude reached the threshold, then one
 Crank-Nicolson damage step. Each half is resolved once per run into a plan:
-ElasticPlan holds the wall rules, the stress terms and the buffers of the
-elastic half, DamagePlan the source law, the tolerances and the operator
-of the current active set. Coupling is one-way when b = 0 (Feng's model):
-the elastic substep never reads the damage field. The conservative lam = 0
-limit (Clifton's model) is the same loop with the damage substep skipped:
-the damage field stays frozen and nothing dissipates.
+ElasticPlan holds the walls (ops.walls, the one wall table), the stress
+terms and the buffers of the elastic half, DamagePlan the source law, the
+tolerances and the operator of the current active set. Coupling is one-way
+when b = 0 (Feng's model): the elastic substep never reads the damage
+field. The conservative lam = 0 limit (Clifton's model) is the same loop
+with the damage substep skipped: the damage field stays frozen and nothing
+dissipates.
 
 Every step is audited: hyperbolic Courant number, the pointwise
 admissibility product Z*dGamma/dt, and a running energy budget (kinetic +
@@ -100,25 +101,13 @@ def _check_courant(c_max: float, dt: float, dx: float, state: FieldState) -> flo
     return cfl
 
 
-def _wall_velocity(spec: dict, idx: int):
-    """A wall's velocity as a function of the cell velocities v: 0 for
-    fixed, the prescribed rate for velocity walls, the adjacent cell's
-    velocity for traction and free walls (their motion is a response; this
-    is the boundary value of the summation-by-parts pair in ops)."""
-    if spec["type"] == "fixed":
-        return lambda v: 0.0
-    if spec["type"] == "velocity":
-        value = spec["value"]
-        return lambda v: value
-    return lambda v: v.T[idx]
-
-
 class ElasticPlan:
     """The elastic half of a step, resolved once per run.
 
-    cfg's wall rules (face strain, prescribed face stress, wall velocity),
-    the stress terms its material sets (c3 != 0, b != 0) and its energy
-    weights are looked up here once. A time level's face strain eps, its
+    cfg's walls (ops.walls: face strain, prescribed face stress, wall
+    velocity), the stress terms its material sets (c3 != 0, b != 0) and its
+    energy weights are looked up here once; prescribed holds the walls whose
+    face stress is prescribed. A time level's face strain eps, its
     square u2, face stress S and acceleration accel = div(S)/rho0 + r live
     in buffers that every level reuses: level() fills them, step() advances
     U and v in place from them.
@@ -136,11 +125,9 @@ class ElasticPlan:
         self.body_force = cfg.body_force
         self.bc_gamma = bc["gamma"]
         self.cubic, self.coupled = p.c3 != 0.0, p.b != 0.0
-        self.fill_strain = ops.strain_rule(bc, grid.dx)
-        self.stress_rules = ops.stress_rules(bc)
-        self.walls = None if bc["u_left"]["type"] == "periodic" else (
-            _wall_velocity(bc["u_left"], 0), _wall_velocity(bc["u_right"], -1)
-        )
+        self.walls = ops.walls(bc, grid.dx)
+        self.fill_strain = ops.strain_rule(self.walls, grid.dx)
+        self.prescribed = tuple(w for w in self.walls or () if w.stress is not None)
         self.w_u = ops.energy_weights(bc, grid)[0]
         self.across = grid.axes[0].across
         self.cell_volume = grid.cell_volume
@@ -165,8 +152,8 @@ class ElasticPlan:
             S += np.multiply(cube, p.c3, out=cube)
         if self.coupled:
             S += p.b * ops.gamma_face_values(gamma, self.bc_gamma)
-        for idx, value in self.stress_rules:
-            S[..., idx] = value(t)
+        for wall in self.prescribed:
+            S[..., wall.face] = wall.stress(t)
         a = self.accel
         np.subtract(self._S_right, self._S_left, out=a)
         np.divide(a, self.dx, out=a)
@@ -222,7 +209,7 @@ class ElasticPlan:
             return 0.0
         left, right = self.walls
         S = self.S.T
-        return float((S[-1] * right(v) - S[0] * left(v)).sum() * self.across)
+        return float((S[-1] * right.velocity(v) - S[0] * left.velocity(v)).sum() * self.across)
 
 
 # -- damage substep -----------------------------------------------------------

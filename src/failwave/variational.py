@@ -103,8 +103,8 @@ def free_energy_gradient(
     plan = ElasticPlan(cfg) if plan is None else plan
     plan.level(U, gamma, t)
     S = plan.S.copy()
-    for idx, _ in plan.stress_rules:
-        S[..., idx] = 0.0
+    for wall in plan.prescribed:
+        S[..., wall.face] = 0.0
     grad_U = (S[..., :-1] - S[..., 1:]) * plan.across
     Z = cst.internal_forces(
         gamma, cfg.material, cfg.grid, uX=ops.face_mean(plan.eps), bc_gamma=cfg.bc["gamma"],
@@ -118,9 +118,8 @@ def _applied_forces(cfg: ScenarioConfig, plan: ElasticPlan, t: float) -> np.ndar
     and unit cross-section: the body force, and the prescribed stress of
     each traction face on its wall cell (0 at free faces)."""
     f = np.full(cfg.grid.shape, cfg.material.rho0 * cfg.body_force * cfg.grid.cell_volume)
-    for idx, stress in plan.stress_rules:
-        side = 1.0 if idx == -1 else -1.0  # outward normal of the wall face
-        f[..., idx] += side * stress(t) * plan.across
+    for wall in plan.prescribed:
+        f[..., wall.face] += wall.normal * wall.stress(t) * plan.across
     return f
 
 

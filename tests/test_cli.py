@@ -126,6 +126,33 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+ONE_STEP = """\
+name: one_step
+grid: {nx: 8, dx: 0.125}
+material: {rho0: 1.0, c1: 1.0, lambda: 1.0, d1: 0.1}
+time: {dt: 0.01, t_end: 0.01}
+ic:
+  gamma: {type: gaussian, amplitude: 0.5, center: 0.5, width: 0.2}
+output: {snapshots: 2}
+"""
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["verify-variational", "{one_step}"], "time levels"),
+    (["clifton-study", "{one_step}", "--lambdas", "1e-2,abc"], "--lambdas"),
+    (["clifton-study", "{one_step}", "--lambdas", ","], "--lambdas"),
+    (["verify-variational", SMOOTH, "--levels", "0"], "--levels"),
+], ids=["one-step-trajectory", "non-numeric-lambda", "no-lambda", "zero-levels"])
+def test_refused_inputs_exit_one(tmp_path, capsys, argv, named):
+    one_step = write_yaml(tmp_path, "one_step.yaml", ONE_STEP)
+    out = str(tmp_path / "out")
+    rc = cli.main([a.format(one_step=one_step) for a in argv] + ["--out", out, "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "residual_norms.csv"))
+
+
 def test_unstable_run_exits_two(tmp_path, capsys):
     path = write_yaml(tmp_path, "unstable.yaml", UNSTABLE)
     rc = cli.main(["run", path, "--out", str(tmp_path / "out"), "--quiet"])

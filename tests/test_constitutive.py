@@ -57,7 +57,7 @@ def test_internal_forces_uniform_field():
     p = mat(c2=3.0, lam=1.0, d1=0.5)
     grid = fw.Grid((8,), (0.125,), (0.0,))
     gamma = np.full(8, 2.0)
-    Z = fw.internal_forces(gamma, p, grid)
+    Z = fw.internal_forces(gamma, p, grid, bc_gamma={"type": "zero_flux"})
     assert np.allclose(Z, -6.0, rtol=1e-14)
 
 

@@ -1,6 +1,8 @@
 """Factored line solves of the implicit damage operator: agreement with a
 dense assembly of each line, backward stability on stiff lines, factor
-reuse, and the finite-value and positive-definiteness guards."""
+reuse, and the finite-value and positive-definiteness guards. And the wall
+table: each displacement wall kind's weight, velocity and prescribed stress,
+and each damage wall kind's ghost cells."""
 
 import numpy as np
 import pytest
@@ -248,3 +250,70 @@ def test_active_box_step_matches_dense_full_grid_step(sys_):
     assert np.array_equal((gamma + d)[~active], gamma[~active])  # frozen cells, bit for bit
     dense = _dense_increment(sys_, force)
     assert float(np.max(np.abs(d - dense))) <= 1e-12 * _scale(dense)
+
+
+# -- the wall table --------------------------------------------------------------
+
+U_WALLS = {
+    "fixed": {"type": "fixed", "value": 0.25},
+    "velocity": {"type": "velocity", "value": 0.5},
+    "free": {"type": "free"},
+    "traction": {"type": "traction", "value": -2.0},
+    "periodic": {"type": "periodic"},
+}
+# kind: (energy weight in dx, wall velocity from the wall cell's velocity,
+# prescribed face stress at t = 1 or None)
+U_RULES = {
+    "fixed": (0.5, lambda cell: 0.0, None),
+    "velocity": (0.5, lambda cell: 0.5, None),
+    "free": (0.0, lambda cell: cell, 0.0),
+    "traction": (0.0, lambda cell: cell, -2.0),
+}
+
+
+@pytest.mark.parametrize("kind", fw.model.U_BC_KINDS)
+def test_displacement_wall_table(kind):
+    grid = fw.Grid((6, 3), (0.5, 0.25), (0.0, 0.0))
+    bc = {"u_left": U_WALLS[kind], "u_right": U_WALLS[kind],
+          "gamma": {"type": "periodic" if kind == "periodic" else "zero_flux"}}
+    sides = ops.walls(bc, grid.dx)
+    w_u = ops.energy_weights(bc, grid)[0]
+    if kind == "periodic":  # a ring has no wall, and nx unique faces
+        assert sides is None
+        assert w_u.tolist() == [grid.dx] * grid.nx + [0.0]
+        return
+    assert (w_u[1:-1] == grid.dx).all()
+    weight, velocity, stress = U_RULES[kind]
+    v = np.random.default_rng(3).standard_normal(grid.shape)
+    for wall, face, normal in zip(sides, (0, -1), (-1.0, 1.0)):
+        assert (wall.face, wall.normal) == (face, normal)
+        assert wall.weight == weight and w_u[face] == weight * grid.dx
+        assert np.array_equal(wall.velocity(v), velocity(v[..., face]))
+        if stress is None:
+            assert wall.stress is None
+        else:
+            assert wall.stress(1.0) == stress
+
+
+@pytest.mark.parametrize("kind", fw.model.GAMMA_BC_KINDS)
+def test_damage_wall_ghosts(kind):
+    # the cell beyond each end of a line: the wall cell itself (zero flux),
+    # 2w - Γ (dirichlet, for the held field Γ only), or the periodic image
+    g = np.random.default_rng(5).standard_normal((3, 5))
+    bc_g = _bc(kind, 0.75)
+    first, last = g[:, 0], g[:, -1]
+    lo, hi = {"zero_flux": (first, last), "dirichlet": (1.5 - first, 1.5 - last),
+              "periodic": (last, first)}[kind]
+    grad = ops.gamma_grad_faces(g, 0.5, bc_g)
+    assert np.array_equal(grad[:, 0], (first - lo) / 0.5)
+    assert np.array_equal(grad[:, -1], (hi - last) / 0.5)
+    # face values and conductivity reflect evenly at a dirichlet wall
+    lo, hi = (last, first) if kind == "periodic" else (first, last)
+    faces = ops.gamma_face_values(g, bc_g)
+    assert np.array_equal(faces[:, 0], 0.5 * (first + lo))
+    assert np.array_equal(faces[:, -1], 0.5 * (hi + last))
+    active = np.ones(g.shape, dtype=bool)
+    active[0, 0] = active[1, -1] = False
+    K = ops.face_conductivity(active, 2.0, bc_g)
+    ends = [[0.0, 2.0, 2.0], [2.0, 0.0, 2.0]] if kind != "periodic" else [[0.0, 0.0, 2.0]] * 2
+    assert K[:, 0].tolist() == ends[0] and K[:, -1].tolist() == ends[1]
