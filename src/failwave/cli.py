@@ -93,6 +93,8 @@ def _finite_or_none(x):
 
 
 def cmd_run(args) -> int:
+    if not 0 < args.level < 1:  # outside (0, 1) no level is ever crossed
+        raise InvalidValue("--level", f"must be in (0, 1), got {args.level}")
     cfg = _load_config(args.config)
     if args.snapshots is not None:
         doc = scenario_to_dict(cfg)
@@ -262,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = subs.add_parser("run", help="integrate a scenario, write CSV artifacts")
     p_run.add_argument("config", help="scenario YAML file")
     p_run.add_argument("--snapshots", type=int, default=None, help="override snapshot count")
-    p_run.add_argument("--level", type=float, default=0.5, help="front threshold fraction for metrics")
+    p_run.add_argument("--level", type=float, default=0.5,
+                       help="front threshold fraction for metrics, in (0, 1)")
     _add_common(p_run)
     p_run.set_defaults(func=cmd_run)
 

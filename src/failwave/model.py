@@ -4,8 +4,10 @@ Every other module consumes these types. A Grid is its axes, x first, so
 no code path depends on the dimension. Configs are plain YAML mappings;
 build_scenario validates and normalizes them into a ScenarioConfig whose
 canonical dict form round-trips bitwise (same defaults filled in, same key
-order when emitted). One key table per config section parses, rejects
-unknown keys and emits; the material rules live in MaterialParams.
+order when emitted). Each config key's type, default and range is one
+entry of a key table, one table per config section and per initial-condition
+or wall kind, and one parser reads them all, rejects unknown keys and emits;
+the material rules live in MaterialParams.
 """
 
 from __future__ import annotations
@@ -14,18 +16,15 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import methodcaller
-from typing import Any, Callable, Mapping, NamedTuple, Optional, Union
+from typing import Any, Callable, Mapping, NamedTuple, Union
 
 import numpy as np
 import yaml
 
 from .errors import ConfigConflict, InvalidValue, MissingKey, ShapeMismatch
 
-U_BC_KINDS = ("fixed", "free", "traction", "velocity", "periodic")
-GAMMA_BC_KINDS = ("zero_flux", "dirichlet", "periodic")
-IC_KINDS = ("zeros", "constant", "gaussian", "sine", "step", "tabulated")
 SOURCE_LAWS = ("linear_decay", "logistic")
 
 
@@ -238,9 +237,13 @@ def _as_float(value: Any, path: str) -> float:
 
 
 def _as_int(value: Any, path: str) -> int:
+    # 16.0 is 16 cells; 16.7 is no count at all, not 16
     try:
         out = int(value)
-    except (TypeError, ValueError):
+        whole = out == float(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
         raise InvalidValue(path, f"expected an integer, got {value!r}")
     return out
 
@@ -251,6 +254,45 @@ def _check_enum(value: str, allowed: tuple, path: str) -> str:
     return value
 
 
+def _per_axis(value: Any, path: str, grid: Grid):
+    """A number per grid axis: a bare number in 1D, in 2D a list of one per
+    axis or one number for all."""
+    if grid.ndim == 1:
+        return _as_float(value, path)
+    values = value if isinstance(value, (list, tuple)) else [value] * grid.ndim
+    if len(values) != grid.ndim:
+        raise InvalidValue(path, f"needs {grid.ndim} values, one per axis")
+    return [_as_float(v, path) for v in values]
+
+
+def _field(value: Any, path: str, grid: Grid) -> list:
+    """A tabulated field: finite numbers shaped like the grid. A wrong shape
+    names the initial condition, not its values key."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidValue(path, "expected an array of numbers")
+    if arr.shape != grid.shape:
+        raise ShapeMismatch(path.rpartition(".")[0], grid.shape, arr.shape)
+    if not np.isfinite(arr).all():
+        raise InvalidValue(path, "must be finite")
+    return arr.tolist()
+
+
+# One table per config section and per initial-condition or wall kind,
+# config key -> (field, default, type[, rule]), drives parsing, unknown-key
+# rejection and canonical emission. A None default marks a required key,
+# _OMIT an optional one left out of the canonical dict when absent or null,
+# and a callable one reads the fields parsed before it. A table as the type
+# is a nested section whose fields join its parent's; "axes" (a number per
+# grid axis) and "field" (a tabulated field) are types bound to the grid. A
+# rule (test(value, fields), reason) holds right after the value converts.
+_OMIT = object()
+_POSITIVE = (lambda value, _: np.min(value) > 0, "must be > 0")  # on every axis
+_NONNEGATIVE = (lambda value, _: value >= 0, "must be >= 0")
+_AT_LEAST_ONE = (lambda value, _: value >= 1, "must be >= 1")
+_CONVERT = {float: _as_float, int: _as_int, str: lambda value, path: str(value)}
+
 # The (cells, width, origin) keys of each grid axis, x first; a 1D grid's
 # origin key is the bare "origin".
 AXIS_KEYS = (("nx", "dx", "origin_x"), ("ny", "dy", "origin_y"))
@@ -260,25 +302,11 @@ def _axis_keys(ndim: int) -> tuple:
     return (("nx", "dx", "origin"),) if ndim == 1 else AXIS_KEYS[:ndim]
 
 
-def _parse_grid(raw: Mapping) -> Grid:
-    keys = _axis_keys(2 if isinstance(raw, Mapping) and raw.get("ny") is not None else 1)
-    _reject_unknown(raw, {key for axis in keys for key in axis} | {"ny"}, "grid")
-    n, h, origin = [], [], []
-    for cells, width, at in keys:
-        n.append(_as_int(_need(raw, cells, "grid"), f"grid.{cells}"))
-        h.append(_as_float(_need(raw, width, "grid"), f"grid.{width}"))
-        if h[-1] <= 0:
-            raise InvalidValue(f"grid.{width}", "must be > 0")
-        if n[-1] < 3:
-            raise InvalidValue(f"grid.{cells}", "need at least 3 cells")
-        origin.append(_as_float(raw.get(at, 0.0), f"grid.{at}"))
-    return Grid(tuple(n), tuple(h), tuple(origin))
-
-
-# One table per config section, config key -> (field, default, type), drives
-# parsing, unknown-key rejection and canonical emission. A None default marks
-# a required key, a callable one reads the fields parsed before it; a table
-# as the type is a nested section whose fields join its parent's.
+_AXIS = ((None, int, (lambda n, _: n >= 3, "need at least 3 cells")), (None, float, _POSITIVE),
+         (0.0, float))  # the (cells, width, origin) entries of an axis, less the key
+_GRID = {ndim: {key: (key, *entry) for keys in _axis_keys(ndim) for key, entry in zip(keys, _AXIS)}
+         for ndim in (1, 2)}
+_GRID[1]["ny"] = ("ny", _OMIT, int)  # a null ny is a 1D grid
 _SOURCE = {
     "law": ("source_law", "linear_decay", str),
     "rate": ("source_rate", 0.0, float),
@@ -298,20 +326,36 @@ _MATERIAL = {
     "source": (None, {}, _SOURCE),
 }
 _NUMERICS = {
-    "tol_admissibility": ("tol_admissibility", 1e-12, float),
+    "tol_admissibility": ("tol_admissibility", 1e-12, float, _NONNEGATIVE),
     "source_tol": ("source_tol", 1e-14, float),
-    "source_max_iter": ("source_max_iter", 30, int),
+    "source_max_iter": ("source_max_iter", 30, int, _AT_LEAST_ONE),
 }
-_TIME = {"dt": ("dt", None, float), "t_end": ("t_end", None, float)}
-_OUTPUT = {"snapshots": ("snapshots", 11, int)}
-_CONVERT = {float: _as_float, int: _as_int, str: lambda value, path: str(value)}
-# the initial fields, the walls with their types, and each type's keys besides "type"
-_IC_FIELDS = ("U", "v", "gamma")
-_WALLS = {"u_left": U_BC_KINDS, "u_right": U_BC_KINDS, "gamma": GAMMA_BC_KINDS}
-_IC_KEYS = {"zeros": set(), "constant": {"value"}, "gaussian": {"amplitude", "center", "width"},
-            "sine": {"amplitude", "mode"}, "step": {"left", "right", "at"}, "tabulated": {"values"}}
-_WALL_KEYS = {"fixed": {"value"}, "velocity": {"value"}, "traction": {"value", "until", "ramp"},
-              "free": set(), "periodic": set(), "zero_flux": set(), "dirichlet": {"value"}}
+_TIME = {
+    "dt": ("dt", None, float, _POSITIVE),
+    "t_end": ("t_end", None, float, (lambda t_end, fields: t_end >= fields["dt"], "must be >= dt")),
+}
+_OUTPUT = {
+    "snapshots": ("snapshots", 11, int, (lambda n, _: n >= 2, "need at least first+last, so >= 2")),
+}
+# Each initial-condition and wall kind's keys besides "type"; a missing
+# entry or type is its table's first kind.
+_IC = {
+    "zeros": {},
+    "constant": {"value": ("value", None, float)},
+    "gaussian": {"amplitude": ("amplitude", None, float), "center": ("center", None, "axes"),
+                 "width": ("width", None, "axes", _POSITIVE)},
+    "sine": {"amplitude": ("amplitude", None, float), "mode": ("mode", 1, int, _AT_LEAST_ONE)},
+    "step": {"left": ("left", None, float), "right": ("right", None, float), "at": ("at", None, float)},
+    "tabulated": {"values": ("values", None, "field")},
+}
+_VALUE = {"value": ("value", 0.0, float)}
+_TRACTION = {"value": ("value", None, float), "until": ("until", _OMIT, float, _POSITIVE),
+             "ramp": ("ramp", 0.0, float, _NONNEGATIVE)}
+_U_WALLS = {"fixed": _VALUE, "free": {}, "traction": _TRACTION, "velocity": _VALUE, "periodic": {}}
+_GAMMA_WALLS = {"zero_flux": {}, "dirichlet": _VALUE, "periodic": {}}
+U_BC_KINDS, GAMMA_BC_KINDS, IC_KINDS = tuple(_U_WALLS), tuple(_GAMMA_WALLS), tuple(_IC)
+_IC_FIELDS = dict.fromkeys(("U", "v", "gamma"), _IC)
+_WALLS = {"u_left": _U_WALLS, "u_right": _U_WALLS, "gamma": _GAMMA_WALLS}
 
 
 def _mapping(raw: Any, path: str) -> Mapping:
@@ -327,37 +371,53 @@ def _reject_unknown(raw: Any, known, path: str) -> None:
             raise InvalidValue(f"{path}.{key}" if path else str(key), "unknown key")
 
 
-def _parse_section(raw: Any, table: dict, path: str) -> dict:
+def _parse_section(raw: Any, table: dict, path: str, convert: dict = _CONVERT) -> dict:
     """The fields of one config section by its table, defaults filled in."""
     _reject_unknown(raw, table, path)
     fields: dict = {}
-    for key, (name, default, kind) in table.items():
+    for key, (name, default, kind, *rules) in table.items():
         where = f"{path}.{key}"
         if isinstance(kind, dict):
-            fields.update(_parse_section(raw.get(key) or default, kind, where))
-        elif default is None:
-            fields[name] = _CONVERT[kind](_need(raw, key, path), where)
+            fields.update(_parse_section(raw.get(key) or default, kind, where, convert))
+            continue
+        if default is _OMIT and raw.get(key) is None:
+            continue
+        if default is None:
+            value = _need(raw, key, path)
         else:
             value = raw.get(key, default(fields) if callable(default) else default)
-            fields[name] = _CONVERT[kind](value, where)
+        fields[name] = value = convert[kind](value, where)
+        for test, reason in rules:
+            if not test(value, fields):
+                raise InvalidValue(where, reason)
     return fields
+
+
+def _parse_kinds(raw: Any, slots: dict, path: str, convert: dict = _CONVERT) -> dict:
+    """A section of typed entries (the initial fields, the walls), each slot
+    with its kind tables: the entry's type picks the table of its keys."""
+    raw = raw or {}
+    _reject_unknown(raw, slots, path)
+    out = {}
+    for slot, kinds in slots.items():
+        where = f"{path}.{slot}"
+        entry = {} if raw.get(slot) is None else _mapping(raw[slot], where)
+        kind = _check_enum(str(entry.get("type", next(iter(kinds)))), tuple(kinds), f"{where}.type")
+        rest = {key: value for key, value in entry.items() if key != "type"}
+        out[slot] = {"type": kind, **_parse_section(rest, kinds[kind], where, convert)}
+    return out
 
 
 def _emit(obj: Any, table: dict) -> dict:
     """The canonical dict of obj's fields under a section table."""
     return {key: _emit(obj, kind) if isinstance(kind, dict) else getattr(obj, name)
-            for key, (name, _, kind) in table.items()}
+            for key, (name, _, kind, *_) in table.items()}
 
 
-def _per_axis(value: Any, grid: Grid, path: str):
-    """A number per grid axis: a bare number in 1D, in 2D a list of one per
-    axis or one number for all."""
-    if grid.ndim == 1:
-        return _as_float(value, path)
-    values = value if isinstance(value, (list, tuple)) else [value] * grid.ndim
-    if len(values) != grid.ndim:
-        raise InvalidValue(path, f"needs {grid.ndim} values, one per axis")
-    return [_as_float(v, path) for v in values]
+def _parse_grid(raw: Any) -> Grid:
+    ndim = 2 if isinstance(raw, Mapping) and raw.get("ny") is not None else 1
+    fields = _parse_section(raw, _GRID[ndim], "grid")
+    return Grid(*zip(*([fields[key] for key in keys] for keys in _axis_keys(ndim))))
 
 
 def _parse_gauge(raw: Any, grid: Grid, path: str):
@@ -369,64 +429,6 @@ def _parse_gauge(raw: Any, grid: Grid, path: str):
     if not all(ax.origin <= x <= ax.origin + ax.n * ax.h for ax, x in zip(grid.axes, pos)):
         raise InvalidValue(path, "position outside the grid")
     return pos[0] if grid.ndim == 1 else pos
-
-
-def _norm_ic_entry(raw: Optional[Mapping], path: str, grid: Grid) -> dict:
-    raw = {} if raw is None else _mapping(raw, path)
-    kind = _check_enum(str(raw.get("type", "zeros")), IC_KINDS, f"{path}.type")
-    _reject_unknown(raw, {"type"} | _IC_KEYS[kind], path)
-    out: dict = {"type": kind}
-    if kind == "constant":
-        out["value"] = _as_float(_need(raw, "value", path), f"{path}.value")
-    elif kind == "gaussian":
-        out["amplitude"] = _as_float(_need(raw, "amplitude", path), f"{path}.amplitude")
-        out["center"] = _per_axis(_need(raw, "center", path), grid, f"{path}.center")
-        out["width"] = _per_axis(_need(raw, "width", path), grid, f"{path}.width")
-        if np.min(np.asarray(out["width"], dtype=float)) <= 0:
-            raise InvalidValue(f"{path}.width", "must be > 0")
-    elif kind == "sine":
-        out["amplitude"] = _as_float(_need(raw, "amplitude", path), f"{path}.amplitude")
-        out["mode"] = _as_int(raw.get("mode", 1), f"{path}.mode")
-        if out["mode"] < 1:
-            raise InvalidValue(f"{path}.mode", "must be >= 1")
-    elif kind == "step":
-        out["left"] = _as_float(_need(raw, "left", path), f"{path}.left")
-        out["right"] = _as_float(_need(raw, "right", path), f"{path}.right")
-        out["at"] = _as_float(_need(raw, "at", path), f"{path}.at")
-    elif kind == "tabulated":
-        values = _need(raw, "values", path)
-        try:
-            arr = np.asarray(values, dtype=float)
-        except (TypeError, ValueError):
-            raise InvalidValue(f"{path}.values", "expected an array of numbers")
-        if arr.shape != grid.shape:
-            raise ShapeMismatch(path, grid.shape, arr.shape)
-        if not np.isfinite(arr).all():
-            raise InvalidValue(f"{path}.values", "must be finite")
-        out["values"] = arr.tolist()
-    return out
-
-
-def _norm_wall(raw: Optional[Mapping], path: str, kinds: tuple) -> dict:
-    """One wall spec, a U wall (kinds U_BC_KINDS) or a damage wall
-    (GAMMA_BC_KINDS); a missing spec or type is the first kind."""
-    raw = {} if raw is None else _mapping(raw, path)
-    kind = _check_enum(str(raw.get("type", kinds[0])), kinds, f"{path}.type")
-    _reject_unknown(raw, {"type"} | _WALL_KEYS[kind], path)
-    out: dict = {"type": kind}
-    if kind in ("fixed", "velocity", "dirichlet"):
-        out["value"] = _as_float(raw.get("value", 0.0), f"{path}.value")
-    elif kind == "traction":
-        out["value"] = _as_float(_need(raw, "value", path), f"{path}.value")
-        until = raw.get("until")
-        if until is not None:
-            out["until"] = _as_float(until, f"{path}.until")
-            if out["until"] <= 0:
-                raise InvalidValue(f"{path}.until", "must be > 0")
-        out["ramp"] = _as_float(raw.get("ramp", 0.0), f"{path}.ramp")
-        if out["ramp"] < 0:
-            raise InvalidValue(f"{path}.ramp", "must be >= 0")
-    return out
 
 
 def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
@@ -452,55 +454,22 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
     grid = _parse_grid(_need(raw, "grid", ""))
     material = MaterialParams(**_parse_section(_need(raw, "material", ""), _MATERIAL, "material"))
     time_sec = _parse_section(_need(raw, "time", ""), _TIME, "time")
-    dt, t_end = time_sec["dt"], time_sec["t_end"]
-    if dt <= 0:
-        raise InvalidValue("time.dt", "must be > 0")
-    if t_end < dt:
-        raise InvalidValue("time.t_end", "must be >= dt")
-
-    ic_raw = raw.get("ic", {}) or {}
-    _reject_unknown(ic_raw, _IC_FIELDS, "ic")
-    ic = {f: _norm_ic_entry(ic_raw.get(f), f"ic.{f}", grid) for f in _IC_FIELDS}
-
-    bc_raw = raw.get("bc", {}) or {}
-    _reject_unknown(bc_raw, _WALLS, "bc")
-    bc = {side: _norm_wall(bc_raw.get(side), f"bc.{side}", kinds) for side, kinds in _WALLS.items()}
+    on_grid = {**_CONVERT, "axes": partial(_per_axis, grid=grid), "field": partial(_field, grid=grid)}
+    ic = _parse_kinds(raw.get("ic"), _IC_FIELDS, "ic", on_grid)
+    bc = _parse_kinds(raw.get("bc"), _WALLS, "bc")
     kinds = {wall["type"] for wall in bc.values()}
     if "periodic" in kinds and kinds != {"periodic"}:
         raise ConfigConflict("periodic boundaries must be periodic for U (both ends) and gamma")
-
-    body_raw = raw.get("body_force", 0.0)
-    if isinstance(body_raw, Mapping):
-        _reject_unknown(body_raw, {"value"}, "body_force")
-        body_force = _as_float(body_raw.get("value", 0.0), "body_force.value")
-    else:
-        body_force = _as_float(body_raw or 0.0, "body_force")
-
-    gauges = tuple(_parse_gauge(g, grid, f"gauges[{i}]")
-                   for i, g in enumerate(raw.get("gauges") or []))
-
-    output = _parse_section(raw.get("output") or {}, _OUTPUT, "output")
-    if output["snapshots"] < 2:
-        raise InvalidValue("output.snapshots", "need at least first+last, so >= 2")
-
-    numerics = _parse_section(raw.get("numerics") or {}, _NUMERICS, "numerics")
-    if numerics["tol_admissibility"] < 0:
-        raise InvalidValue("numerics.tol_admissibility", "must be >= 0")
-    if numerics["source_max_iter"] < 1:
-        raise InvalidValue("numerics.source_max_iter", "must be >= 1")
+    gauges = raw.get("gauges") or []
+    if not isinstance(gauges, (list, tuple)):
+        raise InvalidValue("gauges", "must be a list of positions")
 
     return ScenarioConfig(
-        name=str(raw.get("name", "scenario")),
-        grid=grid,
-        material=material,
-        dt=dt,
-        t_end=t_end,
-        ic=ic,
-        bc=bc,
-        body_force=body_force,
-        gauges=gauges,
-        output=output,
-        numerics=numerics,
+        name=str(raw.get("name", "scenario")), grid=grid, material=material, **time_sec, ic=ic, bc=bc,
+        body_force=_as_float(raw.get("body_force") or 0.0, "body_force"),  # null is 0
+        gauges=tuple(_parse_gauge(g, grid, f"gauges[{i}]") for i, g in enumerate(gauges)),
+        output=_parse_section(raw.get("output") or {}, _OUTPUT, "output"),
+        numerics=_parse_section(raw.get("numerics") or {}, _NUMERICS, "numerics"),
     )
 
 

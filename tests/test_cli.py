@@ -13,6 +13,7 @@ from failwave import cli
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 HEAT = os.path.join(SCENARIO_DIR, "heat_kernel.yaml")
 SMOOTH = os.path.join(SCENARIO_DIR, "verify_smooth.yaml")
+KPP = os.path.join(SCENARIO_DIR, "kpp_front.yaml")
 
 
 def write_yaml(tmp_path, name, text):
@@ -142,7 +143,9 @@ output: {snapshots: 2}
     (["clifton-study", "{one_step}", "--lambdas", "1e-2,abc"], "--lambdas"),
     (["clifton-study", "{one_step}", "--lambdas", ","], "--lambdas"),
     (["verify-variational", SMOOTH, "--levels", "0"], "--levels"),
-], ids=["one-step-trajectory", "non-numeric-lambda", "no-lambda", "zero-levels"])
+    (["run", KPP, "--level", "2"], "--level"),
+], ids=["one-step-trajectory", "non-numeric-lambda", "no-lambda", "zero-levels",
+        "front-level"])
 def test_refused_inputs_exit_one(tmp_path, capsys, argv, named):
     one_step = write_yaml(tmp_path, "one_step.yaml", ONE_STEP)
     out = str(tmp_path / "out")

@@ -72,13 +72,6 @@ def test_missing_material_key():
     assert "material.rho0" in str(exc.value)
 
 
-def test_nonpositive_dx_rejected():
-    doc = minimal_doc(grid={"nx": 16, "dx": -0.1})
-    with pytest.raises(InvalidValue) as exc:
-        fw.build_scenario(doc)
-    assert "grid.dx" in str(exc.value)
-
-
 def test_unknown_top_level_key_rejected():
     doc = minimal_doc(outputs={"snapshots": 3})  # typo for "output"
     with pytest.raises(InvalidValue) as exc:
@@ -113,7 +106,7 @@ def test_unknown_numerics_key_rejected():
     ({"bc": {"u_left": {"type": "free", "value": 1.0}}}, "bc.u_left.value"),
     ({"bc": {"u_right": {"type": "traction", "value": 1.0, "untill": 0.1}}}, "bc.u_right.untill"),
     ({"bc": {"gamma": {"type": "zero_flux", "value": 0.3}}}, "bc.gamma.value"),
-    ({"body_force": {"value": 1.0, "units": "N"}}, "body_force.units"),
+    ({"body_force": {"value": 1.0}}, "body_force"),  # a number, not a mapping
     # a section or a wall that is not a mapping
     ({"output": 3}, "output"),
     ({"ic": 5}, "ic"),
@@ -271,12 +264,6 @@ def test_gauge_outside_grid_rejected():
         fw.build_scenario(doc)
 
 
-def test_too_few_snapshots_rejected():
-    doc = minimal_doc(output={"snapshots": 1})
-    with pytest.raises(InvalidValue):
-        fw.build_scenario(doc)
-
-
 def test_tabulated_ic_shape_mismatch():
     doc = minimal_doc(ic={"gamma": {"type": "tabulated", "values": [0.0, 1.0]}})
     with pytest.raises(ShapeMismatch):
@@ -295,9 +282,59 @@ def test_tabulated_ic_must_be_finite():
         fw.build_scenario(doc)
 
 
-def test_source_iteration_count_must_be_positive():
-    with pytest.raises(InvalidValue):
-        fw.build_scenario(minimal_doc(numerics={"source_max_iter": 0}))
+GRID_2D = {"nx": 4, "ny": 4, "dx": 0.25, "dy": 0.25}
+
+
+def _wall(**spec):
+    return {"u_left": {"type": "fixed"}, "u_right": {"type": "fixed"},
+            "gamma": {"type": "zero_flux"}, **spec}
+
+
+@pytest.mark.parametrize("over, name, reason", [
+    ({"grid": {"nx": 2, "dx": 0.5}}, "grid.nx", "need at least 3 cells"),
+    ({"grid": {**GRID_2D, "ny": 2}}, "grid.ny", "need at least 3 cells"),
+    ({"grid": {"nx": 16, "dx": -0.1}}, "grid.dx", "must be > 0"),
+    ({"grid": {**GRID_2D, "dy": 0.0}}, "grid.dy", "must be > 0"),
+    ({"time": {"dt": 0.0, "t_end": 0.1}}, "time.dt", "must be > 0"),
+    ({"time": {"dt": 0.01, "t_end": 0.005}}, "time.t_end", "must be >= dt"),
+    ({"output": {"snapshots": 1}}, "output.snapshots", "need at least first+last, so >= 2"),
+    ({"numerics": {"tol_admissibility": -1e-12}}, "numerics.tol_admissibility", "must be >= 0"),
+    ({"numerics": {"source_max_iter": 0}}, "numerics.source_max_iter", "must be >= 1"),
+    ({"ic": {"gamma": {"type": "gaussian", "amplitude": 0.5, "center": 0.5, "width": 0.0}}},
+     "ic.gamma.width", "must be > 0"),
+    ({"grid": GRID_2D, "ic": {"v": {"type": "gaussian", "amplitude": 0.5, "center": [0.5, 0.5],
+                                    "width": [0.1, -0.1]}}}, "ic.v.width", "must be > 0"),
+    ({"ic": {"U": {"type": "sine", "amplitude": 0.1, "mode": 0}}}, "ic.U.mode", "must be >= 1"),
+    ({"bc": _wall(u_right={"type": "traction", "value": 1.0, "until": 0.0})},
+     "bc.u_right.until", "must be > 0"),
+    ({"bc": _wall(u_left={"type": "traction", "value": 1.0, "ramp": -0.1})},
+     "bc.u_left.ramp", "must be >= 0"),
+    ({"grid": GRID_2D, "gauges": [[0.5, 0.5], [0.5, 1.5]]}, "gauges[1]",
+     "position outside the grid"),
+    ({"gauges": 0.5}, "gauges", "must be a list of positions"),
+    # an integer key takes an integral number, never a truncated fraction
+    ({"grid": {"nx": 16.7, "dx": 0.0625}}, "grid.nx", "expected an integer, got 16.7"),
+    ({"ic": {"U": {"type": "sine", "amplitude": 0.1, "mode": 2.5}}}, "ic.U.mode",
+     "expected an integer, got 2.5"),
+    ({"output": {"snapshots": 2.9}}, "output.snapshots", "expected an integer, got 2.9"),
+    ({"numerics": {"source_max_iter": 1.5}}, "numerics.source_max_iter",
+     "expected an integer, got 1.5"),
+], ids=["nx", "ny", "dx", "dy", "dt", "t_end", "snapshots", "tol_admissibility",
+        "source_max_iter", "width", "width-2d", "mode", "until", "ramp", "gauge-2d",
+        "gauges-scalar", "nx-fraction", "mode-fraction", "snapshots-fraction", "source_max_iter-fraction"])
+def test_range_rules(over, name, reason):
+    # every range rule names its key and keeps its reason
+    with pytest.raises(InvalidValue) as exc:
+        fw.build_scenario(minimal_doc(**over))
+    assert (exc.value.name, exc.value.reason) == (name, reason)
+
+
+def test_integral_float_counts_parse():
+    # an integral float is the integer it names
+    cfg = fw.build_scenario(minimal_doc(grid={"nx": 16.0, "dx": 0.0625}, output={"snapshots": 3.0}))
+    assert cfg.grid.n == (16,) and type(cfg.grid.nx) is int
+    whole = minimal_doc(grid={"nx": 16, "dx": 0.0625}, output={"snapshots": 3})
+    assert cfg == fw.build_scenario(whole)
 
 
 # -- canonical form ------------------------------------------------------------
