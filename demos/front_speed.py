@@ -30,13 +30,13 @@ def main() -> None:
     with open(args.scenario) as fh:
         cfg = fw.build_scenario(fh.read())
     p = cfg.material
-    if p.source_law != "logistic":
-        raise SystemExit("front_speed expects a logistic-source scenario")
+    if p.saturation is None:
+        raise SystemExit("front_speed expects a scenario whose source law saturates")
 
     print(f"running {cfg.name}: nx={cfg.grid.nx}, dt={cfg.dt} s, t_end={cfg.t_end} s")
     res = fw.run(cfg)
 
-    track = fw.track_front(res.snapshots, cfg.grid, level=0.5, gamma_max=p.gamma_max)
+    track = fw.track_front(res.snapshots, cfg.grid, level=0.5, gamma_max=p.saturation)
     v_pred = 2.0 * math.sqrt(p.d1 * p.source_rate)
     metrics = fw.wave_metrics(res, cfg)
 

@@ -36,7 +36,7 @@ def main() -> None:
     res = fw.run(cfg)
 
     track = fw.track_front(res.snapshots, cfg.grid, level=0.5,
-                           gamma_max=cfg.material.gamma_max)
+                           gamma_max=cfg.material.saturation)
     print()
     print(f"measured failure-front speed: {track.v_f:.1f} m/s "
           f"(fit R^2 = {track.fit_r2:.6f})")

@@ -168,8 +168,7 @@ def wave_metrics(
     NaN when there is no gauge or its trace never settles (NoPlateau); the
     front's speed stands without it."""
     p = cfg.material
-    gmax = p.gamma_max if p.source_law == "logistic" else None
-    ft = track_front(result.snapshots, cfg.grid, level=level, gamma_max=gmax)
+    ft = track_front(result.snapshots, cfg.grid, level=level, gamma_max=p.saturation)
     tau = float("nan")
     if result.gauges:
         try:

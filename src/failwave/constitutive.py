@@ -10,12 +10,12 @@ b = 0 is Feng's one-way coupling (the elastic field never feels the damage
 field), and lam = 0 is Clifton's conservative limit (solver.run freezes the
 damage field). A zero c3 or b drops its term, so no branch adds 0*x.
 
-W(gamma) (damage_potential) is (c2/2)gamma^2 under source law linear_decay,
-which relaxes, and -r*lam*(gamma^2/2 - gamma^3/(3*gamma_max)) under
-logistic, whose force r*lam*gamma*(1 - gamma/gamma_max) sustains traveling
-fronts. Keeping the source inside the potential keeps Z*dGamma/dt >= 0
-structurally, so the admissibility monitor stays meaningful for
-front-forming runs.
+W(gamma) (damage_potential) and its force -W' (damage_force) are the row
+of the material's source law in model.SOURCE_LAWS: (c2/2)gamma^2, which
+relaxes, under linear_decay; a cubic whose force r*lam*gamma*(1 -
+gamma/gamma_max) sustains traveling fronts under logistic. Keeping the
+source inside the potential keeps Z*dGamma/dt >= 0 structurally, so the
+admissibility monitor stays meaningful for front-forming runs.
 
 dissipation_rate is lam*(dGamma/dt)^2, the rate the energy budget books;
 entropy production is that rate over theta0. Densities are volumetric: psi
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .model import MaterialParams
+from .model import SOURCE_LAWS, MaterialParams
 
 
 def _grad_parts(grad_gamma):
@@ -39,33 +39,15 @@ def _grad_parts(grad_gamma):
 
 
 def damage_potential(gamma, p: MaterialParams):
-    """Potential W(gamma) whose negative derivative is the damage source.
-
-    linear_decay: W = (c2/2)gamma^2  (relaxation toward 0)
-    logistic:     W = -r*lam*(gamma^2/2 - gamma^3/(3*gamma_max))
-                  (downhill from gamma=0 toward gamma_max)
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    if p.source_law == "logistic":
-        r = p.source_rate * p.lam
-        cube = gamma * gamma * gamma  # spelled out: ** dispatches to pow
-        return -r * (0.5 * gamma**2 - cube / (3.0 * p.gamma_max))
-    return 0.5 * p.c2 * gamma**2
+    """Potential W(gamma) of p's source law, whose negative derivative is the source."""
+    return SOURCE_LAWS[p.source_law].potential(np.asarray(gamma, dtype=float), p)
 
 
 def damage_force(gamma, p: MaterialParams, uX=None):
     """Internal force A = -d(psi)/d(gamma) = -b*uX - W'(gamma) (Pa), under
-    either source law; uX (the strain, 0 when not given) enters only when
-    b != 0.
-
-    linear_decay: -W' = -c2*gamma
-    logistic:     -W' = r*lam*gamma*(1 - gamma/gamma_max)
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    if p.source_law == "logistic":
-        A = p.source_rate * p.lam * gamma * (1.0 - gamma / p.gamma_max)
-    else:
-        A = -p.c2 * gamma
+    every source law; uX (the strain, 0 when not given) enters only when
+    b != 0."""
+    A = SOURCE_LAWS[p.source_law].force(np.asarray(gamma, dtype=float), p)
     if p.b != 0.0 and uX is not None:
         A = A - p.b * np.asarray(uX, dtype=float)
     return A

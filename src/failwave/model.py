@@ -7,7 +7,7 @@ canonical dict form round-trips bitwise (same defaults filled in, same key
 order when emitted). Each config key's type, default and range is one
 entry of a key table, one table per config section and per initial-condition
 or wall kind, and one parser reads them all, rejects unknown keys and emits;
-the material rules live in MaterialParams.
+the material rules live in MaterialParams and the source laws in SOURCE_LAWS.
 """
 
 from __future__ import annotations
@@ -18,14 +18,30 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import methodcaller
-from typing import Any, Callable, Mapping, NamedTuple, Union
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 import yaml
 
 from .errors import ConfigConflict, InvalidValue, MissingKey, ShapeMismatch
 
-SOURCE_LAWS = ("linear_decay", "logistic")
+
+class SourceLaw(NamedTuple):
+    """A damage source law: one row of SOURCE_LAWS."""
+
+    potential: Callable  # W(gamma, p), the damage potential in the free energy
+    force: Callable  # -W'(gamma, p)
+    reaction: Optional[Callable]  # c(p) of a force -c*gamma that the CN operator carries; None: Picard
+    saturation: Optional[Callable]  # the level(p) the damage saturates at, or None
+
+
+SOURCE_LAWS = {
+    "linear_decay": SourceLaw(lambda g, p: 0.5 * p.c2 * g**2, lambda g, p: -p.c2 * g, lambda p: p.c2, None),
+    "logistic": SourceLaw(  # g * g * g spelled out: ** dispatches to pow
+        lambda g, p: -(p.source_rate * p.lam) * (0.5 * g**2 - g * g * g / (3.0 * p.gamma_max)),
+        lambda g, p: p.source_rate * p.lam * g * (1.0 - g / p.gamma_max),
+        None, lambda p: p.gamma_max),
+}
 
 
 class Axis(NamedTuple):
@@ -106,8 +122,7 @@ class MaterialParams:
     b      : strain-damage coupling (Pa); b = 0 decouples the elastic field
              from the damage field, and a logistic source needs b = 0
     sigma0 : activation stress threshold (Pa); 0 means always active
-    source_law  : 'linear_decay' (-c2*gamma) or 'logistic'
-                  (r*lam*gamma*(1 - gamma/gamma_max), front-forming)
+    source_law  : a key of SOURCE_LAWS, the source law's row
     source_rate : logistic rate r (1/s)
     gamma_max   : logistic saturation level (dimensionless)
 
@@ -135,7 +150,7 @@ class MaterialParams:
     gamma_max: float = 1.0
 
     def __post_init__(self):
-        _check_enum(self.source_law, SOURCE_LAWS, "material.source.law")
+        _check_enum(self.source_law, tuple(SOURCE_LAWS), "material.source.law")
         logistic = self.source_law == "logistic"
         rules = (  # written so that NaN fails them
             ("rho0", self.rho0 > 0, "must be > 0"),
@@ -170,6 +185,11 @@ class MaterialParams:
     @property
     def k2(self) -> float:
         return self.lam * self.d2
+
+    @property
+    def saturation(self) -> Optional[float]:  # the source law's saturation level, or None
+        level = SOURCE_LAWS[self.source_law].saturation
+        return level and level(self)
 
 
 @dataclass
@@ -290,6 +310,7 @@ def _field(value: Any, path: str, grid: Grid) -> list:
 _OMIT = object()
 _POSITIVE = (lambda value, _: np.min(value) > 0, "must be > 0")  # on every axis
 _NONNEGATIVE = (lambda value, _: value >= 0, "must be >= 0")
+_SQUARE = (lambda h, _: 0.0 < h * h < math.inf, "its square under- or overflows")  # h**2 divides
 _AT_LEAST_ONE = (lambda value, _: value >= 1, "must be >= 1")
 _CONVERT = {float: _as_float, int: _as_int, str: lambda value, path: str(value)}
 
@@ -302,7 +323,7 @@ def _axis_keys(ndim: int) -> tuple:
     return (("nx", "dx", "origin"),) if ndim == 1 else AXIS_KEYS[:ndim]
 
 
-_AXIS = ((None, int, (lambda n, _: n >= 3, "need at least 3 cells")), (None, float, _POSITIVE),
+_AXIS = ((None, int, (lambda n, _: n >= 3, "need at least 3 cells")), (None, float, _POSITIVE, _SQUARE),
          (0.0, float))  # the (cells, width, origin) entries of an axis, less the key
 _GRID = {ndim: {key: (key, *entry) for keys in _axis_keys(ndim) for key, entry in zip(keys, _AXIS)}
          for ndim in (1, 2)}

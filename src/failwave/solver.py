@@ -29,7 +29,7 @@ import numpy as np
 from . import constitutive as cst
 from . import ops
 from .errors import AdmissibilityViolation, CflViolation, NonFiniteState, PicardNotConverged
-from .model import FieldState, ScenarioConfig, initialize_state
+from .model import SOURCE_LAWS, FieldState, ScenarioConfig, initialize_state
 
 
 # The columns of RunResult.reports, one row per time level. kinetic and
@@ -79,10 +79,9 @@ class RunResult(NamedTuple):
 
 def lateral_stress_proxy(gamma, p) -> np.ndarray:
     """Monotone gauge proxy for the transverse signal: damage normalized by
-    its saturation level when one exists. Not a stress in Pa."""
-    if p.source_law == "logistic":
-        return np.asarray(gamma, dtype=float) / p.gamma_max
-    return np.asarray(gamma, dtype=float)
+    its source law's saturation level when one exists. Not a stress in Pa."""
+    gamma = np.asarray(gamma, dtype=float)
+    return gamma / p.saturation if p.saturation is not None else gamma
 
 
 # -- elastic substep ----------------------------------------------------------
@@ -219,14 +218,14 @@ class DamagePlan:
     """The damage half of a step, resolved once per run, as ElasticPlan
     resolves the elastic half.
 
-    cfg's diffusion number, source law and reaction, Picard tolerances and
-    damage-gradient weights are looked up here once. The face conductivity K
-    of each grid axis and the Crank-Nicolson operator on the box of the
-    active cells (ops.damage_operator, None when no cell is active) hold
-    while the active set does: they are built for active here and rebuilt by
-    activate() only when a cell switches on. Each step solves that operator
-    for the increment of Gamma, its right-hand side the net damage force.
-    Built only when lam > 0.
+    cfg's diffusion number, source law row (model.SOURCE_LAWS), Picard
+    tolerances and damage-gradient weights are looked up here once. The face
+    conductivity K of each grid axis and the Crank-Nicolson operator on the
+    box of the active cells (ops.damage_operator, None when no cell is
+    active), which carries the law's reaction, hold while the active set
+    does: they are built for active here and rebuilt by activate() only when
+    a cell switches on. Each step solves that operator for the increment of
+    Gamma, its right-hand side the net damage force. Built only when lam > 0.
     """
 
     def __init__(self, cfg: ScenarioConfig, active: np.ndarray):
@@ -234,10 +233,10 @@ class DamagePlan:
         self.p, self.grid, self.dt, self.bc_g = p, grid, cfg.dt, cfg.bc["gamma"]
         diffusivity = max(d / ax.h**2 for ax, d in zip(grid.axes, (p.d1, p.d2)))
         self.diff_number = float(diffusivity * cfg.dt)
-        # the logistic source is iterated to the midpoint (Picard); the
-        # linear one is folded into the operator as the reaction c2
-        self.picard = p.source_law == "logistic"
-        self.reaction = 0.0 if self.picard else p.c2
+        law = SOURCE_LAWS[p.source_law]
+        self.picard = law.reaction is None
+        self.reaction = 0.0 if self.picard else law.reaction(p)
+        self.clamp = p.saturation is not None
         self.tol, self.max_iter = cfg.numerics["source_tol"], cfg.numerics["source_max_iter"]
         self.w_gamma = ops.energy_weights(cfg.bc, grid)[1]
         self._build(active)
@@ -273,11 +272,10 @@ class DamagePlan:
         = Gamma_new - Gamma: every other cell keeps its value bit for bit.
 
         Its right-hand side is the step's net damage force (ops.damage_step):
-        the flux of Gamma, once per step, plus the source at Gamma under the
-        linear law (whose reaction c2 is in the operator) or at the midpoint
-        Gamma + d/2 under the logistic law. The logistic source is iterated
-        (Picard) together with the 2D defect correction, so the discrete
-        admissibility product stays nonnegative up to roundoff in 1D and 2D.
+        the flux of Gamma, once per step, plus the source at Gamma when the
+        law's reaction is in the operator, else at the midpoint Gamma + d/2,
+        iterated (Picard) together with the 2D defect correction, so the
+        discrete admissibility product stays nonnegative up to roundoff.
         Raises PicardNotConverged when numerics.source_max_iter iterations
         fall short of numerics.source_tol (on the scale max(1, max|Gamma_new|)
         over the box), NonFiniteState on a non-finite right-hand side, both
@@ -313,7 +311,7 @@ class DamagePlan:
             err.state = state.copy()  # dumped for post-mortem inspection
             raise
 
-        if self.picard:  # the logistic law keeps active damage nonnegative
+        if self.clamp:  # a law that saturates keeps active damage nonnegative
             np.maximum(gamma_new, 0.0, out=gamma_new, where=active)
         # Z at the midpoint, where the CN step balances lam*dGamma/dt
         Z = self.Z = cst.internal_forces(0.5 * (gamma + gamma_new), p, grid, uX=uX,

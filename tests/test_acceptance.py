@@ -15,6 +15,7 @@ import yaml
 
 import failwave as fw
 from failwave import analysis
+from failwave.model import SOURCE_LAWS
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SHIPPED = [
@@ -266,7 +267,7 @@ def test_criterion_08_gradient_checks():
         return abs(a - b) / (max(abs(a), abs(b)) + 1e-3)
 
     # c3 and b together under linear_decay; a logistic source needs b = 0
-    for law in ("linear_decay", "logistic"):
+    for law in SOURCE_LAWS:
         for _ in range(150):
             p = fw.MaterialParams(
                 rho0=1.0,
@@ -292,7 +293,8 @@ def test_criterion_08_gradient_checks():
             # conduction flux B = -k1 * grad, so dpsi/dgrad must equal k1*grad
             worst = max(worst, scaled_err(p.k1 * g, central(lambda g_: psi(uX, G, g_), g)))
     ok = worst < 1e-6
-    _report(8, "free-energy gradient checks", ok, f"worst scaled error {worst:.2e} over 2x150 states")
+    _report(8, "free-energy gradient checks", ok,
+            f"worst scaled error {worst:.2e} over {len(SOURCE_LAWS)}x150 states")
 
 
 # -- 9: one-way coupling, bitwise ----------------------------------------------------

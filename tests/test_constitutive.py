@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import failwave as fw
 from failwave import ops
-from failwave.model import MaterialParams
+from failwave.model import SOURCE_LAWS, MaterialParams
 
 
 def mat(**kw):
@@ -127,12 +127,23 @@ def test_forces_match_free_energy_gradient(case):
         assert p.k1 * g == pytest.approx(Bg_fd, rel=1e-6, abs=1e-9)
 
 
-def test_logistic_force_matches_potential_gradient():
-    p = mat(lam=0.8, source_law="logistic", source_rate=1.7, gamma_max=1.3)
+@pytest.mark.parametrize("law", list(SOURCE_LAWS))
+def test_source_law_force_matches_potential_gradient(law):
+    # every row of the table: its force is -W', W and the force vanish at
+    # gamma = 0, the force vanishes at the saturation level, and a reaction
+    # c makes the force -c*gamma exactly
+    p = mat(lam=0.8, c2=1.1, source_law=law, source_rate=1.7, gamma_max=1.3)
+    row = SOURCE_LAWS[law]
     h = 1e-6
-    for G in np.linspace(0.05, 1.25, 9):
-        A_fd = -_central(lambda G_: fw.damage_potential(G_, p), G, h)
-        assert fw.damage_force(G, p) == pytest.approx(A_fd, rel=1e-7, abs=1e-10)
+    G = np.linspace(0.05, 1.25, 9)
+    for g in G:
+        A_fd = -_central(lambda G_: fw.damage_potential(G_, p), g, h)
+        assert fw.damage_force(g, p) == pytest.approx(A_fd, rel=1e-7, abs=1e-10)
+    assert fw.damage_potential(0.0, p) == 0.0 and fw.damage_force(0.0, p) == 0.0
+    if row.saturation is not None:
+        assert fw.damage_force(row.saturation(p), p) == 0.0
+    if row.reaction is not None:
+        assert np.array_equal(fw.damage_force(G, p), -row.reaction(p) * G)
 
 
 def test_rate_conjugacy():

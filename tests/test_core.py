@@ -295,6 +295,15 @@ def _wall(**spec):
     ({"grid": {**GRID_2D, "ny": 2}}, "grid.ny", "need at least 3 cells"),
     ({"grid": {"nx": 16, "dx": -0.1}}, "grid.dx", "must be > 0"),
     ({"grid": {**GRID_2D, "dy": 0.0}}, "grid.dy", "must be > 0"),
+    # the diffusion number divides by each width's square: a square of 0
+    # was a raw ZeroDivisionError (with d1 = 0 too), an infinite one a raw
+    # OverflowError
+    ({"grid": {"nx": 16, "dx": 1e-170}, "material": {"rho0": 1.0, "c1": 1.0, "d1": 0.1}},
+     "grid.dx", "its square under- or overflows"),
+    ({"grid": {"nx": 16, "dx": 1e-170}}, "grid.dx", "its square under- or overflows"),
+    ({"grid": {**GRID_2D, "dy": 1e-170}, "material": {"rho0": 1.0, "c1": 1.0, "d1": 0.1}},
+     "grid.dy", "its square under- or overflows"),
+    ({"grid": {"nx": 16, "dx": 1e200}}, "grid.dx", "its square under- or overflows"),
     ({"time": {"dt": 0.0, "t_end": 0.1}}, "time.dt", "must be > 0"),
     ({"time": {"dt": 0.01, "t_end": 0.005}}, "time.t_end", "must be >= dt"),
     ({"output": {"snapshots": 1}}, "output.snapshots", "need at least first+last, so >= 2"),
@@ -319,7 +328,8 @@ def _wall(**spec):
     ({"output": {"snapshots": 2.9}}, "output.snapshots", "expected an integer, got 2.9"),
     ({"numerics": {"source_max_iter": 1.5}}, "numerics.source_max_iter",
      "expected an integer, got 1.5"),
-], ids=["nx", "ny", "dx", "dy", "dt", "t_end", "snapshots", "tol_admissibility",
+], ids=["nx", "ny", "dx", "dy", "dx-underflow", "dx-underflow-no-diffusion", "dy-underflow",
+        "dx-overflow", "dt", "t_end", "snapshots", "tol_admissibility",
         "source_max_iter", "width", "width-2d", "mode", "until", "ramp", "gauge-2d",
         "gauges-scalar", "nx-fraction", "mode-fraction", "snapshots-fraction", "source_max_iter-fraction"])
 def test_range_rules(over, name, reason):
@@ -343,6 +353,7 @@ def test_integral_float_counts_parse():
 finite = st.floats(-1e100, 1e100)
 positive = st.floats(0.0, 1e100, exclude_min=True)
 nonnegative = st.floats(0.0, 1e100)
+cell_width = st.floats(1e-160, 1e100)  # a width whose square underflows to 0 is refused
 
 
 def _ic_entries(shape):
@@ -385,14 +396,14 @@ def scenario_docs(draw):
     nx = draw(st.integers(3, 6))
     if draw(st.booleans()):
         ny = draw(st.integers(3, 6))
-        grid = {"nx": nx, "ny": ny, "dx": draw(positive), "dy": draw(positive),
+        grid = {"nx": nx, "ny": ny, "dx": draw(cell_width), "dy": draw(cell_width),
                 "origin_x": draw(finite), "origin_y": draw(finite)}
         shape = (ny, nx)
         lengths = (grid["origin_x"], nx * grid["dx"]), (grid["origin_y"], ny * grid["dy"])
         gauge = st.tuples(*(st.floats(0.0, 1.0).map(lambda f, o=o, n=n: o + f * n)
                             for o, n in lengths)).map(list)
     else:
-        grid = {"nx": nx, "dx": draw(positive), "origin": draw(finite)}
+        grid = {"nx": nx, "dx": draw(cell_width), "origin": draw(finite)}
         shape = (nx,)
         gauge = st.floats(0.0, 1.0).map(lambda f: grid["origin"] + f * (nx * grid["dx"]))
     # a logistic source needs b = 0; lambda = 0 needs c2 = 0, b = 0 and no source
