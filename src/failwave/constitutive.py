@@ -125,18 +125,14 @@ def internal_forces(
     *,
     bc_gamma: dict,
     active: np.ndarray | None = None,
-    K: tuple | None = None,
 ) -> np.ndarray:
     """Net damage force Z = A - div(B) at cells (Pa): A is damage_force, B
     = -K grad(gamma) the face flux, and the divergence is adjoint to the
     face gradient (ops.grid_flux_div) under the damage wall bc_gamma.
 
-    Conductivity is masked to zero on faces with an inactive neighbor; K,
-    the face conductivity of each grid axis (ops.grid_conductivity of
-    active), is computed here when not given.
+    Conductivity is masked to zero on faces with an inactive neighbor.
     """
-    if K is None:
-        K = _conductivity(active, p, grid, bc_gamma)
+    K = _conductivity(active, p, grid, bc_gamma)
     return damage_force(gamma, p, uX=uX) + ops.grid_flux_div(gamma, K, grid, [bc_gamma] * grid.ndim)
 
 
@@ -153,15 +149,12 @@ def damage_free_energy(
     bc_g: dict,
     weights: tuple,
     active: np.ndarray | None = None,
-    K: tuple | None = None,
 ) -> tuple:
     """The damage part of the discrete free energy (J per unit
     cross-section), as the pair (gradient term on faces, potential term on
     cells). weights are the damage-gradient weights of ops.energy_weights;
-    K (face conductivity of each grid axis, from active) is computed here
-    when not given."""
-    if K is None:
-        K = _conductivity(active, p, grid, bc_g)
+    the face conductivity is that of the active set (all cells when None)."""
+    K = _conductivity(active, p, grid, bc_g)
     e_grad = 0.0
     for ax, Ka, w in zip(grid.axes, K, weights):
         grad = ops.gamma_grad_faces(ax.view(gamma), ax.h, bc_g)

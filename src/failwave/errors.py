@@ -77,8 +77,8 @@ class NonFiniteState(RuntimeViolation):
 
 
 class PicardNotConverged(RuntimeViolation):
-    """The damage iteration (Picard on a source law without a reaction, fused
-    in 2D with the CN defect correction) used all numerics.source_max_iter
+    """The damage iteration (chord iteration on the source's slope, fused in
+    2D with the CN defect correction) used all numerics.source_max_iter
     iterations without meeting numerics.source_tol; the state rides as .state."""
 
     def __init__(self, time: float, iterations: int, residual: float, limit: float):

@@ -31,16 +31,17 @@ class SourceLaw(NamedTuple):
 
     potential: Callable  # W(gamma, p), the damage potential in the free energy
     force: Callable  # -W'(gamma, p)
-    reaction: Optional[Callable]  # c(p) of a force -c*gamma that the CN operator carries; None: Picard
+    slope: Callable  # -W''(gamma, p), the force's slope; a number when it does not read gamma
     saturation: Optional[Callable]  # the level(p) the damage saturates at, or None
 
 
 SOURCE_LAWS = {
-    "linear_decay": SourceLaw(lambda g, p: 0.5 * p.c2 * g**2, lambda g, p: -p.c2 * g, lambda p: p.c2, None),
+    "linear_decay": SourceLaw(lambda g, p: 0.5 * p.c2 * g**2, lambda g, p: -p.c2 * g,
+                              lambda g, p: -p.c2, None),
     "logistic": SourceLaw(  # g * g * g spelled out: ** dispatches to pow
         lambda g, p: -(p.source_rate * p.lam) * (0.5 * g**2 - g * g * g / (3.0 * p.gamma_max)),
         lambda g, p: p.source_rate * p.lam * g * (1.0 - g / p.gamma_max),
-        None, lambda p: p.gamma_max),
+        lambda g, p: p.source_rate * p.lam * (1.0 - 2.0 * g / p.gamma_max), lambda p: p.gamma_max),
 }
 
 
@@ -158,6 +159,7 @@ class MaterialParams:
             ("c1", self.c1 > 0, "must be > 0"),
             ("lambda", self.lam >= 0, "must be >= 0"),
             ("d1/d2", self.d1 >= 0 and self.d2 >= 0, "diffusivities must be >= 0"),
+            ("lambda", self.lam * max(self.d1, self.d2) < math.inf, "lambda*d1, lambda*d2 overflow"),
             ("c2", self.c2 >= 0, "must be >= 0"),
             ("sigma0", self.sigma0 >= 0, "must be >= 0"),
             ("source.rate", not logistic or self.source_rate > 0, "logistic source needs rate > 0"),
@@ -474,6 +476,10 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
 
     grid = _parse_grid(_need(raw, "grid", ""))
     material = MaterialParams(**_parse_section(_need(raw, "material", ""), _MATERIAL, "material"))
+    # the damage operator divides each axis's diffusivity and conductance lam*d by h**2
+    for ax, (_, key, _), d in zip(grid.axes, _axis_keys(grid.ndim), (material.d1, material.d2)):
+        if not max(d, material.lam * d) / ax.h**2 < math.inf:
+            raise InvalidValue(f"grid.{key}", "the diffusivity over its square overflows")
     time_sec = _parse_section(_need(raw, "time", ""), _TIME, "time")
     on_grid = {**_CONVERT, "axes": partial(_per_axis, grid=grid), "field": partial(_field, grid=grid)}
     ic = _parse_kinds(raw.get("ic"), _IC_FIELDS, "ic", on_grid)

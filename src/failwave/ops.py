@@ -206,13 +206,11 @@ def grid_conductivity(active: np.ndarray, ks, grid, bc_g: dict) -> tuple:
     )
 
 
-def grid_flux_div(gamma: np.ndarray, K: tuple, grid, bcs) -> np.ndarray:
-    """Div(K grad Γ) at cells, summed over the grid axes (one face array and
-    one damage BC per axis)."""
-    parts = [
-        ax.view(damage_flux_div(ax.view(gamma), ax.view(Ka), ax.h, bc))
-        for ax, Ka, bc in zip(grid.axes, K, bcs)
-    ]
+def grid_flux_div(gamma: np.ndarray, K: tuple, grid, bcs, grads: tuple = ()) -> np.ndarray:
+    """Div(K grad Γ) at cells, summed over the grid axes (one face array, one
+    damage BC and, when given, Γ's gamma_grad_faces in the axis view each)."""
+    grads = grads or [gamma_grad_faces(ax.view(gamma), ax.h, bc) for ax, bc in zip(grid.axes, bcs)]
+    parts = [ax.view(div_faces(ax.view(Ka) * g, ax.h)) for ax, Ka, g in zip(grid.axes, K, grads)]
     return sum(parts[1:], parts[0])
 
 
@@ -258,46 +256,47 @@ class LineFactor(NamedTuple):
     sm: Optional[tuple]  # periodic Sherman-Morrison terms (w, v_coef, denom)
 
 
-def factor_lines(K, react, a: float, s: float, dh: float, bc_g: dict) -> LineFactor:
-    """Factor (a + react/2 - s*L) for each line of react at once.
-
-    K holds face conductivities, shape (..., n+1); react the cell reaction,
-    shape (..., n), one line of n cells along the last axis per leading
-    index. L is the homogeneous part of the flux divergence: a dirichlet
-    wall's ghost 2g - x_adj doubles the wall coupling, and its constant
-    belongs to the right-hand side. The operator is symmetric positive
-    definite, and the lines become one tridiagonal system with zero coupling
-    between them, so a single LAPACK dpttrf call factors every line as LDLᵀ
-    (no pivoting) and solve_lines reuses the factor for any number of
-    right-hand sides. Periodic lines wrap via a Sherman-Morrison rank-1
-    update, whose matrix-only solve is done here once. Raises NonFiniteState
-    on a non-finite operator or one that is not positive definite.
-    """
+def line_coupling(K, s: float, dh: float, bc_g: dict) -> tuple:
+    """What the face conductivities K (..., n+1) fix of the operator D - s*L
+    on each line of n cells (the last axis), for factor_lines: the diagonal
+    s*(cl + cr), dpttrf's off-diagonal (0 between lines), a dirichlet wall's
+    extra end coupling (its ghost doubles it) and a periodic wrap's corner."""
     kind = bc_g["type"]
     cl = K[..., :-1] / dh**2  # left face of each cell
     cr = K[..., 1:] / dh**2  # right face
     if kind == "zero_flux":
         cl[..., 0] = 0.0  # no flux through the walls
         cr[..., -1] = 0.0
-    diag = a + 0.5 * react + s * (cl + cr)
     off = -s * cr  # A[i, i+1] = A[i+1, i]: both read the face between them
-    sm = None
-    if kind == "dirichlet":  # the ghost doubles the wall coupling
-        diag[..., 0] += s * cl[..., 0]
-        diag[..., -1] += s * cr[..., -1]
-    elif kind == "periodic":
+    off[..., -1] = 0.0  # lines do not couple
+    ends = (s * cl[..., 0], s * cr[..., -1]) if kind == "dirichlet" else None
+    corner = -s * K[..., 0] / dh**2 if kind == "periodic" else None  # A[0, n-1] = A[n-1, 0]
+    return s * (cl + cr), off.ravel()[:-1], ends, corner
+
+
+def factor_lines(coupling: tuple, D: np.ndarray) -> LineFactor:
+    """Factor the SPD operator D - s*L of every line (D shaped (..., n),
+    coupling the line_coupling of s*L) as LDLᵀ without pivoting, in one
+    LAPACK dpttrf call over the lines joined into one tridiagonal system;
+    solve_lines reuses it. Periodic lines wrap via a Sherman-Morrison update
+    whose matrix-only solve is done here. Raises NonFiniteState on a
+    non-finite operator or one that is not positive definite."""
+    couple, off, ends, corner = coupling
+    diag, sm = D + couple, None
+    if ends is not None:
+        diag[..., 0] += ends[0]
+        diag[..., -1] += ends[1]
+    elif corner is not None:
         # B = A + u uᵀ/d0, u = (-d0, 0, .., corner), drops A's corners and stays SPD
-        corner = -s * K[..., 0] / dh**2  # A[0, n-1] = A[n-1, 0]
         gam = -diag[..., 0]
         diag[..., 0] -= gam
         diag[..., -1] -= corner * corner / gam
     if not np.isfinite(diag).all():  # every coupling also enters diag
         raise NonFiniteState("damage operator")
-    off[..., -1] = 0.0  # lines do not couple
-    *lu, info = dpttrf(diag.ravel(), off.ravel()[:-1])
+    *lu, info = dpttrf(diag.ravel(), off)
     if info > 0:
         raise NonFiniteState(f"damage operator (not positive definite at row {info - 1})")
-    if kind == "periodic":
+    if corner is not None:
         u = np.zeros_like(diag)
         u[..., 0] = gam
         u[..., -1] = corner
@@ -322,86 +321,77 @@ _ZERO_FLUX = {"type": "zero_flux"}
 
 
 def active_box(active: np.ndarray):
-    """Bounding box of the active cells, one slice per array axis; None when
-    no cell is active."""
+    """Bounding box of the active cells, one slice per array axis, widened
+    to 3 cells inside the grid where narrower (scipy's dpttrf rejects a
+    system of one unknown; the added cells are inactive); None when no cell
+    is active."""
     if not active.any():
         return None
     box = []
-    for dim in range(active.ndim):
-        other = tuple(d for d in range(active.ndim) if d != dim)
-        hit = np.flatnonzero(active.any(axis=other))
-        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    for dim, n in enumerate(active.shape):
+        hit = np.flatnonzero(active.any(axis=tuple(d for d in range(active.ndim) if d != dim)))
+        start, stop = int(hit[0]), int(hit[-1]) + 1
+        start = min(start, n - 3) if stop - start < 3 else start
+        box.append(slice(start, max(stop, start + 3)))
     return tuple(box)
 
 
-def _three_cells(s: slice, n: int) -> slice:
-    """s, or a slice of 3 cells inside [0, n) that covers it (n >= 3)."""
-    if s.stop - s.start >= 3:
-        return s
-    start = min(s.start, n - 3)
-    return slice(start, start + 3)
-
-
 class DamageOperator(NamedTuple):
-    """The Crank-Nicolson damage operator of one active set, restricted to
-    the bounding box of its active cells: A = D - L/2, with D = lam/dt +
-    react/2 and L the sum of every grid axis's homogeneous flux divergence.
-    K (one face array per grid axis), diag and fac cover the box only; bc is
-    the damage BC of each grid axis at the box edges."""
+    """The Crank-Nicolson damage operator of one active set on the bounding
+    box of its active cells: A = D - L/2, L the sum of every grid axis's
+    homogeneous flux divergence. K (one face array per grid axis), its
+    line_coupling lines, diag D and fac (from factor_damage) cover the box;
+    bc is the damage BC of each grid axis at the box edges."""
 
     box: tuple  # one slice per array axis
     K: tuple
     bc: tuple
-    diag: np.ndarray  # D = lam/dt + react/2
-    fac: tuple  # factor_lines of D - L_a/2 per axis
+    lines: tuple
+    diag: Optional[np.ndarray] = None  # D = lam/dt - J
+    fac: Optional[tuple] = None  # factor_lines of D - L_a/2 per axis
 
 
-def damage_operator(active, K, react, lam: float, dt: float, grid, bc_g: dict):
-    """Restrict the damage operator (face conductivity K per grid axis, cell
-    reaction react) to the box of the active cells and factor each axis's
-    D - L_a/2 there; None when no cell is active.
-
-    Cells outside the box are inactive, so they keep their Γ. Every face on
-    a box edge that is not a wall has such a cell on its far side, hence
-    K = 0 and the zero-flux closure there is exact; a periodic axis keeps
-    its wrap only when the box spans it.
-    """
+def damage_operator(active, K, grid, bc_g: dict):
+    """The damage operator of the face conductivity K (per grid axis) on the
+    box of the active cells, unfactored; None when no cell is active. Cells
+    outside the box are inactive, so they keep their Γ. Every face on a box
+    edge that is not a wall has such a cell on its far side, hence K = 0
+    and the zero-flux closure there is exact; a periodic axis keeps its
+    wrap only when the box spans it."""
     box = active_box(active)
     if box is None:
         return None
-    # scipy's dpttrf rejects a system of one unknown: pad with inactive cells
-    box = tuple(_three_cells(s, n) for s, n in zip(box, active.shape))
-    react = react[box]
-    a = lam / dt
-    Kb, bcs, facs = [], [], []
+    Kb, bcs, lines = [], [], []
     for i, (ax, Ka) in enumerate(zip(grid.axes, K)):
         dim = active.ndim - 1 - i  # x is the last array axis, y the first
         s = box[dim]
-        Ka = Ka[box[:dim] + (slice(s.start, s.stop + 1),) + box[dim + 1:]]
+        Kb.append(Ka[box[:dim] + (slice(s.start, s.stop + 1),) + box[dim + 1:]])
         spans = s.stop - s.start == active.shape[dim]
-        bc = bc_g if spans or bc_g["type"] != "periodic" else _ZERO_FLUX
-        Kb.append(Ka)
-        bcs.append(bc)
-        facs.append(factor_lines(ax.view(Ka), ax.view(react), a, 0.5, ax.h, bc))
-    return DamageOperator(box, tuple(Kb), tuple(bcs), a + 0.5 * react, tuple(facs))
+        bcs.append(bc_g if spans or bc_g["type"] != "periodic" else _ZERO_FLUX)
+        lines.append(line_coupling(ax.view(Kb[-1]), 0.5, ax.h, bcs[-1]))
+    return DamageOperator(box, tuple(Kb), tuple(bcs), tuple(lines))
+
+
+def factor_damage(op: DamageOperator, D: np.ndarray, grid) -> DamageOperator:
+    """op with the diagonal D (on op's box) and each axis's D - L_a/2
+    factored (factor_lines)."""
+    return op._replace(diag=D, fac=tuple(factor_lines(lines, ax.view(D))
+                                         for ax, lines in zip(grid.axes, op.lines)))
 
 
 def damage_step(force: np.ndarray, op: DamageOperator, grid, prev=None):
     """One correction towards the Crank-Nicolson damage increment on op's
-    box: d = Γ1 - Γ0 solves (D - L/2) d = force, the net damage force of the
-    step (the caller's; for the linear law it is Z(Γ0) with the dirichlet
-    ghosts inside its flux). d is an increment, so every wall is
-    homogeneous, and force, K and react are zero on inactive cells, whose
-    rows then give d = 0 exactly: they keep their Γ bit for bit.
+    box: d = Γ1 - Γ0 solves (D - L/2) d = force, the caller's right-hand
+    side. d is an increment, so every wall is homogeneous; force, K and
+    react are zero on inactive cells, whose rows then give d = 0 exactly.
 
     Solves M d = force + (M - A) dk with M = (D - Lx/2) D^-1 (D - Ly/2), the
-    approximate factorisation of A = D - L/2: an x solve, a multiply by D,
-    a y solve. In 1D M = A and one correction is the exact step. In 2D the
-    cross term M - A = Lx D^-1 Ly / 4 costs one flux divergence, since the
-    previous y solve gives Ly dk = 2 D (dk - xk), xk its x-sweep result;
-    the corrections contract each mode by mu_x mu_y / ((1+mu_x)(1+mu_y)).
-    prev is the previous return value (dk, xk), None for the first one.
-    Returns (d, x), x None in 1D.
+    approximate factorisation of A = D - L/2: an x solve, a multiply by D, a
+    y solve; in 1D M = A and one correction is exact. In 2D the cross term
+    M - A = Lx D^-1 Ly / 4 costs one flux divergence, since the previous y
+    solve gives Ly dk = 2 D (dk - xk), xk its x-sweep result; each mode
+    contracts by mu_x mu_y / ((1+mu_x)(1+mu_y)). prev is the previous return
+    value (dk, xk), None at first. Returns (d, x), x None in 1D.
     """
     if prev is not None and prev[1] is not None:  # Lx D^-1 Ly dk / 4
         bc = dict(op.bc[0], value=0.0)  # an increment: every wall is homogeneous

@@ -3,10 +3,12 @@
 Lie splitting per step: a velocity-Verlet elastic update (the composition is
 algebraically identical to the centered three-level scheme), then activation
 of cells whose stress magnitude reached the threshold, then one
-Crank-Nicolson damage step. Each half is resolved once per run into a plan:
-ElasticPlan holds the walls (ops.walls, the one wall table), the stress
-terms and the buffers of the elastic half, DamagePlan the source law, the
-tolerances and the operator of the current active set. Coupling is one-way
+Crank-Nicolson damage step, its source iterated to the step's midpoint by a
+chord iteration on the source's slope. Each half is resolved once per run
+into a plan: ElasticPlan holds the walls (ops.walls, the one wall table),
+the stress terms and the buffers of the elastic half, DamagePlan the source
+law, the tolerances, the operator of the current active set on the box of
+its cells and the audit buffers. Coupling is one-way
 when b = 0 (Feng's model): the elastic substep never reads the damage
 field. The conservative lam = 0 limit (Clifton's model) is the same loop
 with the damage substep skipped: the damage field stays frozen and nothing
@@ -215,17 +217,16 @@ class ElasticPlan:
 
 
 class DamagePlan:
-    """The damage half of a step, resolved once per run, as ElasticPlan
-    resolves the elastic half.
-
-    cfg's diffusion number, source law row (model.SOURCE_LAWS), Picard
-    tolerances and damage-gradient weights are looked up here once. The face
-    conductivity K of each grid axis and the Crank-Nicolson operator on the
-    box of the active cells (ops.damage_operator, None when no cell is
-    active), which carries the law's reaction, hold while the active set
-    does: they are built for active here and rebuilt by activate() only when
-    a cell switches on. Each step solves that operator for the increment of
-    Gamma, its right-hand side the net damage force. Built only when lam > 0.
+    """The damage half of a step, resolved once per run as ElasticPlan
+    resolves the elastic half: cfg's diffusion number, source law row
+    (model.SOURCE_LAWS), tolerances and damage-gradient weights, and the
+    Crank-Nicolson operator on the box of the active cells (None when none
+    is), which activate() rebuilds when a cell switches on. The operator is
+    factored with the source's capped slope once per active set when the
+    slope is a number, else once per step. The audit, energy and roundoff
+    read the box; their sums run over grid-sized buffers that hold zero or
+    the frozen cells' potential outside it, so each is bitwise its full-grid
+    sum. Built only when lam > 0.
     """
 
     def __init__(self, cfg: ScenarioConfig, active: np.ndarray):
@@ -233,19 +234,43 @@ class DamagePlan:
         self.p, self.grid, self.dt, self.bc_g = p, grid, cfg.dt, cfg.bc["gamma"]
         diffusivity = max(d / ax.h**2 for ax, d in zip(grid.axes, (p.d1, p.d2)))
         self.diff_number = float(diffusivity * cfg.dt)
-        law = SOURCE_LAWS[p.source_law]
-        self.picard = law.reaction is None
-        self.reaction = 0.0 if self.picard else law.reaction(p)
+        self.slope = SOURCE_LAWS[p.source_law].slope
+        self.constant = np.ndim(self.slope(np.zeros(1), p)) == 0  # a number reads no Gamma
         self.clamp = p.saturation is not None
         self.tol, self.max_iter = cfg.numerics["source_tol"], cfg.numerics["source_max_iter"]
+        self.a = p.lam / cfg.dt
         self.w_gamma = ops.energy_weights(cfg.bc, grid)[1]
+        self.faces = [np.zeros(ax.view(active).shape[:-1] + (ax.n + 1,)) for ax in grid.axes]
+        self.rate, self.psi = np.zeros(grid.shape), None  # psi: set by the first level()
         self._build(active)
 
     def _build(self, active: np.ndarray) -> None:
-        p = self.p
-        self.K = ops.grid_conductivity(active, (p.k1, p.k2), self.grid, self.bc_g)
-        react = np.where(active, self.reaction, 0.0)
-        self.op = ops.damage_operator(active, self.K, react, p.lam, self.dt, self.grid, self.bc_g)
+        p, grid = self.p, self.grid
+        K = ops.grid_conductivity(active, (p.k1, p.k2), grid, self.bc_g)
+        self.op = op = ops.damage_operator(active, K, grid, self.bc_g)
+        self.flux = None  # the next step's flux(Gamma), once taken under this K
+        if op is None:
+            return
+        box, self.on = op.box, active[op.box]
+        self.masked = not self.on.all()  # the box holds inactive cells
+        self.terms = []  # per axis: K/2, weights and buffer window on the box, buffer
+        for i, (ax, Ka, faces, w) in enumerate(zip(grid.axes, op.K, self.faces, self.w_gamma)):
+            dim = active.ndim - 1 - i  # x is the last array axis, y the first
+            edge = slice(box[dim].start, box[dim].stop + 1)  # the faces of the box
+            window = ax.view(ax.view(faces)[box[:dim] + (edge,) + box[dim + 1:]])
+            self.terms.append((0.5 * ax.view(Ka), w[edge], window, faces))
+        if self.constant:
+            self.op = self._factor(None)[0]
+
+    def _factor(self, g) -> tuple:
+        """(the operator factored with D = lam/dt - J, -J), J = min(F'(g),
+        lam/dt)/2 on active cells: capped, D >= lam/(2 dt) keeps it SPD."""
+        minus_J = np.where(self.on, 0.5 * np.maximum(-self.slope(g, self.p), -self.a), 0.0)
+        return ops.factor_damage(self.op, self.a + minus_J, self.grid), minus_J
+
+    def _on(self, x):
+        """x on the box's active cells, 0 on its inactive ones."""
+        return np.where(self.on, x, 0.0) if self.masked else x
 
     def activate(self, state: FieldState, uXc) -> None:
         """Switch on the cells whose stress magnitude (from the cell strain
@@ -264,75 +289,100 @@ class DamagePlan:
             err.state = state.copy()  # dumped for post-mortem inspection
             raise
 
-    def step(self, state: FieldState, uX) -> tuple:
-        """One Crank-Nicolson step of lam*dGamma/dt = Z on the active cells,
-        Z = div(K grad Gamma) + source the net damage force and uX the cell
-        strain; state, whose active set is the plan's, is not modified. The
-        solve covers the box of the active cells and is for the increment d
-        = Gamma_new - Gamma: every other cell keeps its value bit for bit.
+    def level(self, gamma) -> tuple:
+        """cst.damage_free_energy's pair of the level gamma under the plan's
+        active set, bitwise, kept as .energy. The one face gradient per axis
+        it takes on the box also gives the flux the next step starts from."""
+        p, cell_volume, op = self.p, self.grid.cell_volume, self.op
+        if self.psi is None:
+            self.psi = cst.damage_potential(gamma, p) * cell_volume
+        e_grad = 0.0
+        if op is not None:
+            g = gamma[op.box]
+            grads = [ops.gamma_grad_faces(ax.view(g), ax.h, bc)
+                     for ax, bc in zip(self.grid.axes, op.bc)]
+            self.flux = ops.grid_flux_div(g, op.K, self.grid, op.bc, grads)
+            for ax, grad, (half_K, w, e, faces) in zip(self.grid.axes, grads, self.terms):
+                np.multiply(np.multiply(half_K, grad * grad, out=e), w, out=e)
+                e_grad += float(np.add.reduce(faces, None) * ax.across)
+            self.psi[op.box] = cst.damage_potential(g, p) * cell_volume
+        self.energy = (e_grad, float(np.add.reduce(self.psi, None)))
+        return self.energy
 
-        Its right-hand side is the step's net damage force (ops.damage_step):
-        the flux of Gamma, once per step, plus the source at Gamma when the
-        law's reaction is in the operator, else at the midpoint Gamma + d/2,
-        iterated (Picard) together with the 2D defect correction, so the
-        discrete admissibility product stays nonnegative up to roundoff.
-        Raises PicardNotConverged when numerics.source_max_iter iterations
-        fall short of numerics.source_tol (on the scale max(1, max|Gamma_new|)
-        over the box), NonFiniteState on a non-finite right-hand side, both
-        with a copy of the state as .state.
+    def step(self, state: FieldState, uX) -> tuple:
+        """One Crank-Nicolson step of lam*dGamma/dt = Z = div(K grad Gamma) +
+        F on the active cells, F the source and -b*uX (uX the cell strain);
+        state, whose active set is the plan's, is not modified. On the box,
+        d = Gamma_new - Gamma solves A d = flux(Gamma) + F(Gamma + d/2), A =
+        lam/dt - L/2, by chord iteration on J = min(F'(Gamma), lam/dt)/2:
+        (A - J) d_k+1 = flux(Gamma) + F(Gamma + d_k/2) - J d_k (ops.damage_step,
+        fused in 2D with its defect correction; under a constant slope the
+        first iterate is exact, so 1D solves once), until an iterate moves by
+        at most numerics.source_tol on the scale max(1, max|Gamma_new|). Every
+        other cell keeps its value bit for bit. Raises PicardNotConverged
+        after numerics.source_max_iter iterations, NonFiniteState on a
+        non-finite operator or right-hand side, both with the state attached.
 
         Returns (gamma_new, min Z*dGamma/dt, peak |Z*dGamma/dt|, dissipated
-        increment), over the active cells with Z at the midpoint; that Z
-        stays as .Z for roundoff().
+        increment) over the active cells, Z at the midpoint: F there plus the
+        mean of the two levels' fluxes, kept as .Z for roundoff().
         """
-        p, grid, dt, op = self.p, self.grid, self.dt, self.op
-        active, gamma = state.active, state.gamma
-        gamma_new = gamma.copy()
+        op, gamma = self.op, state.gamma
+        if op is None:
+            return gamma.copy(), 0.0, 0.0, 0.0
+        p, grid, dt, tol, box, on = self.p, self.grid, self.dt, self.tol, op.box, self.on
+        g, uXb = gamma[box], uX[box]
         try:
-            if op is not None:
-                box = op.box
-                g, on, uXb = gamma[box], active[box], uX[box]
-                flux = ops.grid_flux_div(g, op.K, grid, op.bc)
-                d, prev = np.zeros(g.shape), None
-                for _ in range(self.max_iter):
-                    source = cst.damage_force(g + 0.5 * d if self.picard else g, p, uXb)
-                    nxt, x = ops.damage_step(flux + np.where(on, source, 0.0), op, grid, prev)
-                    delta = float(np.abs(nxt - d).max())
-                    d, prev = nxt, (nxt, x)
-                    if not self.picard and x is None:
-                        break  # 1D linear: the one solve is exact
-                    limit = self.tol * max(1.0, float(np.abs(g + d).max()))
-                    if delta <= limit:
-                        break
-                else:
-                    raise PicardNotConverged(state.time, self.max_iter, delta, limit)
-                gamma_new[box] += d
+            if self.flux is None:  # an activation changed K
+                self.flux = ops.grid_flux_div(g, op.K, grid, op.bc)
+            flux, d, prev, moved = self.flux, None, None, None
+            force = flux + self._on(cst.damage_force(g, p, uXb))
+            if not self.constant:
+                op, minus_J = self._factor(g)
+            for _ in range(self.max_iter):
+                if d is not None and not self.constant:
+                    force = flux + self._on(cst.damage_force(g + 0.5 * d, p, uXb)) + minus_J * d
+                nxt, x = ops.damage_step(force, op, grid, prev)
+                if self.constant and x is None:
+                    d = nxt
+                    break  # 1D, constant slope: the one solve is exact
+                delta = float(np.abs(nxt if d is None else nxt - d).max())
+                if moved is None:  # max|g + d| <= max|g| + the sum of the deltas
+                    moved = float(np.abs(g).max())
+                d, prev, moved = nxt, (nxt, x), moved + delta
+                if delta <= tol or delta <= tol * moved and delta <= tol * float(np.abs(g + d).max()):
+                    break
+            else:
+                limit = tol * max(1.0, float(np.abs(g + d).max()))
+                raise PicardNotConverged(state.time, self.max_iter, delta, limit)
         except (NonFiniteState, PicardNotConverged) as err:
             err.state = state.copy()  # dumped for post-mortem inspection
             raise
 
+        gamma_new = gamma.copy()
+        gamma_new[box] += d
+        gn = gamma_new[box]
         if self.clamp:  # a law that saturates keeps active damage nonnegative
-            np.maximum(gamma_new, 0.0, out=gamma_new, where=active)
+            np.maximum(gn, 0.0, out=gn, where=on)
+        self.level(gamma_new)
         # Z at the midpoint, where the CN step balances lam*dGamma/dt
-        Z = self.Z = cst.internal_forces(0.5 * (gamma + gamma_new), p, grid, uX=uX,
-                                         bc_gamma=self.bc_g, K=self.K)
-        gamma_dot = (gamma_new - gamma) / dt
-        zg = np.where(active, Z * gamma_dot, 0.0)
-        dissipated = float(cst.dissipation_rate(gamma_dot, p).sum() * grid.cell_volume)
-        return gamma_new, float(zg.min()), float(np.abs(zg).max()), dissipated * dt
+        Z = self.Z = cst.damage_force(0.5 * (g + gn), p, uXb) + 0.5 * (flux + self.flux)
+        gamma_dot = (gn - g) / dt
+        zg = self._on(Z * gamma_dot)
+        low = float(zg.min())
+        self.rate[box] = cst.dissipation_rate(gamma_dot, p)
+        dissipated = float(np.add.reduce(self.rate, None) * grid.cell_volume)
+        if on.size < gamma.size:  # the cells outside the box are inactive: 0
+            low = min(low, 0.0)
+        return gamma_new, low, float(np.abs(zg).max()), dissipated * dt
 
-    def roundoff(self, gamma, gamma_new, active) -> float:
+    def roundoff(self, gamma, gamma_new) -> float:
         """The roundoff in Z*dGamma/dt of the last step, gamma -> gamma_new:
-        eps*max|Z|*max(|gamma|, |gamma_new|)/dt over the active cells, Z the
-        step's midpoint forces. A damage rate that is itself roundoff carries
-        a product of either sign up to this size."""
-        size = max(float(np.abs(gamma[active]).max()), float(np.abs(gamma_new[active]).max()))
-        return float(np.finfo(float).eps * np.abs(self.Z[active]).max() * size / self.dt)
-
-    def energy(self, gamma) -> tuple:
-        """The damage part of the free energy (cst.damage_free_energy's pair)
-        under the plan's active set."""
-        return cst.damage_free_energy(gamma, self.p, self.grid, self.bc_g, self.w_gamma, K=self.K)
+        eps*max|Z|*max(|gamma|, |gamma_new|)/dt over the active cells. A damage
+        rate that is itself roundoff carries a product of either sign this big."""
+        box, on = self.op.box, self.on
+        size = max(float(np.abs(gamma[box][on]).max()), float(np.abs(gamma_new[box][on]).max()))
+        return float(np.finfo(float).eps * np.abs(self.Z[on]).max() * size / self.dt)
 
 
 # -- full runs ----------------------------------------------------------------
@@ -418,12 +468,11 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
 
     Per step: elastic substep, threshold activation (|S| >= sigma0; cells
     never deactivate), damage substep, energy bookkeeping, admissibility
-    audit. The run's DamagePlan does the activation and the damage substep;
-    it rebuilds its operator only on a step that activates a cell. Raises
-    AdmissibilityViolation (with the offending state, new damage included,
-    attached) if min Z*dGamma/dt drops below -(tol * peak magnitude + the
-    step's roundoff, DamagePlan.roundoff), NonFiniteState if the audit
-    reads NaN.
+    audit. The run's DamagePlan does the activation, the damage substep and
+    the damage energy. Raises AdmissibilityViolation (with the offending
+    state, new damage included, attached) if min Z*dGamma/dt drops below
+    -(tol * peak magnitude + the step's roundoff, DamagePlan.roundoff),
+    NonFiniteState if the audit reads NaN.
 
     lam = 0 is the conservative limit (MaterialParams admits it only with
     c2 = 0, b = 0 and no source): it builds no DamagePlan, and every
@@ -440,7 +489,7 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
         e_damage = (0.0, 0.0)
     else:
         damage = DamagePlan(cfg, state.active)
-        e_damage = damage.energy(state.gamma)
+        e_damage = damage.level(state.gamma)
     plan.level(state.U, state.gamma, state.time)
     yield (0.0, dt, 0.0, 0.0, 0.0, plan.kinetic(state.v), plan.free_energy(state.gamma, e_damage),
            0.0, 0.0)
@@ -471,8 +520,7 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
                 # only a step that fails the cheap test pays for its roundoff;
                 # a NaN (which max(peak, nan) drops and `<` passes) gets a
                 # NaN bound, which no value meets
-                bound = math.nan if nan else (
-                    tol_adm * zg_peak + damage.roundoff(gamma, state.gamma, state.active))
+                bound = math.nan if nan else tol_adm * zg_peak + damage.roundoff(gamma, state.gamma)
                 if not min_zg >= -bound:
                     if nan:
                         err = NonFiniteState("admissibility audit")
@@ -480,7 +528,7 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
                         err = AdmissibilityViolation(state.time, min_zg, bound)
                     err.state = state.copy()  # dumped for post-mortem inspection
                     raise err
-            e_damage = damage.energy(state.gamma)
+            e_damage = damage.energy
         power = plan.wall_power(state.v)
         work += 0.5 * (power_prev + power) * dt
         power_prev = power

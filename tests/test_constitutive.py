@@ -129,9 +129,9 @@ def test_forces_match_free_energy_gradient(case):
 
 @pytest.mark.parametrize("law", list(SOURCE_LAWS))
 def test_source_law_force_matches_potential_gradient(law):
-    # every row of the table: its force is -W', W and the force vanish at
-    # gamma = 0, the force vanishes at the saturation level, and a reaction
-    # c makes the force -c*gamma exactly
+    # every row of the table: its force is -W' and its slope -W'', W and the
+    # force vanish at gamma = 0, the force vanishes at the saturation level,
+    # and a constant slope c makes the force c*gamma exactly
     p = mat(lam=0.8, c2=1.1, source_law=law, source_rate=1.7, gamma_max=1.3)
     row = SOURCE_LAWS[law]
     h = 1e-6
@@ -139,11 +139,13 @@ def test_source_law_force_matches_potential_gradient(law):
     for g in G:
         A_fd = -_central(lambda G_: fw.damage_potential(G_, p), g, h)
         assert fw.damage_force(g, p) == pytest.approx(A_fd, rel=1e-7, abs=1e-10)
+        slope_fd = _central(lambda G_: fw.damage_force(G_, p), g, h)
+        assert row.slope(g, p) == pytest.approx(slope_fd, rel=1e-7, abs=1e-10)
     assert fw.damage_potential(0.0, p) == 0.0 and fw.damage_force(0.0, p) == 0.0
     if row.saturation is not None:
         assert fw.damage_force(row.saturation(p), p) == 0.0
-    if row.reaction is not None:
-        assert np.array_equal(fw.damage_force(G, p), -row.reaction(p) * G)
+    if np.ndim(row.slope(G, p)) == 0:
+        assert np.array_equal(fw.damage_force(G, p), row.slope(G, p) * G)
 
 
 def test_rate_conjugacy():

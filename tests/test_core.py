@@ -203,6 +203,7 @@ _CONFIG_KEY = {"lam": "lambda", "source_law": "law", "source_rate": "rate",
     ({"c1": -1.0}, InvalidValue, "material.c1"),
     ({"lam": -1.0}, InvalidValue, "material.lambda"),
     ({"d2": -1.0}, InvalidValue, "material.d1/d2"),
+    ({"lam": 1e200, "d1": 1e200}, InvalidValue, "material.lambda"),  # the conductance overflows
     ({"c2": -1.0}, InvalidValue, "material.c2"),
     ({"sigma0": -1.0}, InvalidValue, "material.sigma0"),
     ({"source_law": "logistc"}, InvalidValue, "material.source.law"),
@@ -213,8 +214,8 @@ _CONFIG_KEY = {"lam": "lambda", "source_law": "law", "source_rate": "rate",
     ({"lam": 0.0, "c2": 1.0}, ConfigConflict, None),
     ({"lam": 0.0, "b": 0.5}, ConfigConflict, None),
     ({"lam": 0.0, "source_law": "logistic", "source_rate": 1.0}, ConfigConflict, None),
-], ids=["rho0", "theta0", "c1", "lambda", "d2", "c2", "sigma0", "law", "rate", "gamma_max",
-        "logistic-b", "frozen-c2", "frozen-b", "frozen-source"])
+], ids=["rho0", "theta0", "c1", "lambda", "d2", "conductance", "c2", "sigma0", "law", "rate",
+        "gamma_max", "logistic-b", "frozen-c2", "frozen-b", "frozen-source"])
 def test_material_rules_hold_however_the_material_is_built(fields, error, name):
     # the rules live in MaterialParams, so a direct construction, replace()
     # and a scenario document all raise the same error with the same path
@@ -304,6 +305,12 @@ def _wall(**spec):
     ({"grid": {**GRID_2D, "dy": 1e-170}, "material": {"rho0": 1.0, "c1": 1.0, "d1": 0.1}},
      "grid.dy", "its square under- or overflows"),
     ({"grid": {"nx": 16, "dx": 1e200}}, "grid.dx", "its square under- or overflows"),
+    # a subnormal square passes, but the diffusivity over it overflows (it
+    # was NonFiniteState("damage operator"), which names no key)
+    ({"grid": {"nx": 16, "dx": 1e-160}, "material": {"rho0": 1.0, "c1": 1.0, "d1": 0.1}},
+     "grid.dx", "the diffusivity over its square overflows"),
+    ({"grid": {**GRID_2D, "dy": 1e-160}, "material": {"rho0": 1.0, "c1": 1.0, "d1": 0.1}},
+     "grid.dy", "the diffusivity over its square overflows"),
     ({"time": {"dt": 0.0, "t_end": 0.1}}, "time.dt", "must be > 0"),
     ({"time": {"dt": 0.01, "t_end": 0.005}}, "time.t_end", "must be >= dt"),
     ({"output": {"snapshots": 1}}, "output.snapshots", "need at least first+last, so >= 2"),
@@ -329,7 +336,8 @@ def _wall(**spec):
     ({"numerics": {"source_max_iter": 1.5}}, "numerics.source_max_iter",
      "expected an integer, got 1.5"),
 ], ids=["nx", "ny", "dx", "dy", "dx-underflow", "dx-underflow-no-diffusion", "dy-underflow",
-        "dx-overflow", "dt", "t_end", "snapshots", "tol_admissibility",
+        "dx-overflow", "dx-diffusivity-overflow", "dy-diffusivity-overflow", "dt", "t_end",
+        "snapshots", "tol_admissibility",
         "source_max_iter", "width", "width-2d", "mode", "until", "ramp", "gauge-2d",
         "gauges-scalar", "nx-fraction", "mode-fraction", "snapshots-fraction", "source_max_iter-fraction"])
 def test_range_rules(over, name, reason):
@@ -410,10 +418,13 @@ def scenario_docs(draw):
     lam = draw(nonnegative)
     law = "linear_decay" if lam == 0.0 else draw(st.sampled_from(("linear_decay", "logistic")))
     coupled = law == "linear_decay" and lam != 0.0
+    # each axis's diffusivity and conductance lam*d over its width squared stay finite
+    widths = [grid["dx"], grid.get("dy", grid["dx"])]
+    d1, d2 = (draw(st.floats(0.0, min(1e100, 1e300 * h * h / max(1.0, lam)))) for h in widths)
     material = {
         "rho0": draw(positive), "c1": draw(positive), "c2": draw(nonnegative) if lam else 0.0,
-        "c3": draw(finite), "theta0": draw(positive), "lambda": lam, "d1": draw(nonnegative),
-        "d2": draw(nonnegative), "b": draw(finite) if coupled else 0.0,
+        "c3": draw(finite), "theta0": draw(positive), "lambda": lam, "d1": d1,
+        "d2": d2, "b": draw(finite) if coupled else 0.0,
         "sigma0": draw(nonnegative),
         "source": {"law": law, "rate": draw(positive), "gamma_max": draw(positive)},
     }

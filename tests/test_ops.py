@@ -56,6 +56,11 @@ def _dense_system(K_line, react_line, a, s, dh, bc_g):
     return np.diag(a + 0.5 * react_line) - s * L
 
 
+def _factor(K, react, a, s, dh, bc_g):
+    """The factor of (a + react/2 - s*L) on every line of react."""
+    return ops.factor_lines(ops.line_coupling(K, s, dh, bc_g), a + 0.5 * react)
+
+
 def _scale(x):
     """The relative bound's scale: max |x|, floored at the smallest normal
     float (subnormals carry fewer than 53 significant bits, so no relative
@@ -67,7 +72,7 @@ def _scale(x):
 @given(line_systems())
 def test_factored_lines_match_dense_solve(sys_):
     args = (sys_["a"], sys_["s"], sys_["dh"], sys_["bc_g"])
-    fac = ops.factor_lines(sys_["K"], sys_["react"], *args)
+    fac = _factor(sys_["K"], sys_["react"], *args)
     lines = [_dense_system(K, react, *args) for K, react in zip(sys_["K"], sys_["react"])]
     for rhs in sys_["rhs"]:
         x = ops.solve_lines(fac, rhs)
@@ -81,10 +86,10 @@ def test_reused_factor_equals_fresh_factor(sys_):
     args = (sys_["K"], sys_["react"], sys_["a"], sys_["s"], sys_["dh"], sys_["bc_g"])
     first, second = sys_["rhs"]
     kept = second.copy()
-    fac = ops.factor_lines(*args)
+    fac = _factor(*args)
     ops.solve_lines(fac, first)
     reused = ops.solve_lines(fac, second)
-    fresh = ops.solve_lines(ops.factor_lines(*args), second)
+    fresh = ops.solve_lines(_factor(*args), second)
     assert np.array_equal(reused, fresh)
     assert np.array_equal(second, kept)  # the right-hand side is not consumed
 
@@ -93,14 +98,14 @@ def test_non_finite_operator_or_rhs_is_typed():
     K = np.ones((2, 6))
     react = np.zeros((2, 5))
     bc_g = {"type": "zero_flux"}
-    fac = ops.factor_lines(K, react, 1.0, 0.5, 0.1, bc_g)
+    fac = _factor(K, react, 1.0, 0.5, 0.1, bc_g)
     rhs = np.ones((2, 5))
     rhs[1, 2] = np.nan
     with pytest.raises(fw.NonFiniteState, match="right-hand side"):
         ops.solve_lines(fac, rhs)
     K[0, 3] = np.inf
     with pytest.raises(fw.NonFiniteState, match="operator"):
-        ops.factor_lines(K, react, 1.0, 0.5, 0.1, bc_g)
+        _factor(K, react, 1.0, 0.5, 0.1, bc_g)
 
 
 def test_indefinite_operator_is_typed():
@@ -109,7 +114,7 @@ def test_indefinite_operator_is_typed():
     K = np.ones((2, 6))
     react = np.zeros((2, 5))
     with pytest.raises(fw.NonFiniteState, match="positive definite"):
-        ops.factor_lines(K, react, -1.0, 0.5, 0.1, {"type": "zero_flux"})
+        _factor(K, react, -1.0, 0.5, 0.1, {"type": "zero_flux"})
 
 
 @st.composite
@@ -144,7 +149,7 @@ def test_stiff_line_solve_is_backward_stable(sys_):
     # forward one: at these ratios the error against a dense solve measures
     # the conditioning.
     args = (sys_["a"], sys_["s"], sys_["dh"], sys_["bc_g"])
-    x = ops.solve_lines(ops.factor_lines(sys_["K"], sys_["react"], *args), sys_["rhs"])
+    x = ops.solve_lines(_factor(sys_["K"], sys_["react"], *args), sys_["rhs"])
     eps = np.finfo(float).eps
     for K, react, xl, b in zip(sys_["K"], sys_["react"], x, sys_["rhs"]):
         A = _dense_system(K, react, *args)
@@ -236,8 +241,9 @@ def test_active_box_step_matches_dense_full_grid_step(sys_):
     # the box increment equals the full-grid one fed the same force, and
     # Γ + d keeps every inactive cell bit for bit, inside the box too
     grid, gamma, active = sys_["grid"], sys_["gamma"], sys_["active"]
-    op = ops.damage_operator(active, sys_["K"], sys_["react"], sys_["lam"], 1.0, grid,
-                             sys_["bc_g"])
+    op = ops.damage_operator(active, sys_["K"], grid, sys_["bc_g"])
+    if op is not None:  # dt = 1: D = lam + react/2
+        op = ops.factor_damage(op, sys_["lam"] + 0.5 * sys_["react"][op.box], grid)
     force = _force(sys_)
     d = np.zeros(gamma.shape)
     if op is not None:

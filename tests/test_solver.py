@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import failwave as fw
+from failwave import constitutive as cst
 from failwave import ops, solver
+from failwave.model import SOURCE_LAWS
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -430,29 +432,164 @@ def test_run_equals_a_loop_of_standalone_steps(case):
 
 
 def test_damage_operator_is_factored_once_per_active_set(monkeypatch):
-    calls = []
-    factor = ops.factor_lines
+    calls, solves = [], []
+    factor, damage_step = ops.factor_lines, ops.damage_step
     monkeypatch.setattr(ops, "factor_lines", lambda *args: calls.append(1) or factor(*args))
+    monkeypatch.setattr(ops, "damage_step", lambda *args: solves.append(1) or damage_step(*args))
 
-    # every cell active from the start: one factor for the whole run
+    # a constant slope (linear_decay) on a growing active set: one factor for
+    # the initial cells, then one for each step that switches a cell on
+    linear = _activation_bar(b=1.0e9, c2=1.0e9, source={"law": "linear_decay"})
+    traj = fw.record_trajectory(fw.build_scenario(linear))
+    grew = [k for k in range(1, len(traj.times)) if (traj.active[k] != traj.active[k - 1]).any()]
+    assert len(grew) > 40
+    assert len(calls) == 1 + len(grew)
+
+    # a slope that varies with Γ (logistic, every cell active): one factor
+    # per step, and kpp_front's chord iteration takes at most 5 solves per
+    # step over its first 50 (4.5; a Picard loop on the source took 7.06)
+    calls.clear()
+    solves.clear()
     kpp = load_scenario("kpp_front.yaml")
     short = fw.scenario_to_dict(kpp)
     short["time"]["t_end"] = 50 * kpp.dt
     fw.run(fw.build_scenario(short))
-    assert len(calls) == 1
-
-    # a growing active set: one factor for the initial cells, then one for
-    # each step that switches a cell on
-    calls.clear()
-    traj = fw.record_trajectory(fw.build_scenario(_activation_bar()))
-    grew = [k for k in range(1, len(traj.times)) if (traj.active[k] != traj.active[k - 1]).any()]
-    assert len(grew) > 40
-    assert len(calls) == 1 + len(grew)
+    assert len(calls) == 50
+    assert len(solves) <= 5 * 50
 
     # no active cell: nothing to factor
     calls.clear()
     fw.run(fw.build_scenario(_activation_bar(sigma0=1.0e10) | {"ic": {}}))
     assert calls == []
+
+
+def _newton_increment(cfg, gamma, active):
+    """The Crank-Nicolson damage increment of one step (uX = 0) by Newton's
+    method on the full grid, assembled densely: on active cells d solves
+    (lam/dt - L/2) d = flux(Γ) + F(Γ + d/2), L the homogeneous flux
+    divergence under active's conductivity; inactive cells keep d = 0."""
+    p, grid, bc_g = cfg.material, cfg.grid, cfg.bc["gamma"]
+    law = SOURCE_LAWS[p.source_law]
+    K = ops.grid_conductivity(active, (p.k1, p.k2), grid, bc_g)
+    shape, on = gamma.shape, active.ravel()
+
+    def div(x):
+        return ops.grid_flux_div(x.reshape(shape), K, grid, [bc_g] * grid.ndim).ravel()
+
+    c = div(np.zeros(shape))
+    L = np.column_stack([div(e) - c for e in np.eye(gamma.size)])
+    A = np.eye(gamma.size) * (p.lam / cfg.dt) - 0.5 * L
+    g, flux = gamma.ravel(), div(gamma)
+    d = np.zeros(gamma.size)
+    for _ in range(50):
+        mid = g + 0.5 * d
+        residual = A @ d - flux - np.where(on, law.force(mid, p), 0.0)
+        jacobian = A - 0.5 * np.diag(np.where(on, law.slope(mid, p), 0.0))
+        step = np.linalg.solve(jacobian, residual)
+        d -= step
+        if np.abs(step).max() <= 1e-17 * np.abs(d).max():
+            break
+    return d.reshape(shape)
+
+
+def _logistic_doc(grid, rate, dt, **over):
+    doc = {"grid": grid,
+           "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1.5, "d1": 0.02, "d2": 0.05,
+                        "source": {"law": "logistic", "rate": rate, "gamma_max": 1.0}},
+           "time": {"dt": dt, "t_end": 10 * dt},
+           "bc": {"u_left": {"type": "fixed"}, "u_right": {"type": "fixed"},
+                  "gamma": {"type": "dirichlet", "value": 0.3}}}
+    doc.update(over)
+    return doc
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_chord_increment_solves_the_midpoint_equation(ndim):
+    # the chord iteration on the step's Jacobian stops at the fixed point of
+    # the Crank-Nicolson midpoint equation, which Newton's method on a dense
+    # full-grid assembly reaches too: a 1D bar whose active box leaves cells
+    # out at one end and touches the dirichlet wall at the other, and a 2D
+    # sheet whose box holds an inactive cell
+    rng = np.random.default_rng(7 + ndim)
+    if ndim == 1:
+        cfg = fw.build_scenario(_logistic_doc({"nx": 40, "dx": 0.05}, rate=6.0, dt=0.05))
+        active = np.zeros(40, dtype=bool)
+        active[:25] = True
+    else:
+        grid = {"nx": 10, "ny": 8, "dx": 0.1, "dy": 0.1}
+        cfg = fw.build_scenario(_logistic_doc(grid, rate=6.0, dt=0.05,
+                                              bc={"u_left": {"type": "fixed"},
+                                                  "u_right": {"type": "fixed"},
+                                                  "gamma": {"type": "zero_flux"}}))
+        active = np.zeros((8, 10), dtype=bool)
+        active[1:6, 2:9] = True
+        active[3, 5] = False
+    gamma = rng.uniform(0.1, 0.9, active.shape)
+    state = fw.FieldState(0.0, np.zeros(active.shape), np.zeros(active.shape), gamma, active)
+    plan = solver.DamagePlan(cfg, active)
+    gamma_new = plan.step(state, np.zeros(active.shape))[0]
+    d = gamma_new - gamma
+    reference = _newton_increment(cfg, gamma, active)
+    assert plan.op.box != tuple(slice(0, n) for n in active.shape)  # a partial box
+    assert np.array_equal(gamma_new[~active], gamma[~active])
+    assert float(np.abs(d - reference).max()) <= 1e-12 * float(np.abs(reference).max())
+
+
+@pytest.mark.parametrize("rate", [40.0, 200.0, 2000.0])
+def test_fast_source_keeps_the_operator_positive_definite(rate):
+    # at r*dt >= 2 (dt 0.05) the uncapped slope would leave lam/dt - F'/2 <= 0
+    # on undamaged cells; the cap keeps the operator SPD, so the step can
+    # only fail to converge, never meet an indefinite factor
+    doc = fw.scenario_to_dict(load_scenario("kpp_front.yaml"))
+    doc["material"]["source"]["rate"] = rate
+    doc["time"]["dt"] = 0.05
+    doc["numerics"] = {"source_max_iter": 2}
+    with pytest.raises(fw.PicardNotConverged) as exc:
+        fw.run(fw.build_scenario(doc))
+    assert exc.value.iterations == 2
+
+
+def test_box_audit_matches_the_full_grid_audit():
+    # the step audits, books and evaluates the energy on the active box;
+    # step by step along a growing active set it reproduces the full-grid
+    # reference: Z at the midpoint from cst.internal_forces, the dissipation
+    # rate over every cell and cst.damage_free_energy. Its midpoint flux is
+    # the mean of the two levels' fluxes, so min and peak Z*dGamma/dt agree
+    # to the roundoff of the flux terms; the sums agree bit for bit
+    cfg = fw.build_scenario(_activation_bar())
+    p, grid, bc_g = cfg.material, cfg.grid, cfg.bc["gamma"]
+    w_gamma = ops.energy_weights(cfg.bc, grid)[1]
+    state = fw.initialize_state(cfg)
+    elastic, damage = solver.ElasticPlan(cfg), solver.DamagePlan(cfg, state.active)
+    elastic.level(state.U, state.gamma, 0.0)
+    damage.level(state.gamma)
+    eps = np.finfo(float).eps
+    partial = 0
+    for k in range(1, 161):
+        elastic.step(state, k * cfg.dt)
+        state.time = k * cfg.dt
+        uX = ops.face_mean(elastic.eps)
+        damage.activate(state, uX)
+        gamma = state.gamma
+        gamma_new, low, peak, dissipated = damage.step(state, uX)
+        gamma_dot = (gamma_new - gamma) / cfg.dt
+        mid = 0.5 * (gamma + gamma_new)
+        Z = cst.internal_forces(mid, p, grid, uX=uX, bc_gamma=bc_g, active=state.active)
+        zg = np.where(state.active, Z * gamma_dot, 0.0)
+        # each flux term carries the roundoff of k1/dx^2 times the damage
+        flux_scale = 4.0 * p.k1 / grid.dx**2 * float(np.abs(gamma_new).max())
+        bound = 8.0 * eps * (flux_scale + float(np.abs(Z).max())) * float(np.abs(gamma_dot).max())
+        assert abs(low - float(zg.min())) <= bound, k
+        assert abs(peak - float(np.abs(zg).max())) <= bound, k
+        if not state.active.all():
+            partial += 1
+            assert low <= 0.0
+        rate = fw.dissipation_rate(gamma_dot, p)
+        assert dissipated == float(rate.sum() * grid.cell_volume) * cfg.dt
+        assert damage.energy == cst.damage_free_energy(gamma_new, p, grid, bc_g, w_gamma,
+                                                       state.active)
+        state.gamma = gamma_new
+    assert partial == 160
 
 
 # -- coupling structure (bitwise) -------------------------------------------------
