@@ -66,13 +66,14 @@ class AdmissibilityViolation(RuntimeViolation):
 
 
 class NonFiniteState(RuntimeViolation):
-    """A step met a non-finite value: a (possibly singular) damage operator
-    or right-hand side, the Courant number, or the admissibility audit. The
-    step's state is attached as .state when the solver raises it."""
+    """A run met a non-finite value: a (possibly singular) damage operator
+    or right-hand side, the Courant number (read only when c3 != 0), the
+    admissibility audit, or a level's kinetic or free_energy report column.
+    The state is attached as .state when the solver raises it."""
 
-    def __init__(self, what: str):
+    def __init__(self, what: str, state=None):
         self.what = what
-        self.state = None
+        self.state = state
         super().__init__(f"non-finite value in the {what}")
 
 

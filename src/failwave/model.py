@@ -481,6 +481,8 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
         if not max(d, material.lam * d) / ax.h**2 < math.inf:
             raise InvalidValue(f"grid.{key}", "the diffusivity over its square overflows")
     time_sec = _parse_section(_need(raw, "time", ""), _TIME, "time")
+    if not material.lam / time_sec["dt"] < math.inf:  # the damage operator's diagonal
+        raise InvalidValue("material.lambda", "lambda/dt overflows")
     on_grid = {**_CONVERT, "axes": partial(_per_axis, grid=grid), "field": partial(_field, grid=grid)}
     ic = _parse_kinds(raw.get("ic"), _IC_FIELDS, "ic", on_grid)
     bc = _parse_kinds(raw.get("bc"), _WALLS, "bc")

@@ -198,12 +198,19 @@ def damage_flux_div(gamma: np.ndarray, K: np.ndarray, dh: float, bc_g: dict) -> 
     return div_faces(K * gamma_grad_faces(gamma, dh, bc_g), dh)
 
 
-def grid_conductivity(active: np.ndarray, ks, grid, bc_g: dict) -> tuple:
-    """Face conductivities of every grid axis, ks = (k1, k2) per axis."""
-    return tuple(
-        ax.view(face_conductivity(ax.view(active), k, bc_g))
-        for ax, k in zip(grid.axes, ks)
-    )
+def grid_conductivity(active: np.ndarray, ks, grid, bc_g: dict, box: tuple = ()) -> tuple:
+    """Face conductivities of every grid axis, ks = (k1, k2) per axis, on
+    the faces of box (a slice per array axis, the grid when empty): those of
+    the grid, from the box widened by a cell along the axis where one is."""
+    box = box or tuple(slice(0, n) for n in active.shape)
+    K = []
+    for i, (ax, k) in enumerate(zip(grid.axes, ks)):
+        dim = active.ndim - 1 - i  # x is the last array axis, y the first
+        s = box[dim]
+        lo = max(s.start - 1, 0)
+        wide = ax.view(active[box[:dim] + (slice(lo, s.stop + 1),) + box[dim + 1:]])
+        K.append(ax.view(face_conductivity(wide, k, bc_g)[..., s.start - lo:s.stop - lo + 1]))
+    return tuple(K)
 
 
 def grid_flux_div(gamma: np.ndarray, K: tuple, grid, bcs, grads: tuple = ()) -> np.ndarray:
@@ -351,8 +358,8 @@ class DamageOperator(NamedTuple):
     fac: Optional[tuple] = None  # factor_lines of D - L_a/2 per axis
 
 
-def damage_operator(active, K, grid, bc_g: dict):
-    """The damage operator of the face conductivity K (per grid axis) on the
+def damage_operator(active, ks, grid, bc_g: dict):
+    """The damage operator of the conductivities ks (per grid axis) on the
     box of the active cells, unfactored; None when no cell is active. Cells
     outside the box are inactive, so they keep their Γ. Every face on a box
     edge that is not a wall has such a cell on its far side, hence K = 0
@@ -361,15 +368,14 @@ def damage_operator(active, K, grid, bc_g: dict):
     box = active_box(active)
     if box is None:
         return None
-    Kb, bcs, lines = [], [], []
+    K = grid_conductivity(active, ks, grid, bc_g, box)
+    bcs, lines = [], []
     for i, (ax, Ka) in enumerate(zip(grid.axes, K)):
-        dim = active.ndim - 1 - i  # x is the last array axis, y the first
-        s = box[dim]
-        Kb.append(Ka[box[:dim] + (slice(s.start, s.stop + 1),) + box[dim + 1:]])
-        spans = s.stop - s.start == active.shape[dim]
+        s = box[active.ndim - 1 - i]  # x is the last array axis, y the first
+        spans = s.stop - s.start == ax.n
         bcs.append(bc_g if spans or bc_g["type"] != "periodic" else _ZERO_FLUX)
-        lines.append(line_coupling(ax.view(Kb[-1]), 0.5, ax.h, bcs[-1]))
-    return DamageOperator(box, tuple(Kb), tuple(bcs), tuple(lines))
+        lines.append(line_coupling(ax.view(Ka), 0.5, ax.h, bcs[-1]))
+    return DamageOperator(box, K, tuple(bcs), tuple(lines))
 
 
 def factor_damage(op: DamageOperator, D: np.ndarray, grid) -> DamageOperator:

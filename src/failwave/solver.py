@@ -89,29 +89,17 @@ def lateral_stress_proxy(gamma, p) -> np.ndarray:
 # -- elastic substep ----------------------------------------------------------
 
 
-def _check_courant(c_max: float, dt: float, dx: float, state: FieldState) -> float:
-    """Courant number c_max*dt/dx. Raises CflViolation when it exceeds 1
-    and NonFiniteState (state attached) when it is NaN."""
-    cfl = c_max * dt / dx
-    if not cfl <= 1.0 + 1e-12:
-        if np.isnan(cfl):
-            err = NonFiniteState("Courant number")
-            err.state = state.copy()  # dumped for post-mortem inspection
-            raise err
-        raise CflViolation(dt, dx, c_max)
-    return cfl
-
-
 class ElasticPlan:
     """The elastic half of a step, resolved once per run.
 
     cfg's walls (ops.walls: face strain, prescribed face stress, wall
     velocity), the stress terms its material sets (c3 != 0, b != 0) and its
     energy weights are looked up here once; prescribed holds the walls whose
-    face stress is prescribed. A time level's face strain eps, its
-    square u2, face stress S and acceleration accel = div(S)/rho0 + r live
-    in buffers that every level reuses: level() fills them, step() advances
-    U and v in place from them.
+    face stress is prescribed, and cfl is the Courant number when c3 = 0
+    (None else). A time level's face strain eps, its square u2, face
+    stress S and half kick h = (div(S)/rho0 + r)*dt/2 live in buffers that
+    every level reuses: level() fills them, step() advances U and v in
+    place from them.
     Each expression keeps the operand order of its reference
     (ops.strain_faces, cst.stress, cst.elastic_wave_speed,
     cst.total_free_energy), and the reductions are the ufunc reductions
@@ -123,9 +111,11 @@ class ElasticPlan:
         p, grid, bc = cfg.material, cfg.grid, cfg.bc
         self.p = p
         self.dt, self.dx = cfg.dt, grid.dx
-        self.body_force = cfg.body_force
+        self.kick = cfg.dt / (2.0 * grid.dx * p.rho0)  # h per unit stress difference
+        self.half_r = 0.5 * cfg.dt * cfg.body_force
         self.bc_gamma = bc["gamma"]
         self.cubic, self.coupled = p.c3 != 0.0, p.b != 0.0
+        self.cfl = None if self.cubic else cst.characteristic_speed(0.0, p) * cfg.dt / grid.dx
         self.walls = ops.walls(bc, grid.dx)
         self.fill_strain = ops.strain_rule(self.walls, grid.dx)
         self.prescribed = tuple(w for w in self.walls or () if w.stress is not None)
@@ -134,7 +124,7 @@ class ElasticPlan:
         self.cell_volume = grid.cell_volume
         faces = grid.shape[:-1] + (grid.nx + 1,)
         self.eps, self.u2, self.S, self._f1, self._f2 = (np.empty(faces) for _ in range(5))
-        self.accel, self.v_half, self._c1 = (np.empty(grid.shape) for _ in range(3))
+        self.h, self._c1 = np.empty(grid.shape), np.empty(grid.shape)
         self._S_right, self._S_left = self.S[..., 1:], self.S[..., :-1]  # of each cell
 
     def level(self, U, gamma, t: float) -> None:
@@ -145,7 +135,7 @@ class ElasticPlan:
 
     def stress(self, gamma, t: float) -> None:
         """Face stress S of the current strain and damage gamma, the walls'
-        prescribed values included, and the acceleration it gives."""
+        prescribed values included, and the half kick h it gives."""
         p, S = self.p, self.S
         np.multiply(self.eps, p.c1, out=S)
         if self.cubic:
@@ -155,27 +145,29 @@ class ElasticPlan:
             S += p.b * ops.gamma_face_values(gamma, self.bc_gamma)
         for wall in self.prescribed:
             S[..., wall.face] = wall.stress(t)
-        a = self.accel
-        np.subtract(self._S_right, self._S_left, out=a)
-        np.divide(a, self.dx, out=a)
-        np.divide(a, p.rho0, out=a)
-        np.add(a, self.body_force, out=a)
+        h = np.subtract(self._S_right, self._S_left, out=self.h)
+        np.multiply(h, self.kick, out=h)
+        if self.half_r:
+            np.add(h, self.half_r, out=h)
 
     def step(self, state: FieldState, t_new: float) -> float:
         """One velocity-Verlet step of rho0*U_tt = dS/dX + rho0*r from the
-        buffers, which hold state's level. Updates state.U and state.v in
-        place and leaves the buffers holding the new level (t_new, gamma
-        unchanged). Returns the Courant number; raises CflViolation before
+        buffers, which hold state's level: each kick adds h to v. Updates
+        state.U and state.v in place and leaves the buffers holding the new
+        level (t_new, gamma unchanged). Returns the Courant number (of the
+        level's peak strain when c3 != 0); raises CflViolation before
         touching the state when it exceeds 1, NonFiniteState when NaN."""
-        dt = self.dt
-        c_max = cst.characteristic_speed(float(np.maximum.reduce(self.u2, None)), self.p)
-        cfl = _check_courant(c_max, dt, self.dx, state)
-        half = 0.5 * dt
-        v_half = np.multiply(self.accel, half, out=self.v_half)
-        np.add(state.v, v_half, out=v_half)
-        np.add(state.U, np.multiply(v_half, dt, out=self._c1), out=state.U)
+        dt, cfl = self.dt, self.cfl
+        if cfl is None:
+            cfl = cst.characteristic_speed(float(np.maximum.reduce(self.u2, None)), self.p) * dt / self.dx
+        if not cfl <= 1.0 + 1e-12:
+            if np.isnan(cfl):
+                raise NonFiniteState("Courant number", state.copy())  # for post-mortem inspection
+            raise CflViolation(dt, self.dx, cfl * self.dx / dt)
+        v = np.add(state.v, self.h, out=state.v)  # v at the half step
+        np.add(state.U, np.multiply(v, dt, out=self._c1), out=state.U)
         self.level(state.U, state.gamma, t_new)
-        np.add(v_half, np.multiply(self.accel, half, out=state.v), out=state.v)
+        np.add(v, self.h, out=v)
         return cfl
 
     def cell_stress(self, gamma, at: tuple) -> np.ndarray:
@@ -185,14 +177,14 @@ class ElasticPlan:
         uX = 0.5 * (e[..., :-1][at] + e[..., 1:][at])
         return cst.stress(uX, gamma[at], self.p)
 
-    def kinetic(self, v) -> float:
-        square = np.multiply(v, v, out=self._c1)
-        return float(0.5 * self.p.rho0 * np.add.reduce(square, None) * self.cell_volume)
-
-    def free_energy(self, gamma, damage: tuple) -> float:
-        """cst.total_free_energy of the buffers' level, with damage its
-        damage part (cst.damage_free_energy of gamma)."""
+    def energies(self, state: FieldState, damage: tuple) -> tuple:
+        """The kinetic and free energy (cst.total_free_energy, with damage
+        its damage part, cst.damage_free_energy of state.gamma) of state's
+        level, whose faces the buffers hold. Raises NonFiniteState naming the
+        report column of the first that is not finite, state attached."""
         p = self.p
+        square = np.multiply(state.v, state.v, out=self._c1)
+        kinetic = float(0.5 * p.rho0 * np.add.reduce(square, None) * self.cell_volume)
         e = np.multiply(self.u2, 0.5 * p.c1, out=self._f1)
         if self.cubic:
             quartic = np.multiply(self.u2, self.u2, out=self._f2)
@@ -200,8 +192,12 @@ class ElasticPlan:
         e *= self.w_u
         e_grad, e_cell = damage
         if self.coupled:
-            e_cell += float((p.b * ops.face_mean(self.eps) * gamma * self.cell_volume).sum())
-        return float(np.add.reduce(e, None) * self.across) + e_grad + e_cell
+            e_cell += float((p.b * ops.face_mean(self.eps) * state.gamma * self.cell_volume).sum())
+        free = float(np.add.reduce(e, None) * self.across) + e_grad + e_cell
+        if not (math.isfinite(kinetic) and math.isfinite(free)):
+            what = "free_energy column" if math.isfinite(kinetic) else "kinetic column"
+            raise NonFiniteState(what, state.copy())  # for post-mortem inspection
+        return kinetic, free
 
     def wall_power(self, v) -> float:
         """Instantaneous boundary work rate S_R*v_R - S_L*v_L (W per unit
@@ -246,8 +242,8 @@ class DamagePlan:
 
     def _build(self, active: np.ndarray) -> None:
         p, grid = self.p, self.grid
-        K = ops.grid_conductivity(active, (p.k1, p.k2), grid, self.bc_g)
-        self.op = op = ops.damage_operator(active, K, grid, self.bc_g)
+        self.idle = ops.active_box(~active)  # the cells activate() tests
+        self.op = op = ops.damage_operator(active, (p.k1, p.k2), grid, self.bc_g)
         self.flux = None  # the next step's flux(Gamma), once taken under this K
         if op is None:
             return
@@ -273,16 +269,18 @@ class DamagePlan:
         return np.where(self.on, x, 0.0) if self.masked else x
 
     def activate(self, state: FieldState, uXc) -> None:
-        """Switch on the cells whose stress magnitude (from the cell strain
-        uXc) reached sigma0, every cell when sigma0 = 0; cells never switch
-        off. Only when a cell switched on are state.active replaced by a new
-        mask and K and the operator rebuilt."""
-        if state.active.all():
+        """Switch on the cells of the inactive box whose stress magnitude
+        (from the cell strain uXc) reached sigma0, every cell when sigma0 =
+        0; cells never switch off. Only when a cell switched on are
+        state.active replaced by a new mask and K and the operator rebuilt."""
+        box = self.idle
+        if box is None:
             return
-        hit = np.abs(cst.stress(uXc, state.gamma, self.p)) >= self.p.sigma0
-        if not (hit > state.active).any():
+        hit = np.abs(cst.stress(uXc[box], state.gamma[box], self.p)) >= self.p.sigma0
+        if not (hit > state.active[box]).any():
             return
-        state.active = state.active | hit
+        state.active = state.active.copy()
+        state.active[box] |= hit
         try:
             self._build(state.active)
         except NonFiniteState as err:
@@ -472,7 +470,9 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
     the damage energy. Raises AdmissibilityViolation (with the offending
     state, new damage included, attached) if min Z*dGamma/dt drops below
     -(tol * peak magnitude + the step's roundoff, DamagePlan.roundoff),
-    NonFiniteState if the audit reads NaN.
+    NonFiniteState if the audit reads NaN, and at every level, level 0
+    included, naming a kinetic or free_energy column that is not finite
+    (at c3 = 0 the only guard against a NaN field).
 
     lam = 0 is the conservative limit (MaterialParams admits it only with
     c2 = 0, b = 0 and no source): it builds no DamagePlan, and every
@@ -491,8 +491,7 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
         damage = DamagePlan(cfg, state.active)
         e_damage = damage.level(state.gamma)
     plan.level(state.U, state.gamma, state.time)
-    yield (0.0, dt, 0.0, 0.0, 0.0, plan.kinetic(state.v), plan.free_energy(state.gamma, e_damage),
-           0.0, 0.0)
+    yield (0.0, dt, 0.0, 0.0, 0.0, *plan.energies(state, e_damage), 0.0, 0.0)
 
     dissipated = 0.0
     work = 0.0
@@ -533,5 +532,5 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
         work += 0.5 * (power_prev + power) * dt
         power_prev = power
 
-        yield (t, dt, cfl, max_diff, min_zg, plan.kinetic(state.v),
-               plan.free_energy(state.gamma, e_damage), dissipated, work)
+        yield (t, dt, cfl, max_diff, min_zg, *plan.energies(state, e_damage), dissipated, work)
+

@@ -312,6 +312,10 @@ def _wall(**spec):
     ({"grid": {**GRID_2D, "dy": 1e-160}, "material": {"rho0": 1.0, "c1": 1.0, "d1": 0.1}},
      "grid.dy", "the diffusivity over its square overflows"),
     ({"time": {"dt": 0.0, "t_end": 0.1}}, "time.dt", "must be > 0"),
+    # the damage operator's diagonal lam/dt overflowed to a non-finite
+    # operator (NonFiniteState("damage operator"), which names no key)
+    ({"grid": {"nx": 16, "dx": 1.0}, "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1e300, "d1": 1.0},
+      "time": {"dt": 1e-10, "t_end": 1e-9}}, "material.lambda", "lambda/dt overflows"),
     ({"time": {"dt": 0.01, "t_end": 0.005}}, "time.t_end", "must be >= dt"),
     ({"output": {"snapshots": 1}}, "output.snapshots", "need at least first+last, so >= 2"),
     ({"numerics": {"tol_admissibility": -1e-12}}, "numerics.tol_admissibility", "must be >= 0"),
@@ -336,7 +340,8 @@ def _wall(**spec):
     ({"numerics": {"source_max_iter": 1.5}}, "numerics.source_max_iter",
      "expected an integer, got 1.5"),
 ], ids=["nx", "ny", "dx", "dy", "dx-underflow", "dx-underflow-no-diffusion", "dy-underflow",
-        "dx-overflow", "dx-diffusivity-overflow", "dy-diffusivity-overflow", "dt", "t_end",
+        "dx-overflow", "dx-diffusivity-overflow", "dy-diffusivity-overflow", "dt", "lambda-dt-overflow",
+        "t_end",
         "snapshots", "tol_admissibility",
         "source_max_iter", "width", "width-2d", "mode", "until", "ramp", "gauge-2d",
         "gauges-scalar", "nx-fraction", "mode-fraction", "snapshots-fraction", "source_max_iter-fraction"])
@@ -432,7 +437,7 @@ def scenario_docs(draw):
         bc = {side: {"type": "periodic"} for side in ("u_left", "u_right", "gamma")}
     else:
         bc = {"u_left": draw(_u_bcs), "u_right": draw(_u_bcs), "gamma": draw(_gamma_bcs)}
-    dt = draw(positive)
+    dt = draw(st.floats(lam * 1e-300, 1e100, exclude_min=True))  # lam/dt stays finite
     ics = _ic_entries(shape)
     return {
         "name": draw(st.text("abcxyz019_- ", min_size=1, max_size=8)),

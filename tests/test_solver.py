@@ -251,16 +251,64 @@ def test_non_finite_damage_state_raises_typed_error():
     assert exc.value.state.gamma is not state.gamma
 
 
-def test_nan_displacement_raises_typed_error():
-    # a NaN strain makes the Courant number NaN, which a `>` test passes
-    cfg = fw.build_scenario(standing_doc(32))
+@pytest.mark.parametrize("c3", [1.0, 0.0], ids=["cubic", "linear"])
+def test_nan_displacement_raises_typed_error(monkeypatch, c3):
+    # at c3 != 0 a NaN strain makes the Courant number NaN, which a `>` test
+    # passes; at c3 = 0 the Courant number reads no strain, and level 0's
+    # free_energy column is the first value to turn NaN
+    doc = standing_doc(32)
+    doc["material"]["c3"] = c3
+    cfg = fw.build_scenario(doc)
     state = fw.initialize_state(cfg)
     state.U[5] = np.nan
-    plan = solver.ElasticPlan(cfg)
-    plan.level(state.U, state.gamma, 0.0)
-    with pytest.raises(fw.NonFiniteState, match="Courant number") as exc:
-        plan.step(state, cfg.dt)
+    if c3:
+        plan = solver.ElasticPlan(cfg)
+        plan.level(state.U, state.gamma, 0.0)
+        with pytest.raises(fw.NonFiniteState, match="Courant number") as exc:
+            plan.step(state, cfg.dt)
+    else:
+        monkeypatch.setattr(solver, "initialize_state", lambda _: state)
+        with pytest.raises(fw.NonFiniteState, match="free_energy") as exc:
+            fw.run(cfg)
+        assert exc.value.state.time == 0.0
     assert np.isnan(exc.value.state.U[5])
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_overflowing_kinetic_energy_raises_typed_error(lam):
+    # rho0*v^2 overflows: the kinetic column read inf and the budget NaN
+    doc = {
+        "grid": {"nx": 16, "dx": 1.0 / 16},
+        "material": {"rho0": 1e308, "c1": 1.0, "lambda": lam, "d1": 0.1},
+        "time": {"dt": 0.01, "t_end": 0.1},
+        "ic": {"v": {"type": "sine", "amplitude": 10.0, "mode": 1}},
+        "bc": {"u_left": {"type": "periodic"}, "u_right": {"type": "periodic"},
+               "gamma": {"type": "periodic"}},
+    }
+    with pytest.raises(fw.NonFiniteState, match="kinetic") as exc:
+        fw.run(fw.build_scenario(doc))
+    assert exc.value.state.time == 0.0
+    assert exc.value.state.v.max() == pytest.approx(10.0, rel=0.05)
+
+
+def test_courant_number_resolved_once_at_constant_wave_speed():
+    # at c3 = 0 every step reports the plan's sqrt(c1/rho0)*dt/dx, and a dt
+    # just over the limit is still refused at step 1, the state untouched
+    doc = standing_doc(32)
+    doc["material"].update(c1=3.0, rho0=1.5)
+    cfg = fw.build_scenario(doc)
+    rows = fw.run(cfg).reports["max_cfl"]
+    assert rows[0] == 0.0 and np.all(rows[1:] == math.sqrt(3.0 / 1.5) * cfg.dt / cfg.grid.dx)
+    doc["time"]["dt"] = 1.000001 / (32 * math.sqrt(2.0))
+    cfg = fw.build_scenario(doc)
+    state = fw.initialize_state(cfg)
+    steps = solver._coupled_steps(state, cfg, solver.ElasticPlan(cfg))
+    next(steps)  # level 0
+    before = state.copy()
+    with pytest.raises(fw.CflViolation):
+        next(steps)
+    assert state.time == 0.0
+    assert np.array_equal(state.U, before.U) and np.array_equal(state.v, before.v)
 
 
 @pytest.mark.parametrize("field", ["min_Z_gammadot", "peak_Z_gammadot"])
