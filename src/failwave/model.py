@@ -200,7 +200,8 @@ class FieldState:
 
     U, v, gamma are cell-centered arrays shaped like the grid; active marks
     cells where damage evolution is enabled (threshold reached, or seeded).
-    Single-writer contract: one run owns and replaces these arrays; snapshots
+    Single-writer contract: one run owns these arrays, advances U, v and
+    gamma in place and replaces active when a cell switches on; snapshots
     hand out copies.
     """
 
@@ -481,8 +482,14 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
         if not max(d, material.lam * d) / ax.h**2 < math.inf:
             raise InvalidValue(f"grid.{key}", "the diffusivity over its square overflows")
     time_sec = _parse_section(_need(raw, "time", ""), _TIME, "time")
-    if not material.lam / time_sec["dt"] < math.inf:  # the damage operator's diagonal
+    a = material.lam / time_sec["dt"]  # the damage operator's diagonal holds lam/dt
+    if not a < math.inf:
         raise InvalidValue("material.lambda", "lambda/dt overflows")
+    # plus each axis's lam*d/h**2 (3/2 of it beside a dirichlet wall), and a
+    # periodic wrap's Sherman-Morrison update doubles that sum
+    for ax, (_, key, _), d in zip(grid.axes, _axis_keys(grid.ndim), (material.d1, material.d2)):
+        if not 2.0 * (a + material.lam * d / ax.h**2) < math.inf:
+            raise InvalidValue(f"grid.{key}", "the damage operator's diagonal overflows")
     on_grid = {**_CONVERT, "axes": partial(_per_axis, grid=grid), "field": partial(_field, grid=grid)}
     ic = _parse_kinds(raw.get("ic"), _IC_FIELDS, "ic", on_grid)
     bc = _parse_kinds(raw.get("bc"), _WALLS, "bc")

@@ -15,6 +15,10 @@ What a wall kind means is written here once: wall() for the displacement
 walls, which the solver's plans, the budget and the verifier read, and
 _padded() for the damage walls.
 
+The damage solves stop at the stencils and the line solves (line_coupling,
+factor_lines, solve_lines) and at active_box: the Crank-Nicolson operator
+they make up, its box, factors and iteration, is solver.DamagePlan's.
+
 All functions are pure, arrays in and arrays out, except the fill function
 strain_rule returns, which writes into the buffer it is given.
 """
@@ -324,9 +328,6 @@ def solve_lines(fac: LineFactor, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-_ZERO_FLUX = {"type": "zero_flux"}
-
-
 def active_box(active: np.ndarray):
     """Bounding box of the active cells, one slice per array axis, widened
     to 3 cells inside the grid where narrower (scipy's dpttrf rejects a
@@ -341,69 +342,3 @@ def active_box(active: np.ndarray):
         start = min(start, n - 3) if stop - start < 3 else start
         box.append(slice(start, max(stop, start + 3)))
     return tuple(box)
-
-
-class DamageOperator(NamedTuple):
-    """The Crank-Nicolson damage operator of one active set on the bounding
-    box of its active cells: A = D - L/2, L the sum of every grid axis's
-    homogeneous flux divergence. K (one face array per grid axis), its
-    line_coupling lines, diag D and fac (from factor_damage) cover the box;
-    bc is the damage BC of each grid axis at the box edges."""
-
-    box: tuple  # one slice per array axis
-    K: tuple
-    bc: tuple
-    lines: tuple
-    diag: Optional[np.ndarray] = None  # D = lam/dt - J
-    fac: Optional[tuple] = None  # factor_lines of D - L_a/2 per axis
-
-
-def damage_operator(active, ks, grid, bc_g: dict):
-    """The damage operator of the conductivities ks (per grid axis) on the
-    box of the active cells, unfactored; None when no cell is active. Cells
-    outside the box are inactive, so they keep their Γ. Every face on a box
-    edge that is not a wall has such a cell on its far side, hence K = 0
-    and the zero-flux closure there is exact; a periodic axis keeps its
-    wrap only when the box spans it."""
-    box = active_box(active)
-    if box is None:
-        return None
-    K = grid_conductivity(active, ks, grid, bc_g, box)
-    bcs, lines = [], []
-    for i, (ax, Ka) in enumerate(zip(grid.axes, K)):
-        s = box[active.ndim - 1 - i]  # x is the last array axis, y the first
-        spans = s.stop - s.start == ax.n
-        bcs.append(bc_g if spans or bc_g["type"] != "periodic" else _ZERO_FLUX)
-        lines.append(line_coupling(ax.view(Ka), 0.5, ax.h, bcs[-1]))
-    return DamageOperator(box, K, tuple(bcs), tuple(lines))
-
-
-def factor_damage(op: DamageOperator, D: np.ndarray, grid) -> DamageOperator:
-    """op with the diagonal D (on op's box) and each axis's D - L_a/2
-    factored (factor_lines)."""
-    return op._replace(diag=D, fac=tuple(factor_lines(lines, ax.view(D))
-                                         for ax, lines in zip(grid.axes, op.lines)))
-
-
-def damage_step(force: np.ndarray, op: DamageOperator, grid, prev=None):
-    """One correction towards the Crank-Nicolson damage increment on op's
-    box: d = Γ1 - Γ0 solves (D - L/2) d = force, the caller's right-hand
-    side. d is an increment, so every wall is homogeneous; force, K and
-    react are zero on inactive cells, whose rows then give d = 0 exactly.
-
-    Solves M d = force + (M - A) dk with M = (D - Lx/2) D^-1 (D - Ly/2), the
-    approximate factorisation of A = D - L/2: an x solve, a multiply by D, a
-    y solve; in 1D M = A and one correction is exact. In 2D the cross term
-    M - A = Lx D^-1 Ly / 4 costs one flux divergence, since the previous y
-    solve gives Ly dk = 2 D (dk - xk), xk its x-sweep result; each mode
-    contracts by mu_x mu_y / ((1+mu_x)(1+mu_y)). prev is the previous return
-    value (dk, xk), None at first. Returns (d, x), x None in 1D.
-    """
-    if prev is not None and prev[1] is not None:  # Lx D^-1 Ly dk / 4
-        bc = dict(op.bc[0], value=0.0)  # an increment: every wall is homogeneous
-        force = force + 0.5 * damage_flux_div(prev[0] - prev[1], op.K[0], grid.axes[0].h, bc)
-    x = solve_lines(op.fac[0], force)  # x lines run along the last array axis
-    if len(op.fac) == 1:
-        return x, None
-    y = grid.axes[1]
-    return y.view(solve_lines(op.fac[1], y.view(op.diag * x))), x

@@ -1,23 +1,26 @@
 """Time integration of the coupled hyperbolic-parabolic system.
 
 Lie splitting per step: a velocity-Verlet elastic update (the composition is
-algebraically identical to the centered three-level scheme), then activation
-of cells whose stress magnitude reached the threshold, then one
-Crank-Nicolson damage step, its source iterated to the step's midpoint by a
-chord iteration on the source's slope. Each half is resolved once per run
-into a plan: ElasticPlan holds the walls (ops.walls, the one wall table),
-the stress terms and the buffers of the elastic half, DamagePlan the source
-law, the tolerances, the operator of the current active set on the box of
-its cells and the audit buffers. Coupling is one-way
-when b = 0 (Feng's model): the elastic substep never reads the damage
-field. The conservative lam = 0 limit (Clifton's model) is the same loop
-with the damage substep skipped: the damage field stays frozen and nothing
+algebraically identical to the centered three-level scheme), then the damage
+update: activation of cells whose stress magnitude reached the threshold and
+one Crank-Nicolson damage step, its source iterated to the step's midpoint
+by a chord iteration on the source's slope. Each half is resolved once per
+run into a plan whose step() advances the state in place: ElasticPlan holds
+the walls (ops.walls, the one wall table), the stress terms and the buffers
+of the elastic half; DamagePlan holds the source law, the tolerances, the
+operator of the current active set on the box of its cells (its
+conductivity, line couplings and factors, built from ops' stencils and line
+solves), its iteration, the audit and its buffers. Coupling is one-way when
+b = 0 (Feng's model): the elastic substep never reads the damage field. The
+conservative lam = 0 limit (Clifton's model) is the same loop with the
+damage substep skipped: the damage field stays frozen and nothing
 dissipates.
 
-Every step is audited: hyperbolic Courant number, the pointwise
-admissibility product Z*dGamma/dt, and a running energy budget (kinetic +
-free energy + cumulative dissipation + boundary work); the diffusion number
-is reported.
+Every step is audited: hyperbolic Courant number (ElasticPlan.step), the
+pointwise admissibility product Z*dGamma/dt (DamagePlan.step), and a running
+energy budget (kinetic + free energy + cumulative dissipation + boundary
+work); the diffusion number is reported. Each plan attaches the state to the
+typed errors it raises.
 """
 
 from __future__ import annotations
@@ -184,7 +187,8 @@ class ElasticPlan:
         report column of the first that is not finite, state attached."""
         p = self.p
         square = np.multiply(state.v, state.v, out=self._c1)
-        kinetic = float(0.5 * p.rho0 * np.add.reduce(square, None) * self.cell_volume)
+        # products of Python floats: an overflow reads inf with no numpy warning
+        kinetic = 0.5 * p.rho0 * float(np.add.reduce(square, None)) * self.cell_volume
         e = np.multiply(self.u2, 0.5 * p.c1, out=self._f1)
         if self.cubic:
             quartic = np.multiply(self.u2, self.u2, out=self._f2)
@@ -193,7 +197,7 @@ class ElasticPlan:
         e_grad, e_cell = damage
         if self.coupled:
             e_cell += float((p.b * ops.face_mean(self.eps) * state.gamma * self.cell_volume).sum())
-        free = float(np.add.reduce(e, None) * self.across) + e_grad + e_cell
+        free = float(np.add.reduce(e, None)) * self.across + e_grad + e_cell
         if not (math.isfinite(kinetic) and math.isfinite(free)):
             what = "free_energy column" if math.isfinite(kinetic) else "kinetic column"
             raise NonFiniteState(what, state.copy())  # for post-mortem inspection
@@ -212,17 +216,23 @@ class ElasticPlan:
 # -- damage substep -----------------------------------------------------------
 
 
+_ZERO_FLUX = {"type": "zero_flux"}
+
+
 class DamagePlan:
     """The damage half of a step, resolved once per run as ElasticPlan
     resolves the elastic half: cfg's diffusion number, source law row
     (model.SOURCE_LAWS), tolerances and damage-gradient weights, and the
-    Crank-Nicolson operator on the box of the active cells (None when none
-    is), which activate() rebuilds when a cell switches on. The operator is
-    factored with the source's capped slope once per active set when the
-    slope is a number, else once per step. The audit, energy and roundoff
-    read the box; their sums run over grid-sized buffers that hold zero or
-    the frozen cells' potential outside it, so each is bitwise its full-grid
-    sum. Built only when lam > 0.
+    Crank-Nicolson operator A = lam/dt - L/2 of the active set (L the sum
+    of the grid axes' homogeneous flux divergences) on the box of its cells
+    (None when no cell is active): the box's face conductivities K, each
+    axis's damage BC at the box edges, line coupling and factor of D -
+    L_a/2, and the diagonal D. The operator is factored with the source's
+    capped slope once per active set when the slope is a number, else once
+    per step. The audit, energy and dissipation read the box; their sums
+    run over grid-sized buffers that hold zero or the frozen cells'
+    potential outside it, so each is bitwise its full-grid sum. peak, the
+    audit's scale, is the run's peak |Z*dGamma/dt|. Built only when lam > 0.
     """
 
     def __init__(self, cfg: ScenarioConfig, active: np.ndarray):
@@ -234,6 +244,7 @@ class DamagePlan:
         self.constant = np.ndim(self.slope(np.zeros(1), p)) == 0  # a number reads no Gamma
         self.clamp = p.saturation is not None
         self.tol, self.max_iter = cfg.numerics["source_tol"], cfg.numerics["source_max_iter"]
+        self.tol_adm, self.peak = cfg.numerics["tol_admissibility"], 0.0
         self.a = p.lam / cfg.dt
         self.w_gamma = ops.energy_weights(cfg.bc, grid)[1]
         self.faces = [np.zeros(ax.view(active).shape[:-1] + (ax.n + 1,)) for ax in grid.axes]
@@ -241,146 +252,189 @@ class DamagePlan:
         self._build(active)
 
     def _build(self, active: np.ndarray) -> None:
+        """The operator of active on the box of its cells. Cells outside the
+        box are inactive, so they keep their Gamma. Every face on a box edge
+        that is not a wall has such a cell on its far side, hence K = 0 and
+        the zero-flux closure there is exact; a periodic axis keeps its wrap
+        only when the box spans it."""
         p, grid = self.p, self.grid
-        self.idle = ops.active_box(~active)  # the cells activate() tests
-        self.op = op = ops.damage_operator(active, (p.k1, p.k2), grid, self.bc_g)
+        self.idle = ops.active_box(~active)  # the cells step() tests for activation
+        self.box = box = ops.active_box(active)
         self.flux = None  # the next step's flux(Gamma), once taken under this K
-        if op is None:
+        if box is None:
             return
-        box, self.on = op.box, active[op.box]
+        self.K = ops.grid_conductivity(active, (p.k1, p.k2), grid, self.bc_g, box)
+        self.on = active[box]
         self.masked = not self.on.all()  # the box holds inactive cells
+        self.bc, self.lines = [], []  # per axis: the damage BC at the box edges, line_coupling
         self.terms = []  # per axis: K/2, weights and buffer window on the box, buffer
-        for i, (ax, Ka, faces, w) in enumerate(zip(grid.axes, op.K, self.faces, self.w_gamma)):
+        for i, (ax, Ka, faces, w) in enumerate(zip(grid.axes, self.K, self.faces, self.w_gamma)):
             dim = active.ndim - 1 - i  # x is the last array axis, y the first
-            edge = slice(box[dim].start, box[dim].stop + 1)  # the faces of the box
+            s = box[dim]
+            spans = s.stop - s.start == ax.n
+            self.bc.append(self.bc_g if spans or self.bc_g["type"] != "periodic" else _ZERO_FLUX)
+            self.lines.append(ops.line_coupling(ax.view(Ka), 0.5, ax.h, self.bc[-1]))
+            edge = slice(s.start, s.stop + 1)  # the faces of the box
             window = ax.view(ax.view(faces)[box[:dim] + (edge,) + box[dim + 1:]])
             self.terms.append((0.5 * ax.view(Ka), w[edge], window, faces))
         if self.constant:
-            self.op = self._factor(None)[0]
+            self._factor(self.a + self._minus_J(None))
 
-    def _factor(self, g) -> tuple:
-        """(the operator factored with D = lam/dt - J, -J), J = min(F'(g),
-        lam/dt)/2 on active cells: capped, D >= lam/(2 dt) keeps it SPD."""
-        minus_J = np.where(self.on, 0.5 * np.maximum(-self.slope(g, self.p), -self.a), 0.0)
-        return ops.factor_damage(self.op, self.a + minus_J, self.grid), minus_J
+    def _minus_J(self, g) -> np.ndarray:
+        """-J, J = min(F'(g), lam/dt)/2 on the box's active cells, 0 on its
+        inactive ones: capped, D = lam/dt - J >= lam/(2 dt) keeps A - J SPD."""
+        return np.where(self.on, 0.5 * np.maximum(-self.slope(g, self.p), -self.a), 0.0)
+
+    def _factor(self, D: np.ndarray) -> None:
+        """Factor each axis's D - L_a/2 on the box (ops.factor_lines), D the
+        diagonal there."""
+        self.diag = D
+        self.fac = tuple(ops.factor_lines(lines, ax.view(D))
+                         for ax, lines in zip(self.grid.axes, self.lines))
+
+    def _correct(self, force: np.ndarray, prev=None) -> tuple:
+        """One correction towards the increment d on the box that solves
+        (D - L/2) d = force, the caller's right-hand side. d is an increment,
+        so every wall is homogeneous; force, K and -J are zero on inactive
+        cells, whose rows then give d = 0 exactly.
+
+        Solves M d = force + (M - A) dk with M = (D - Lx/2) D^-1 (D - Ly/2),
+        the approximate factorisation of A = D - L/2: an x solve, a multiply
+        by D, a y solve; in 1D M = A and one correction is exact. In 2D the
+        cross term M - A = Lx D^-1 Ly / 4 costs one flux divergence, since
+        the previous y solve gives Ly dk = 2 D (dk - xk), xk its x-sweep
+        result; each mode contracts by mu_x mu_y / ((1+mu_x)(1+mu_y)). prev
+        is the previous return value (dk, xk), None at first. Returns (d, x),
+        x None in 1D.
+        """
+        grid = self.grid
+        if prev is not None and prev[1] is not None:  # Lx D^-1 Ly dk / 4
+            bc = dict(self.bc[0], value=0.0)  # an increment: every wall is homogeneous
+            force = force + 0.5 * ops.damage_flux_div(prev[0] - prev[1], self.K[0], grid.axes[0].h, bc)
+        x = ops.solve_lines(self.fac[0], force)  # x lines run along the last array axis
+        if len(self.fac) == 1:
+            return x, None
+        y = grid.axes[1]
+        return y.view(ops.solve_lines(self.fac[1], y.view(self.diag * x))), x
 
     def _on(self, x):
         """x on the box's active cells, 0 on its inactive ones."""
         return np.where(self.on, x, 0.0) if self.masked else x
 
-    def activate(self, state: FieldState, uXc) -> None:
-        """Switch on the cells of the inactive box whose stress magnitude
-        (from the cell strain uXc) reached sigma0, every cell when sigma0 =
-        0; cells never switch off. Only when a cell switched on are
-        state.active replaced by a new mask and K and the operator rebuilt."""
-        box = self.idle
-        if box is None:
-            return
-        hit = np.abs(cst.stress(uXc[box], state.gamma[box], self.p)) >= self.p.sigma0
-        if not (hit > state.active[box]).any():
-            return
-        state.active = state.active.copy()
-        state.active[box] |= hit
-        try:
-            self._build(state.active)
-        except NonFiniteState as err:
-            err.state = state.copy()  # dumped for post-mortem inspection
-            raise
-
     def level(self, gamma) -> tuple:
         """cst.damage_free_energy's pair of the level gamma under the plan's
         active set, bitwise, kept as .energy. The one face gradient per axis
         it takes on the box also gives the flux the next step starts from."""
-        p, cell_volume, op = self.p, self.grid.cell_volume, self.op
+        p, cell_volume, box = self.p, self.grid.cell_volume, self.box
         if self.psi is None:
             self.psi = cst.damage_potential(gamma, p) * cell_volume
         e_grad = 0.0
-        if op is not None:
-            g = gamma[op.box]
+        if box is not None:
+            g = gamma[box]
             grads = [ops.gamma_grad_faces(ax.view(g), ax.h, bc)
-                     for ax, bc in zip(self.grid.axes, op.bc)]
-            self.flux = ops.grid_flux_div(g, op.K, self.grid, op.bc, grads)
+                     for ax, bc in zip(self.grid.axes, self.bc)]
+            self.flux = ops.grid_flux_div(g, self.K, self.grid, self.bc, grads)
             for ax, grad, (half_K, w, e, faces) in zip(self.grid.axes, grads, self.terms):
                 np.multiply(np.multiply(half_K, grad * grad, out=e), w, out=e)
                 e_grad += float(np.add.reduce(faces, None) * ax.across)
-            self.psi[op.box] = cst.damage_potential(g, p) * cell_volume
+            self.psi[box] = cst.damage_potential(g, p) * cell_volume
         self.energy = (e_grad, float(np.add.reduce(self.psi, None)))
         return self.energy
 
     def step(self, state: FieldState, uX) -> tuple:
-        """One Crank-Nicolson step of lam*dGamma/dt = Z = div(K grad Gamma) +
-        F on the active cells, F the source and -b*uX (uX the cell strain);
-        state, whose active set is the plan's, is not modified. On the box,
-        d = Gamma_new - Gamma solves A d = flux(Gamma) + F(Gamma + d/2), A =
-        lam/dt - L/2, by chord iteration on J = min(F'(Gamma), lam/dt)/2:
-        (A - J) d_k+1 = flux(Gamma) + F(Gamma + d_k/2) - J d_k (ops.damage_step,
-        fused in 2D with its defect correction; under a constant slope the
-        first iterate is exact, so 1D solves once), until an iterate moves by
-        at most numerics.source_tol on the scale max(1, max|Gamma_new|). Every
-        other cell keeps its value bit for bit. Raises PicardNotConverged
-        after numerics.source_max_iter iterations, NonFiniteState on a
-        non-finite operator or right-hand side, both with the state attached.
-
-        Returns (gamma_new, min Z*dGamma/dt, peak |Z*dGamma/dt|, dissipated
-        increment) over the active cells, Z at the midpoint: F there plus the
-        mean of the two levels' fluxes, kept as .Z for roundoff().
+        """One damage step of state, whose active set is the plan's, under
+        the cell strain uX; as ElasticPlan.step, it advances state in place.
+        The cells of the inactive box whose stress magnitude reached sigma0
+        switch on (every cell when sigma0 = 0; cells never switch off): a
+        new state.active mask, the operator rebuilt. Then _advance() writes
+        the new damage into state.gamma and audits it, leaving the new
+        level's damage energy in .energy. Returns (min Z*dGamma/dt,
+        dissipated increment). Each typed error leaves with state attached:
+        the new damage when the audit raises, else the level before the step.
         """
-        op, gamma = self.op, state.gamma
-        if op is None:
-            return gamma.copy(), 0.0, 0.0, 0.0
-        p, grid, dt, tol, box, on = self.p, self.grid, self.dt, self.tol, op.box, self.on
-        g, uXb = gamma[box], uX[box]
         try:
-            if self.flux is None:  # an activation changed K
-                self.flux = ops.grid_flux_div(g, op.K, grid, op.bc)
-            flux, d, prev, moved = self.flux, None, None, None
-            force = flux + self._on(cst.damage_force(g, p, uXb))
-            if not self.constant:
-                op, minus_J = self._factor(g)
-            for _ in range(self.max_iter):
-                if d is not None and not self.constant:
-                    force = flux + self._on(cst.damage_force(g + 0.5 * d, p, uXb)) + minus_J * d
-                nxt, x = ops.damage_step(force, op, grid, prev)
-                if self.constant and x is None:
-                    d = nxt
-                    break  # 1D, constant slope: the one solve is exact
-                delta = float(np.abs(nxt if d is None else nxt - d).max())
-                if moved is None:  # max|g + d| <= max|g| + the sum of the deltas
-                    moved = float(np.abs(g).max())
-                d, prev, moved = nxt, (nxt, x), moved + delta
-                if delta <= tol or delta <= tol * moved and delta <= tol * float(np.abs(g + d).max()):
-                    break
-            else:
-                limit = tol * max(1.0, float(np.abs(g + d).max()))
-                raise PicardNotConverged(state.time, self.max_iter, delta, limit)
-        except (NonFiniteState, PicardNotConverged) as err:
+            box = self.idle
+            if box is not None:
+                hit = np.abs(cst.stress(uX[box], state.gamma[box], self.p)) >= self.p.sigma0
+                if (hit > state.active[box]).any():
+                    state.active = state.active.copy()
+                    state.active[box] |= hit
+                    self._build(state.active)
+            return self._advance(state, uX)
+        except (NonFiniteState, PicardNotConverged, AdmissibilityViolation) as err:
             err.state = state.copy()  # dumped for post-mortem inspection
             raise
 
-        gamma_new = gamma.copy()
-        gamma_new[box] += d
-        gn = gamma_new[box]
-        if self.clamp:  # a law that saturates keeps active damage nonnegative
+    def _advance(self, state: FieldState, uX) -> tuple:
+        """step() after the activation: one Crank-Nicolson step of
+        lam*dGamma/dt = Z = div(K grad Gamma) + F on the active cells, F the
+        source and -b*uX. On the box, d = Gamma_new - Gamma solves A d =
+        flux(Gamma) + F(Gamma + d/2) by chord iteration on J: (A - J) d_k+1
+        = flux(Gamma) + F(Gamma + d_k/2) - J d_k (_correct; under a constant
+        slope the first iterate is exact, so 1D solves once), until an
+        iterate moves by at most numerics.source_tol on the scale max(1,
+        max|Gamma_new|), else PicardNotConverged. A law that saturates keeps
+        active damage nonnegative; every other cell keeps its value bit for
+        bit. The audit reads Z at the midpoint, F there plus the mean of the
+        two levels' fluxes: min Z*dGamma/dt below -(tol_admissibility*peak +
+        the step's roundoff eps*max|Z|*max(|Gamma|, |Gamma_new|)/dt, that of
+        a damage rate that is itself roundoff) raises AdmissibilityViolation,
+        a NaN NonFiniteState, as does a non-finite operator or right-hand side.
+        """
+        box = self.box
+        if box is None:
+            return 0.0, 0.0
+        p, grid, dt, tol, on = self.p, self.grid, self.dt, self.tol, self.on
+        g, uXb = state.gamma[box].copy(), uX[box]
+        if self.flux is None:  # an activation changed K
+            self.flux = ops.grid_flux_div(g, self.K, grid, self.bc)
+        flux, d, prev, moved = self.flux, None, None, None
+        force = flux + self._on(cst.damage_force(g, p, uXb))
+        if not self.constant:
+            minus_J = self._minus_J(g)
+            self._factor(self.a + minus_J)
+        for _ in range(self.max_iter):
+            if d is not None and not self.constant:
+                force = flux + self._on(cst.damage_force(g + 0.5 * d, p, uXb)) + minus_J * d
+            nxt, x = self._correct(force, prev)
+            if self.constant and x is None:
+                d = nxt
+                break  # 1D, constant slope: the one solve is exact
+            delta = float(np.abs(nxt if d is None else nxt - d).max())
+            if moved is None:  # max|g + d| <= max|g| + the sum of the deltas
+                moved = float(np.abs(g).max())
+            d, prev, moved = nxt, (nxt, x), moved + delta
+            if delta <= tol or delta <= tol * moved and delta <= tol * float(np.abs(g + d).max()):
+                break
+        else:
+            limit = tol * max(1.0, float(np.abs(g + d).max()))
+            raise PicardNotConverged(state.time, self.max_iter, delta, limit)
+
+        gn = state.gamma[box]
+        gn += d
+        if self.clamp:
             np.maximum(gn, 0.0, out=gn, where=on)
-        self.level(gamma_new)
+        self.level(state.gamma)
         # Z at the midpoint, where the CN step balances lam*dGamma/dt
-        Z = self.Z = cst.damage_force(0.5 * (g + gn), p, uXb) + 0.5 * (flux + self.flux)
+        Z = cst.damage_force(0.5 * (g + gn), p, uXb) + 0.5 * (flux + self.flux)
         gamma_dot = (gn - g) / dt
         zg = self._on(Z * gamma_dot)
-        low = float(zg.min())
+        low, peak = float(zg.min()), float(np.abs(zg).max())
         self.rate[box] = cst.dissipation_rate(gamma_dot, p)
         dissipated = float(np.add.reduce(self.rate, None) * grid.cell_volume)
-        if on.size < gamma.size:  # the cells outside the box are inactive: 0
+        if on.size < state.gamma.size:  # the cells outside the box are inactive: 0
             low = min(low, 0.0)
-        return gamma_new, low, float(np.abs(zg).max()), dissipated * dt
-
-    def roundoff(self, gamma, gamma_new) -> float:
-        """The roundoff in Z*dGamma/dt of the last step, gamma -> gamma_new:
-        eps*max|Z|*max(|gamma|, |gamma_new|)/dt over the active cells. A damage
-        rate that is itself roundoff carries a product of either sign this big."""
-        box, on = self.op.box, self.on
-        size = max(float(np.abs(gamma[box][on]).max()), float(np.abs(gamma_new[box][on]).max()))
-        return float(np.finfo(float).eps * np.abs(self.Z[on]).max() * size / self.dt)
+        # max(peak, nan) keeps the old peak: a NaN is caught here, not by the bound
+        self.peak = max(self.peak, peak)
+        if math.isnan(low) or math.isnan(peak):
+            raise NonFiniteState("admissibility audit")
+        bound = self.tol_adm * self.peak
+        if not low >= -bound:  # only a step that fails the cheap test pays for its roundoff
+            size = max(float(np.abs(g[on]).max()), float(np.abs(gn[on]).max()))
+            bound += float(np.finfo(float).eps * np.abs(Z[on]).max() * size / dt)
+            if not low >= -bound:
+                raise AdmissibilityViolation(state.time, low, bound)
+        return low, dissipated * dt
 
 
 # -- full runs ----------------------------------------------------------------
@@ -464,25 +518,23 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
     is the run's ElasticPlan (of cfg); at each yield its buffers hold the
     level's faces.
 
-    Per step: elastic substep, threshold activation (|S| >= sigma0; cells
-    never deactivate), damage substep, energy bookkeeping, admissibility
-    audit. The run's DamagePlan does the activation, the damage substep and
-    the damage energy. Raises AdmissibilityViolation (with the offending
-    state, new damage included, attached) if min Z*dGamma/dt drops below
-    -(tol * peak magnitude + the step's roundoff, DamagePlan.roundoff),
-    NonFiniteState if the audit reads NaN, and at every level, level 0
-    included, naming a kinetic or free_energy column that is not finite
-    (at c3 = 0 the only guard against a NaN field).
+    Per step: the elastic step (ElasticPlan.step), the damage step
+    (DamagePlan.step: threshold activation, the Crank-Nicolson step and its
+    admissibility audit), the stress of the new damage when b != 0, the
+    energies and the wall work. The steps raise their typed errors with the
+    state attached; every level, level 0 included, raises NonFiniteState
+    naming a kinetic or free_energy column that is not finite (at c3 = 0
+    the only guard against a NaN field).
 
     lam = 0 is the conservative limit (MaterialParams admits it only with
     c2 = 0, b = 0 and no source): it builds no DamagePlan, and every
-    step skips activation, the damage substep and the audit, so no cell is
-    active, the damage field is frozen, dissipation stays zero, and total
-    energy is conserved to discretization error.
+    step skips the damage step, so no cell is active, the damage field is
+    frozen, dissipation stays zero, and total energy is conserved to
+    discretization error.
     """
     p = cfg.material
     dt = cfg.dt
-    damage = None
+    damage, max_diff = None, 0.0
     if p.lam == 0.0:
         state.active = np.zeros(cfg.grid.shape, dtype=bool)
         # lam = 0 zeroes the conductivity, c2 = 0 and no source the potential
@@ -490,47 +542,24 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
     else:
         damage = DamagePlan(cfg, state.active)
         e_damage = damage.level(state.gamma)
+        max_diff = damage.diff_number
     plan.level(state.U, state.gamma, state.time)
     yield (0.0, dt, 0.0, 0.0, 0.0, *plan.energies(state, e_damage), 0.0, 0.0)
 
-    dissipated = 0.0
-    work = 0.0
-    max_diff = 0.0
-    min_zg = 0.0
-    tol_adm = cfg.numerics["tol_admissibility"]
-    zg_peak = 0.0
+    dissipated = work = min_zg = 0.0
     power_prev = plan.wall_power(state.v)
     for k in range(1, _step_count(cfg) + 1):
         t = k * dt
         cfl = plan.step(state, t)
         state.time = t
         if damage is not None:
-            uXc = ops.face_mean(plan.eps)
-            damage.activate(state, uXc)
-            gamma = state.gamma
-            state.gamma, min_zg, peak, inc = damage.step(state, uXc)
-            max_diff = damage.diff_number
+            min_zg, inc = damage.step(state, ops.face_mean(plan.eps))
             dissipated += inc
             if p.b != 0.0:  # damage moved, so stress moved
                 plan.stress(state.gamma, t)
-            zg_peak = max(zg_peak, peak)
-            nan = math.isnan(min_zg) or math.isnan(peak)
-            if nan or not min_zg >= -tol_adm * zg_peak:
-                # only a step that fails the cheap test pays for its roundoff;
-                # a NaN (which max(peak, nan) drops and `<` passes) gets a
-                # NaN bound, which no value meets
-                bound = math.nan if nan else tol_adm * zg_peak + damage.roundoff(gamma, state.gamma)
-                if not min_zg >= -bound:
-                    if nan:
-                        err = NonFiniteState("admissibility audit")
-                    else:
-                        err = AdmissibilityViolation(state.time, min_zg, bound)
-                    err.state = state.copy()  # dumped for post-mortem inspection
-                    raise err
             e_damage = damage.energy
         power = plan.wall_power(state.v)
         work += 0.5 * (power_prev + power) * dt
         power_prev = power
 
         yield (t, dt, cfl, max_diff, min_zg, *plan.energies(state, e_damage), dissipated, work)
-

@@ -151,6 +151,28 @@ class LagrangeResidual:
         return np.sqrt(self.norms_U**2 + self.norms_gamma**2)
 
 
+def _interior_terms(traj: DiscreteTrajectory) -> tuple:
+    """At the interior levels, stacked: the displacement force grad_U Psi_h
+    - f (f the applied forces) and the damage force grad_Gamma Psi_h on the
+    active cells, from one free_energy_gradient per level, the centered
+    damage rate, and the two residuals lagrange_residual reports."""
+    cfg = traj.cfg
+    p = cfg.material
+    vol = cfg.grid.cell_volume
+    dt = traj.dt_level
+    plan = ElasticPlan(cfg)
+    force_U, force_G = [], []
+    for k in range(1, traj.nlev - 1):
+        t, active = traj.times[k], traj.active[k]
+        grad_U, grad_G = free_energy_gradient(cfg, traj.U[k], traj.gamma[k], t, active, plan)
+        force_U.append(grad_U - _applied_forces(cfg, plan, t))
+        force_G.append(np.where(active, grad_G, 0.0))
+    force_U, force_G = np.asarray(force_U), np.asarray(force_G)
+    Utt = (traj.U[2:] - 2.0 * traj.U[1:-1] + traj.U[:-2]) / dt**2
+    gdot = (traj.gamma[2:] - traj.gamma[:-2]) / (2.0 * dt)
+    return force_U, force_G, gdot, p.rho0 * Utt + force_U / vol, p.lam * gdot + force_G / vol
+
+
 def lagrange_residual(traj: DiscreteTrajectory) -> LagrangeResidual:
     """Field-form verification of a recorded trajectory.
 
@@ -164,29 +186,14 @@ def lagrange_residual(traj: DiscreteTrajectory) -> LagrangeResidual:
     order in dt.
     """
     _require_levels(traj)
-    cfg = traj.cfg
-    p = cfg.material
-    vol = cfg.grid.cell_volume
-    dt = traj.dt_level
-    plan = ElasticPlan(cfg)
-    rU, rG, nU, nG = [], [], [], []
-    for k in range(1, traj.nlev - 1):
-        t, active = traj.times[k], traj.active[k]
-        grad_U, grad_G = free_energy_gradient(cfg, traj.U[k], traj.gamma[k], t, active, plan)
-        Utt = (traj.U[k + 1] - 2.0 * traj.U[k] + traj.U[k - 1]) / dt**2
-        resU = p.rho0 * Utt + (grad_U - _applied_forces(cfg, plan, t)) / vol
-        gdot = (traj.gamma[k + 1] - traj.gamma[k - 1]) / (2.0 * dt)
-        resG = p.lam * gdot + np.where(active, grad_G, 0.0) / vol
-        rU.append(resU)
-        rG.append(resG)
-        nU.append(float(np.sqrt(np.sum(resU**2) * vol)))
-        nG.append(float(np.sqrt(np.sum(resG**2) * vol)))
+    vol = traj.cfg.grid.cell_volume
+    *_, resid_U, resid_gamma = _interior_terms(traj)
     return LagrangeResidual(
         times=traj.times[1:-1],
-        resid_U=np.asarray(rU),
-        resid_gamma=np.asarray(rG),
-        norms_U=np.asarray(nU),
-        norms_gamma=np.asarray(nG),
+        resid_U=resid_U,
+        resid_gamma=resid_gamma,
+        norms_U=np.array([float(np.sqrt(np.sum(r**2) * vol)) for r in resid_U]),
+        norms_gamma=np.array([float(np.sqrt(np.sum(r**2) * vol)) for r in resid_gamma]),
     )
 
 
@@ -380,22 +387,17 @@ def action_first_variation(
     if delta_gamma.shape != traj.gamma.shape:
         raise ShapeMismatch("delta_gamma", traj.gamma.shape, delta_gamma.shape)
 
-    plan = ElasticPlan(cfg)
+    force_U, force_G, gdot, resid_U, resid_gamma = _interior_terms(traj)
+    force_G = force_G + p.lam * gdot * vol  # + Biot term
     delta_I = 0.0
     for k in range(1, n - 1):
-        t, active = traj.times[k], traj.active[k]
-        grad_U, grad_G = free_energy_gradient(cfg, traj.U[k], traj.gamma[k], t, active, plan)
-        force_U = grad_U - _applied_forces(cfg, plan, t)
-        gdot = (traj.gamma[k + 1] - traj.gamma[k - 1]) / (2.0 * dt)
-        force_G = np.where(active, grad_G, 0.0) + p.lam * gdot * vol  # + Biot term
-        delta_I += dt * float(np.sum(force_U * delta_U[k] + force_G * delta_gamma[k]))
+        delta_I += dt * float(np.sum(force_U[k - 1] * delta_U[k] + force_G[k - 1] * delta_gamma[k]))
     for k in range(n - 1):
         du = (traj.U[k + 1] - traj.U[k]) / dt
         ddu = (delta_U[k + 1] - delta_U[k]) / dt
         delta_I -= dt * float(p.rho0 * np.sum(du * ddu) * vol)
 
-    res = lagrange_residual(traj)
     inner = dt * float(
-        np.sum(res.resid_U * delta_U[1:-1] + res.resid_gamma * delta_gamma[1:-1]) * vol
+        np.sum(resid_U * delta_U[1:-1] + resid_gamma * delta_gamma[1:-1]) * vol
     )
     return delta_I, inner

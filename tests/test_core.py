@@ -316,6 +316,13 @@ def _wall(**spec):
     # operator (NonFiniteState("damage operator"), which names no key)
     ({"grid": {"nx": 16, "dx": 1.0}, "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1e300, "d1": 1.0},
       "time": {"dt": 1e-10, "t_end": 1e-9}}, "material.lambda", "lambda/dt overflows"),
+    # lam/dt and lam*d1/dx**2 are each finite, their sum on the operator's
+    # diagonal is not (it was NonFiniteState("damage operator")); per axis
+    ({"grid": {"nx": 16, "dx": 1.0}, "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1e300, "d1": 1e8},
+      "time": {"dt": 6e-9, "t_end": 6e-8}}, "grid.dx", "the damage operator's diagonal overflows"),
+    ({"grid": {**GRID_2D, "dy": 1.0}, "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1e300,
+                                                   "d1": 1e-300, "d2": 1e8},
+      "time": {"dt": 2e-8, "t_end": 2e-7}}, "grid.dy", "the damage operator's diagonal overflows"),
     ({"time": {"dt": 0.01, "t_end": 0.005}}, "time.t_end", "must be >= dt"),
     ({"output": {"snapshots": 1}}, "output.snapshots", "need at least first+last, so >= 2"),
     ({"numerics": {"tol_admissibility": -1e-12}}, "numerics.tol_admissibility", "must be >= 0"),
@@ -341,6 +348,7 @@ def _wall(**spec):
      "expected an integer, got 1.5"),
 ], ids=["nx", "ny", "dx", "dy", "dx-underflow", "dx-underflow-no-diffusion", "dy-underflow",
         "dx-overflow", "dx-diffusivity-overflow", "dy-diffusivity-overflow", "dt", "lambda-dt-overflow",
+        "dx-diagonal-overflow", "dy-diagonal-overflow",
         "t_end",
         "snapshots", "tol_admissibility",
         "source_max_iter", "width", "width-2d", "mode", "until", "ramp", "gauge-2d",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import failwave as fw
-from failwave import ops
+from failwave import ops, solver
 
 BC_KINDS = ("zero_flux", "dirichlet", "periodic")
 
@@ -162,16 +162,16 @@ def test_stiff_line_solve_is_backward_stable(sys_):
 
 @st.composite
 def box_steps(draw):
-    """A damage step on a random 1D or 2D grid: an active mask that is empty,
-    full, scattered or a block (touching a wall when its bounds are 0 or
-    n), conductivities masked by it, a reaction and a source on active
-    cells, and Γ everywhere."""
+    """A damage step on a random 1D or 2D grid: a scenario with dt = 1, an
+    active mask that is empty, full, scattered or a block (touching a wall
+    when its bounds are 0 or n), conductivities masked by it, a reaction
+    and a source on active cells, and Γ everywhere."""
     if draw(st.booleans()):
         n = (draw(st.integers(3, 6)), draw(st.integers(3, 6)))
-        grid = fw.Grid(n, (draw(st.floats(0.2, 1.0)), draw(st.floats(0.2, 1.0))), (0.0, 0.0))
+        h = (draw(st.floats(0.2, 1.0)), draw(st.floats(0.2, 1.0)))
     else:
-        grid = fw.Grid((draw(st.integers(3, 9)),), (draw(st.floats(0.2, 1.0)),), (0.0,))
-    shape = grid.shape
+        n, h = (draw(st.integers(3, 9)),), (draw(st.floats(0.2, 1.0)),)
+    shape = tuple(reversed(n))
     mode = draw(st.sampled_from(("empty", "full", "scattered", "block")))
     if mode == "scattered":
         active = draw(hnp.arrays(bool, shape))
@@ -184,16 +184,28 @@ def box_steps(draw):
     bc_g = _bc(draw(st.sampled_from(BC_KINDS)), draw(st.floats(-1.0, 1.0)))
     ks = (draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 5.0)))
     unit = st.floats(-1.0, 1.0)
+    react = np.where(active, draw(st.floats(0.0, 5.0)), 0.0)
+    source = np.where(active, draw(hnp.arrays(float, shape, elements=unit)), 0.0)
+    gamma = draw(hnp.arrays(float, shape, elements=unit))
+    lam = draw(st.floats(0.5, 50.0))
+    wall = {"type": "periodic" if bc_g["type"] == "periodic" else "fixed"}
+    cfg = fw.build_scenario({
+        "grid": dict(zip(("nx", "dx", "ny", "dy"), (v for pair in zip(n, h) for v in pair))),
+        "material": {"rho0": 1.0, "c1": 1.0, "lambda": lam, "d1": ks[0] / lam, "d2": ks[1] / lam},
+        "time": {"dt": 1.0, "t_end": 1.0},
+        "bc": {"u_left": wall, "u_right": wall, "gamma": bc_g},
+    })
+    p = cfg.material
     return {
-        "grid": grid,
+        "cfg": cfg,
+        "grid": cfg.grid,
         "active": active,
         "bc_g": bc_g,
-        "ks": ks,
-        "K": ops.grid_conductivity(active, ks, grid, bc_g),
-        "react": np.where(active, draw(st.floats(0.0, 5.0)), 0.0),
-        "source": np.where(active, draw(hnp.arrays(float, shape, elements=unit)), 0.0),
-        "gamma": draw(hnp.arrays(float, shape, elements=unit)),
-        "lam": draw(st.floats(0.5, 50.0)),
+        "K": ops.grid_conductivity(active, (p.k1, p.k2), cfg.grid, bc_g),
+        "react": react,
+        "source": source,
+        "gamma": gamma,
+        "lam": lam,
     }
 
 
@@ -219,15 +231,15 @@ def _dense_increment(sys_, force):
     return np.linalg.solve(A, force.ravel()).reshape(shape)
 
 
-def _converged_increment(force, op, grid):
-    """Iterate damage_step's corrections on op's box until they stop
+def _converged_increment(force, plan):
+    """Iterate the damage plan's corrections on its box until they stop
     shrinking (one correction in 1D, where it is exact)."""
-    prev = ops.damage_step(force, op, grid)
+    prev = plan._correct(force)
     if prev[1] is None:
         return prev[0]
     steps = []
     while len(steps) < 20000:
-        nxt = ops.damage_step(force, op, grid, prev)
+        nxt = plan._correct(force, prev)
         steps.append(float(np.max(np.abs(nxt[0] - prev[0]))))
         prev = nxt
         # stop at roundoff: no progress over the last 50 corrections
@@ -239,23 +251,25 @@ def _converged_increment(force, op, grid):
 @settings(max_examples=150, deadline=None)
 @given(box_steps())
 def test_active_box_step_matches_dense_full_grid_step(sys_):
-    # the box increment equals the full-grid one fed the same force, and
+    # the damage plan's box increment, its operator factored with the
+    # drawn diagonal, equals the full-grid one fed the same force, and
     # Γ + d keeps every inactive cell bit for bit, inside the box too; the
     # box's conductivity is the full grid's on its faces, bit for bit
     grid, gamma, active = sys_["grid"], sys_["gamma"], sys_["active"]
-    op = ops.damage_operator(active, sys_["ks"], grid, sys_["bc_g"])
-    if op is not None:  # dt = 1: D = lam + react/2
-        for i, (Kb, K) in enumerate(zip(op.K, sys_["K"])):
+    plan = solver.DamagePlan(sys_["cfg"], active)
+    box = plan.box
+    if box is not None:  # dt = 1: D = lam + react/2
+        for i, (Kb, K) in enumerate(zip(plan.K, sys_["K"])):
             dim = active.ndim - 1 - i
-            s = op.box[dim]
-            assert np.array_equal(Kb, K[op.box[:dim] + (slice(s.start, s.stop + 1),) + op.box[dim + 1:]])
-        op = ops.factor_damage(op, sys_["lam"] + 0.5 * sys_["react"][op.box], grid)
+            s = box[dim]
+            assert np.array_equal(Kb, K[box[:dim] + (slice(s.start, s.stop + 1),) + box[dim + 1:]])
+        plan._factor(sys_["lam"] + 0.5 * sys_["react"][box])
     force = _force(sys_)
     d = np.zeros(gamma.shape)
-    if op is not None:
-        d[op.box] = _converged_increment(force[op.box], op, grid)
+    if box is not None:
+        d[box] = _converged_increment(force[box], plan)
         inside = np.zeros(gamma.shape, dtype=bool)
-        inside[op.box] = True
+        inside[box] = True
         assert not active[~inside].any()  # the box holds every active cell
     else:
         assert not active.any()

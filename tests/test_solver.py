@@ -3,6 +3,7 @@
 import copy
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -285,8 +286,12 @@ def test_overflowing_kinetic_energy_raises_typed_error(lam):
         "bc": {"u_left": {"type": "periodic"}, "u_right": {"type": "periodic"},
                "gamma": {"type": "periodic"}},
     }
-    with pytest.raises(fw.NonFiniteState, match="kinetic") as exc:
-        fw.run(fw.build_scenario(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(fw.NonFiniteState, match="kinetic") as exc:
+            fw.run(fw.build_scenario(doc))
+    # the typed error is the whole report: numpy prints no overflow warning
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert exc.value.state.time == 0.0
     assert exc.value.state.v.max() == pytest.approx(10.0, rel=0.05)
 
@@ -313,20 +318,27 @@ def test_courant_number_resolved_once_at_constant_wave_speed():
 
 @pytest.mark.parametrize("field", ["min_Z_gammadot", "peak_Z_gammadot"])
 def test_nan_audit_raises_typed_error(monkeypatch, field):
-    # a NaN minimum passes a `<` test, and max(peak, nan) keeps the old peak
-    step = solver.DamagePlan.step
-    at = {"min_Z_gammadot": 1, "peak_Z_gammadot": 2}[field]  # in step's return value
+    # a NaN in one cell's midpoint flux, and so in Z*dGamma/dt, raises the
+    # NaN error, not an admissibility violation, at step 1 (no peak held
+    # yet) or at step 3 (a peak held, which max(peak, nan) keeps), with the
+    # step's new damage attached
+    poisoned_step = {"min_Z_gammadot": 1, "peak_Z_gammadot": 3}[field]
+    level, calls = solver.DamagePlan.level, []
 
-    def nan_audit(*args):
-        out = list(step(*args))
-        out[at] = float("nan")
-        return tuple(out)
+    def poisoned(self, gamma):
+        out = level(self, gamma)
+        calls.append(1)
+        if len(calls) > poisoned_step:  # call 1 is level 0, call k + 1 step k's
+            self.flux[10] = float("nan")
+        return out
 
-    monkeypatch.setattr(solver.DamagePlan, "step", nan_audit)
     cfg = fw.build_scenario(diffusion_doc())
+    clean = fw.run(replace(cfg, t_end=poisoned_step * cfg.dt)).state
+    monkeypatch.setattr(solver.DamagePlan, "level", poisoned)
     with pytest.raises(fw.NonFiniteState, match="admissibility audit") as exc:
         fw.run(cfg)
-    assert exc.value.state.time == cfg.dt
+    assert exc.value.state.time == poisoned_step * cfg.dt
+    assert np.array_equal(exc.value.state.gamma, clean.gamma)
 
 
 def test_step_damage_books_the_dissipation_rate():
@@ -334,9 +346,10 @@ def test_step_damage_books_the_dissipation_rate():
     # dGamma/dt, summed over the cells and multiplied by the step
     cfg = fw.build_scenario(diffusion_doc())
     state = fw.initialize_state(cfg)
+    before = state.gamma.copy()
     uX = ops.strain_cells(state.U, cfg.grid, cfg.bc, 0.0)
-    gamma, _, _, dissipated = solver.DamagePlan(cfg, state.active).step(state, uX)
-    rate = fw.dissipation_rate((gamma - state.gamma) / cfg.dt, cfg.material)
+    _, dissipated = solver.DamagePlan(cfg, state.active).step(state, uX)
+    rate = fw.dissipation_rate((state.gamma - before) / cfg.dt, cfg.material)
     assert dissipated == float(rate.sum() * cfg.grid.cell_volume) * cfg.dt
     assert dissipated > 0.0
 
@@ -465,7 +478,7 @@ def test_run_equals_a_loop_of_standalone_steps(case):
         active = state.active | (np.abs(fw.stress(uX, state.gamma, p)) >= p.sigma0)
         switched += int(active.sum() > state.active.sum())
         state.active = active
-        state.gamma = solver.DamagePlan(cfg, state.active).step(state, uX)[0]
+        solver.DamagePlan(cfg, state.active).step(state, uX)  # nothing left to switch on
     assert switched > 40
     for field in ("U", "v", "gamma", "active"):
         assert np.array_equal(getattr(state, field), getattr(res.state, field)), field
@@ -481,9 +494,9 @@ def test_run_equals_a_loop_of_standalone_steps(case):
 
 def test_damage_operator_is_factored_once_per_active_set(monkeypatch):
     calls, solves = [], []
-    factor, damage_step = ops.factor_lines, ops.damage_step
+    factor, solve = ops.factor_lines, ops.solve_lines
     monkeypatch.setattr(ops, "factor_lines", lambda *args: calls.append(1) or factor(*args))
-    monkeypatch.setattr(ops, "damage_step", lambda *args: solves.append(1) or damage_step(*args))
+    monkeypatch.setattr(ops, "solve_lines", lambda *args: solves.append(1) or solve(*args))
 
     # a constant slope (linear_decay) on a growing active set: one factor for
     # the initial cells, then one for each step that switches a cell on
@@ -495,7 +508,8 @@ def test_damage_operator_is_factored_once_per_active_set(monkeypatch):
 
     # a slope that varies with Γ (logistic, every cell active): one factor
     # per step, and kpp_front's chord iteration takes at most 5 solves per
-    # step over its first 50 (4.5; a Picard loop on the source took 7.06)
+    # step over its first 50 (4.5; a Picard loop on the source took 7.06),
+    # each one line solve in 1D
     calls.clear()
     solves.clear()
     kpp = load_scenario("kpp_front.yaml")
@@ -557,7 +571,8 @@ def test_chord_increment_solves_the_midpoint_equation(ndim):
     # the Crank-Nicolson midpoint equation, which Newton's method on a dense
     # full-grid assembly reaches too: a 1D bar whose active box leaves cells
     # out at one end and touches the dirichlet wall at the other, and a 2D
-    # sheet whose box holds an inactive cell
+    # sheet whose box holds an inactive cell (sigma0 = 1 keeps the step from
+    # switching the rest on: with uX = 0 and b = 0 no cell is stressed)
     rng = np.random.default_rng(7 + ndim)
     if ndim == 1:
         cfg = fw.build_scenario(_logistic_doc({"nx": 40, "dx": 0.05}, rate=6.0, dt=0.05))
@@ -572,13 +587,16 @@ def test_chord_increment_solves_the_midpoint_equation(ndim):
         active = np.zeros((8, 10), dtype=bool)
         active[1:6, 2:9] = True
         active[3, 5] = False
+    cfg = replace(cfg, material=replace(cfg.material, sigma0=1.0))
     gamma = rng.uniform(0.1, 0.9, active.shape)
-    state = fw.FieldState(0.0, np.zeros(active.shape), np.zeros(active.shape), gamma, active)
+    state = fw.FieldState(0.0, np.zeros(active.shape), np.zeros(active.shape), gamma.copy(), active)
     plan = solver.DamagePlan(cfg, active)
-    gamma_new = plan.step(state, np.zeros(active.shape))[0]
+    plan.step(state, np.zeros(active.shape))
+    gamma_new = state.gamma
     d = gamma_new - gamma
     reference = _newton_increment(cfg, gamma, active)
-    assert plan.op.box != tuple(slice(0, n) for n in active.shape)  # a partial box
+    assert state.active is active  # no cell switched on
+    assert plan.box != tuple(slice(0, n) for n in active.shape)  # a partial box
     assert np.array_equal(gamma_new[~active], gamma[~active])
     assert float(np.abs(d - reference).max()) <= 1e-12 * float(np.abs(reference).max())
 
@@ -603,7 +621,8 @@ def test_box_audit_matches_the_full_grid_audit():
     # reference: Z at the midpoint from cst.internal_forces, the dissipation
     # rate over every cell and cst.damage_free_energy. Its midpoint flux is
     # the mean of the two levels' fluxes, so min and peak Z*dGamma/dt agree
-    # to the roundoff of the flux terms; the sums agree bit for bit
+    # to the roundoff of the flux terms; the sums agree bit for bit. The
+    # plan holds the run's peak; reset before each step, it holds the step's
     cfg = fw.build_scenario(_activation_bar())
     p, grid, bc_g = cfg.material, cfg.grid, cfg.bc["gamma"]
     w_gamma = ops.energy_weights(cfg.bc, grid)[1]
@@ -617,9 +636,10 @@ def test_box_audit_matches_the_full_grid_audit():
         elastic.step(state, k * cfg.dt)
         state.time = k * cfg.dt
         uX = ops.face_mean(elastic.eps)
-        damage.activate(state, uX)
-        gamma = state.gamma
-        gamma_new, low, peak, dissipated = damage.step(state, uX)
+        gamma = state.gamma.copy()
+        damage.peak = 0.0
+        low, dissipated = damage.step(state, uX)
+        gamma_new, peak = state.gamma, damage.peak
         gamma_dot = (gamma_new - gamma) / cfg.dt
         mid = 0.5 * (gamma + gamma_new)
         Z = cst.internal_forces(mid, p, grid, uX=uX, bc_gamma=bc_g, active=state.active)
@@ -636,7 +656,6 @@ def test_box_audit_matches_the_full_grid_audit():
         assert dissipated == float(rate.sum() * grid.cell_volume) * cfg.dt
         assert damage.energy == cst.damage_free_energy(gamma_new, p, grid, bc_g, w_gamma,
                                                        state.active)
-        state.gamma = gamma_new
     assert partial == 160
 
 

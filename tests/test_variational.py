@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import failwave as fw
 from failwave import constitutive as cst
-from failwave import ops
+from failwave import ops, variational
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -362,6 +362,17 @@ def test_action_first_variation_matches_residual_inner_product(traj):
     delta_I, inner = fw.action_first_variation(traj, dU, dG)
     assert delta_I == pytest.approx(inner, abs=1e-15)
     assert abs(inner) > 1e-14  # the comparison is not 0 == 0
+
+
+def test_action_first_variation_evaluates_the_forces_once(traj, monkeypatch):
+    # one free_energy_gradient per interior level serves both the action's
+    # variation and the residual inner product
+    calls = []
+    gradient = variational.free_energy_gradient
+    monkeypatch.setattr(variational, "free_energy_gradient",
+                        lambda *args: calls.append(1) or gradient(*args))
+    fw.action_first_variation(traj, np.zeros(traj.U.shape), np.zeros(traj.gamma.shape))
+    assert len(calls) == traj.nlev - 2
 
 
 def test_action_variation_shape_guard(traj):
