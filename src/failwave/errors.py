@@ -68,10 +68,10 @@ class AdmissibilityViolation(RuntimeViolation):
 class NonFiniteState(RuntimeViolation):
     """A run met a non-finite value: a (possibly singular) damage operator
     or right-hand side, the Courant number (read only when c3 != 0), the
-    admissibility audit, or a level's kinetic or free_energy report column.
-    The state is attached as .state when the solver raises it: the level
-    of a report column, the new damage of the audit, else the state before
-    the step."""
+    admissibility audit, or a level's kinetic, free_energy or dissipated
+    report column. The state is attached as .state when the solver raises
+    it: the level of a report column, the new damage of the audit, else the
+    state before the step."""
 
     def __init__(self, what: str, state=None):
         self.what = what
@@ -80,9 +80,9 @@ class NonFiniteState(RuntimeViolation):
 
 
 class PicardNotConverged(RuntimeViolation):
-    """DamagePlan.step's iteration (chord iteration on the source's slope,
-    fused in 2D with the CN defect correction) used all
-    numerics.source_max_iter iterations without meeting numerics.source_tol.
+    """DamagePlan.step's 2D defect correction towards the step's linear
+    system used all numerics.source_max_iter corrections without meeting
+    numerics.source_tol (a 1D step is one exact solve and never raises it).
     The step attaches the state as .state: the level before the step, with
     the cells it switched on."""
 

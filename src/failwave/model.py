@@ -31,7 +31,9 @@ class SourceLaw(NamedTuple):
 
     potential: Callable  # W(gamma, p), the damage potential in the free energy
     force: Callable  # -W'(gamma, p)
-    slope: Callable  # -W''(gamma, p), the force's slope; a number when it does not read gamma
+    # -W''(gamma, p), the force's slope, with which each damage step linearises
+    # the source; a number when it does not read gamma
+    slope: Callable
     saturation: Optional[Callable]  # the level(p) the damage saturates at, or None
 
 
@@ -482,6 +484,9 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
         if not max(d, material.lam * d) / ax.h**2 < math.inf:
             raise InvalidValue(f"grid.{key}", "the diffusivity over its square overflows")
     time_sec = _parse_section(_need(raw, "time", ""), _TIME, "time")
+    mass = 2.0 * grid.dx * material.rho0  # the elastic half kick is dt over it
+    if not (mass > 0.0 and time_sec["dt"] / mass < math.inf):
+        raise InvalidValue("material.rho0", "the elastic half kick dt/(2*dx*rho0) overflows")
     a = material.lam / time_sec["dt"]  # the damage operator's diagonal holds lam/dt
     if not a < math.inf:
         raise InvalidValue("material.lambda", "lambda/dt overflows")
@@ -569,8 +574,10 @@ def _sample(entry: dict, grid: Grid) -> np.ndarray:
     if kind == "constant":
         return np.full(grid.shape, entry["value"], dtype=float)
     if kind == "gaussian":
-        spread = zip(coords, np.atleast_1d(entry["center"]), np.atleast_1d(entry["width"]))
-        return entry["amplitude"] * np.exp(-0.5 * sum(((c - m) / w) ** 2 for c, m, w in spread))
+        # offsets clipped at 40 widths, where exp(-z**2/2) is 0: no square overflows
+        spread = zip(coords, np.atleast_1d(entry["center"]), np.atleast_1d(entry["width"]).tolist())
+        z2 = sum((np.clip(c - m, -40.0 * w, 40.0 * w) / w) ** 2 for c, m, w in spread)
+        return entry["amplitude"] * np.exp(-0.5 * z2)
     if kind == "sine":
         return entry["amplitude"] * np.sin(
             entry["mode"] * np.pi * (coords[0] - axes[0].origin) / (axes[0].n * axes[0].h)

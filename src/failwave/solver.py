@@ -3,18 +3,17 @@
 Lie splitting per step: a velocity-Verlet elastic update (the composition is
 algebraically identical to the centered three-level scheme), then the damage
 update: activation of cells whose stress magnitude reached the threshold and
-one Crank-Nicolson damage step, its source iterated to the step's midpoint
-by a chord iteration on the source's slope. Each half is resolved once per
-run into a plan whose step() advances the state in place: ElasticPlan holds
-the walls (ops.walls, the one wall table), the stress terms and the buffers
-of the elastic half; DamagePlan holds the source law, the tolerances, the
+one linearly implicit Crank-Nicolson damage step, a linear system with the
+source linearised about the old level. Each half is resolved once per run
+into a plan whose step() advances the state in place: ElasticPlan holds the
+walls (ops.walls, the one wall table), the stress terms and the buffers of
+the elastic half; DamagePlan holds the source law, the tolerances, the
 operator of the current active set on the box of its cells (its
 conductivity, line couplings and factors, built from ops' stencils and line
-solves), its iteration, the audit and its buffers. Coupling is one-way when
-b = 0 (Feng's model): the elastic substep never reads the damage field. The
-conservative lam = 0 limit (Clifton's model) is the same loop with the
-damage substep skipped: the damage field stays frozen and nothing
-dissipates.
+solves), the audit and its buffers. Coupling is one-way when b = 0 (Feng's
+model): the elastic substep never reads the damage field. The conservative
+lam = 0 limit (Clifton's model) is the same loop with the damage substep
+skipped: the damage field stays frozen and nothing dissipates.
 
 Every step is audited: hyperbolic Courant number (ElasticPlan.step), the
 pointwise admissibility product Z*dGamma/dt (DamagePlan.step), and a running
@@ -25,6 +24,7 @@ typed errors it raises.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple
@@ -227,10 +227,10 @@ class DamagePlan:
     of the grid axes' homogeneous flux divergences) on the box of its cells
     (None when no cell is active): the box's face conductivities K, each
     axis's damage BC at the box edges, line coupling and factor of D -
-    L_a/2, and the diagonal D. The operator is factored with the source's
-    capped slope once per active set when the slope is a number, else once
-    per step. The audit, energy and dissipation read the box; their sums
-    run over grid-sized buffers that hold zero or the frozen cells'
+    L_a/2, and the diagonal D of A less the source's capped slope (_advance),
+    factored once per active set when the slope is a number, else once per
+    step. The audit, energy and dissipation read the box; their sums run
+    over grid-sized buffers that hold zero or the frozen cells'
     potential outside it, so each is bitwise its full-grid sum. peak, the
     audit's scale, is the run's peak |Z*dGamma/dt|. Built only when lam > 0.
     """
@@ -366,16 +366,18 @@ class DamagePlan:
             raise
 
     def _advance(self, state: FieldState, uX) -> tuple:
-        """step() after the activation: one Crank-Nicolson step of
-        lam*dGamma/dt = Z = div(K grad Gamma) + F on the active cells, F the
-        source and -b*uX. On the box, d = Gamma_new - Gamma solves A d =
-        flux(Gamma) + F(Gamma + d/2) by chord iteration on J: (A - J) d_k+1
-        = flux(Gamma) + F(Gamma + d_k/2) - J d_k (_correct; under a constant
-        slope the first iterate is exact, so 1D solves once), until an
-        iterate moves by at most numerics.source_tol on the scale max(1,
-        max|Gamma_new|), else PicardNotConverged. A law that saturates keeps
-        active damage nonnegative; every other cell keeps its value bit for
-        bit. The audit reads Z at the midpoint, F there plus the mean of the
+        """step() after the activation: one linearly implicit Crank-Nicolson
+        step of lam*dGamma/dt = Z = div(K grad Gamma) + F on the active
+        cells, F the source and -b*uX. On the box, d = Gamma_new - Gamma
+        solves (A - J) d = flux(Gamma) + F(Gamma), the midpoint F(Gamma +
+        d/2) linearised with J = min(F'(Gamma), lam/dt)/2: exact for a
+        constant slope, Kahan's discretization of the logistic law, first
+        order in the source where the cap binds. One correction (_correct)
+        solves it in 1D; in 2D corrections run until one moves d by at most
+        numerics.source_tol on the scale max(1, max|Gamma_new|), else
+        PicardNotConverged. A law that saturates keeps active damage
+        nonnegative; every other cell keeps its value bit for bit. The audit
+        reads the physical Z at the midpoint, F there plus the mean of the
         two levels' fluxes: min Z*dGamma/dt below -(tol_admissibility*peak +
         the step's roundoff eps*max|Z|*max(|Gamma|, |Gamma_new|)/dt, that of
         a damage rate that is itself roundoff) raises AdmissibilityViolation,
@@ -391,15 +393,12 @@ class DamagePlan:
         flux, d, prev, moved = self.flux, None, None, None
         force = flux + self._on(cst.damage_force(g, p, uXb))
         if not self.constant:
-            minus_J = self._minus_J(g)
-            self._factor(self.a + minus_J)
+            self._factor(self.a + self._minus_J(g))
         for _ in range(self.max_iter):
-            if d is not None and not self.constant:
-                force = flux + self._on(cst.damage_force(g + 0.5 * d, p, uXb)) + minus_J * d
             nxt, x = self._correct(force, prev)
-            if self.constant and x is None:
+            if x is None:
                 d = nxt
-                break  # 1D, constant slope: the one solve is exact
+                break  # 1D: the one solve is exact
             delta = float(np.abs(nxt if d is None else nxt - d).max())
             if moved is None:  # max|g + d| <= max|g| + the sum of the deltas
                 moved = float(np.abs(g).max())
@@ -420,8 +419,11 @@ class DamagePlan:
         gamma_dot = (gn - g) / dt
         zg = self._on(Z * gamma_dot)
         low, peak = float(zg.min()), float(np.abs(zg).max())
-        self.rate[box] = cst.dissipation_rate(gamma_dot, p)
-        dissipated = float(np.add.reduce(self.rate, None) * grid.cell_volume)
+        fast = float(np.abs(gamma_dot).max())  # no cell's rate exceeds lam*fast**2
+        safe = p.lam * (fast * fast) * on.size < math.inf  # nor their sum on.size times it
+        with contextlib.nullcontext() if safe else np.errstate(over="ignore"):  # inf, unwarned
+            self.rate[box] = cst.dissipation_rate(gamma_dot, p)
+            dissipated = float(np.add.reduce(self.rate, None)) * grid.cell_volume
         if on.size < state.gamma.size:  # the cells outside the box are inactive: 0
             low = min(low, 0.0)
         # max(peak, nan) keeps the old peak: a NaN is caught here, not by the bound
@@ -555,6 +557,8 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
         if damage is not None:
             min_zg, inc = damage.step(state, ops.face_mean(plan.eps))
             dissipated += inc
+            if not math.isfinite(dissipated):
+                raise NonFiniteState("dissipated column", state.copy())  # for post-mortem inspection
             if p.b != 0.0:  # damage moved, so stress moved
                 plan.stress(state.gamma, t)
             e_damage = damage.energy

@@ -3,6 +3,7 @@
 import importlib.util
 import os
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -312,6 +313,13 @@ def _wall(**spec):
     ({"grid": {**GRID_2D, "dy": 1e-160}, "material": {"rho0": 1.0, "c1": 1.0, "d1": 0.1}},
      "grid.dy", "the diffusivity over its square overflows"),
     ({"time": {"dt": 0.0, "t_end": 0.1}}, "time.dt", "must be > 0"),
+    # 2*dx*rho0 underflows to 0: the elastic half kick dt over it was a raw
+    # ZeroDivisionError
+    ({"grid": {"nx": 16, "dx": 1e-160}, "material": {"rho0": 5e-324, "c1": 1.0}},
+     "material.rho0", "the elastic half kick dt/(2*dx*rho0) overflows"),
+    ({"grid": {"nx": 16, "dx": 1e-20}, "material": {"rho0": 5e-324, "c1": 1.0},
+      "time": {"dt": 1e-30, "t_end": 1e-29}}, "material.rho0",
+     "the elastic half kick dt/(2*dx*rho0) overflows"),
     # the damage operator's diagonal lam/dt overflowed to a non-finite
     # operator (NonFiniteState("damage operator"), which names no key)
     ({"grid": {"nx": 16, "dx": 1.0}, "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1e300, "d1": 1.0},
@@ -347,7 +355,8 @@ def _wall(**spec):
     ({"numerics": {"source_max_iter": 1.5}}, "numerics.source_max_iter",
      "expected an integer, got 1.5"),
 ], ids=["nx", "ny", "dx", "dy", "dx-underflow", "dx-underflow-no-diffusion", "dy-underflow",
-        "dx-overflow", "dx-diffusivity-overflow", "dy-diffusivity-overflow", "dt", "lambda-dt-overflow",
+        "dx-overflow", "dx-diffusivity-overflow", "dy-diffusivity-overflow", "dt", "rho0-kick-underflow",
+        "rho0-kick-underflow-small-dt", "lambda-dt-overflow",
         "dx-diagonal-overflow", "dy-diagonal-overflow",
         "t_end",
         "snapshots", "tol_admissibility",
@@ -435,7 +444,8 @@ def scenario_docs(draw):
     widths = [grid["dx"], grid.get("dy", grid["dx"])]
     d1, d2 = (draw(st.floats(0.0, min(1e100, 1e300 * h * h / max(1.0, lam)))) for h in widths)
     material = {
-        "rho0": draw(positive), "c1": draw(positive), "c2": draw(nonnegative) if lam else 0.0,
+        # 2*dx*rho0 stays normal, so the elastic half kick dt over it can be finite
+        "rho0": draw(st.floats(1e-300 / grid["dx"], 1e100, exclude_min=True)), "c1": draw(positive), "c2": draw(nonnegative) if lam else 0.0,
         "c3": draw(finite), "theta0": draw(positive), "lambda": lam, "d1": d1,
         "d2": d2, "b": draw(finite) if coupled else 0.0,
         "sigma0": draw(nonnegative),
@@ -445,7 +455,9 @@ def scenario_docs(draw):
         bc = {side: {"type": "periodic"} for side in ("u_left", "u_right", "gamma")}
     else:
         bc = {"u_left": draw(_u_bcs), "u_right": draw(_u_bcs), "gamma": draw(_gamma_bcs)}
-    dt = draw(st.floats(lam * 1e-300, 1e100, exclude_min=True))  # lam/dt stays finite
+    # lam/dt and the elastic half kick dt/(2*dx*rho0) stay finite
+    kick = 2.0 * grid["dx"] * material["rho0"]
+    dt = draw(st.floats(lam * 1e-300, min(1e100, kick * 1e300), exclude_min=True))
     ics = _ic_entries(shape)
     return {
         "name": draw(st.text("abcxyz019_- ", min_size=1, max_size=8)),
@@ -532,6 +544,19 @@ def test_gaussian_ic_center_and_decay():
     x = fw.build_scenario(doc).grid.axes[0].centers()
     expected = 0.8 * np.exp(-((x - 0.5) ** 2) / (2 * 0.05**2))
     assert np.allclose(state.gamma, expected, rtol=0, atol=1e-14)
+
+
+def test_narrow_gaussian_ic_samples_without_overflow():
+    # a width of 1e-160 squared every offset into overflow: numpy warned,
+    # though every cell away from the center still read 0
+    doc = minimal_doc(ic={"gamma": {"type": "gaussian", "amplitude": 0.8, "center": 0.53125,
+                                    "width": 1e-160}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gamma = fw.initialize_state(fw.build_scenario(doc)).gamma
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert gamma[8] == 0.8  # the cell centered on it
+    assert np.count_nonzero(gamma) == 1
 
 
 def test_step_ic_split():
