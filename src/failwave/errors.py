@@ -91,8 +91,8 @@ class PicardNotConverged(RuntimeViolation):
         self.residual, self.limit = residual, limit
         self.state = None
         super().__init__(
-            f"source iteration did not converge at t={time:.6g}: last change "
-            f"{residual:.6g} > {limit:.6g} after {iterations} iterations"
+            f"2D damage defect correction did not converge at t={time:.6g}: last change "
+            f"{residual:.6g} > {limit:.6g} after {iterations} corrections"
         )
 
 

@@ -312,6 +312,7 @@ def _field(value: Any, path: str, grid: Grid) -> list:
 # is a nested section whose fields join its parent's; "axes" (a number per
 # grid axis) and "field" (a tabulated field) are types bound to the grid. A
 # rule (test(value, fields), reason) holds right after the value converts.
+MAX_DIFFUSION_NUMBER = (2.0 * math.ulp(1.0)) ** -0.5  # 4.7e7; see build_scenario
 _OMIT = object()
 _POSITIVE = (lambda value, _: np.min(value) > 0, "must be > 0")  # on every axis
 _NONNEGATIVE = (lambda value, _: value >= 0, "must be >= 0")
@@ -491,10 +492,13 @@ def build_scenario(doc: Union[str, Mapping]) -> ScenarioConfig:
     if not a < math.inf:
         raise InvalidValue("material.lambda", "lambda/dt overflows")
     # plus each axis's lam*d/h**2 (3/2 of it beside a dirichlet wall), and a
-    # periodic wrap's Sherman-Morrison update doubles that sum
+    # periodic wrap's Sherman-Morrison update doubles that sum. Past
+    # MAX_DIFFUSION_NUMBER the factor's roundoff reaches the audit (README)
     for ax, (_, key, _), d in zip(grid.axes, _axis_keys(grid.ndim), (material.d1, material.d2)):
         if not 2.0 * (a + material.lam * d / ax.h**2) < math.inf:
             raise InvalidValue(f"grid.{key}", "the damage operator's diagonal overflows")
+        if material.lam and not d * time_sec["dt"] / ax.h**2 <= MAX_DIFFUSION_NUMBER:
+            raise InvalidValue(f"grid.{key}", "the diffusion number d*dt/h**2 exceeds 1/sqrt(2*eps)")
     on_grid = {**_CONVERT, "axes": partial(_per_axis, grid=grid), "field": partial(_field, grid=grid)}
     ic = _parse_kinds(raw.get("ic"), _IC_FIELDS, "ic", on_grid)
     bc = _parse_kinds(raw.get("bc"), _WALLS, "bc")

@@ -333,11 +333,12 @@ def active_box(active: np.ndarray):
     to 3 cells inside the grid where narrower (scipy's dpttrf rejects a
     system of one unknown; the added cells are inactive); None when no cell
     is active."""
-    if not active.any():
-        return None
     box = []
     for dim, n in enumerate(active.shape):
-        hit = np.flatnonzero(active.any(axis=tuple(d for d in range(active.ndim) if d != dim)))
+        rest = tuple(d for d in range(active.ndim) if d != dim)
+        hit = np.flatnonzero(active.any(axis=rest) if rest else active)
+        if not hit.size:
+            return None
         start, stop = int(hit[0]), int(hit[-1]) + 1
         start = min(start, n - 3) if stop - start < 3 else start
         box.append(slice(start, max(stop, start + 3)))

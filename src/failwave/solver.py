@@ -103,11 +103,12 @@ class ElasticPlan:
     stress S and half kick h = (div(S)/rho0 + r)*dt/2 live in buffers that
     every level reuses: level() fills them, step() advances U and v in
     place from them.
-    Each expression keeps the operand order of its reference
-    (ops.strain_faces, cst.stress, cst.elastic_wave_speed,
-    cst.total_free_energy), and the reductions are the ufunc reductions
-    behind x.sum() and x.max() called directly, so the results are bitwise
-    theirs.
+    Each field expression keeps the operand order of its reference
+    (ops.strain_faces, cst.stress, cst.elastic_wave_speed), so the fields
+    are bitwise theirs. Each energy sum is one dot product over the cells
+    or faces that hold it, against the quadrature weights and constants of
+    cst.total_free_energy folded into one vector (or number) per term once
+    per run: it agrees with the reference's sum up to summation roundoff.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -122,11 +123,14 @@ class ElasticPlan:
         self.walls = ops.walls(bc, grid.dx)
         self.fill_strain = ops.strain_rule(self.walls, grid.dx)
         self.prescribed = tuple(w for w in self.walls or () if w.stress is not None)
-        self.w_u = ops.energy_weights(bc, grid)[0]
         self.across = grid.axes[0].across
-        self.cell_volume = grid.cell_volume
         faces = grid.shape[:-1] + (grid.nx + 1,)
-        self.eps, self.u2, self.S, self._f1, self._f2 = (np.empty(faces) for _ in range(5))
+        # the energy weights, each term's constant folded in: per v^2 of a
+        # cell, u2 and u2^2 of a face, (eps_left + eps_right)*gamma of a cell
+        self.half_mass, self.cross = 0.5 * p.rho0 * grid.cell_volume, 0.5 * p.b * grid.cell_volume
+        w = np.broadcast_to(ops.energy_weights(bc, grid)[0] * self.across, faces).ravel()
+        self.w_u2, self.w_u4 = 0.5 * p.c1 * w, 0.25 * p.c3 * w
+        self.eps, self.u2, self.S, self._f1 = (np.empty(faces) for _ in range(4))
         self.h, self._c1 = np.empty(grid.shape), np.empty(grid.shape)
         self._S_right, self._S_left = self.S[..., 1:], self.S[..., :-1]  # of each cell
 
@@ -185,19 +189,17 @@ class ElasticPlan:
         its damage part, cst.damage_free_energy of state.gamma) of state's
         level, whose faces the buffers hold. Raises NonFiniteState naming the
         report column of the first that is not finite, state attached."""
-        p = self.p
-        square = np.multiply(state.v, state.v, out=self._c1)
+        v, u2 = state.v.ravel(), self.u2.ravel()
         # products of Python floats: an overflow reads inf with no numpy warning
-        kinetic = 0.5 * p.rho0 * float(np.add.reduce(square, None)) * self.cell_volume
-        e = np.multiply(self.u2, 0.5 * p.c1, out=self._f1)
+        kinetic = self.half_mass * float(v.dot(v))
+        free = float(u2.dot(self.w_u2))
         if self.cubic:
-            quartic = np.multiply(self.u2, self.u2, out=self._f2)
-            e += np.multiply(quartic, 0.25 * p.c3, out=quartic)
-        e *= self.w_u
+            free += float(np.multiply(u2, u2, out=self._f1.ravel()).dot(self.w_u4))
         e_grad, e_cell = damage
         if self.coupled:
-            e_cell += float((p.b * ops.face_mean(self.eps) * state.gamma * self.cell_volume).sum())
-        free = float(np.add.reduce(e, None)) * self.across + e_grad + e_cell
+            both = np.add(self.eps[..., :-1], self.eps[..., 1:], out=self._c1)
+            e_cell += self.cross * float(both.ravel().dot(state.gamma.ravel()))
+        free = free + e_grad + e_cell
         if not (math.isfinite(kinetic) and math.isfinite(free)):
             what = "free_energy column" if math.isfinite(kinetic) else "kinetic column"
             raise NonFiniteState(what, state.copy())  # for post-mortem inspection
@@ -229,10 +231,12 @@ class DamagePlan:
     axis's damage BC at the box edges, line coupling and factor of D -
     L_a/2, and the diagonal D of A less the source's capped slope (_advance),
     factored once per active set when the slope is a number, else once per
-    step. The audit, energy and dissipation read the box; their sums run
-    over grid-sized buffers that hold zero or the frozen cells'
-    potential outside it, so each is bitwise its full-grid sum. peak, the
-    audit's scale, is the run's peak |Z*dGamma/dt|. Built only when lam > 0.
+    step; idle, the box of the inactive cells. The audit, energy and
+    dissipation read the box: the gradient energy and the dissipation are
+    each one dot product against weights prescaled once per active set
+    (w_grad) or run, equal to the full-grid sums up to summation roundoff.
+    peak, the audit's scale, is the run's peak |Z*dGamma/dt|. Built only
+    when lam > 0.
     """
 
     def __init__(self, cfg: ScenarioConfig, active: np.ndarray):
@@ -246,9 +250,10 @@ class DamagePlan:
         self.tol, self.max_iter = cfg.numerics["source_tol"], cfg.numerics["source_max_iter"]
         self.tol_adm, self.peak = cfg.numerics["tol_admissibility"], 0.0
         self.a = p.lam / cfg.dt
+        self.lam_volume = p.lam * grid.cell_volume  # the dissipation per unit dGamma/dt^2
         self.w_gamma = ops.energy_weights(cfg.bc, grid)[1]
-        self.faces = [np.zeros(ax.view(active).shape[:-1] + (ax.n + 1,)) for ax in grid.axes]
-        self.rate, self.psi = np.zeros(grid.shape), None  # psi: set by the first level()
+        self.psi = None  # set by the first level()
+        self.idle = tuple(slice(0, n) for n in grid.shape)
         self._build(active)
 
     def _build(self, active: np.ndarray) -> None:
@@ -256,9 +261,11 @@ class DamagePlan:
         box are inactive, so they keep their Gamma. Every face on a box edge
         that is not a wall has such a cell on its far side, hence K = 0 and
         the zero-flux closure there is exact; a periodic axis keeps its wrap
-        only when the box spans it."""
+        only when the box spans it. Cells never switch off, so the new idle
+        box lies inside the old one."""
         p, grid = self.p, self.grid
-        self.idle = ops.active_box(~active)  # the cells step() tests for activation
+        old, inner = self.idle, ops.active_box(~active[self.idle])
+        self.idle = inner and tuple(slice(o.start + i.start, o.start + i.stop) for o, i in zip(old, inner))
         self.box = box = ops.active_box(active)
         self.flux = None  # the next step's flux(Gamma), once taken under this K
         if box is None:
@@ -267,16 +274,15 @@ class DamagePlan:
         self.on = active[box]
         self.masked = not self.on.all()  # the box holds inactive cells
         self.bc, self.lines = [], []  # per axis: the damage BC at the box edges, line_coupling
-        self.terms = []  # per axis: K/2, weights and buffer window on the box, buffer
-        for i, (ax, Ka, faces, w) in enumerate(zip(grid.axes, self.K, self.faces, self.w_gamma)):
+        self.w_grad = []  # per axis: K/2 * weight * across on the box's faces, C order
+        for i, (ax, Ka, w) in enumerate(zip(grid.axes, self.K, self.w_gamma)):
             dim = active.ndim - 1 - i  # x is the last array axis, y the first
             s = box[dim]
             spans = s.stop - s.start == ax.n
             self.bc.append(self.bc_g if spans or self.bc_g["type"] != "periodic" else _ZERO_FLUX)
             self.lines.append(ops.line_coupling(ax.view(Ka), 0.5, ax.h, self.bc[-1]))
             edge = slice(s.start, s.stop + 1)  # the faces of the box
-            window = ax.view(ax.view(faces)[box[:dim] + (edge,) + box[dim + 1:]])
-            self.terms.append((0.5 * ax.view(Ka), w[edge], window, faces))
+            self.w_grad.append((ax.view(Ka) * (0.5 * ax.across * w[edge])).ravel())
         if self.constant:
             self._factor(self.a + self._minus_J(None))
 
@@ -323,8 +329,8 @@ class DamagePlan:
 
     def level(self, gamma) -> tuple:
         """cst.damage_free_energy's pair of the level gamma under the plan's
-        active set, bitwise, kept as .energy. The one face gradient per axis
-        it takes on the box also gives the flux the next step starts from."""
+        active set, kept as .energy. The one face gradient per axis it
+        takes on the box also gives the flux the next step starts from."""
         p, cell_volume, box = self.p, self.grid.cell_volume, self.box
         if self.psi is None:
             self.psi = cst.damage_potential(gamma, p) * cell_volume
@@ -334,17 +340,18 @@ class DamagePlan:
             grads = [ops.gamma_grad_faces(ax.view(g), ax.h, bc)
                      for ax, bc in zip(self.grid.axes, self.bc)]
             self.flux = ops.grid_flux_div(g, self.K, self.grid, self.bc, grads)
-            for ax, grad, (half_K, w, e, faces) in zip(self.grid.axes, grads, self.terms):
-                np.multiply(np.multiply(half_K, grad * grad, out=e), w, out=e)
-                e_grad += float(np.add.reduce(faces, None) * ax.across)
+            for grad, w in zip(grads, self.w_grad):
+                square = grad.ravel()
+                e_grad += float(np.multiply(square, square, out=square).dot(w))
             self.psi[box] = cst.damage_potential(g, p) * cell_volume
         self.energy = (e_grad, float(np.add.reduce(self.psi, None)))
         return self.energy
 
-    def step(self, state: FieldState, uX) -> tuple:
+    def step(self, state: FieldState, eps) -> tuple:
         """One damage step of state, whose active set is the plan's, under
-        the cell strain uX; as ElasticPlan.step, it advances state in place.
-        The cells of the inactive box whose stress magnitude reached sigma0
+        the face strain eps (shaped like ElasticPlan.eps), whose face mean
+        is the cell strain; as ElasticPlan.step, it advances state in place.
+        The cells of the idle box whose stress magnitude reached sigma0
         switch on (every cell when sigma0 = 0; cells never switch off): a
         new state.active mask, the operator rebuilt. Then _advance() writes
         the new damage into state.gamma and audits it, leaving the new
@@ -355,20 +362,22 @@ class DamagePlan:
         try:
             box = self.idle
             if box is not None:
-                hit = np.abs(cst.stress(uX[box], state.gamma[box], self.p)) >= self.p.sigma0
+                S = cst.stress(_cell_strain(eps, box), state.gamma[box], self.p)
+                hit = np.abs(S) >= self.p.sigma0
                 if (hit > state.active[box]).any():
                     state.active = state.active.copy()
                     state.active[box] |= hit
                     self._build(state.active)
-            return self._advance(state, uX)
+            return self._advance(state, eps)
         except (NonFiniteState, PicardNotConverged, AdmissibilityViolation) as err:
             err.state = state.copy()  # dumped for post-mortem inspection
             raise
 
-    def _advance(self, state: FieldState, uX) -> tuple:
+    def _advance(self, state: FieldState, eps) -> tuple:
         """step() after the activation: one linearly implicit Crank-Nicolson
         step of lam*dGamma/dt = Z = div(K grad Gamma) + F on the active
-        cells, F the source and -b*uX. On the box, d = Gamma_new - Gamma
+        cells, F the source and -b*uX (uX the cell strain of eps, read
+        only when b != 0). On the box, d = Gamma_new - Gamma
         solves (A - J) d = flux(Gamma) + F(Gamma), the midpoint F(Gamma +
         d/2) linearised with J = min(F'(Gamma), lam/dt)/2: exact for a
         constant slope, Kahan's discretization of the logistic law, first
@@ -387,7 +396,8 @@ class DamagePlan:
         if box is None:
             return 0.0, 0.0
         p, grid, dt, tol, on = self.p, self.grid, self.dt, self.tol, self.on
-        g, uXb = state.gamma[box].copy(), uX[box]
+        g = state.gamma[box].copy()
+        uXb = _cell_strain(eps, box) if p.b != 0.0 else None
         if self.flux is None:  # an activation changed K
             self.flux = ops.grid_flux_div(g, self.K, grid, self.bc)
         flux, d, prev, moved = self.flux, None, None, None
@@ -418,12 +428,12 @@ class DamagePlan:
         Z = cst.damage_force(0.5 * (g + gn), p, uXb) + 0.5 * (flux + self.flux)
         gamma_dot = (gn - g) / dt
         zg = self._on(Z * gamma_dot)
-        low, peak = float(zg.min()), float(np.abs(zg).max())
-        fast = float(np.abs(gamma_dot).max())  # no cell's rate exceeds lam*fast**2
+        low = float(zg.min())
+        peak = max(float(zg.max()), -low)  # max|zg|, with no temporary
+        fast = max(float(gamma_dot.max()), -float(gamma_dot.min()))  # no rate exceeds lam*fast**2
         safe = p.lam * (fast * fast) * on.size < math.inf  # nor their sum on.size times it
         with contextlib.nullcontext() if safe else np.errstate(over="ignore"):  # inf, unwarned
-            self.rate[box] = cst.dissipation_rate(gamma_dot, p)
-            dissipated = float(np.add.reduce(self.rate, None)) * grid.cell_volume
+            dissipated = self.lam_volume * float(gamma_dot.ravel().dot(gamma_dot.ravel()))
         if on.size < state.gamma.size:  # the cells outside the box are inactive: 0
             low = min(low, 0.0)
         # max(peak, nan) keeps the old peak: a NaN is caught here, not by the bound
@@ -439,25 +449,20 @@ class DamagePlan:
         return low, dissipated * dt
 
 
+def _cell_strain(eps, box: tuple) -> np.ndarray:
+    """ops.face_mean of the face strain eps on the cells of box."""
+    *rows, cells = box
+    return ops.face_mean(eps[(*rows, slice(cells.start, cells.stop + 1))])
+
+
 # -- full runs ----------------------------------------------------------------
 
 
 def _snapshot(step: int, state: FieldState, cfg: ScenarioConfig) -> Snapshot:
-    p = cfg.material
-    uXc = ops.strain_cells(state.U, cfg.grid, cfg.bc, state.time)
-    S = cst.stress(uXc, state.gamma, p)
-    Z = cst.internal_forces(
-        state.gamma, p, cfg.grid, uX=uXc, bc_gamma=cfg.bc["gamma"], active=state.active
-    )
-    return Snapshot(
-        step=step,
-        time=state.time,
-        U=state.U.copy(),
-        v=state.v.copy(),
-        gamma=state.gamma.copy(),
-        S=np.asarray(S),
-        Z=np.asarray(Z),
-    )
+    p, uXc = cfg.material, ops.strain_cells(state.U, cfg.grid, cfg.bc, state.time)
+    Z = cst.internal_forces(state.gamma, p, cfg.grid, uX=uXc, bc_gamma=cfg.bc["gamma"], active=state.active)
+    return Snapshot(step, state.time, state.U.copy(), state.v.copy(), state.gamma.copy(),
+                    cst.stress(uXc, state.gamma, p), Z)
 
 
 def _gauge_cells(cfg: ScenarioConfig) -> tuple:
@@ -488,8 +493,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
     snap_steps = set(np.linspace(0, nsteps, cfg.output["snapshots"]).astype(int).tolist())
     cells = _gauge_cells(cfg)
     reports = np.empty(nsteps + 1, dtype=[(name, float) for name in REPORT_FIELDS])
-    gauge_S = np.empty((nsteps + 1, len(cfg.gauges)))
-    gauge_gamma = np.empty((nsteps + 1, len(cfg.gauges)))
+    gauge_S, gauge_gamma = (np.empty((nsteps + 1, len(cfg.gauges))) for _ in range(2))
     snapshots: List[Snapshot] = []
     plan = ElasticPlan(cfg)
     for k, row in enumerate(_coupled_steps(state, cfg, plan)):
@@ -500,17 +504,8 @@ def run(cfg: ScenarioConfig) -> RunResult:
         if k in snap_steps:
             snapshots.append(_snapshot(k, state, cfg))
     proxy = lateral_stress_proxy(gauge_gamma, cfg.material)
-    traces = [
-        GaugeTrace(
-            position=pos,
-            cell=tuple(int(c[g]) for c in cells),
-            t=reports["time"],
-            S=gauge_S[:, g],
-            gamma=gauge_gamma[:, g],
-            sigma_lateral_proxy=proxy[:, g],
-        )
-        for g, pos in enumerate(cfg.gauges)
-    ]
+    traces = [GaugeTrace(pos, tuple(int(c[g]) for c in cells), reports["time"], gauge_S[:, g],
+                         gauge_gamma[:, g], proxy[:, g]) for g, pos in enumerate(cfg.gauges)]
     return RunResult(state, reports, traces, snapshots)
 
 
@@ -555,7 +550,7 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
         cfl = plan.step(state, t)
         state.time = t
         if damage is not None:
-            min_zg, inc = damage.step(state, ops.face_mean(plan.eps))
+            min_zg, inc = damage.step(state, plan.eps)
             dissipated += inc
             if not math.isfinite(dissipated):
                 raise NonFiniteState("dissipated column", state.copy())  # for post-mortem inspection

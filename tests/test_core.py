@@ -19,6 +19,7 @@ from failwave.errors import (
     MissingKey,
     ShapeMismatch,
 )
+from failwave.model import MAX_DIFFUSION_NUMBER
 
 
 def minimal_doc(**over):
@@ -331,6 +332,14 @@ def _wall(**spec):
     ({"grid": {**GRID_2D, "dy": 1.0}, "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1e300,
                                                    "d1": 1e-300, "d2": 1e8},
       "time": {"dt": 2e-8, "t_end": 2e-7}}, "grid.dy", "the damage operator's diagonal overflows"),
+    # past 1/sqrt(2*eps) the damage factor's roundoff reaches the audit (a
+    # 16-cell bar raised AdmissibilityViolation from d1 1e15, which names no
+    # key, and NonFiniteState("damage operator ...") at 1e18); per axis
+    ({"grid": {"nx": 16, "dx": 1.0}, "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1.0, "d1": 4.8e8},
+      "time": {"dt": 0.1, "t_end": 1.0}}, "grid.dx", "the diffusion number d*dt/h**2 exceeds 1/sqrt(2*eps)"),
+    ({"grid": {**GRID_2D, "dy": 1.0}, "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1.0,
+                                                   "d1": 1.0, "d2": 4.8e8},
+      "time": {"dt": 0.1, "t_end": 1.0}}, "grid.dy", "the diffusion number d*dt/h**2 exceeds 1/sqrt(2*eps)"),
     ({"time": {"dt": 0.01, "t_end": 0.005}}, "time.t_end", "must be >= dt"),
     ({"output": {"snapshots": 1}}, "output.snapshots", "need at least first+last, so >= 2"),
     ({"numerics": {"tol_admissibility": -1e-12}}, "numerics.tol_admissibility", "must be >= 0"),
@@ -357,7 +366,7 @@ def _wall(**spec):
 ], ids=["nx", "ny", "dx", "dy", "dx-underflow", "dx-underflow-no-diffusion", "dy-underflow",
         "dx-overflow", "dx-diffusivity-overflow", "dy-diffusivity-overflow", "dt", "rho0-kick-underflow",
         "rho0-kick-underflow-small-dt", "lambda-dt-overflow",
-        "dx-diagonal-overflow", "dy-diagonal-overflow",
+        "dx-diagonal-overflow", "dy-diagonal-overflow", "dx-diffusion-number", "dy-diffusion-number",
         "t_end",
         "snapshots", "tol_admissibility",
         "source_max_iter", "width", "width-2d", "mode", "until", "ramp", "gauge-2d",
@@ -455,9 +464,14 @@ def scenario_docs(draw):
         bc = {side: {"type": "periodic"} for side in ("u_left", "u_right", "gamma")}
     else:
         bc = {"u_left": draw(_u_bcs), "u_right": draw(_u_bcs), "gamma": draw(_gamma_bcs)}
-    # lam/dt and the elastic half kick dt/(2*dx*rho0) stay finite
+    # lam/dt and the elastic half kick dt/(2*dx*rho0) stay finite, and each
+    # axis's diffusion number d*dt/h**2 at most MAX_DIFFUSION_NUMBER
     kick = 2.0 * grid["dx"] * material["rho0"]
-    dt = draw(st.floats(lam * 1e-300, min(1e100, kick * 1e300), exclude_min=True))
+    top = min(1e100, kick * 1e300)
+    if lam:  # 1e-6 below the limit: the subnormal squares of the narrowest widths round
+        axes = list(zip(widths, (d1, d2)))[:len(shape)]
+        top = min([top] + [0.999999 * MAX_DIFFUSION_NUMBER * h**2 / d for h, d in axes if d])
+    dt = draw(st.floats(lam * 1e-300, top, exclude_min=True))
     ics = _ic_entries(shape)
     return {
         "name": draw(st.text("abcxyz019_- ", min_size=1, max_size=8)),

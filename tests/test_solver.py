@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import failwave as fw
 from failwave import constitutive as cst
 from failwave import ops, solver
-from failwave.model import SOURCE_LAWS
+from failwave.model import MAX_DIFFUSION_NUMBER, SOURCE_LAWS
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -222,6 +222,8 @@ def test_unconverged_2d_defect_correction_raises_typed_error():
     with pytest.raises(fw.PicardNotConverged) as exc:
         fw.run(fw.build_scenario(doc))
     assert exc.value.iterations == 1
+    assert str(exc.value).startswith("2D damage defect correction did not converge at t=0.001: ")
+    assert str(exc.value).endswith(" after 1 corrections")
     assert exc.value.state is not None and exc.value.state.gamma.shape == (6, 8)
     doc["numerics"] = {}
     assert fw.run(fw.build_scenario(doc)).state.time == pytest.approx(0.1)
@@ -246,9 +248,9 @@ def test_non_finite_damage_state_raises_typed_error():
     cfg = fw.build_scenario(diffusion_doc())
     state = fw.initialize_state(cfg)
     state.gamma[10] = np.nan
-    uX = ops.strain_cells(state.U, cfg.grid, cfg.bc, 0.0)
+    eps = ops.strain_faces(state.U, cfg.grid, cfg.bc, 0.0)
     with pytest.raises(fw.NonFiniteState) as exc:
-        solver.DamagePlan(cfg, state.active).step(state, uX)
+        solver.DamagePlan(cfg, state.active).step(state, eps)
     assert np.isnan(exc.value.state.gamma[10])
     assert exc.value.state.gamma is not state.gamma
 
@@ -315,6 +317,33 @@ def test_overflowing_dissipation_raises_typed_error():
     assert not np.array_equal(exc.value.state.gamma, fw.initialize_state(fw.build_scenario(doc)).gamma)
 
 
+def test_diffusion_number_limit_on_both_sides():
+    # a 16-cell zero-flux bar of sine damage, lam 1, dt 0.1, dx 1: its
+    # diffusion number is d1/10. Just below MAX_DIFFUSION_NUMBER (4.7e7) it
+    # runs clean with no numpy warning; just above, and where the factor's
+    # roundoff broke the run (an AdmissibilityViolation from d1 1e15 and
+    # NonFiniteState("damage operator (not positive definite ...)") at 1e18,
+    # neither naming a key), build_scenario refuses it naming grid.dx
+    assert 4.7e7 < MAX_DIFFUSION_NUMBER < 4.8e7
+
+    def bar(d1):
+        return {"grid": {"nx": 16, "dx": 1.0},
+                "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1.0, "d1": d1},
+                "time": {"dt": 0.1, "t_end": 1.0},
+                "ic": {"gamma": {"type": "sine", "amplitude": 0.5, "mode": 1}},
+                "bc": {"u_left": {"type": "fixed"}, "u_right": {"type": "fixed"},
+                       "gamma": {"type": "zero_flux"}}}
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fw.run(fw.build_scenario(bar(4.7e8)))
+    assert res.reports["max_diff"][-1] == 4.7e7 and np.isfinite(res.state.gamma).all()
+    for d1 in (4.8e8, 1e15, 1e16, 1e18):
+        with pytest.raises(fw.InvalidValue) as exc:
+            fw.build_scenario(bar(d1))
+        assert exc.value.name == "grid.dx"
+
+
 def test_courant_number_resolved_once_at_constant_wave_speed():
     # at c3 = 0 every step reports the plan's sqrt(c1/rho0)*dt/dx, and a dt
     # just over the limit is still refused at step 1, the state untouched
@@ -366,8 +395,8 @@ def test_step_damage_books_the_dissipation_rate():
     cfg = fw.build_scenario(diffusion_doc())
     state = fw.initialize_state(cfg)
     before = state.gamma.copy()
-    uX = ops.strain_cells(state.U, cfg.grid, cfg.bc, 0.0)
-    _, dissipated = solver.DamagePlan(cfg, state.active).step(state, uX)
+    eps = ops.strain_faces(state.U, cfg.grid, cfg.bc, 0.0)
+    _, dissipated = solver.DamagePlan(cfg, state.active).step(state, eps)
     rate = fw.dissipation_rate((state.gamma - before) / cfg.dt, cfg.material)
     assert dissipated == float(rate.sum() * cfg.grid.cell_volume) * cfg.dt
     assert dissipated > 0.0
@@ -475,6 +504,43 @@ def _standalone_cases():
     return cases
 
 
+def _summation_bound(*terms):
+    """The most two sums of the same terms (arrays) can differ: 2n*eps*S
+    for n terms whose magnitudes sum to S. Summed in any order, n terms
+    carry an error of at most (n - 1)u*S, u = eps/2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, §4.2), so two orders
+    differ by (n - 1)eps*S; the remaining (n + 1)eps*S covers each term's
+    own few roundings when its factors are grouped differently. A product
+    that underflows errs by up to half the smallest subnormal instead
+    (Higham §2.1), so each term adds 4 of those per sum."""
+    n = sum(np.size(t) for t in terms)
+    scale = sum(float(np.abs(t).sum()) for t in terms)
+    return 2 * n * (np.finfo(float).eps * scale + 4 * np.finfo(float).smallest_subnormal)
+
+
+def _gradient_terms(cfg, gamma, active):
+    """The damage-gradient terms of cst.damage_free_energy, one array of
+    faces per grid axis."""
+    p, grid, bc_g = cfg.material, cfg.grid, cfg.bc["gamma"]
+    K = ops.grid_conductivity(active, (p.k1, p.k2), grid, bc_g)
+    w_gamma = ops.energy_weights(cfg.bc, grid)[1]
+    return [0.5 * ax.view(Ka) * ops.gamma_grad_faces(ax.view(gamma), ax.h, bc_g)**2 * w * ax.across
+            for ax, Ka, w in zip(grid.axes, K, w_gamma)]
+
+
+def _free_energy_terms(cfg, U, gamma, t, active):
+    """The terms cst.total_free_energy sums at the level: the quadratic and
+    quartic strain terms on the x faces, the gradient terms on each axis's
+    faces, the potential and cross terms in the cells."""
+    p, grid, bc = cfg.material, cfg.grid, cfg.bc
+    eps = ops.strain_faces(U, grid, bc, t)
+    w = ops.energy_weights(bc, grid)[0] * grid.axes[0].across
+    u2 = eps * eps
+    faces = [0.5 * p.c1 * u2 * w] + ([0.25 * p.c3 * u2 * u2 * w] if p.c3 else [])
+    cells = [cst.damage_potential(gamma, p)] + ([p.b * ops.face_mean(eps) * gamma] if p.b else [])
+    return faces + _gradient_terms(cfg, gamma, active) + [c * grid.cell_volume for c in cells]
+
+
 # a velocity wall's strain reads the clock: the run builds level k at k*dt,
 # which (k-1)*dt + dt can round off, so the loop passes the same time
 @pytest.mark.parametrize("case", ["traction", "velocity", "linear", "2d"])
@@ -493,22 +559,27 @@ def test_run_equals_a_loop_of_standalone_steps(case):
         elastic.level(state.U, state.gamma, state.time)
         elastic.step(state, k * cfg.dt)
         state.time = k * cfg.dt
-        uX = ops.strain_cells(state.U, cfg.grid, cfg.bc, state.time)
+        eps = ops.strain_faces(state.U, cfg.grid, cfg.bc, state.time)
+        uX = ops.face_mean(eps)
         active = state.active | (np.abs(fw.stress(uX, state.gamma, p)) >= p.sigma0)
         switched += int(active.sum() > state.active.sum())
         state.active = active
-        solver.DamagePlan(cfg, state.active).step(state, uX)  # nothing left to switch on
+        solver.DamagePlan(cfg, state.active).step(state, eps)  # nothing left to switch on
     assert switched > 40
     for field in ("U", "v", "gamma", "active"):
         assert np.array_equal(getattr(state, field), getattr(res.state, field)), field
     S = fw.stress(uX, state.gamma, p)
     for trace in res.gauges:
         assert trace.S[-1] == S[trace.cell]
+    # the run sums each free energy term as one dot product over the faces
+    # or cells that hold it, the reference function in its own order; the
+    # kinetic energy is the same dot over every cell
     last = res.reports[-1]
-    assert last["free_energy"] == fw.total_free_energy(
-        state.U, state.gamma, p, cfg.grid, cfg.bc, state.time, state.active
-    )
-    assert last["kinetic"] == 0.5 * p.rho0 * np.sum(state.v**2) * cfg.grid.cell_volume
+    free = fw.total_free_energy(state.U, state.gamma, p, cfg.grid, cfg.bc, state.time, state.active)
+    terms = _free_energy_terms(cfg, state.U, state.gamma, state.time, state.active)
+    assert abs(last["free_energy"] - free) <= _summation_bound(*terms)
+    v = state.v.ravel()
+    assert last["kinetic"] == 0.5 * p.rho0 * cfg.grid.cell_volume * float(np.dot(v, v))
 
 
 def test_damage_operator_is_factored_once_per_active_set(monkeypatch):
@@ -604,7 +675,7 @@ def test_increment_solves_the_linear_step(ndim):
     gamma = rng.uniform(0.1, 0.9, active.shape)
     state = fw.FieldState(0.0, np.zeros(active.shape), np.zeros(active.shape), gamma.copy(), active)
     plan = solver.DamagePlan(cfg, active)
-    plan.step(state, np.zeros(active.shape))
+    plan.step(state, np.zeros(active.shape[:-1] + (active.shape[-1] + 1,)))  # no face strain
     gamma_new = state.gamma
     d = gamma_new - gamma
     reference = _linear_increment(cfg, gamma, active)
@@ -663,7 +734,7 @@ def test_box_audit_matches_the_full_grid_audit():
         uX = ops.face_mean(elastic.eps)
         gamma = state.gamma.copy()
         damage.peak = 0.0
-        low, dissipated = damage.step(state, uX)
+        low, dissipated = damage.step(state, elastic.eps)
         gamma_new, peak = state.gamma, damage.peak
         gamma_dot = (gamma_new - gamma) / cfg.dt
         mid = 0.5 * (gamma + gamma_new)
@@ -677,11 +748,81 @@ def test_box_audit_matches_the_full_grid_audit():
         if not state.active.all():
             partial += 1
             assert low <= 0.0
-        rate = fw.dissipation_rate(gamma_dot, p)
-        assert dissipated == float(rate.sum() * grid.cell_volume) * cfg.dt
-        assert damage.energy == cst.damage_free_energy(gamma_new, p, grid, bc_g, w_gamma,
-                                                       state.active)
+        rate = fw.dissipation_rate(gamma_dot, p) * grid.cell_volume * cfg.dt
+        assert abs(dissipated - float(rate.sum())) <= _summation_bound(rate)
+        e_grad, e_cell = cst.damage_free_energy(gamma_new, p, grid, bc_g, w_gamma, state.active)
+        assert abs(damage.energy[0] - e_grad) <= _summation_bound(*_gradient_terms(cfg, gamma_new,
+                                                                                  state.active))
+        assert damage.energy[1] == e_cell
     assert partial == 160
+
+
+@st.composite
+def report_levels(draw):
+    """A random level (cfg, state) on a 1D or 2D grid, under any pair of
+    displacement walls and a damage wall, or a ring, and either source
+    law; its active cells lie in a drawn box, which may leave cells out on
+    every side. sigma0 keeps every cell as it is, and the diffusion number
+    stays below 1, where the 2D correction converges in a few steps."""
+    grid = {"nx": draw(st.integers(3, 12)), "dx": draw(st.floats(0.05, 0.5))}
+    if draw(st.booleans()):
+        grid.update(ny=draw(st.integers(3, 8)), dy=draw(st.floats(0.05, 0.5)))
+    if draw(st.booleans()):
+        bc = {side: {"type": "periodic"} for side in ("u_left", "u_right", "gamma")}
+    else:
+        walls = st.sampled_from([{"type": "fixed", "value": 0.01}, {"type": "velocity", "value": -0.2},
+                                 {"type": "free"}, {"type": "traction", "value": 0.3}])
+        bc = {"u_left": draw(walls), "u_right": draw(walls),
+              "gamma": draw(st.sampled_from([{"type": "zero_flux"}, {"type": "dirichlet", "value": 0.3}]))}
+    mat = {"rho0": draw(st.floats(0.5, 3.0)), "c1": draw(st.floats(0.5, 4.0)),
+           "c3": draw(st.sampled_from([0.0]) | st.floats(0.1, 2.0)), "sigma0": 1e300,
+           "lambda": draw(st.floats(0.2, 2.0)), "d1": draw(st.floats(0.0, 1.0)),
+           "d2": draw(st.floats(0.0, 1.0))}
+    if draw(st.booleans()):
+        mat["source"] = {"law": "logistic", "rate": draw(st.floats(0.5, 3.0)), "gamma_max": 1.0}
+    else:
+        mat.update(c2=draw(st.floats(0.0, 2.0)), b=draw(st.floats(-1.0, 1.0)))
+    cfg = fw.build_scenario({"grid": grid, "material": mat, "time": {"dt": 1e-3, "t_end": 1e-3},
+                             "bc": bc})
+    shape = cfg.grid.shape
+    box = tuple(slice(lo, draw(st.integers(lo + 1, n)))
+                for n in shape for lo in [draw(st.integers(0, n - 1))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    active = np.zeros(shape, dtype=bool)
+    active[box] = rng.random(active[box].shape) < 0.8
+    state = fw.FieldState(draw(st.floats(0.0, 3.0)), 0.1 * rng.standard_normal(shape),
+                          rng.standard_normal(shape), rng.uniform(0.1, 0.9, shape), active)
+    return cfg, state
+
+
+@settings(max_examples=100, deadline=None)
+@given(report_levels())
+def test_report_sums_agree_with_the_reference_sums(level):
+    # the report's sums are dot products over the cells or faces that hold
+    # them, the box's alone for the damage terms; the reference functions
+    # sum every cell and face of the grid. Each pair agrees to the
+    # summation bound; the potential, summed over the same grid-sized
+    # buffer, and the fields agree bit for bit
+    cfg, state = level
+    p, grid, dt = cfg.material, cfg.grid, cfg.dt
+    U, v, gamma, active = (getattr(state, f).copy() for f in ("U", "v", "gamma", "active"))
+    elastic, damage = solver.ElasticPlan(cfg), solver.DamagePlan(cfg, active)
+    elastic.level(U, gamma, state.time)
+    kinetic, free = elastic.energies(state, damage.level(gamma))
+    reference = fw.total_free_energy(U, gamma, p, grid, cfg.bc, state.time, active)
+    assert abs(free - reference) <= _summation_bound(*_free_energy_terms(cfg, U, gamma, state.time, active))
+    moving = 0.5 * p.rho0 * v * v * grid.cell_volume
+    assert abs(kinetic - float(moving.sum())) <= _summation_bound(moving)
+
+    _, dissipated = damage.step(state, elastic.eps)
+    assert np.array_equal(state.active, active)
+    assert np.array_equal(state.gamma[~active], gamma[~active])
+    rate = fw.dissipation_rate((state.gamma - gamma) / dt, p) * grid.cell_volume * dt
+    assert abs(dissipated - float(rate.sum())) <= _summation_bound(rate)
+    w_gamma = ops.energy_weights(cfg.bc, grid)[1]
+    e_grad, e_cell = cst.damage_free_energy(state.gamma, p, grid, cfg.bc["gamma"], w_gamma, active)
+    assert abs(damage.energy[0] - e_grad) <= _summation_bound(*_gradient_terms(cfg, state.gamma, active))
+    assert damage.energy[1] == e_cell
 
 
 # -- coupling structure (bitwise) -------------------------------------------------
