@@ -24,7 +24,6 @@ typed errors it raises.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple
@@ -39,7 +38,8 @@ from .model import SOURCE_LAWS, FieldState, ScenarioConfig, initialize_state
 
 # The columns of RunResult.reports, one row per time level. kinetic and
 # free_energy are instantaneous; dissipated and boundary_work are cumulative
-# from t = 0 (J per unit cross-section). Closure: the growth of kinetic +
+# from t = 0 (J per unit cross-section); boundary_work books the work of the
+# walls and of the body force. Closure: the growth of kinetic +
 # free_energy equals boundary_work - dissipated up to time-stepping error
 # (the damage flux does no work at any damage wall: zero-flux walls carry no
 # flux, dirichlet walls hold gamma fixed, rings have no wall). reports.csv
@@ -117,6 +117,7 @@ class ElasticPlan:
         self.dt, self.dx = cfg.dt, grid.dx
         self.kick = cfg.dt / (2.0 * grid.dx * p.rho0)  # h per unit stress difference
         self.half_r = 0.5 * cfg.dt * cfg.body_force
+        self.force = p.rho0 * cfg.body_force * grid.cell_volume  # the body force's power per unit sum(v)
         self.bc_gamma = bc["gamma"]
         self.cubic, self.coupled = p.c3 != 0.0, p.b != 0.0
         self.cfl = None if self.cubic else cst.characteristic_speed(0.0, p) * cfg.dt / grid.dx
@@ -206,13 +207,17 @@ class ElasticPlan:
         return kinetic, free
 
     def wall_power(self, v) -> float:
-        """Instantaneous boundary work rate S_R*v_R - S_L*v_L (W per unit
-        area), summed over the grid rows; 0 on a ring."""
-        if self.walls is None:
-            return 0.0
-        left, right = self.walls
-        S = self.S.T
-        return float((S[-1] * right.velocity(v) - S[0] * left.velocity(v)).sum() * self.across)
+        """Instantaneous work rate of the walls, S_R*v_R - S_L*v_L summed
+        over the grid rows (none on a ring), plus that of the body force,
+        rho0*r*vol*sum(v) (W per unit area)."""
+        power = 0.0
+        if self.walls is not None:
+            left, right = self.walls
+            S = self.S.T
+            power = float((S[-1] * right.velocity(v) - S[0] * left.velocity(v)).sum() * self.across)
+        if self.force:
+            power += self.force * float(np.add.reduce(v, None))
+        return power
 
 
 # -- damage substep -----------------------------------------------------------
@@ -231,7 +236,7 @@ class DamagePlan:
     axis's damage BC at the box edges, line coupling and factor of D -
     L_a/2, and the diagonal D of A less the source's capped slope (_advance),
     factored once per active set when the slope is a number, else once per
-    step; idle, the box of the inactive cells. The audit, energy and
+    step; idle, whether any cell is inactive. The audit, energy and
     dissipation read the box: the gradient energy and the dissipation are
     each one dot product against weights prescaled once per active set
     (w_grad) or run, equal to the full-grid sums up to summation roundoff.
@@ -253,7 +258,6 @@ class DamagePlan:
         self.lam_volume = p.lam * grid.cell_volume  # the dissipation per unit dGamma/dt^2
         self.w_gamma = ops.energy_weights(cfg.bc, grid)[1]
         self.psi = None  # set by the first level()
-        self.idle = tuple(slice(0, n) for n in grid.shape)
         self._build(active)
 
     def _build(self, active: np.ndarray) -> None:
@@ -261,11 +265,9 @@ class DamagePlan:
         box are inactive, so they keep their Gamma. Every face on a box edge
         that is not a wall has such a cell on its far side, hence K = 0 and
         the zero-flux closure there is exact; a periodic axis keeps its wrap
-        only when the box spans it. Cells never switch off, so the new idle
-        box lies inside the old one."""
+        only when the box spans it. idle: whether a cell is left to switch on."""
         p, grid = self.p, self.grid
-        old, inner = self.idle, ops.active_box(~active[self.idle])
-        self.idle = inner and tuple(slice(o.start + i.start, o.start + i.stop) for o, i in zip(old, inner))
+        self.idle = not active.all()
         self.box = box = ops.active_box(active)
         self.flux = None  # the next step's flux(Gamma), once taken under this K
         if box is None:
@@ -350,9 +352,10 @@ class DamagePlan:
     def step(self, state: FieldState, eps) -> tuple:
         """One damage step of state, whose active set is the plan's, under
         the face strain eps (shaped like ElasticPlan.eps), whose face mean
-        is the cell strain; as ElasticPlan.step, it advances state in place.
-        The cells of the idle box whose stress magnitude reached sigma0
-        switch on (every cell when sigma0 = 0; cells never switch off): a
+        uX is the cell strain, taken once and only while a cell is inactive
+        or b != 0; as ElasticPlan.step, it advances state in place. While a
+        cell is inactive, every cell whose stress magnitude reached sigma0
+        switches on (every cell when sigma0 = 0; cells never switch off): a
         new state.active mask, the operator rebuilt. Then _advance() writes
         the new damage into state.gamma and audits it, leaving the new
         level's damage energy in .energy. Returns (min Z*dGamma/dt,
@@ -360,63 +363,62 @@ class DamagePlan:
         the new damage when the audit raises, else the level before the step.
         """
         try:
-            box = self.idle
-            if box is not None:
-                S = cst.stress(_cell_strain(eps, box), state.gamma[box], self.p)
-                hit = np.abs(S) >= self.p.sigma0
-                if (hit > state.active[box]).any():
-                    state.active = state.active.copy()
-                    state.active[box] |= hit
+            uX = ops.face_mean(eps) if self.idle or self.p.b != 0.0 else None
+            if self.idle:
+                hit = np.abs(cst.stress(uX, state.gamma, self.p)) >= self.p.sigma0
+                if (hit > state.active).any():
+                    state.active = state.active | hit
                     self._build(state.active)
-            return self._advance(state, eps)
+            return self._advance(state, uX)
         except (NonFiniteState, PicardNotConverged, AdmissibilityViolation) as err:
             err.state = state.copy()  # dumped for post-mortem inspection
             raise
 
-    def _advance(self, state: FieldState, eps) -> tuple:
+    def _advance(self, state: FieldState, uX) -> tuple:
         """step() after the activation: one linearly implicit Crank-Nicolson
         step of lam*dGamma/dt = Z = div(K grad Gamma) + F on the active
-        cells, F the source and -b*uX (uX the cell strain of eps, read
+        cells, F the source and -b*uX (uX the cell strain, read on the box
         only when b != 0). On the box, d = Gamma_new - Gamma
         solves (A - J) d = flux(Gamma) + F(Gamma), the midpoint F(Gamma +
         d/2) linearised with J = min(F'(Gamma), lam/dt)/2: exact for a
         constant slope, Kahan's discretization of the logistic law, first
         order in the source where the cap binds. One correction (_correct)
         solves it in 1D; in 2D corrections run until one moves d by at most
-        numerics.source_tol on the scale max(1, max|Gamma_new|), else
-        PicardNotConverged. A law that saturates keeps active damage
+        numerics.source_tol on the old level's scale max(1, max|Gamma|),
+        else PicardNotConverged. A law that saturates keeps active damage
         nonnegative; every other cell keeps its value bit for bit. The audit
         reads the physical Z at the midpoint, F there plus the mean of the
         two levels' fluxes: min Z*dGamma/dt below -(tol_admissibility*peak +
         the step's roundoff eps*max|Z|*max(|Gamma|, |Gamma_new|)/dt, that of
         a damage rate that is itself roundoff) raises AdmissibilityViolation,
         a NaN NonFiniteState, as does a non-finite operator or right-hand side.
+        A rate, audit product or dissipation that overflows reads inf with no
+        numpy warning: the audit, or the caller's check of the dissipated
+        column, raises it.
         """
         box = self.box
         if box is None:
             return 0.0, 0.0
-        p, grid, dt, tol, on = self.p, self.grid, self.dt, self.tol, self.on
+        p, grid, dt, on = self.p, self.grid, self.dt, self.on
         g = state.gamma[box].copy()
-        uXb = _cell_strain(eps, box) if p.b != 0.0 else None
+        uXb = None if uX is None else uX[box]
         if self.flux is None:  # an activation changed K
             self.flux = ops.grid_flux_div(g, self.K, grid, self.bc)
-        flux, d, prev, moved = self.flux, None, None, None
+        flux, d, prev = self.flux, None, None
         force = flux + self._on(cst.damage_force(g, p, uXb))
         if not self.constant:
             self._factor(self.a + self._minus_J(g))
+        limit = self.tol * max(1.0, float(np.abs(g).max())) if len(self.fac) > 1 else None
         for _ in range(self.max_iter):
             nxt, x = self._correct(force, prev)
             if x is None:
                 d = nxt
                 break  # 1D: the one solve is exact
             delta = float(np.abs(nxt if d is None else nxt - d).max())
-            if moved is None:  # max|g + d| <= max|g| + the sum of the deltas
-                moved = float(np.abs(g).max())
-            d, prev, moved = nxt, (nxt, x), moved + delta
-            if delta <= tol or delta <= tol * moved and delta <= tol * float(np.abs(g + d).max()):
+            d, prev = nxt, (nxt, x)
+            if delta <= limit:
                 break
         else:
-            limit = tol * max(1.0, float(np.abs(g + d).max()))
             raise PicardNotConverged(state.time, self.max_iter, delta, limit)
 
         gn = state.gamma[box]
@@ -426,14 +428,12 @@ class DamagePlan:
         self.level(state.gamma)
         # Z at the midpoint, where the CN step balances lam*dGamma/dt
         Z = cst.damage_force(0.5 * (g + gn), p, uXb) + 0.5 * (flux + self.flux)
-        gamma_dot = (gn - g) / dt
-        zg = self._on(Z * gamma_dot)
+        with np.errstate(over="ignore"):  # an overflow reads inf, raised below or by the caller
+            gamma_dot = (gn - g) / dt
+            zg = self._on(Z * gamma_dot)
+            dissipated = self.lam_volume * float(gamma_dot.ravel().dot(gamma_dot.ravel()))
         low = float(zg.min())
         peak = max(float(zg.max()), -low)  # max|zg|, with no temporary
-        fast = max(float(gamma_dot.max()), -float(gamma_dot.min()))  # no rate exceeds lam*fast**2
-        safe = p.lam * (fast * fast) * on.size < math.inf  # nor their sum on.size times it
-        with contextlib.nullcontext() if safe else np.errstate(over="ignore"):  # inf, unwarned
-            dissipated = self.lam_volume * float(gamma_dot.ravel().dot(gamma_dot.ravel()))
         if on.size < state.gamma.size:  # the cells outside the box are inactive: 0
             low = min(low, 0.0)
         # max(peak, nan) keeps the old peak: a NaN is caught here, not by the bound
@@ -447,12 +447,6 @@ class DamagePlan:
             if not low >= -bound:
                 raise AdmissibilityViolation(state.time, low, bound)
         return low, dissipated * dt
-
-
-def _cell_strain(eps, box: tuple) -> np.ndarray:
-    """ops.face_mean of the face strain eps on the cells of box."""
-    *rows, cells = box
-    return ops.face_mean(eps[(*rows, slice(cells.start, cells.stop + 1))])
 
 
 # -- full runs ----------------------------------------------------------------

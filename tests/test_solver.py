@@ -136,6 +136,50 @@ def test_traction_wall_work_closes_at_second_order(ny, nx, t_end):
     assert coarse / fine >= 3.5, (coarse, fine)
 
 
+@pytest.mark.parametrize("ny, sizes", [(None, (128, 256, 512)), (8, (64, 128, 256))], ids=["1d", "2d"])
+def test_traction_shutoff_unloads_the_wall(ny, sizes):
+    # past `until` the traction face is free: its stress reads 0 and the
+    # boundary work stops growing. The load's jump to 0 leaves a first-order
+    # budget residual, as a load switched on at t = 0 does (ratios near 2.05)
+    load = {"type": "traction", "value": -0.05, "ramp": 0.1, "until": 0.5}
+    cfg = _clifton_bar(load, sizes[0], 1.0, 0.5, 1.0, ny)
+    plan, state = solver.ElasticPlan(cfg), fw.initialize_state(cfg)
+    for t, S in ((0.5, -0.05), (0.5 + cfg.dt, 0.0)):
+        plan.level(state.U, state.gamma, t)
+        assert np.all(plan.S[..., 0] == S), t
+    residuals = []
+    for n in sizes:
+        reports = fw.run(_clifton_bar(load, n, 1.0, 0.5, 1.0, ny)).reports
+        work = reports["boundary_work"][reports["time"] > 0.5]
+        assert work[0] > 0.0 and np.all(work == work[0]), n
+        residuals.append(fw.budget_imbalance(reports))
+    for coarse, fine in zip(residuals, residuals[1:]):
+        assert coarse / fine >= 1.8, residuals
+
+
+def _body_force_doc(kind, dt):
+    grid, center = {"nx": 64, "dx": 1.0 / 64}, 0.5
+    bc = {"u_left": {"type": "fixed"}, "u_right": {"type": "free"}, "gamma": {"type": "zero_flux"}}
+    if kind == "ring":
+        bc = {"u_left": {"type": "periodic"}, "u_right": {"type": "periodic"}, "gamma": {"type": "periodic"}}
+    if kind == "sheet":
+        grid, center = {"nx": 32, "ny": 8, "dx": 1.0 / 32, "dy": 1.0 / 32}, [0.5, 0.125]
+    return {"grid": grid, "body_force": 1.0, "bc": bc,
+            "material": {"rho0": 2.0, "c1": 1.0, "lambda": 1.0, "c2": 1.0, "b": 0.3, "d1": 0.1},
+            "time": {"dt": dt, "t_end": 0.5},
+            "ic": {"gamma": {"type": "gaussian", "amplitude": 0.5, "center": center, "width": 0.1}}}
+
+
+@pytest.mark.parametrize("kind", ["bar", "ring", "sheet"])
+def test_body_force_work_closes_at_second_order(kind):
+    # boundary_work books the body force's power rho0*r*vol*sum(v) in the
+    # walls' trapezoid, so the budget residual shrinks about 4x per halving
+    # of dt; unbooked, it stayed near 1 at every dt
+    coarse, fine = (fw.budget_imbalance(fw.run(fw.build_scenario(_body_force_doc(kind, dt))).reports)
+                    for dt in (5e-3, 2.5e-3))
+    assert coarse / fine >= 3.5, (coarse, fine)
+
+
 # -- damage substep ------------------------------------------------------------
 
 
@@ -301,20 +345,22 @@ def test_overflowing_kinetic_energy_raises_typed_error(lam):
 
 def test_overflowing_dissipation_raises_typed_error():
     # lam = 1e-300 at dt = 1e-300: dGamma/dt near 1e300 squares into
-    # overflow in the dissipation rate, and the dissipated column read inf
-    doc = {
-        "grid": {"nx": 16, "dx": 1.0 / 16},
-        "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1e-300, "c2": 1.0},
-        "time": {"dt": 1e-300, "t_end": 1e-299},
-        "ic": {"gamma": {"type": "sine", "amplitude": 0.5, "mode": 1}},
-    }
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(fw.NonFiniteState, match="dissipated column") as exc:
-            fw.run(fw.build_scenario(doc))
-    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    assert exc.value.state.time == 1e-300  # the first step
-    assert not np.array_equal(exc.value.state.gamma, fw.initialize_state(fw.build_scenario(doc)).gamma)
+    # overflow in the dissipation rate; at dt = 5e-324 dGamma/dt itself
+    # overflows in the division. Either way the dissipated column reads inf
+    for lam, dt in ((1e-300, 1e-300), (1e-310, 5e-324)):
+        doc = {
+            "grid": {"nx": 16, "dx": 1.0 / 16},
+            "material": {"rho0": 1.0, "c1": 1.0, "lambda": lam, "c2": 1.0},
+            "time": {"dt": dt, "t_end": 10 * dt},
+            "ic": {"gamma": {"type": "sine", "amplitude": 0.5, "mode": 1}},
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(fw.NonFiniteState, match="dissipated column") as exc:
+                fw.run(fw.build_scenario(doc))
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], dt
+        assert exc.value.state.time == dt  # the first step
+        assert not np.array_equal(exc.value.state.gamma, fw.initialize_state(fw.build_scenario(doc)).gamma)
 
 
 def test_diffusion_number_limit_on_both_sides():
