@@ -2,7 +2,8 @@
 
 ConfigError subclasses mean the scenario description itself is unusable
 (exit code 1). RuntimeViolation subclasses mean a run started and then
-tripped a stability or admissibility contract (exit code 2).
+tripped a stability or admissibility contract (exit code 2); the run loop
+attaches the state to them.
 """
 
 
@@ -39,7 +40,11 @@ class ConfigConflict(ConfigError):
 
 
 class RuntimeViolation(FailwaveError):
-    pass
+    """The run loop (solver._coupled_steps) sets .state to a copy of the
+    state at the raise: a report column's level, the audit's new damage,
+    else the level before the step. None outside a run."""
+
+    state = None
 
 
 class CflViolation(RuntimeViolation):
@@ -68,28 +73,22 @@ class AdmissibilityViolation(RuntimeViolation):
 class NonFiniteState(RuntimeViolation):
     """A run met a non-finite value: a (possibly singular) damage operator
     or right-hand side, the Courant number (read only when c3 != 0), the
-    admissibility audit, or a level's kinetic, free_energy or dissipated
-    report column. The state is attached as .state when the solver raises
-    it: the level of a report column, the new damage of the audit, else the
-    state before the step."""
+    admissibility audit, or one of a level's report columns (what names
+    the first in solver.REPORT_FIELDS order)."""
 
-    def __init__(self, what: str, state=None):
+    def __init__(self, what: str):
         self.what = what
-        self.state = state
         super().__init__(f"non-finite value in the {what}")
 
 
 class PicardNotConverged(RuntimeViolation):
     """DamagePlan.step's 2D defect correction towards the step's linear
     system used all numerics.source_max_iter corrections without meeting
-    numerics.source_tol (a 1D step is one exact solve and never raises it).
-    The step attaches the state as .state: the level before the step, with
-    the cells it switched on."""
+    numerics.source_tol (a 1D step is one exact solve and never raises it)."""
 
     def __init__(self, time: float, iterations: int, residual: float, limit: float):
         self.time, self.iterations = time, iterations
         self.residual, self.limit = residual, limit
-        self.state = None
         super().__init__(
             f"2D damage defect correction did not converge at t={time:.6g}: last change "
             f"{residual:.6g} > {limit:.6g} after {iterations} corrections"

@@ -18,8 +18,9 @@ skipped: the damage field stays frozen and nothing dissipates.
 Every step is audited: hyperbolic Courant number (ElasticPlan.step), the
 pointwise admissibility product Z*dGamma/dt (DamagePlan.step), and a running
 energy budget (kinetic + free energy + cumulative dissipation + boundary
-work); the diffusion number is reported. Each plan attaches the state to the
-typed errors it raises.
+work); the diffusion number is reported. The plans only raise their typed
+errors: the run loop (_coupled_steps) checks every report row for a
+non-finite column and attaches the state to each RuntimeViolation.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import numpy as np
 
 from . import constitutive as cst
 from . import ops
-from .errors import AdmissibilityViolation, CflViolation, NonFiniteState, PicardNotConverged
+from .errors import (AdmissibilityViolation, CflViolation, NonFiniteState, PicardNotConverged,
+                     RuntimeViolation)
 from .model import SOURCE_LAWS, FieldState, ScenarioConfig, initialize_state
 
 
@@ -170,7 +172,7 @@ class ElasticPlan:
             cfl = cst.characteristic_speed(float(np.maximum.reduce(self.u2, None)), self.p) * dt / self.dx
         if not cfl <= 1.0 + 1e-12:
             if np.isnan(cfl):
-                raise NonFiniteState("Courant number", state.copy())  # for post-mortem inspection
+                raise NonFiniteState("Courant number")
             raise CflViolation(dt, self.dx, cfl * self.dx / dt)
         v = np.add(state.v, self.h, out=state.v)  # v at the half step
         np.add(state.U, np.multiply(v, dt, out=self._c1), out=state.U)
@@ -188,8 +190,7 @@ class ElasticPlan:
     def energies(self, state: FieldState, damage: tuple) -> tuple:
         """The kinetic and free energy (cst.total_free_energy, with damage
         its damage part, cst.damage_free_energy of state.gamma) of state's
-        level, whose faces the buffers hold. Raises NonFiniteState naming the
-        report column of the first that is not finite, state attached."""
+        level, whose faces the buffers hold; either may be non-finite."""
         v, u2 = state.v.ravel(), self.u2.ravel()
         # products of Python floats: an overflow reads inf with no numpy warning
         kinetic = self.half_mass * float(v.dot(v))
@@ -200,11 +201,7 @@ class ElasticPlan:
         if self.coupled:
             both = np.add(self.eps[..., :-1], self.eps[..., 1:], out=self._c1)
             e_cell += self.cross * float(both.ravel().dot(state.gamma.ravel()))
-        free = free + e_grad + e_cell
-        if not (math.isfinite(kinetic) and math.isfinite(free)):
-            what = "free_energy column" if math.isfinite(kinetic) else "kinetic column"
-            raise NonFiniteState(what, state.copy())  # for post-mortem inspection
-        return kinetic, free
+        return kinetic, free + e_grad + e_cell
 
     def wall_power(self, v) -> float:
         """Instantaneous work rate of the walls, S_R*v_R - S_L*v_L summed
@@ -234,7 +231,7 @@ class DamagePlan:
     of the grid axes' homogeneous flux divergences) on the box of its cells
     (None when no cell is active): the box's face conductivities K, each
     axis's damage BC at the box edges, line coupling and factor of D -
-    L_a/2, and the diagonal D of A less the source's capped slope (_advance),
+    L_a/2, and the diagonal D of A less the source's capped slope (step),
     factored once per active set when the slope is a number, else once per
     step; idle, whether any cell is inactive. The audit, energy and
     dissipation read the box: the gradient energy and the dissipation are
@@ -356,29 +353,14 @@ class DamagePlan:
         or b != 0; as ElasticPlan.step, it advances state in place. While a
         cell is inactive, every cell whose stress magnitude reached sigma0
         switches on (every cell when sigma0 = 0; cells never switch off): a
-        new state.active mask, the operator rebuilt. Then _advance() writes
-        the new damage into state.gamma and audits it, leaving the new
-        level's damage energy in .energy. Returns (min Z*dGamma/dt,
-        dissipated increment). Each typed error leaves with state attached:
-        the new damage when the audit raises, else the level before the step.
-        """
-        try:
-            uX = ops.face_mean(eps) if self.idle or self.p.b != 0.0 else None
-            if self.idle:
-                hit = np.abs(cst.stress(uX, state.gamma, self.p)) >= self.p.sigma0
-                if (hit > state.active).any():
-                    state.active = state.active | hit
-                    self._build(state.active)
-            return self._advance(state, uX)
-        except (NonFiniteState, PicardNotConverged, AdmissibilityViolation) as err:
-            err.state = state.copy()  # dumped for post-mortem inspection
-            raise
+        new state.active mask, the operator rebuilt. Then one Crank-Nicolson
+        step writes the new damage into state.gamma and audits it, leaving
+        the new level's damage energy in .energy. Returns (min Z*dGamma/dt,
+        dissipated increment).
 
-    def _advance(self, state: FieldState, uX) -> tuple:
-        """step() after the activation: one linearly implicit Crank-Nicolson
-        step of lam*dGamma/dt = Z = div(K grad Gamma) + F on the active
-        cells, F the source and -b*uX (uX the cell strain, read on the box
-        only when b != 0). On the box, d = Gamma_new - Gamma
+        The Crank-Nicolson step is linearly implicit in lam*dGamma/dt = Z =
+        div(K grad Gamma) + F on the active cells, F the source and -b*uX
+        (read on the box only when b != 0). On the box, d = Gamma_new - Gamma
         solves (A - J) d = flux(Gamma) + F(Gamma), the midpoint F(Gamma +
         d/2) linearised with J = min(F'(Gamma), lam/dt)/2: exact for a
         constant slope, Kahan's discretization of the logistic law, first
@@ -393,9 +375,15 @@ class DamagePlan:
         a damage rate that is itself roundoff) raises AdmissibilityViolation,
         a NaN NonFiniteState, as does a non-finite operator or right-hand side.
         A rate, audit product or dissipation that overflows reads inf with no
-        numpy warning: the audit, or the caller's check of the dissipated
-        column, raises it.
+        numpy warning: the audit, or the run loop's check of the report row,
+        raises it. The errors carry no state; the run loop attaches it.
         """
+        uX = ops.face_mean(eps) if self.idle or self.p.b != 0.0 else None
+        if self.idle:
+            hit = np.abs(cst.stress(uX, state.gamma, self.p)) >= self.p.sigma0
+            if (hit > state.active).any():
+                state.active = state.active | hit
+                self._build(state.active)
         box = self.box
         if box is None:
             return 0.0, 0.0
@@ -480,7 +468,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
     _coupled_steps. Every level adds one row to the reports (columns
     REPORT_FIELDS, e.g. reports["dissipated"]) and one sample to each gauge
     trace; the output.snapshots cadence adds full-field snapshots. The steps' typed errors (CflViolation,
-    AdmissibilityViolation, ...) propagate as raised.
+    AdmissibilityViolation, ...) propagate with the state attached.
     """
     nsteps = _step_count(cfg)
     state = initialize_state(cfg)
@@ -512,10 +500,11 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
     Per step: the elastic step (ElasticPlan.step), the damage step
     (DamagePlan.step: threshold activation, the Crank-Nicolson step and its
     admissibility audit), the stress of the new damage when b != 0, the
-    energies and the wall work. The steps raise their typed errors with the
-    state attached; every level, level 0 included, raises NonFiniteState
-    naming a kinetic or free_energy column that is not finite (at c3 = 0
-    the only guard against a NaN field).
+    energies and the wall work. This loop owns the failure contract: each
+    row, level 0's included, is checked before it is yielded, its first
+    non-finite column raising NonFiniteState("<column> column") (at c3 = 0
+    the only guard against a NaN field), and each RuntimeViolation from
+    level 0 on leaves with .state, a copy of state at the raise.
 
     lam = 0 is the conservative limit (MaterialParams admits it only with
     c2 = 0, b = 0 and no source): it builds no DamagePlan, and every
@@ -523,36 +512,45 @@ def _coupled_steps(state: FieldState, cfg: ScenarioConfig, plan: ElasticPlan):
     frozen, dissipation stays zero, and total energy is conserved to
     discretization error.
     """
-    p = cfg.material
-    dt = cfg.dt
-    damage, max_diff = None, 0.0
-    if p.lam == 0.0:
-        state.active = np.zeros(cfg.grid.shape, dtype=bool)
-        # lam = 0 zeroes the conductivity, c2 = 0 and no source the potential
-        e_damage = (0.0, 0.0)
-    else:
-        damage = DamagePlan(cfg, state.active)
-        e_damage = damage.level(state.gamma)
-        max_diff = damage.diff_number
-    plan.level(state.U, state.gamma, state.time)
-    yield (0.0, dt, 0.0, 0.0, 0.0, *plan.energies(state, e_damage), 0.0, 0.0)
+    p, dt = cfg.material, cfg.dt
+    try:
+        damage, max_diff = None, 0.0
+        if p.lam == 0.0:
+            state.active = np.zeros(cfg.grid.shape, dtype=bool)
+            # lam = 0 zeroes the conductivity, c2 = 0 and no source the potential
+            e_damage = (0.0, 0.0)
+        else:
+            damage = DamagePlan(cfg, state.active)
+            e_damage = damage.level(state.gamma)
+            max_diff = damage.diff_number
+        plan.level(state.U, state.gamma, state.time)
+        yield _finite_row((0.0, dt, 0.0, 0.0, 0.0, *plan.energies(state, e_damage), 0.0, 0.0))
 
-    dissipated = work = min_zg = 0.0
-    power_prev = plan.wall_power(state.v)
-    for k in range(1, _step_count(cfg) + 1):
-        t = k * dt
-        cfl = plan.step(state, t)
-        state.time = t
-        if damage is not None:
-            min_zg, inc = damage.step(state, plan.eps)
-            dissipated += inc
-            if not math.isfinite(dissipated):
-                raise NonFiniteState("dissipated column", state.copy())  # for post-mortem inspection
-            if p.b != 0.0:  # damage moved, so stress moved
-                plan.stress(state.gamma, t)
-            e_damage = damage.energy
-        power = plan.wall_power(state.v)
-        work += 0.5 * (power_prev + power) * dt
-        power_prev = power
+        dissipated = work = min_zg = 0.0
+        power_prev = plan.wall_power(state.v)
+        for k in range(1, _step_count(cfg) + 1):
+            t = k * dt
+            cfl = plan.step(state, t)
+            state.time = t
+            if damage is not None:
+                min_zg, inc = damage.step(state, plan.eps)
+                dissipated += inc
+                if p.b != 0.0:  # damage moved, so stress moved
+                    plan.stress(state.gamma, t)
+                e_damage = damage.energy
+            power = plan.wall_power(state.v)
+            work += 0.5 * (power_prev + power) * dt
+            power_prev = power
 
-        yield (t, dt, cfl, max_diff, min_zg, *plan.energies(state, e_damage), dissipated, work)
+            yield _finite_row((t, dt, cfl, max_diff, min_zg, *plan.energies(state, e_damage),
+                               dissipated, work))
+    except RuntimeViolation as err:
+        err.state = state.copy()  # for post-mortem inspection
+        raise
+
+
+def _finite_row(row: tuple) -> tuple:
+    """row, a level's REPORT_FIELDS values, or NonFiniteState naming its first non-finite column."""
+    if not all(map(math.isfinite, row)):
+        raise NonFiniteState(next(f"{f} column" for f, x in zip(REPORT_FIELDS, row) if not math.isfinite(x)))
+    return row

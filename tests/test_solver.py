@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import failwave as fw
 from failwave import constitutive as cst
-from failwave import ops, solver
+from failwave import ops, solver, variational
 from failwave.model import MAX_DIFFUSION_NUMBER, SOURCE_LAWS
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -288,22 +288,31 @@ def test_admissibility_violation_carries_the_state():
     assert err.state.gamma.shape == (64,) and err.state.gamma.min() == 0.0
 
 
-def test_non_finite_damage_state_raises_typed_error():
+def test_non_finite_damage_state_raises_typed_error(monkeypatch):
+    # a NaN in the damage: the plan's step only raises (on its right-hand
+    # side); a run meets it first in level 0's free_energy column and
+    # attaches a copy of that level
     cfg = fw.build_scenario(diffusion_doc())
     state = fw.initialize_state(cfg)
     state.gamma[10] = np.nan
     eps = ops.strain_faces(state.U, cfg.grid, cfg.bc, 0.0)
-    with pytest.raises(fw.NonFiniteState) as exc:
-        solver.DamagePlan(cfg, state.active).step(state, eps)
-    assert np.isnan(exc.value.state.gamma[10])
+    with pytest.raises(fw.NonFiniteState, match="damage right-hand side") as exc:
+        solver.DamagePlan(cfg, state.active).step(state.copy(), eps)
+    assert exc.value.state is None
+    monkeypatch.setattr(solver, "initialize_state", lambda _: state)
+    with pytest.raises(fw.NonFiniteState, match="free_energy column") as exc:
+        fw.run(cfg)
+    assert exc.value.state.time == 0.0 and np.isnan(exc.value.state.gamma[10])
     assert exc.value.state.gamma is not state.gamma
 
 
 @pytest.mark.parametrize("c3", [1.0, 0.0], ids=["cubic", "linear"])
 def test_nan_displacement_raises_typed_error(monkeypatch, c3):
     # at c3 != 0 a NaN strain makes the Courant number NaN, which a `>` test
-    # passes; at c3 = 0 the Courant number reads no strain, and level 0's
-    # free_energy column is the first value to turn NaN
+    # passes, so the plan's step raises on it (and only raises); at c3 = 0
+    # the Courant number reads no strain. A run checks level 0's row before
+    # any step, so at either c3 its free_energy column is the first value
+    # to turn NaN, and the run attaches a copy of that level
     doc = standing_doc(32)
     doc["material"]["c3"] = c3
     cfg = fw.build_scenario(doc)
@@ -313,13 +322,13 @@ def test_nan_displacement_raises_typed_error(monkeypatch, c3):
         plan = solver.ElasticPlan(cfg)
         plan.level(state.U, state.gamma, 0.0)
         with pytest.raises(fw.NonFiniteState, match="Courant number") as exc:
-            plan.step(state, cfg.dt)
-    else:
-        monkeypatch.setattr(solver, "initialize_state", lambda _: state)
-        with pytest.raises(fw.NonFiniteState, match="free_energy") as exc:
-            fw.run(cfg)
-        assert exc.value.state.time == 0.0
-    assert np.isnan(exc.value.state.U[5])
+            plan.step(state.copy(), cfg.dt)
+        assert exc.value.state is None
+    monkeypatch.setattr(solver, "initialize_state", lambda _: state)
+    with pytest.raises(fw.NonFiniteState, match="free_energy column") as exc:
+        fw.run(cfg)
+    assert exc.value.state.time == 0.0
+    assert np.isnan(exc.value.state.U[5]) and exc.value.state.U is not state.U
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
@@ -345,9 +354,11 @@ def test_overflowing_kinetic_energy_raises_typed_error(lam):
 
 def test_overflowing_dissipation_raises_typed_error():
     # lam = 1e-300 at dt = 1e-300: dGamma/dt near 1e300 squares into
-    # overflow in the dissipation rate; at dt = 5e-324 dGamma/dt itself
-    # overflows in the division. Either way the dissipated column reads inf
-    for lam, dt in ((1e-300, 1e-300), (1e-310, 5e-324)):
+    # overflow in the dissipation rate, and the dissipated column reads inf;
+    # at dt = 5e-324 dGamma/dt itself overflows in the division, so the
+    # audit product Z*dGamma/dt is +inf in every cell and the
+    # min_Z_gammadot column, checked first, reads inf
+    for lam, dt, column in ((1e-300, 1e-300, "dissipated"), (1e-310, 5e-324, "min_Z_gammadot")):
         doc = {
             "grid": {"nx": 16, "dx": 1.0 / 16},
             "material": {"rho0": 1.0, "c1": 1.0, "lambda": lam, "c2": 1.0},
@@ -356,7 +367,7 @@ def test_overflowing_dissipation_raises_typed_error():
         }
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(fw.NonFiniteState, match="dissipated column") as exc:
+            with pytest.raises(fw.NonFiniteState, match=f"{column} column") as exc:
                 fw.run(fw.build_scenario(doc))
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], dt
         assert exc.value.state.time == dt  # the first step
@@ -404,10 +415,16 @@ def test_courant_number_resolved_once_at_constant_wave_speed():
     steps = solver._coupled_steps(state, cfg, solver.ElasticPlan(cfg))
     next(steps)  # level 0
     before = state.copy()
-    with pytest.raises(fw.CflViolation):
+    with pytest.raises(fw.CflViolation) as exc:
         next(steps)
     assert state.time == 0.0
     assert np.array_equal(state.U, before.U) and np.array_equal(state.v, before.v)
+    # the error carries a copy of the level before the step
+    assert exc.value.state is not state and exc.value.state.time == 0.0
+    for field in ("U", "v", "gamma", "active"):
+        attached = getattr(exc.value.state, field)
+        assert attached.tobytes() == getattr(before, field).tobytes(), field
+        assert not np.shares_memory(attached, getattr(state, field)), field
 
 
 @pytest.mark.parametrize("field", ["min_Z_gammadot", "peak_Z_gammadot"])
@@ -435,7 +452,83 @@ def test_nan_audit_raises_typed_error(monkeypatch, field):
     assert np.array_equal(exc.value.state.gamma, clean.gamma)
 
 
-def test_step_damage_books_the_dissipation_rate():
+def _broken_run(case, monkeypatch):
+    """(cfg, error type, message, step) of a run that breaks its contract
+    one way: step is the level whose time the attached state holds."""
+    if case == "cfl":  # dt just over the Courant limit
+        doc = standing_doc(32)
+        doc["time"]["dt"] = 1.000001 / 32
+        return fw.build_scenario(doc), fw.CflViolation, "CFL violation", 0
+    if case == "admissibility":  # as in test_admissibility_violation_carries_the_state
+        doc = diffusion_doc(material={"rho0": 1.0, "c1": 1.0, "lambda": 1.0, "d1": 0.1,
+                                      "source": {"law": "logistic", "rate": 1.0, "gamma_max": 1.0}},
+                            time={"dt": 0.01, "t_end": 0.1},
+                            ic={"gamma": {"type": "step", "left": -0.2, "right": 0.0, "at": 0.5}})
+        return fw.build_scenario(doc), fw.AdmissibilityViolation, "admissibility violated", 1
+    if case == "picard":  # one 2D correction cannot finish a step
+        doc = diffusion_doc(grid={"nx": 8, "ny": 6, "dx": 0.125, "dy": 0.125},
+                            ic={"gamma": {"type": "gaussian", "amplitude": 1.0,
+                                          "center": [0.5, 0.4], "width": 0.2}},
+                            numerics={"source_max_iter": 1})
+        return fw.build_scenario(doc), fw.PicardNotConverged, "did not converge", 1
+    if case == "kinetic":  # rho0*v^2 overflows at level 0
+        doc = {"grid": {"nx": 16, "dx": 1.0 / 16},
+               "material": {"rho0": 1e308, "c1": 1.0, "lambda": 1.0, "d1": 0.1},
+               "time": {"dt": 0.01, "t_end": 0.1},
+               "ic": {"v": {"type": "sine", "amplitude": 10.0, "mode": 1}},
+               "bc": {"u_left": {"type": "periodic"}, "u_right": {"type": "periodic"},
+                      "gamma": {"type": "periodic"}}}
+        return fw.build_scenario(doc), fw.NonFiniteState, "kinetic column", 0
+    if case == "audit":  # a NaN midpoint flux at step 1, as in test_nan_audit_raises_typed_error
+        level, calls = solver.DamagePlan.level, []
+
+        def poisoned(self, gamma):
+            out = level(self, gamma)
+            calls.append(1)
+            if len(calls) > 1:  # call 1 is level 0, call 2 step 1's
+                self.flux[10] = float("nan")
+            return out
+
+        monkeypatch.setattr(solver.DamagePlan, "level", poisoned)
+        return fw.build_scenario(diffusion_doc()), fw.NonFiniteState, "admissibility audit", 1
+    if case == "min_Z_gammadot":  # Z*dGamma/dt overflows to +inf in every cell, which the audit passes
+        doc = {"grid": {"nx": 16, "dx": 1e-10},
+               "material": {"rho0": 1.0, "c1": 1.0, "lambda": 1e10, "c2": 1e20},
+               "time": {"dt": 1e-11, "t_end": 1e-10},
+               "ic": {"gamma": {"type": "constant", "value": 1e140}}}
+        return fw.build_scenario(doc), fw.NonFiniteState, "min_Z_gammadot column", 1
+    # boundary_work: on a traction bar it overflows only with kinetic, so inject it
+    monkeypatch.setattr(solver.ElasticPlan, "wall_power", lambda self, v: math.inf)
+    return fw.build_scenario(standing_doc(32)), fw.NonFiniteState, "boundary_work column", 1
+
+
+@pytest.mark.parametrize("case", ["cfl", "admissibility", "picard", "kinetic", "audit",
+                                  "min_Z_gammadot", "boundary_work"])
+@pytest.mark.parametrize("entry", ["run", "record_trajectory"])
+def test_runtime_violation_carries_a_copy_of_the_state_at_the_raise(monkeypatch, entry, case):
+    # every way a run breaks its contract, through either driver of the run
+    # loop, raises its typed error with .state: a copy of the state as the
+    # raise left it (nothing moves it after the raise), sharing no memory
+    cfg, error, message, step = _broken_run(case, monkeypatch)
+    live = []
+
+    def initialize(c):
+        live.append(fw.initialize_state(c))
+        return live[-1]
+
+    monkeypatch.setattr(solver, "initialize_state", initialize)
+    monkeypatch.setattr(variational, "initialize_state", initialize)
+    with pytest.raises(error, match=message) as exc:
+        getattr(fw, entry)(cfg)
+    (state,), attached = live, exc.value.state
+    assert isinstance(attached, fw.FieldState) and attached is not state
+    assert attached.time == state.time == step * cfg.dt
+    for field in ("U", "v", "gamma", "active"):
+        assert getattr(attached, field).tobytes() == getattr(state, field).tobytes(), field
+        assert not np.shares_memory(getattr(attached, field), getattr(state, field)), field
+
+
+def test_damage_plan_step_books_the_dissipation_rate():
     # the budget's dissipated increment is the dissipation rate of the step's
     # dGamma/dt, summed over the cells and multiplied by the step
     cfg = fw.build_scenario(diffusion_doc())
@@ -755,6 +848,22 @@ def test_fast_source_keeps_the_operator_positive_definite(rate):
         assert low.min() >= -1e-12  # roundoff (-1.2e-27) against a peak above 1
     else:
         assert exc.value.time == pytest.approx(0.1) and exc.value.value < 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="where the slope cap binds the damage step is first order "
+                   "in the source and nothing audits the energy budget: kpp_front at dt 0.05 and "
+                   "rate 40 returns with budget_imbalance 0.30 and no error")
+def test_capped_source_slope_closes_the_budget_or_raises():
+    # r*dt = 2: the cap min(F', lam/dt) binds on undamaged cells. A run
+    # should either close its budget or refuse with a typed error
+    doc = fw.scenario_to_dict(load_scenario("kpp_front.yaml"))
+    doc["material"]["source"]["rate"] = 40.0
+    doc["time"]["dt"] = 0.05
+    try:
+        res = fw.run(fw.build_scenario(doc))
+    except fw.RuntimeViolation:
+        return
+    assert fw.budget_imbalance(res.reports) < 1e-2
 
 
 def test_box_audit_matches_the_full_grid_audit():
